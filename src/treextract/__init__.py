@@ -8,7 +8,7 @@ thinning share of the original data.
 from .core import (AxisConstraint, BoxConstraint, Dataset, DecisionTree,
                    Internal, Leaf, conjoin, leaf_tree, tree_predict)
 from .errors import (BlackboxError, ConfigError, EmptyRegionError, InputError,
-                     TreextractError, UnknownCategoryError)
+                     SamplerError, TreextractError, UnknownCategoryError)
 from .gmm import (ConditionalMixture, EMConfig, GaussianMixture, box_mass,
                   condition, fit_em, pdf, sample, sample_conditional,
                   sample_truncated_normal, select_k_bic)

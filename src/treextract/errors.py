@@ -21,6 +21,10 @@ class EmptyRegionError(TreextractError):
     """
 
 
+class SamplerError(TreextractError):
+    """A sampler returned points outside the box it was conditioned on."""
+
+
 class UnknownCategoryError(InputError):
     """A categorical value at predict time was never seen during encoding."""
 

@@ -28,7 +28,7 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, PolicyConfig,
 from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, Internal, LE, Leaf, conjoin
 from .errors import InputError
 from .extract import ExtractionConfig, extract_tree
-from .gmm import EMConfig, GaussianMixture, box_mass, sample, select_k_bic
+from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
 
@@ -94,34 +94,57 @@ def agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
 # Exact greedy oracle
 
 
-def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox,
-                  box: Optional[BoxConstraint]) -> tuple[np.ndarray, float]:
-    """(p, z): p_y = Pr[f(x)=y and x in box], z = Pr[x in box]."""
-    if box is None:
-        return np.zeros(bb.m), 0.0
-    z = box_mass(gmm, box)
-    p = np.zeros(bb.m)
-    covered = 0.0
-    for b, label in zip(bb.boxes, bb.labels):
-        pb = box_mass(gmm, box.intersect(b))
-        p[label] += pb
+def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox, box) -> tuple:
+    """(p, z): p_y = Pr[f(x)=y and x in box], z = Pr[x in box].
+
+    box is one BoxConstraint, or a batch of T boxes as a pair of (T, d)
+    lower/upper bound arrays, for which p is (T, m) and z is (T,). Empty
+    boxes get zero masses. The boxes and their intersections with every
+    blackbox box go through one log_box_masses call.
+    """
+    single = isinstance(box, BoxConstraint)
+    lower, upper = (box.lower[None], box.upper[None]) if single else box
+    t = lower.shape[0]
+    lo, hi = [lower], [upper]
+    for b in bb.boxes:
+        lo.append(np.maximum(lower, b.lower))
+        hi.append(np.minimum(upper, b.upper))
+    mass = np.exp(log_box_masses(gmm, np.concatenate(lo), np.concatenate(hi))).reshape(-1, t)
+    z = mass[0]
+    p = np.zeros((t, bb.m))
+    covered = np.zeros(t)
+    for pb, label in zip(mass[1:], bb.labels):
+        p[:, label] += pb
         covered += pb
-    p[bb.default_label] += max(z - covered, 0.0)
-    return p, z
+    p[:, bb.default_label] += np.maximum(z - covered, 0.0)
+    return (p[0], float(z[0])) if single else (p, z)
 
 
-def _impurity_term(p: np.ndarray, z: float) -> float:
-    if z <= 0:
-        return 0.0
-    return float(z - np.dot(p, p) / z)
+def _impurity_term(p, z):
+    """z - |p|^2 / z, and 0 where z <= 0; p is (m,) with a scalar z, or a
+    (T, m) batch with z of shape (T,)."""
+    p = np.asarray(p, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    # matmul rounds |p|^2 as np.dot does (BLAS), unlike an elementwise sum,
+    # so the oracle's gains stay bit-identical to the dot-product form.
+    sq = (p[..., None, :] @ p[..., :, None])[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(z > 0, z - sq / z, 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
-def _exact_gain(gmm, bb, box, parent_h, dim, t) -> float:
-    left = conjoin(box, AxisConstraint(dim, t, LE))
-    right = conjoin(box, AxisConstraint(dim, t, "gt"))
-    hl = _impurity_term(*_class_masses(gmm, bb, left))
-    hr = _impurity_term(*_class_masses(gmm, bb, right))
-    return parent_h - hl - hr
+def _exact_gain(gmm, bb, box, parent_h, dim, t):
+    """Exact Gini gain of splitting box at x_dim <= t. t may be a vector of
+    thresholds, which are evaluated in one batch and give a gain array."""
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    n = ts.shape[0]
+    lower = np.repeat(box.lower[None], 2 * n, axis=0)
+    upper = np.repeat(box.upper[None], 2 * n, axis=0)
+    upper[:n, dim] = np.minimum(upper[:n, dim], ts)
+    lower[n:, dim] = np.maximum(lower[n:, dim], ts)
+    h = _impurity_term(*_class_masses(gmm, bb, (lower, upper)))
+    gain = parent_h - h[:n] - h[n:]
+    return float(gain[0]) if np.ndim(t) == 0 else gain
 
 
 def _golden_max(fn: Callable[[float], float], a: float, b: float,
@@ -155,15 +178,15 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
     return lo, hi
 
 
-def _best_exact_split(gmm, bb, box, coarse: int = 33):
-    """Exact gain maximizer over all dimensions for one region.
+def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
+    """Exact gain maximizer over all dimensions for one region whose
+    impurity term is parent_h.
 
     Candidate breakpoints are the blackbox box edges; each smooth piece is
-    scanned coarsely and the best bracket refined by golden section.
-    Ties break toward the lowest dimension, then the smallest threshold.
+    scanned on a coarse grid (one batched gain call) and the best bracket
+    refined by golden section. Ties break toward the lowest dimension, then
+    the smallest threshold.
     """
-    p, z = _class_masses(gmm, bb, box)
-    parent_h = _impurity_term(p, z)
     best = None  # (gain, dim, threshold)
     for dim in range(bb.d):
         lo, hi = _search_interval(gmm, box, dim)
@@ -179,7 +202,7 @@ def _best_exact_split(gmm, bb, box, coarse: int = 33):
             if b - a <= 0:
                 continue
             grid = np.linspace(a, b, coarse)
-            vals = [fn(t) for t in grid]
+            vals = fn(grid)
             j = int(np.argmax(vals))
             ga = grid[max(j - 1, 0)]
             gb = grid[min(j + 1, coarse - 1)]
@@ -192,7 +215,7 @@ def _best_exact_split(gmm, bb, box, coarse: int = 33):
             continue
         if best is None or dim_best[0] > best[0]:
             best = (dim_best[0], dim, dim_best[1])
-    return best, parent_h
+    return best
 
 
 @dataclass(frozen=True)
@@ -214,24 +237,25 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
         raise InputError("k must be a positive odd node total")
 
     def leaf_for(box):
+        """(leaf, z, impurity term) for a region."""
         p, z = _class_masses(gmm, bb, box)
         if z > 0:
             hist = p / z
             hist = hist / hist.sum()
         else:
             hist = np.full(bb.m, 1.0 / bb.m)
-        return Leaf(int(np.argmax(p)), hist, mass=z, cached_gain=0.0), z
+        return Leaf(int(np.argmax(p)), hist, mass=z, cached_gain=0.0), z, _impurity_term(p, z)
 
     root_box = BoxConstraint.unbounded(bb.d)
-    root_leaf, _ = leaf_for(root_box)
+    root_leaf, _, root_h = leaf_for(root_box)
     nodes: list = [root_leaf]
     gains: dict = {}
     heap: list = []
     order = 0
 
-    def enqueue(leaf_id, box):
+    def enqueue(leaf_id, box, parent_h):
         nonlocal order
-        best, _ = _best_exact_split(gmm, bb, box)
+        best = _best_exact_split(gmm, bb, box, parent_h)
         gain = best[0] if best else 0.0
         gains[leaf_id] = gain
         nodes[leaf_id] = Leaf(nodes[leaf_id].label, nodes[leaf_id].class_histogram,
@@ -240,7 +264,7 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
             heapq.heappush(heap, (-gain, order, leaf_id, box, best))
             order += 1
 
-    enqueue(0, root_box)
+    enqueue(0, root_box, root_h)
     size = 1
     while heap and size + 2 <= k:
         _, _, leaf_id, box, (gain, dim, t) = heapq.heappop(heap)
@@ -254,11 +278,11 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
                 nodes.append(Leaf(parent.label, parent.class_histogram, mass=0.0))
                 child_ids.append(child_id)
                 continue
-            leaf, z = leaf_for(child_box)
+            leaf, z, h = leaf_for(child_box)
             nodes.append(leaf)
             child_ids.append(child_id)
             if z > 0:
-                enqueue(child_id, child_box)
+                enqueue(child_id, child_box, h)
             else:
                 gains[child_id] = 0.0
         gains[leaf_id] = gain

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (LE, AxisConstraint, BoxConstraint, DecisionTree, Internal,
                    Leaf, conjoin)
-from .errors import BlackboxError, ConfigError, EmptyRegionError
+from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
 DEFAULT_PRUNE_ALPHAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
@@ -214,8 +214,8 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     def draw_labeled(cm, context):
         nonlocal budget
         X = draw(cm, cfg.samples_per_node, rng)
-        assert X.shape[0] == 0 or cm.box.contains_batch(X).all(), \
-            f"sample escaped its node box ({context})"
+        if X.shape[0] and not cm.box.contains_batch(X).all():
+            raise SamplerError(f"sample escaped its node box ({context})")
         y = _label_points(f, X, context)
         budget += X.shape[0]
         return X, y

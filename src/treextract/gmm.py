@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .core import BoxConstraint, Dataset
 from .errors import ConfigError, EmptyRegionError, InputError
@@ -76,6 +76,29 @@ class GaussianMixture:
         return BoxConstraint(np.full(self.d, -self.x_max), np.full(self.d, self.x_max))
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis, bit for bit as scipy.special.logsumexp
+    computes it for real input, without scipy's per-call dispatch cost.
+
+    The max is split out and the tied maxima counted as m, so the result is
+    log1p(s/m) + log(m) + max with s the sum of the remaining shifted terms
+    (Blanchard, Higham & Higham 2021). Where that is not finite (all -inf,
+    +inf or NaN entries) the direct log(sum(exp(a))) is returned instead.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = a.max(axis, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(tied, 0.0, np.exp(a - a_max)).sum(axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.exp(a).sum(axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def log_pdf(gmm: GaussianMixture, X) -> np.ndarray:
     """Log density of the mixture at each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -95,20 +118,41 @@ def _log_domain_mass(gmm: GaussianMixture) -> float:
     if gmm.x_max is None:
         return 0.0
     box = gmm.domain_box()
-    logdphi = _log_interval_mass(gmm, box)
-    return float(logsumexp(np.log(gmm.weights) + logdphi.sum(axis=1)))
+    return float(_log_masses(gmm, box.lower[None], box.upper[None])[1][0])
 
 
 def pdf(gmm: GaussianMixture, X) -> np.ndarray:
     return np.exp(log_pdf(gmm, X))
 
 
-def _log_interval_mass(gmm: GaussianMixture, box: BoxConstraint) -> np.ndarray:
-    """(K, d) array of log( Phi(beta_ji) - Phi(alpha_ji) ) for the box."""
-    alpha = (box.lower[None, :] - gmm.means) / gmm.stddevs
-    beta = (box.upper[None, :] - gmm.means) / gmm.stddevs
+def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
+                upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log masses of T boxes under the untruncated mixture.
+
+    lower and upper are (T, d) bounds. Returns the (T, K) per-component log
+    masses log w_j + sum_i log( Phi(beta_ji) - Phi(alpha_ji) ) and their
+    (T,) logsumexp over components. Empty boxes (lower >= upper in some
+    dimension) get log mass -inf.
+    """
+    alpha = (lower[:, None, :] - gmm.means) / gmm.stddevs
+    beta = (upper[:, None, :] - gmm.means) / gmm.stddevs
     with np.errstate(divide="ignore"):
-        return np.log(_phi_interval(alpha, beta))
+        logw = np.log(gmm.weights) + np.log(_phi_interval(alpha, beta)).sum(axis=2)
+    return logw, logsumexp(logw, axis=1)
+
+
+def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
+    """(T,) log probabilities of T boxes given as (T, d) lower/upper bounds.
+
+    With x_max set the boxes are first intersected with the domain box and
+    the masses renormalized by its mass. Empty boxes get -inf.
+    """
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if gmm.x_max is not None:
+        lower = np.maximum(lower, -gmm.x_max)
+        upper = np.minimum(upper, gmm.x_max)
+    return _log_masses(gmm, lower, upper)[1] - _log_domain_mass(gmm)
 
 
 def _phi_interval(alpha, beta) -> np.ndarray:
@@ -157,16 +201,13 @@ def condition(gmm: GaussianMixture, box: BoxConstraint) -> ConditionalMixture:
         box = clipped
     if not box.is_satisfiable():
         raise EmptyRegionError("box is unsatisfiable")
-    logdphi = _log_interval_mass(gmm, box)
-    with np.errstate(divide="ignore"):
-        logw = np.log(gmm.weights) + logdphi.sum(axis=1)
-    log_z = float(logsumexp(logw))
+    logw, log_z = _log_masses(gmm, box.lower[None], box.upper[None])
+    logw, log_z = logw[0], float(log_z[0])
     if not np.isfinite(log_z) or log_z < LOG_Z_FLOOR:
         raise EmptyRegionError(f"box mass below floor (log mass {log_z:.1f})")
     tilde = np.exp(logw - log_z)
     tilde = tilde / tilde.sum()
-    z = float(math.exp(log_z)) if gmm.x_max is None else float(
-        math.exp(log_z - _log_domain_mass(gmm)))
+    z = math.exp(log_z - _log_domain_mass(gmm))
     alpha = (box.lower[None, :] - gmm.means) / gmm.stddevs
     beta = (box.upper[None, :] - gmm.means) / gmm.stddevs
     return ConditionalMixture(gmm, box, tilde, z, alpha=alpha, beta=beta)
@@ -176,17 +217,7 @@ def box_mass(gmm: GaussianMixture, box: Optional[BoxConstraint]) -> float:
     """Probability of the box under the mixture; 0 for empty regions."""
     if box is None or not box.is_satisfiable():
         return 0.0
-    logdphi = _log_interval_mass(gmm, box)
-    with np.errstate(divide="ignore"):
-        logw = np.log(gmm.weights) + logdphi.sum(axis=1)
-    mass = float(np.exp(logsumexp(logw)))
-    if gmm.x_max is not None:
-        inner = box.intersect(gmm.domain_box())
-        if inner is None:
-            return 0.0
-        return box_mass(GaussianMixture(gmm.weights, gmm.means, gmm.stddevs), inner) \
-            / math.exp(_log_domain_mass(gmm))
-    return mass
+    return float(np.exp(log_box_masses(gmm, box.lower[None], box.upper[None])[0]))
 
 
 def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
@@ -209,22 +240,27 @@ def _robert_tail(a: float, b: float, rng: np.random.Generator) -> float:
             return z
 
 
+def _inverse_cdf(a, b, u):
+    """Standard-normal inverse-CDF draws on (a, b] from uniforms u.
+
+    Intervals with a >= 0 are mirrored to (-b, -a] and the draw negated:
+    the lower-tail CDF keeps the precision the upper tail would lose.
+    """
+    flip = a >= 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    clo = ndtr(lo)
+    z = ndtri(clo + u * (ndtr(hi) - clo))
+    return np.where(flip, -z, z)
+
+
 def _trunc_std_normal(a: float, b: float, rng: np.random.Generator) -> float:
     """One standard-normal draw restricted to (a, b]."""
     if a >= TAIL_CUTOFF:
         return _robert_tail(a, b, rng)
     if b <= -TAIL_CUTOFF:
         return -_robert_tail(-b, -a, rng)
-    u = rng.random()
-    if a >= 0.0:
-        # Work with the complementary CDF to keep tail precision.
-        ca, cb = ndtr(-a), ndtr(-b)
-        return -float(ndtri(cb + u * (ca - cb)))
-    if b <= 0.0:
-        ca, cb = ndtr(a), ndtr(b)
-        return float(ndtri(ca + u * (cb - ca)))
-    ca, cb = ndtr(a), ndtr(b)
-    return float(ndtri(ca + u * (cb - ca)))
+    return float(_inverse_cdf(a, b, rng.random()))
 
 
 def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
@@ -276,20 +312,7 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
             continue
         a = cm.alpha[comps, i]
         b = cm.beta[comps, i]
-        u = rng.random(n)
-        z = np.empty(n)
-        upper = a >= 0.0
-        lower = ~upper & (b <= 0.0)
-        mid = ~upper & ~lower
-        if np.any(upper):
-            ca, cb = ndtr(-a[upper]), ndtr(-b[upper])
-            z[upper] = -ndtri(cb + u[upper] * (ca - cb))
-        if np.any(lower):
-            ca, cb = ndtr(a[lower]), ndtr(b[lower])
-            z[lower] = ndtri(ca + u[lower] * (cb - ca))
-        if np.any(mid):
-            ca, cb = ndtr(a[mid]), ndtr(b[mid])
-            z[mid] = ndtri(ca + u[mid] * (cb - ca))
+        z = _inverse_cdf(a, b, rng.random(n))
         # Far-tail points fall back to rejection sampling one at a time.
         tails = np.flatnonzero((a >= TAIL_CUTOFF) | (b <= -TAIL_CUTOFF) | ~np.isfinite(z))
         for j in tails:

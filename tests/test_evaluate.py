@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from treextract import (BoxConstraint, ExtractionConfig, FunctionBlackbox,
-                        GaussianMixture, InputError, agreement,
-                        exact_greedy_oracle, extract_tree, fidelity,
+from treextract import (AxisConstraint, BoxConstraint, ExtractionConfig,
+                        FunctionBlackbox, GaussianMixture, InputError, Leaf,
+                        agreement, exact_greedy_oracle, extract_tree, fidelity,
                         leaf_tree, sample, synthetic_box_blackbox)
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
-                                 TaskInstance, _class_masses, run_fidelity_curve,
-                                 three_box_benchmark)
+                                 TaskInstance, _class_masses, _exact_gain,
+                                 _impurity_term, run_fidelity_curve,
+                                 three_box_benchmark, two_box_benchmark)
+from treextract.core import GT, LE, conjoin
 from treextract.gmm import box_mass
 
 
@@ -110,10 +112,66 @@ class TestExactOracle:
             # n draws is below 1/sqrt(n); allow four of those.
             assert abs(exact - est) <= 4e-3
 
+    def test_batched_gain_matches_per_threshold_calls(self):
+        gmm, bb = three_box_benchmark()
+        box = BoxConstraint([-2.0, -np.inf], [1.5, 2.2])
+        p, z = _class_masses(gmm, bb, box)
+        parent_h = _impurity_term(p, z)
+        # Includes box edges, blackbox edges and thresholds outside the box,
+        # where one child is empty.
+        ts = np.concatenate([np.linspace(-3.0, 3.0, 33), [-2.0, 1.5, -0.8, 0.6, 2.8]])
+        for dim in (0, 1):
+            batched = _exact_gain(gmm, bb, box, parent_h, dim, ts)
+            assert batched.shape == ts.shape
+            single = np.array([_exact_gain(gmm, bb, box, parent_h, dim, float(t))
+                               for t in ts])
+            looped = np.array([_looped_gain(gmm, bb, box, dim, float(t)) for t in ts])
+            np.testing.assert_allclose(batched, single, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bench, expected", [
+        (two_box_benchmark,
+         [(0, 0.9, 1, 2), (0, -0.6, 3, 4), 1, (1, 0.4, 5, 6), 0, 1, 0],
+         ),
+        (three_box_benchmark,
+         [(0, -0.8, 1, 2), (1, 1.2, 3, 4), (0, 0.6, 5, 6), 1, 0, 0, 1],
+         ),
+    ])
+    def test_oracle_tree_pinned(self, bench, expected):
+        """The 7-node exact greedy trees: split dims, thresholds and labels."""
+        gmm, bb = bench()
+        tree = exact_greedy_oracle(gmm, bb, 7).tree
+        assert tree.root == 0 and len(tree.nodes) == len(expected)
+        for node, want in zip(tree.nodes, expected):
+            if isinstance(want, tuple):
+                c = node.constraint
+                assert (c.dim, c.threshold, node.left, node.right) == want
+            else:
+                assert node.label == want
+        total = sum(n.mass for n in tree.nodes if isinstance(n, Leaf))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_even_k_rejected(self, gmm_2d):
         bb = synthetic_box_blackbox([], [], d=2, m=2)
         with pytest.raises(InputError):
             exact_greedy_oracle(gmm_2d, bb, 4)
+
+
+def _looped_gain(gmm, bb, box, dim, t):
+    """Reference gain, one box_mass call per region and blackbox box."""
+    def impurity(region):
+        if region is None:
+            return 0.0
+        z = box_mass(gmm, region)
+        p = np.zeros(bb.m)
+        for b, label in zip(bb.boxes, bb.labels):
+            p[label] += box_mass(gmm, region.intersect(b))
+        p[bb.default_label] += max(z - p.sum(), 0.0)
+        return z - np.dot(p, p) / z if z > 0 else 0.0
+
+    left = conjoin(box, AxisConstraint(dim, t, LE))
+    right = conjoin(box, AxisConstraint(dim, t, GT))
+    return impurity(box) - impurity(left) - impurity(right)
 
 
 def _exact_gain_at(gmm, bb, dim, t):

@@ -3,8 +3,10 @@ import pytest
 
 from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, Internal, Leaf,
-                        best_split, best_split_from_samples, estimate_split,
-                        extract_tree, gini_term, prune)
+                        SamplerError, best_split, best_split_from_samples,
+                        estimate_split, extract_tree, gini_term, prune,
+                        sample_conditional)
+from treextract.extract import grow_tree
 from treextract.evaluate import exact_greedy_oracle, two_box_benchmark
 
 
@@ -147,6 +149,20 @@ class TestExtractTree:
         t1 = extract_tree(gmm_2d, f, cfg)
         t2 = extract_tree(gmm_2d, f, cfg)
         assert _trees_equal(t1, t2)
+
+    def test_sample_outside_node_box_raises(self, gmm_2d):
+        # The in-box check must hold as a raised error, also under python -O.
+        f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
+
+        def draw(cm, n, rng):
+            X = sample_conditional(cm, rng, n)
+            if np.isfinite(cm.box.upper[0]):
+                X[:, 0] = cm.box.upper[0] + 1.0
+            return X
+
+        with pytest.raises(SamplerError, match="escaped its node box"):
+            grow_tree(gmm_2d, f, ExtractionConfig(3, 100, seed=0),
+                      np.random.default_rng(0), draw)
 
     def test_odd_max_nodes_enforced(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats
 
 from treextract import (BoxConstraint, ConfigError, EMConfig, EmptyRegionError,
                         GaussianMixture, InputError, box_mass, condition,
                         fit_em, pdf, sample, sample_conditional, select_k_bic)
+from treextract import gmm as gmm_mod
 
 
 def quadrature_component_weights(gmm, box):
@@ -204,3 +208,38 @@ class TestValidation:
     def test_stddevs_positive(self):
         with pytest.raises(InputError):
             GaussianMixture([1.0], [[0.0]], [[0.0]])
+
+
+# Few distinct values so that tied maxima are common, plus -inf entries.
+_lse_values = st.one_of(st.sampled_from([-np.inf, -np.inf, 0.0, -1.0, 2.5, -745.0]),
+                        st.floats(-1000.0, 1000.0))
+
+
+class TestLogsumexp:
+    @staticmethod
+    def _assert_bitwise(ours, ref):
+        ours, ref = np.asarray(ours), np.asarray(ref)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes(), (ours, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 12), elements=_lse_values))
+    def test_matches_scipy_1d(self, a):
+        self._assert_bitwise(gmm_mod.logsumexp(a), scipy.special.logsumexp(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+                  elements=_lse_values),
+           st.lists(st.integers(0, 5), max_size=3))
+    def test_matches_scipy_axis1(self, a, blank_rows):
+        for r in blank_rows:
+            a[r % a.shape[0]] = -np.inf
+        self._assert_bitwise(gmm_mod.logsumexp(a, axis=1),
+                             scipy.special.logsumexp(a, axis=1))
+
+    def test_edge_rows(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf], [1.0, 1.0, 1.0],
+                      [np.inf, 0.0, 1.0], [-np.inf, 3.0, 3.0]])
+        self._assert_bitwise(gmm_mod.logsumexp(a, axis=1),
+                             scipy.special.logsumexp(a, axis=1))
+        self._assert_bitwise(gmm_mod.logsumexp(a), scipy.special.logsumexp(a))
