@@ -26,7 +26,6 @@ class BaselineConfig:
     max_nodes: int
     samples_per_node: int = 0           # born-again per-node accepted-point quota
     total_sample_budget: Optional[int] = None  # shared raw-draw budget
-    max_rejection_attempts: int = 10 ** 6  # raw draws allowed per needed sample
     min_gain: float = 0.0
     seed: int = 0
 
@@ -108,11 +107,10 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> Decision
 
     def draw(cm, n_requested, r):
         # Fair share per node set: the same number of raw draws the active
-        # extractor would label there, bounded by the leftover budget and
-        # the attempt cap. Points outside the node's box are discarded
-        # unlabeled, so deep nodes keep only about a Z fraction.
-        allowance = min(n_requested, remaining[0],
-                        cfg.max_rejection_attempts * n_requested)
+        # extractor would label there, bounded by the leftover budget.
+        # Points outside the node's box are discarded unlabeled, so deep
+        # nodes keep only about a Z fraction.
+        allowance = min(n_requested, remaining[0])
         if allowance <= 0:
             return np.empty((0, gmm.d))
         X = np.atleast_2d(sample(gmm, r, allowance))

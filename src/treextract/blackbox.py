@@ -2,8 +2,8 @@
 cart-pole control policy learned by value iteration, and synthetic
 piecewise-constant functions over axis-aligned boxes.
 
-A blackbox is anything with integer attributes d and m, a boolean
-thread_safe flag, and a pure predict((n, d) array) -> (n,) int labels.
+A blackbox is anything with integer attributes d and m and a pure
+predict((n, d) array) -> (n,) int labels.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .extract import best_split_from_samples
 class BlackboxModel(Protocol):
     d: int
     m: int
-    thread_safe: bool
 
     def predict(self, X) -> np.ndarray: ...
 
@@ -34,7 +33,6 @@ class FunctionBlackbox:
     fn: Callable[[np.ndarray], np.ndarray]
     d: int
     m: int
-    thread_safe: bool = True
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(X, dtype=np.float64))),
@@ -55,7 +53,6 @@ class BoxBlackbox:
     d: int
     m: int
     default_label: int = 0
-    thread_safe: bool = True
 
     def __post_init__(self):
         if len(self.boxes) != len(self.labels):
@@ -110,7 +107,6 @@ class RandomForest:
     trees: tuple[DecisionTree, ...]
     d: int
     m: int
-    thread_safe: bool = True
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -134,7 +130,7 @@ def _grow_cart_node(X, y, rows, m, depth, cfg, rng, nodes):
         return node_id
     k = cfg.features_per_split or max(1, math.isqrt(X.shape[1]))
     dims = np.sort(rng.choice(X.shape[1], size=min(k, X.shape[1]), replace=False))
-    cand = best_split_from_samples(X[rows][:, dims], y[rows], m, 1.0)
+    cand = best_split_from_samples(X[np.ix_(rows, dims)], y[rows], m, 1.0)
     if cand is None:
         nodes[node_id] = Leaf(label, hist, mass=1.0, cached_gain=0.0)
         return node_id
@@ -264,8 +260,6 @@ class TabularPolicy:
     grid_sizes: tuple[int, ...]
     d: int = 4
     m: int = 2
-    thread_safe: bool = True
-    unvisited_pairs: int = 0
 
     def cell_index(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -338,8 +332,7 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
             break
     q = np.mean(rewards + cfg.discount * values[gather], axis=2)
     greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
-    return TabularPolicy(tuple(edges), greedy, tuple(cfg.grid_sizes), d=d,
-                         unvisited_pairs=0)
+    return TabularPolicy(tuple(edges), greedy, tuple(cfg.grid_sizes), d=d)
 
 
 def rollout(policy: TabularPolicy, sys: CartPoleSystem, rng: np.random.Generator,

@@ -2,8 +2,8 @@
 
 Subcommands: fit-gmm, train-rf, train-cartpole, extract, baseline, evaluate,
 export, experiment. Outputs are written atomically; the effective config is
-echoed to stderr as one JSON line. Exit codes: 0 success, 1 input error,
-2 internal error.
+echoed to stderr as one JSON line. Exit codes: 0 success, 1 input error
+(also: an experiment run failed and left no row), 2 internal error.
 """
 from __future__ import annotations
 
@@ -326,6 +326,12 @@ def _cmd_experiment(args) -> int:
     result = run_fidelity_curve(task, sizes, algorithms, n_seeds=args.seeds,
                                 base_seed=_resolve_seed(args), threads=max(args.threads, 1))
     tio.write_text_atomic(args.out, result.to_csv_text())
+    if result.failures:
+        for message in result.failures:
+            print(f"error: {message}", file=sys.stderr)
+        print(f"{len(result.failures)} run(s) failed; partial rows -> {args.out}",
+              file=sys.stderr)
+        return 1
     for alg in algorithms:
         meds = {s: round(result.median(alg, s), 3) for s in sizes}
         print(f"{alg}: median fidelity by size {meds}")

@@ -94,10 +94,6 @@ class AxisConstraint:
             raise InputError("threshold must be finite")
         object.__setattr__(self, "threshold", float(self.threshold))
 
-    def holds(self, x) -> bool:
-        v = x[self.dim]
-        return v <= self.threshold if self.sense == LE else v > self.threshold
-
     def negated(self) -> "AxisConstraint":
         return AxisConstraint(self.dim, self.threshold, GT if self.sense == LE else LE)
 

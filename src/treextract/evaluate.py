@@ -419,7 +419,10 @@ CSV_FIELDS = ("algorithm", "size", "seed", "fidelity_acc", "fidelity_f1",
 
 @dataclass
 class ExperimentResult:
+    """Result rows plus one message per run that failed and left no row."""
+
     rows: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
 
     def append(self, row: ResultRow) -> None:
         self.rows.append(row)
@@ -470,20 +473,26 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
 
     The rejection-sampling baseline is budget-matched to the active
     extractor's recorded blackbox calls per (seed, size). Failed runs are
-    skipped with a warning and leave no row.
+    skipped with a warning, leave no row and are listed in the result's
+    failures.
     """
     for a in algorithms:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
     result = ExperimentResult()
 
-    def run_seed(seed: int) -> list:
-        rows = []
+    def run_seed(seed: int):
+        rows, failures = [], []
+
+        def fail(message):
+            warnings.warn(message)
+            failures.append(message)
+
         try:
             inst = task.instance(seed)
         except Exception as e:  # noqa: BLE001
-            warnings.warn(f"task instance failed at seed={seed}: {e}")
-            return rows
+            fail(f"task instance failed at seed={seed}: {e}")
+            return rows, failures
         f, gmm = inst.blackbox, inst.gmm
 
         def attempt(name, size, build, record=True):
@@ -491,7 +500,7 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
             try:
                 tree = build()
             except Exception as e:  # noqa: BLE001
-                warnings.warn(f"{name} failed at size={size} seed={seed}: {e}")
+                fail(f"{name} failed at size={size} seed={seed}: {e}")
                 return None
             if record:
                 rep = fidelity(tree, f, inst.test_points, task.positive_class)
@@ -514,8 +523,8 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                 attempt("cart", size, lambda: cart_extract(inst.train, f, size))
             if "born_again" in algorithms:
                 if ours_budget is None:
-                    warnings.warn(f"born_again skipped at size={size} seed={seed}: "
-                                  "no matched budget")
+                    fail(f"born_again skipped at size={size} seed={seed}: "
+                         "no matched budget")
                 else:
                     bcfg = BaselineConfig("born_again", size,
                                           samples_per_node=task.samples_per_node,
@@ -523,14 +532,15 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                                           seed=_child_seed(base_seed, seed, size, 2))
                     attempt("born_again", size,
                             lambda: born_again_extract(gmm, f, bcfg))
-        return rows
+        return rows, failures
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows in pool.map(run_seed, range(n_seeds)):
-                result.rows.extend(rows)
+            outcomes = list(pool.map(run_seed, range(n_seeds)))
     else:
-        for seed in range(n_seeds):
-            result.rows.extend(run_seed(seed))
+        outcomes = [run_seed(seed) for seed in range(n_seeds)]
+    for rows, failures in outcomes:
+        result.rows.extend(rows)
+        result.failures.extend(failures)
     return result

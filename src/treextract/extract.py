@@ -103,64 +103,66 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     return max(float(gain), 0.0)
 
 
-def _candidate_positions(sv: np.ndarray, strategy: str, quantile_count: int):
-    """Sorted-sample cut positions and thresholds for one dimension.
-
-    A position p means nl = p + 1 samples go left of the threshold placed
-    midway between sv[p] and sv[p + 1]; only gaps between distinct values
-    qualify, so both sides are always nonempty.
-    """
-    distinct = np.flatnonzero(sv[:-1] < sv[1:])
-    if distinct.size == 0:
-        return distinct, np.empty(0)
-    if strategy == "quantiles" and distinct.size > quantile_count:
-        qs = np.linspace(0, distinct.size - 1, quantile_count).round().astype(int)
-        distinct = np.unique(distinct[qs])
-    thresholds = 0.5 * (sv[distinct] + sv[distinct + 1])
-    return distinct, thresholds
-
-
 def best_split_from_samples(X, y, m: int, mass: float, min_gain: float = 0.0,
                             strategy: str = "midpoints",
                             quantile_count: int = 256) -> Optional[SplitCandidate]:
     """Exhaustive empirical gain maximization over a labeled sample set.
 
-    Ties are broken toward the lowest dimension index, then the smallest
-    threshold. Returns None when the best gain does not exceed min_gain.
+    Every dimension is scored in one pass over a (d, n - 1) gain matrix: one
+    sort per row, then left class counts as running sums along the sorted
+    labels. A cut at column p sends nl = p + 1 samples left of the threshold
+    midway between the p-th and (p+1)-th sorted values; only gaps between
+    distinct values qualify, so both sides are nonempty and the counts do not
+    depend on how tied rows are ordered. Ties are broken toward the lowest
+    dimension index, then the smallest threshold. Returns None when the best
+    gain does not exceed min_gain.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
-    if n < 2:
+    if n < 2 or X.shape[1] == 0:
         return None
     total = np.bincount(y, minlength=m).astype(np.float64)
-    parent = total / n
-    h_parent = gini_term(parent, mass)
-    best = None  # (gain, dim, threshold, pos, order)
-    for dim in range(X.shape[1]):
-        order = np.argsort(X[:, dim], kind="stable")
-        sv = X[order, dim]
-        positions, thresholds = _candidate_positions(sv, strategy, quantile_count)
-        if positions.size == 0:
-            continue
-        onehot = np.zeros((n, m))
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        lc = cum[positions]                     # (c, m) left class counts
-        rc = total[None, :] - lc
-        nl = (positions + 1).astype(np.float64)
-        nr = n - nl
-        h_left = (1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)) * (mass * nl / n)
-        h_right = (1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)) * (mass * nr / n)
-        gains = np.maximum(h_parent - h_left - h_right, 0.0)
-        j = int(np.argmax(gains))               # first max: smallest threshold
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), dim, float(thresholds[j]), int(positions[j]), order)
-    if best is None or best[0] <= min_gain:
+    h_parent = gini_term(total / n, mass)
+
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1)
+    sv = np.take_along_axis(Xt, order, axis=1)
+    cand = sv[:, :-1] < sv[:, 1:]
+    if strategy == "quantiles":
+        rank = np.cumsum(cand, axis=1) - 1
+        for dim in np.flatnonzero(rank[:, -1] + 1 > quantile_count):
+            c = rank[dim, -1] + 1
+            keep = np.zeros(c, dtype=bool)
+            keep[np.linspace(0, c - 1, quantile_count).round().astype(int)] = True
+            cand[dim] &= keep[rank[dim]]
+
+    head = order[:, :-1]
+    nl = np.arange(1, n, dtype=np.float64)
+    nr = n - nl
+    # Left class counts; int32 holds them, as n < 2**31 for any X that fits
+    # in memory. The last class is what the others leave of nl.
+    lcs = [np.cumsum((y == k)[head], axis=1, dtype=np.int32) for k in range(m - 1)]
+    lcs.append(np.arange(1, n, dtype=np.int32) - sum(lcs) if lcs else nl)
+    sq_left = np.zeros(head.shape)
+    sq_right = np.zeros(head.shape)
+    t = np.empty(head.shape)
+    for k, lc in enumerate(lcs):  # classes in order, as a per-row sum adds them
+        sq_left += np.square(np.divide(lc, nl, out=t), out=t)
+        sq_right += np.square(np.divide(total[k] - lc, nr, out=t), out=t)
+    gains = h_parent - (1.0 - sq_left) * (mass * nl / n)
+    gains -= (1.0 - sq_right) * (mass * nr / n)
+    np.maximum(gains, 0.0, out=gains)
+    gains[~cand] = -np.inf
+
+    dim = int(np.argmax(gains.max(axis=1)))  # first max: lowest dimension
+    pos = int(np.argmax(gains[dim]))         # then the smallest threshold
+    gain = float(gains[dim, pos])
+    if gain <= min_gain:
         return None
-    gain, dim, threshold, pos, order = best
-    left_rows = order[: pos + 1]
-    right_rows = order[pos + 1:]
+    threshold = float(0.5 * (sv[dim, pos] + sv[dim, pos + 1]))
+    left_rows = order[dim, : pos + 1]
+    right_rows = order[dim, pos + 1:]
     lh = np.bincount(y[left_rows], minlength=m) / left_rows.size
     rh = np.bincount(y[right_rows], minlength=m) / right_rows.size
     return SplitCandidate(dim, threshold, gain,

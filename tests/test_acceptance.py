@@ -45,6 +45,12 @@ def check(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _assert_full_grid(result, expected_rows):
+    """Medians over surviving rows only mean something if no run failed."""
+    assert not result.failures, result.failures
+    assert len(result.rows) == expected_rows, (len(result.rows), expected_rows)
+
+
 @pytest.fixture(scope="session")
 def policy_with_timing():
     sys_ = CartPoleSystem()
@@ -61,6 +67,7 @@ def cartpole_curve():
     t0 = time.perf_counter()
     result = run_fidelity_curve(task, SIZES, ("ours", "cart", "born_again"),
                                 n_seeds=20, base_seed=0)
+    _assert_full_grid(result, 20 * len(SIZES) * 3)
     return result, time.perf_counter() - t0
 
 
@@ -69,6 +76,7 @@ def synthetic_curve():
     task = synthetic_rf_task()
     result = run_fidelity_curve(task, (31,), ("ours", "cart", "born_again"),
                                 n_seeds=20, base_seed=0)
+    _assert_full_grid(result, 20 * 1 * 3)
     return result
 
 

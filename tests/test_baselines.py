@@ -100,7 +100,7 @@ class TestBornAgain:
         batch_sizes = []
 
         class Probe:
-            d, m, thread_safe = policy.d, policy.m, True
+            d, m = policy.d, policy.m
 
             def predict(self, X):
                 batch_sizes.append(len(X))

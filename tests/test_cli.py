@@ -170,3 +170,26 @@ class TestExperimentCommand:
         text = (workdir / "rows.csv").read_text()
         assert text.splitlines()[0] == "algorithm,size,seed,fidelity_acc,fidelity_f1,budget,wall_ms"
         assert len(text.splitlines()) == 3
+
+    def test_failed_seed_exits_nonzero(self, workdir, capsys, monkeypatch):
+        import treextract.cli as cli
+        from treextract.evaluate import FidelityTask, TaskInstance, three_box_benchmark
+        from treextract.gmm import sample
+
+        gmm, bb = three_box_benchmark()
+
+        def instance(seed):
+            if seed == 1:
+                raise RuntimeError("simulated data failure")
+            return TaskInstance(bb, gmm, None,
+                                sample(gmm, np.random.default_rng(seed), 100))
+
+        monkeypatch.setattr(cli, "synthetic_rf_task",
+                            lambda: FidelityTask("toy", 100, instance))
+        with pytest.warns(UserWarning, match="task instance failed"):
+            code, _, err = run(["experiment", "fidelity-curve", "--task", "synthetic-rf",
+                                "--sizes", "3", "--seeds", "2", "--algorithms", "ours",
+                                "--out", "rows.csv"], capsys)
+        assert code == 1
+        assert "task instance failed at seed=1: simulated data failure" in err
+        assert len((workdir / "rows.csv").read_text().splitlines()) == 2

@@ -252,6 +252,25 @@ class TestRunFidelityCurve:
         with pytest.warns(UserWarning, match="task instance failed"):
             res = run_fidelity_curve(task, [3], ["ours"], n_seeds=2)
         assert [r.seed for r in res.rows] == [1]
+        assert res.failures == ["task instance failed at seed=0: simulated data failure"]
+
+    def test_failed_extraction_recorded_with_dependent_skip(self):
+        gmm, bb = three_box_benchmark()
+
+        def broken(X):
+            raise RuntimeError("simulated blackbox failure")
+
+        def instance(seed):
+            rng = np.random.default_rng(seed)
+            f = FunctionBlackbox(broken, bb.d, bb.m)
+            return TaskInstance(f, gmm, None, sample(gmm, rng, 100))
+
+        # Ours fails, so the budget-matched baseline has nothing to match.
+        task = FidelityTask("toy", 100, instance)
+        with pytest.warns(UserWarning):
+            res = run_fidelity_curve(task, [3], ["ours", "born_again"], n_seeds=1)
+        assert res.rows == []
+        assert [m.split(" ")[0] for m in res.failures] == ["ours", "born_again"]
 
     def test_thread_pool_matches_serial_run(self):
         gmm, bb = three_box_benchmark()

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, Internal, Leaf,
                         SamplerError, best_split, best_split_from_samples,
                         estimate_split, extract_tree, gini_term, prune,
                         sample_conditional)
-from treextract.extract import grow_tree
+from treextract import baselines, blackbox
+from treextract.baselines import cart_extract
+from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
+                                 train_random_forest)
+from treextract.extract import SplitCandidate, grow_tree
 from treextract.evaluate import exact_greedy_oracle, two_box_benchmark
 
 
@@ -31,6 +36,91 @@ def brute_force_gain(X, y, m, mass, dim, threshold):
     if not left or not right:
         return 0.0
     return h_parent - h_left - h_right
+
+
+def reference_best_split(X, y, m, mass, min_gain=0.0, strategy="midpoints",
+                         quantile_count=256):
+    """Per-dimension scan: a stable sort and a one-hot cumsum per column.
+
+    Field-for-field reference for best_split_from_samples, which scores all
+    dimensions in one pass.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = y.shape[0]
+    if n < 2:
+        return None
+    total = np.bincount(y, minlength=m).astype(np.float64)
+    h_parent = gini_term(total / n, mass)
+    best = None  # (gain, dim, threshold, pos, order)
+    for dim in range(X.shape[1]):
+        order = np.argsort(X[:, dim], kind="stable")
+        sv = X[order, dim]
+        positions = np.flatnonzero(sv[:-1] < sv[1:])
+        if positions.size == 0:
+            continue
+        if strategy == "quantiles" and positions.size > quantile_count:
+            qs = np.linspace(0, positions.size - 1, quantile_count).round().astype(int)
+            positions = np.unique(positions[qs])
+        thresholds = 0.5 * (sv[positions] + sv[positions + 1])
+        onehot = np.zeros((n, m))
+        onehot[np.arange(n), y[order]] = 1.0
+        lc = np.cumsum(onehot, axis=0)[positions]
+        rc = total[None, :] - lc
+        nl = (positions + 1).astype(np.float64)
+        nr = n - nl
+        h_left = (1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)) * (mass * nl / n)
+        h_right = (1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)) * (mass * nr / n)
+        gains = np.maximum(h_parent - h_left - h_right, 0.0)
+        j = int(np.argmax(gains))
+        if best is None or gains[j] > best[0]:
+            best = (float(gains[j]), dim, float(thresholds[j]), int(positions[j]), order)
+    if best is None or best[0] <= min_gain:
+        return None
+    gain, dim, threshold, pos, order = best
+    left, right = y[order[: pos + 1]], y[order[pos + 1:]]
+    lcount, rcount = np.bincount(left, minlength=m), np.bincount(right, minlength=m)
+    return SplitCandidate(dim, threshold, gain, int(np.argmax(lcount)),
+                          int(np.argmax(rcount)), lcount / left.size,
+                          rcount / right.size, left.size, right.size)
+
+
+def _fields(cand):
+    """Bitwise-comparable fields of a SplitCandidate."""
+    if cand is None:
+        return None
+    return (cand.dim, repr(cand.threshold), repr(cand.gain), cand.left_label,
+            cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes(),
+            cand.left_count, cand.right_count)
+
+
+@st.composite
+def scan_cases(draw):
+    """A labeled sample set with ties, constant columns and large offsets,
+    plus the scan settings."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 8))
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    n_const = draw(st.integers(0, d))
+    X[:, rng.permutation(d)[:n_const]] = draw(st.sampled_from([0.0, 3.25]))
+    X += draw(st.sampled_from([0.0, 1e6]))
+    if draw(st.booleans()):
+        y = rng.integers(m, size=n)
+    else:  # informative labels with noise
+        y = np.where(X[:, 0] > np.median(X[:, 0]), m - 1, 0)
+        noisy = rng.random(n) < 0.2
+        y[noisy] = rng.integers(m, size=int(noisy.sum()))
+    mass = draw(st.floats(1e-3, 1.0))
+    min_gain = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02]))
+    strategy = draw(st.sampled_from(["midpoints", "quantiles"]))
+    quantile_count = draw(st.integers(1, 12))
+    return X, y, m, mass, min_gain, strategy, quantile_count
 
 
 class TestGiniTerm:
@@ -98,6 +188,52 @@ class TestBestSplitFromSamples:
         cand = best_split_from_samples(X, y, 2, 1.0, strategy="quantiles",
                                        quantile_count=64)
         assert abs(cand.threshold - 0.3) < 0.1
+
+
+class TestVectorisedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_matches_per_dimension_reference_bitwise(self, case):
+        assert _fields(best_split_from_samples(*case)) == _fields(reference_best_split(*case))
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases(), st.integers(0, 2 ** 32 - 1))
+    def test_row_permutation_invariant(self, case, perm_seed):
+        X, y = case[0], case[1]
+        perm = np.random.default_rng(perm_seed).permutation(y.shape[0])
+        a = best_split_from_samples(*case)
+        b = best_split_from_samples(X[perm], y[perm], *case[2:])
+        assert _fields(a) == _fields(b)
+
+    @staticmethod
+    def _root_scan(module, build):
+        """Run build with module's scan recorded; return the root candidate."""
+        calls = []
+        scan = module.best_split_from_samples
+
+        def record(*args, **kwargs):
+            calls.append(scan(*args, **kwargs))
+            return calls[-1]
+
+        module.best_split_from_samples = record
+        try:
+            out = build()
+        finally:
+            module.best_split_from_samples = scan
+        return out, calls[0]
+
+    def test_pinned_root_splits(self):
+        # Values recorded with the per-dimension scan (reference_best_split).
+        data = make_imbalanced_classification(400, d=12, seed=7)
+        forest, cand = self._root_scan(blackbox, lambda: train_random_forest(
+            data, RandomForestConfig(n_trees=3, max_depth=6, balance=True, seed=11)))
+        root = forest.trees[0].nodes[forest.trees[0].root]
+        assert (root.constraint.dim, repr(root.constraint.threshold), repr(cand.gain)) == \
+            (1, "1.5883509611877726", "0.049141618814098155")
+        tree, cand = self._root_scan(baselines, lambda: cart_extract(data, forest, 15))
+        root = tree.nodes[tree.root]
+        assert (root.constraint.dim, repr(root.constraint.threshold), repr(cand.gain)) == \
+            (5, "1.5035765814029205", "0.0398821419798573")
 
 
 class TestBestSplit:
