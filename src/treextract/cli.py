@@ -39,8 +39,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"random seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for independent runs")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults; flags win")
 
@@ -272,8 +270,7 @@ def _cmd_baseline(args) -> int:
         if not (args.gmm and args.budget and args.samples_per_node):
             raise InputError("born-again requires --gmm, --budget and --samples-per-node")
         gmm = tio.load_gmm(args.gmm)
-        cfg = BaselineConfig("born_again", args.max_nodes,
-                             samples_per_node=args.samples_per_node,
+        cfg = BaselineConfig(args.max_nodes, samples_per_node=args.samples_per_node,
                              total_sample_budget=args.budget,
                              seed=_resolve_seed(args))
         tree = born_again_extract(gmm, f, cfg)
@@ -324,7 +321,7 @@ def _cmd_experiment(args) -> int:
     if args.samples_per_node:
         task.samples_per_node = args.samples_per_node
     result = run_fidelity_curve(task, sizes, algorithms, n_seeds=args.seeds,
-                                base_seed=_resolve_seed(args), threads=max(args.threads, 1))
+                                base_seed=_resolve_seed(args))
     tio.write_text_atomic(args.out, result.to_csv_text())
     if result.failures:
         for message in result.failures:

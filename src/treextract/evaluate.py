@@ -10,7 +10,6 @@ and the greedy tree built without sampling.
 from __future__ import annotations
 
 import csv
-import heapq
 import io as _io
 import math
 import time
@@ -25,9 +24,9 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, PolicyConfig,
                        RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, synthetic_box_blackbox,
                        train_random_forest)
-from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, Internal, LE, Leaf, conjoin
+from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, LE, Leaf, conjoin
 from .errors import InputError
-from .extract import ExtractionConfig, extract_tree
+from .extract import ExtractionConfig, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
@@ -221,7 +220,7 @@ def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
 @dataclass(frozen=True)
 class OracleResult:
     tree: DecisionTree
-    gains: dict  # node id -> exact best gain when the node was a leaf
+    gains: dict  # node id -> exact best gain when it was a leaf (0: never scored)
 
 
 def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> OracleResult:
@@ -244,52 +243,32 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
             hist = hist / hist.sum()
         else:
             hist = np.full(bb.m, 1.0 / bb.m)
-        return Leaf(int(np.argmax(p)), hist, mass=z, cached_gain=0.0), z, _impurity_term(p, z)
+        return Leaf(int(np.argmax(p)), hist, mass=z), z, _impurity_term(p, z)
+
+    def score(i, region):
+        best = _best_exact_split(gmm, bb, region[0], region[1])
+        return (best[0] if best else 0.0), best
+
+    def commit(i, region, best):
+        box, _, parent = region
+        _, dim, t = best
+        constraint = AxisConstraint(dim, t, LE)
+        children = []
+        for c in (constraint, constraint.negated()):
+            child_box = conjoin(box, c)
+            if child_box is None:
+                children.append((Leaf(parent.label, parent.class_histogram, mass=0.0), None))
+                continue
+            leaf, z, h = leaf_for(child_box)
+            children.append((leaf, (child_box, h, leaf) if z > 0 else None))
+        return constraint, children
 
     root_box = BoxConstraint.unbounded(bb.d)
     root_leaf, _, root_h = leaf_for(root_box)
-    nodes: list = [root_leaf]
-    gains: dict = {}
-    heap: list = []
-    order = 0
-
-    def enqueue(leaf_id, box, parent_h):
-        nonlocal order
-        best = _best_exact_split(gmm, bb, box, parent_h)
-        gain = best[0] if best else 0.0
-        gains[leaf_id] = gain
-        nodes[leaf_id] = Leaf(nodes[leaf_id].label, nodes[leaf_id].class_histogram,
-                              mass=nodes[leaf_id].mass, cached_gain=max(gain, 0.0))
-        if best is not None and gain > GAIN_FLOOR:
-            heapq.heappush(heap, (-gain, order, leaf_id, box, best))
-            order += 1
-
-    enqueue(0, root_box, root_h)
-    size = 1
-    while heap and size + 2 <= k:
-        _, _, leaf_id, box, (gain, dim, t) = heapq.heappop(heap)
-        constraint = AxisConstraint(dim, t, LE)
-        child_ids = []
-        for c in (constraint, constraint.negated()):
-            child_box = conjoin(box, c)
-            child_id = len(nodes)
-            if child_box is None:
-                parent = nodes[leaf_id]
-                nodes.append(Leaf(parent.label, parent.class_histogram, mass=0.0))
-                child_ids.append(child_id)
-                continue
-            leaf, z, h = leaf_for(child_box)
-            nodes.append(leaf)
-            child_ids.append(child_id)
-            if z > 0:
-                enqueue(child_id, child_box, h)
-            else:
-                gains[child_id] = 0.0
-        gains[leaf_id] = gain
-        nodes[leaf_id] = Internal(constraint, child_ids[0], child_ids[1])
-        size += 2
+    nodes, gains = grow_best_first(root_leaf, (root_box, root_h, root_leaf), score,
+                                   commit, k, GAIN_FLOOR)
     tree = DecisionTree(tuple(nodes), 0, bb.d, bb.m)
-    return OracleResult(tree, gains)
+    return OracleResult(tree, dict(enumerate(gains)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +446,7 @@ def _child_seed(*parts: int) -> int:
 
 def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                        algorithms: Sequence[str] = ALGORITHMS,
-                       n_seeds: int = 20, base_seed: int = 0,
-                       threads: int = 1) -> ExperimentResult:
+                       n_seeds: int = 20, base_seed: int = 0) -> ExperimentResult:
     """Fidelity-versus-size sweep across seeds and algorithms.
 
     The rejection-sampling baseline is budget-matched to the active
@@ -481,18 +459,16 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
             raise InputError(f"unknown algorithm {a!r}")
     result = ExperimentResult()
 
+    def fail(message):
+        warnings.warn(message)
+        result.failures.append(message)
+
     def run_seed(seed: int):
-        rows, failures = [], []
-
-        def fail(message):
-            warnings.warn(message)
-            failures.append(message)
-
         try:
             inst = task.instance(seed)
         except Exception as e:  # noqa: BLE001
             fail(f"task instance failed at seed={seed}: {e}")
-            return rows, failures
+            return
         f, gmm = inst.blackbox, inst.gmm
 
         def attempt(name, size, build, record=True):
@@ -504,8 +480,8 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                 return None
             if record:
                 rep = fidelity(tree, f, inst.test_points, task.positive_class)
-                rows.append(ResultRow(name, size, seed, rep.accuracy, rep.f1,
-                                      tree.budget, (time.perf_counter() - t0) * 1e3))
+                result.append(ResultRow(name, size, seed, rep.accuracy, rep.f1,
+                                        tree.budget, (time.perf_counter() - t0) * 1e3))
             return tree
 
         for size in sizes:
@@ -526,21 +502,12 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                     fail(f"born_again skipped at size={size} seed={seed}: "
                          "no matched budget")
                 else:
-                    bcfg = BaselineConfig("born_again", size,
-                                          samples_per_node=task.samples_per_node,
+                    bcfg = BaselineConfig(size, samples_per_node=task.samples_per_node,
                                           total_sample_budget=ours_budget,
                                           seed=_child_seed(base_seed, seed, size, 2))
                     attempt("born_again", size,
                             lambda: born_again_extract(gmm, f, bcfg))
-        return rows, failures
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_seed, range(n_seeds)))
-    else:
-        outcomes = [run_seed(seed) for seed in range(n_seeds)]
-    for rows, failures in outcomes:
-        result.rows.extend(rows)
-        result.failures.extend(failures)
+    for seed in range(n_seeds):
+        run_seed(seed)
     return result

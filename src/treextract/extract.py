@@ -8,6 +8,7 @@ set so the committed split parameters stay unbiased.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -33,8 +34,6 @@ class ExtractionConfig:
     max_nodes: int
     samples_per_node: int
     min_gain: float = 0.0
-    candidate_split_strategy: str = "midpoints"  # or "quantiles"
-    quantile_count: int = 256
     seed: int = 0
     prune: bool = False
     prune_alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS
@@ -46,8 +45,6 @@ class ExtractionConfig:
             raise ConfigError("samples_per_node must be >= 2")
         if self.min_gain < 0:
             raise ConfigError("min_gain must be >= 0")
-        if self.candidate_split_strategy not in ("midpoints", "quantiles"):
-            raise ConfigError(f"unknown split strategy {self.candidate_split_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -61,16 +58,6 @@ class SplitCandidate:
     right_hist: np.ndarray
     left_count: int
     right_count: int
-
-
-@dataclass
-class FrontierEntry:
-    leaf_id: int
-    box: BoxConstraint
-    cm: ConditionalMixture
-    mass: float
-    priority_gain: float
-    priority_split: SplitCandidate
 
 
 def gini_term(hist, mass: float) -> float:
@@ -103,9 +90,8 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     return max(float(gain), 0.0)
 
 
-def best_split_from_samples(X, y, m: int, mass: float, min_gain: float = 0.0,
-                            strategy: str = "midpoints",
-                            quantile_count: int = 256) -> Optional[SplitCandidate]:
+def best_split_from_samples(X, y, m: int, mass: float,
+                            min_gain: float = 0.0) -> Optional[SplitCandidate]:
     """Exhaustive empirical gain maximization over a labeled sample set.
 
     Every dimension is scored in one pass over a (d, n - 1) gain matrix: one
@@ -129,13 +115,6 @@ def best_split_from_samples(X, y, m: int, mass: float, min_gain: float = 0.0,
     order = np.argsort(Xt, axis=1)
     sv = np.take_along_axis(Xt, order, axis=1)
     cand = sv[:, :-1] < sv[:, 1:]
-    if strategy == "quantiles":
-        rank = np.cumsum(cand, axis=1) - 1
-        for dim in np.flatnonzero(rank[:, -1] + 1 > quantile_count):
-            c = rank[dim, -1] + 1
-            keep = np.zeros(c, dtype=bool)
-            keep[np.linspace(0, c - 1, quantile_count).round().astype(int)] = True
-            cand[dim] &= keep[rank[dim]]
 
     head = order[:, :-1]
     nl = np.arange(1, n, dtype=np.float64)
@@ -193,8 +172,7 @@ def best_split(gmm: GaussianMixture, box: BoxConstraint, f, n: int,
         return None
     X = sample_conditional(cm, rng, n)
     y = _label_points(f, X, "best_split")
-    return best_split_from_samples(X, y, f.m, cm.Z, cfg.min_gain,
-                                   cfg.candidate_split_strategy, cfg.quantile_count)
+    return best_split_from_samples(X, y, f.m, cm.Z, cfg.min_gain)
 
 
 def _majority(y: np.ndarray, m: int):
@@ -204,12 +182,62 @@ def _majority(y: np.ndarray, m: int):
     return int(np.argmax(counts)), counts / counts.sum()
 
 
+def grow_best_first(root_leaf: Leaf, region, score, commit, max_nodes: int,
+                    min_gain: float = 0.0) -> tuple[list, list]:
+    """Best-first frontier loop shared by every greedy tree builder.
+
+    score(i, region) -> (gain, split) rates leaf i over its region; a leaf
+    whose split is not None and whose gain exceeds min_gain joins a heap
+    ordered by gain, ties in push order. While two more nodes fit in
+    max_nodes, the top leaf is popped and commit(i, region, split) returns
+    None, which keeps it a leaf with cached_gain 0, or
+    (constraint, ((left_leaf, left_region), (right_leaf, right_region))),
+    which makes it an Internal over the two new leaves; each child whose
+    region is not None is scored in turn. Returns the node arena and each
+    node's scored gain (0 for nodes never scored).
+    """
+    nodes: list = [root_leaf]
+    gains: list = [0.0]
+    heap: list = []
+    order = itertools.count()
+
+    def push(i, region):
+        gain, split = score(i, region)
+        gains[i] = gain
+        nodes[i] = replace(nodes[i], cached_gain=max(gain, 0.0))
+        if split is not None and gain > min_gain:
+            heapq.heappush(heap, (-gain, next(order), i, region, split))
+
+    push(0, region)
+    while heap and len(nodes) + 2 <= max_nodes:
+        _, _, i, region, split = heapq.heappop(heap)
+        grown = commit(i, region, split)
+        if grown is None:
+            nodes[i] = replace(nodes[i], cached_gain=0.0)
+            continue
+        constraint, children = grown
+        ids = []
+        for leaf, child_region in children:
+            ids.append(len(nodes))
+            nodes.append(leaf)
+            gains.append(0.0)
+            if child_region is not None:
+                push(ids[-1], child_region)
+        nodes[i] = Internal(constraint, *ids)
+    return nodes, gains
+
+
 def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
               rng: np.random.Generator,
               draw: Callable[[ConditionalMixture, int, np.random.Generator], np.ndarray],
               ) -> DecisionTree:
-    """Greedy frontier loop shared by the active extractor and the
-    rejection-sampling baseline; draw supplies each node's sample set."""
+    """The active extractor and the rejection-sampling baseline on the
+    shared frontier loop; draw supplies each node's sample set.
+
+    A region is a leaf's path box with the model conditioned on it. Each
+    leaf is scored on one sample set and its split committed from a second,
+    independent one.
+    """
     d, m = f.d, f.m
     budget = 0
 
@@ -222,63 +250,41 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
         budget += X.shape[0]
         return X, y
 
-    def scan(X, y, mass):
-        return best_split_from_samples(X, y, m, mass, cfg.min_gain,
-                                       cfg.candidate_split_strategy, cfg.quantile_count)
+    def scan(cm, context):
+        return best_split_from_samples(*draw_labeled(cm, context), m, cm.Z, cfg.min_gain)
+
+    def score(i, region):
+        cand = scan(region[1], f"priority estimate at node {i}")
+        return (0.0 if cand is None else cand.gain), cand
+
+    def commit(i, region, _):
+        box, cm = region
+        cand = scan(cm, f"commit at node {i}")
+        if cand is None:
+            return None
+        constraint = AxisConstraint(cand.dim, cand.threshold, LE)
+        children = []
+        for c, label, hist in ((constraint, cand.left_label, cand.left_hist),
+                               (constraint.negated(), cand.right_label, cand.right_hist)):
+            # Conjoin onto the path box: cm.box is clipped to the model's domain.
+            child_box = conjoin(box, c)
+            try:
+                child_cm = None if child_box is None else condition(gmm, child_box)
+            except EmptyRegionError:
+                child_cm = None
+            if child_cm is None:
+                # Zero-mass region: permanent leaf with the parent-side label.
+                children.append((Leaf(label, hist, mass=0.0), None))
+            else:
+                children.append((Leaf(label, hist, mass=child_cm.Z), (child_box, child_cm)))
+        return constraint, children
 
     root_box = BoxConstraint.unbounded(d)
     root_cm = condition(gmm, root_box)
-    X0, y0 = draw_labeled(root_cm, "root")
-    root_label, root_hist = _majority(y0, m)
-    nodes: list = [Leaf(root_label, root_hist, mass=root_cm.Z, cached_gain=0.0)]
-
-    heap: list = []
-    push_order = 0
-
-    def enqueue(leaf_id, box, cm):
-        nonlocal push_order
-        Xp, yp = draw_labeled(cm, f"priority estimate at node {leaf_id}")
-        cand = scan(Xp, yp, cm.Z)
-        gain = cand.gain if cand is not None else 0.0
-        node = nodes[leaf_id]
-        nodes[leaf_id] = replace(node, cached_gain=gain)
-        if cand is not None and gain > cfg.min_gain:
-            entry = FrontierEntry(leaf_id, box, cm, cm.Z, gain, cand)
-            heapq.heappush(heap, (-gain, push_order, entry))
-            push_order += 1
-
-    enqueue(0, root_box, root_cm)
-    size = 1
-    while heap and size + 2 <= cfg.max_nodes:
-        _, _, entry = heapq.heappop(heap)
-        Xc, yc = draw_labeled(entry.cm, f"commit at node {entry.leaf_id}")
-        cand = scan(Xc, yc, entry.mass)
-        if cand is None:
-            nodes[entry.leaf_id] = replace(nodes[entry.leaf_id], cached_gain=0.0)
-            continue
-        constraint = AxisConstraint(cand.dim, cand.threshold, LE)
-        child_ids = []
-        for c, label, hist in ((constraint, cand.left_label, cand.left_hist),
-                               (constraint.negated(), cand.right_label, cand.right_hist)):
-            child_box = conjoin(entry.box, c)
-            child_cm = None
-            if child_box is not None:
-                try:
-                    child_cm = condition(gmm, child_box)
-                except EmptyRegionError:
-                    child_cm = None
-            child_id = len(nodes)
-            if child_cm is None:
-                # Zero-mass region: permanent leaf with the parent-side label.
-                nodes.append(Leaf(label, hist, mass=0.0, cached_gain=0.0))
-                child_ids.append(child_id)
-                continue
-            nodes.append(Leaf(label, hist, mass=child_cm.Z, cached_gain=0.0))
-            child_ids.append(child_id)
-            enqueue(child_id, child_box, child_cm)
-        nodes[entry.leaf_id] = Internal(constraint, child_ids[0], child_ids[1])
-        size += 2
-
+    root_label, root_hist = _majority(draw_labeled(root_cm, "root")[1], m)
+    nodes, _ = grow_best_first(Leaf(root_label, root_hist, mass=root_cm.Z),
+                               (root_box, root_cm), score, commit,
+                               cfg.max_nodes, cfg.min_gain)
     return DecisionTree(tuple(nodes), 0, d, m, budget=budget)
 
 

@@ -55,16 +55,18 @@ class TestCartExtract:
 class TestBornAgain:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            BaselineConfig("nonsense", 3)
+            BaselineConfig(3, samples_per_node=100, total_sample_budget=0)
         with pytest.raises(ConfigError):
-            BaselineConfig("born_again", 3, samples_per_node=100)  # no budget
+            BaselineConfig(3, samples_per_node=1, total_sample_budget=100)
+        with pytest.raises(ConfigError):
+            BaselineConfig(4, samples_per_node=100, total_sample_budget=100)
 
     def test_root_step_identical_to_extractor(self):
         gmm, bb = three_box_benchmark()
         seed = 7
         ours = extract_tree(gmm, bb, ExtractionConfig(15, 200, seed=seed))
         ba = born_again_extract(gmm, bb, BaselineConfig(
-            "born_again", 15, samples_per_node=200,
+            15, samples_per_node=200,
             total_sample_budget=10 ** 6, seed=seed))
         r1 = ours.nodes[ours.root].constraint
         r2 = ba.nodes[ba.root].constraint
@@ -84,7 +86,7 @@ class TestBornAgain:
         gmm, bb = three_box_benchmark()
         ours = extract_tree(gmm, bb, ExtractionConfig(15, 200, seed=3))
         ba = born_again_extract(gmm, bb, BaselineConfig(
-            "born_again", 15, samples_per_node=200,
+            15, samples_per_node=200,
             total_sample_budget=ours.budget, seed=3))
         assert ba.budget <= ours.budget
 
@@ -107,7 +109,7 @@ class TestBornAgain:
                 return policy.predict(X)
 
         born_again_extract(gmm, Probe(), BaselineConfig(
-            "born_again", 15, samples_per_node=200,
+            15, samples_per_node=200,
             total_sample_budget=ours.budget, seed=2))
         # The root set is full; node sets labeled later (deeper frontier
         # work) accept at most as much on average and taper off as the
@@ -120,5 +122,5 @@ class TestBornAgain:
     def test_zero_budget_yields_root_leaf(self, gmm_2d):
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
         ba = born_again_extract(gmm_2d, f, BaselineConfig(
-            "born_again", 15, samples_per_node=100, total_sample_budget=1, seed=0))
+            15, samples_per_node=100, total_sample_budget=1, seed=0))
         assert ba.size == 1

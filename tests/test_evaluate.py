@@ -271,17 +271,3 @@ class TestRunFidelityCurve:
             res = run_fidelity_curve(task, [3], ["ours", "born_again"], n_seeds=1)
         assert res.rows == []
         assert [m.split(" ")[0] for m in res.failures] == ["ours", "born_again"]
-
-    def test_thread_pool_matches_serial_run(self):
-        gmm, bb = three_box_benchmark()
-
-        def instance(seed):
-            rng = np.random.default_rng(seed)
-            return TaskInstance(bb, gmm, None, sample(gmm, rng, 100))
-
-        task = FidelityTask("toy", 150, instance)
-        serial = run_fidelity_curve(task, [3, 7], ["ours"], n_seeds=3, threads=1)
-        threaded = run_fidelity_curve(task, [3, 7], ["ours"], n_seeds=3, threads=3)
-        stripped = lambda rows: [(r.algorithm, r.size, r.seed, r.fidelity_acc,
-                                  r.fidelity_f1, r.budget) for r in rows]
-        assert stripped(serial.rows) == stripped(threaded.rows)

@@ -38,8 +38,7 @@ def brute_force_gain(X, y, m, mass, dim, threshold):
     return h_parent - h_left - h_right
 
 
-def reference_best_split(X, y, m, mass, min_gain=0.0, strategy="midpoints",
-                         quantile_count=256):
+def reference_best_split(X, y, m, mass, min_gain=0.0):
     """Per-dimension scan: a stable sort and a one-hot cumsum per column.
 
     Field-for-field reference for best_split_from_samples, which scores all
@@ -59,9 +58,6 @@ def reference_best_split(X, y, m, mass, min_gain=0.0, strategy="midpoints",
         positions = np.flatnonzero(sv[:-1] < sv[1:])
         if positions.size == 0:
             continue
-        if strategy == "quantiles" and positions.size > quantile_count:
-            qs = np.linspace(0, positions.size - 1, quantile_count).round().astype(int)
-            positions = np.unique(positions[qs])
         thresholds = 0.5 * (sv[positions] + sv[positions + 1])
         onehot = np.zeros((n, m))
         onehot[np.arange(n), y[order]] = 1.0
@@ -118,9 +114,7 @@ def scan_cases(draw):
         y[noisy] = rng.integers(m, size=int(noisy.sum()))
     mass = draw(st.floats(1e-3, 1.0))
     min_gain = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02]))
-    strategy = draw(st.sampled_from(["midpoints", "quantiles"]))
-    quantile_count = draw(st.integers(1, 12))
-    return X, y, m, mass, min_gain, strategy, quantile_count
+    return X, y, m, mass, min_gain
 
 
 class TestGiniTerm:
@@ -181,13 +175,6 @@ class TestBestSplitFromSamples:
         y = np.array([0, 0, 1, 1])
         cand = best_split_from_samples(X, y, 2, 1.0)
         assert cand.dim == 0 and cand.threshold == pytest.approx(1.5)
-
-    def test_quantile_strategy_bounded_candidates(self, rng):
-        X = rng.normal(size=(5000, 1))
-        y = (X[:, 0] <= 0.3).astype(int)
-        cand = best_split_from_samples(X, y, 2, 1.0, strategy="quantiles",
-                                       quantile_count=64)
-        assert abs(cand.threshold - 0.3) < 0.1
 
 
 class TestVectorisedScan:
@@ -321,16 +308,6 @@ class TestExtractTree:
         f = FunctionBlackbox(lambda X: (np.abs(X[:, 0]) <= 1).astype(int), 2, 2)
         tree = extract_tree(gmm_2d, f, ExtractionConfig(15, 300, seed=4))
         assert all(b.is_satisfiable() for b in tree.path_boxes().values())
-
-    def test_quantile_strategy_end_to_end(self):
-        gmm, bb = two_box_benchmark()
-        cfg = ExtractionConfig(7, 5000, seed=0, candidate_split_strategy="quantiles",
-                               quantile_count=64)
-        tree = extract_tree(gmm, bb, cfg)
-        from treextract import sample
-        from treextract.evaluate import fidelity
-        X = sample(gmm, np.random.default_rng(1), 5000)
-        assert fidelity(tree, bb, X).accuracy >= 0.95
 
     def test_prune_via_config_flag(self):
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
