@@ -1,20 +1,25 @@
 """The shared best-first frontier loop and the trees its four builders grow."""
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treextract import (AxisConstraint, BaselineConfig, Dataset, ExtractionConfig,
-                        Internal, Leaf, born_again_extract, cart_extract,
-                        extract_tree, sample)
+from treextract import (AxisConstraint, BaselineConfig, Dataset, EMConfig,
+                        ExtractionConfig, Internal, Leaf, RandomForestConfig,
+                        born_again_extract, cart_extract, collect_states,
+                        extract_tree, fit_em, make_imbalanced_classification,
+                        sample, train_random_forest)
 from treextract import io as tio
 from treextract.evaluate import (exact_greedy_oracle, three_box_benchmark,
                                  two_box_benchmark)
 from treextract.extract import grow_best_first
 
 # tree_to_doc documents of fixed-seed 7-node trees on three_box_benchmark and
-# the oracle's gains, recorded before the builders shared one frontier loop.
+# the oracle's gains, recorded before the builders shared one frontier loop;
+# sha256 digests of fixed-seed synthetic-RF, cart-pole and forest documents,
+# recorded before trees were stored as parallel arrays.
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 
 
@@ -122,3 +127,33 @@ class TestPinnedTrees:
         oracle = exact_greedy_oracle(*three_box_benchmark(), 7)
         assert tio.tree_to_doc(oracle.tree) == PINNED["docs"]["oracle"]
         assert {str(i): g for i, g in oracle.gains.items()} == PINNED["oracle_gains"]
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_pinned_digests(cartpole):
+    """Byte-identical documents on a small synthetic-RF instance (d=50): the
+    forest itself and the four builders' trees, plus a 15-node cart-pole
+    extraction."""
+    data = make_imbalanced_classification(300, d=50, seed=5)
+    forest = train_random_forest(data, RandomForestConfig(n_trees=5, max_depth=5,
+                                                          balance=True, seed=5))
+    gmm = fit_em(data.features, 3, EMConfig(seed=5, n_init=1))
+    ours = extract_tree(gmm, forest, ExtractionConfig(7, 300, seed=5))
+    sys_, policy = cartpole
+    states = collect_states(policy, sys_, 100, seed=5)
+    cp_gmm = fit_em(states.features, 2, EMConfig(seed=5, n_init=1))
+    trees = {
+        "rf_ours": ours,
+        "rf_pruned": extract_tree(gmm, forest, ExtractionConfig(7, 300, seed=5,
+                                                                prune=True)),
+        "rf_born_again": born_again_extract(gmm, forest, BaselineConfig(
+            7, samples_per_node=300, total_sample_budget=ours.budget, seed=5)),
+        "rf_cart": cart_extract(data, forest, 7),
+        "cartpole_ours": extract_tree(cp_gmm, policy, ExtractionConfig(15, 200, seed=5)),
+    }
+    got = {name: _digest(tio.tree_to_doc(t)) for name, t in trees.items()}
+    got["rf_forest"] = _digest(tio.blackbox_to_doc(forest))
+    assert got == PINNED["digests"]
