@@ -41,6 +41,5 @@ tree = extract_tree(gmm, forest, ExtractionConfig(max_nodes=11,
 report = fidelity(tree, forest, data.features)
 print(f"11-node surrogate: fidelity accuracy {report.accuracy:.3f} "
       f"on the training rows")
-splits = [data.column_names[n.constraint.dim]
-          for n in tree.nodes if hasattr(n, "constraint")]
+splits = [data.column_names[dim] for dim in tree.feature[tree.feature >= 0]]
 print("features used by the surrogate:", sorted(set(splits)))

@@ -6,7 +6,7 @@ node's path constraints, so deep nodes get full sample budgets instead of a
 thinning share of the original data.
 """
 from .core import (AxisConstraint, BoxConstraint, Dataset, DecisionTree,
-                   Internal, Leaf, conjoin, leaf_tree, tree_predict)
+                   conjoin, leaf_tree)
 from .errors import (BlackboxError, ConfigError, EmptyRegionError, InputError,
                      SamplerError, TreextractError, UnknownCategoryError)
 from .gmm import (ConditionalMixture, EMConfig, GaussianMixture, box_mass,

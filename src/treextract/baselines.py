@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LE, AxisConstraint, Dataset, DecisionTree, Leaf
+from .core import LE, AxisConstraint, Dataset, DecisionTree
 from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _label_points, best_split_from_samples,
                       grow_best_first, grow_tree)
@@ -30,7 +30,6 @@ class BaselineConfig:
     max_nodes: int
     samples_per_node: int
     total_sample_budget: int
-    min_gain: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -42,12 +41,12 @@ class BaselineConfig:
             raise ConfigError("born_again requires a positive total_sample_budget")
 
 
-def cart_extract(train: Dataset, f, max_nodes: int, min_gain: float = 0.0) -> DecisionTree:
+def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
     """Greedy Gini tree on the fixed training set relabeled by the blackbox.
 
     A region is the set of training rows reaching a leaf, scored by its best
     empirical weighted gain; the frontier loop commits that same candidate.
-    Expansion stops at max_nodes or when no leaf has gain above min_gain.
+    Expansion stops at max_nodes or when no leaf has a positive gain.
     Budget equals one blackbox labeling pass.
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
@@ -59,20 +58,20 @@ def cart_extract(train: Dataset, f, max_nodes: int, min_gain: float = 0.0) -> De
     n, m = X.shape[0], f.m
 
     def score(i, rows):
-        cand = best_split_from_samples(X[rows], y[rows], m, rows.size / n, min_gain)
+        cand = best_split_from_samples(X[rows], y[rows], m, rows.size / n)
         return (0.0 if cand is None else cand.gain), cand
 
     def commit(i, rows, cand):
         mask = X[rows, cand.dim] <= cand.threshold
         left, right = rows[mask], rows[~mask]
         return AxisConstraint(cand.dim, cand.threshold, LE), (
-            (Leaf(cand.left_label, cand.left_hist, mass=left.size / n), left),
-            (Leaf(cand.right_label, cand.right_hist, mass=right.size / n), right))
+            ((cand.left_label, cand.left_hist, left.size / n), left),
+            ((cand.right_label, cand.right_hist, right.size / n), right))
 
     counts = np.bincount(y, minlength=m).astype(np.float64)
-    root = Leaf(int(np.argmax(counts)), counts / counts.sum(), mass=1.0)
-    nodes, _ = grow_best_first(root, np.arange(n), score, commit, max_nodes, min_gain)
-    return DecisionTree(tuple(nodes), 0, f.d, m, budget=n)
+    root = (int(np.argmax(counts)), counts / counts.sum(), 1.0)
+    nodes, _ = grow_best_first(root, np.arange(n), score, commit, max_nodes)
+    return DecisionTree.from_rows(nodes, f.d, m, budget=n)
 
 
 def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> DecisionTree:
@@ -102,6 +101,5 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> Decision
         return X[cm.box.contains_batch(X)]
 
     inner = ExtractionConfig(max_nodes=cfg.max_nodes,
-                             samples_per_node=cfg.samples_per_node,
-                             min_gain=cfg.min_gain, seed=cfg.seed)
+                             samples_per_node=cfg.samples_per_node, seed=cfg.seed)
     return grow_tree(gmm, f, inner, rng, draw)

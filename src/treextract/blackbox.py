@@ -14,7 +14,8 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import BoxConstraint, Dataset, DecisionTree, Internal, Leaf, AxisConstraint, LE
+from .core import (BoxConstraint, Dataset, DecisionTree, _route, _routing_table,
+                   leaf_row, split_row)
 from .errors import ConfigError, InputError
 from .extract import best_split_from_samples
 
@@ -101,44 +102,43 @@ class RandomForest:
     """Bootstrap-bagged Gini trees with per-split feature subsetting.
 
     predict is the majority vote over trees; vote ties resolve to the
-    lower class index.
+    lower class index. All trees are stacked into one routing table at
+    construction, and every point descends every tree in one routing pass.
     """
 
     trees: tuple[DecisionTree, ...]
     d: int
     m: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "_table", _routing_table(self.trees))
+        object.__setattr__(self, "_labels", np.concatenate([t.label for t in self.trees]))
+
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], self.m), dtype=np.int64)
-        for tree in self.trees:
-            preds = tree.predict_batch(X)
-            votes[np.arange(X.shape[0]), preds] += 1
-        return np.argmax(votes, axis=1)
+        labels = self._labels[_route(self._table, np.atleast_2d(X), self.d)]  # (trees, n)
+        n = labels.shape[1]
+        votes = np.bincount((np.arange(n) * self.m + labels).ravel(), minlength=n * self.m)
+        return np.argmax(votes.reshape(n, self.m), axis=1)
 
 
 def _grow_cart_node(X, y, rows, m, depth, cfg, rng, nodes):
     """Recursive Gini tree on the given rows; feature subset per split."""
     counts = np.bincount(y[rows], minlength=m).astype(np.float64)
-    label = int(np.argmax(counts))
-    hist = counts / counts.sum()
     node_id = len(nodes)
-    nodes.append(None)
-    pure = counts.max() == counts.sum()
-    if depth >= cfg.max_depth or rows.size < 2 or pure:
-        nodes[node_id] = Leaf(label, hist, mass=1.0, cached_gain=0.0)
+    nodes.append(leaf_row(int(np.argmax(counts)), counts / counts.sum()))
+    if depth >= cfg.max_depth or rows.size < 2 or counts.max() == counts.sum():
         return node_id
     k = cfg.features_per_split or max(1, math.isqrt(X.shape[1]))
     dims = np.sort(rng.choice(X.shape[1], size=min(k, X.shape[1]), replace=False))
     cand = best_split_from_samples(X[np.ix_(rows, dims)], y[rows], m, 1.0)
     if cand is None:
-        nodes[node_id] = Leaf(label, hist, mass=1.0, cached_gain=0.0)
         return node_id
     dim = int(dims[cand.dim])
     mask = X[rows, dim] <= cand.threshold
     left = _grow_cart_node(X, y, rows[mask], m, depth + 1, cfg, rng, nodes)
     right = _grow_cart_node(X, y, rows[~mask], m, depth + 1, cfg, rng, nodes)
-    nodes[node_id] = Internal(AxisConstraint(dim, cand.threshold, LE), left, right)
+    nodes[node_id] = split_row(dim, cand.threshold, left, right, m)
     return node_id
 
 
@@ -178,7 +178,7 @@ def train_random_forest(data: Dataset, cfg: RandomForestConfig = RandomForestCon
         rows = rng.integers(X.shape[0], size=X.shape[0])
         nodes: list = []
         _grow_cart_node(X, y, rows, m, 0, cfg, rng, nodes)
-        trees.append(DecisionTree(tuple(nodes), 0, X.shape[1], m))
+        trees.append(DecisionTree.from_rows(nodes, X.shape[1], m))
     return RandomForest(tuple(trees), X.shape[1], m)
 
 

@@ -6,7 +6,7 @@ threads for read-only use. Feature arrays are marked non-writeable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -165,167 +165,168 @@ def conjoin(box: BoxConstraint, c: AxisConstraint) -> Optional[BoxConstraint]:
     return BoxConstraint(lo, hi)
 
 
-@dataclass(frozen=True)
-class Internal:
-    """Internal tree node: the constraint holds on the left child."""
-
-    constraint: AxisConstraint
-    left: int
-    right: int
-
-    def __post_init__(self):
-        if self.constraint.sense != LE:
-            raise InputError("internal node constraints must have sense LE")
+def leaf_row(label: int, histogram, mass: float = 1.0, cached_gain: float = 0.0) -> tuple:
+    """One leaf's entries, in DecisionTree field order."""
+    return -1, 0.0, -1, -1, label, histogram, mass, cached_gain
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Leaf node with its label and cached estimation statistics.
-
-    class_histogram holds the estimated conditional class probabilities at
-    the leaf, mass the estimated probability of reaching it, and cached_gain
-    the leaf's last estimated best-split gain (its frontier priority).
-    """
-
-    label: int
-    class_histogram: np.ndarray
-    mass: float = 1.0
-    cached_gain: float = 0.0
-
-    def __post_init__(self):
-        hist = _frozen_array(self.class_histogram)
-        if self.mass > 0 and abs(float(hist.sum()) - 1.0) > 1e-9:
-            raise InputError("class_histogram must sum to 1 when mass > 0")
-        if self.cached_gain < 0:
-            raise InputError("cached_gain must be nonnegative")
-        object.__setattr__(self, "class_histogram", hist)
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "cached_gain", float(self.cached_gain))
+def split_row(dim: int, threshold: float, left: int, right: int, m: int) -> tuple:
+    """One internal node's entries, in DecisionTree field order: x goes left
+    when x_dim <= threshold, and the leaf statistics are 0."""
+    return dim, threshold, left, right, 0, np.zeros(m), 0.0, 0.0
 
 
-TreeNode = Union[Internal, Leaf]
+_NODE_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "label": np.int64, "histogram": np.float64,
+                "mass": np.float64, "cached_gain": np.float64}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    """Binary tree of axis-aligned splits stored in an arena.
+    """Binary tree of axis-aligned splits as parallel node arrays.
 
-    nodes[root] is the root; every Internal node routes x left when
-    x_dim <= threshold. budget, when set, records the total number of
-    blackbox evaluations spent building the tree.
+    Node 0 is the root and every child id exceeds its parent's. An internal
+    node i routes x to left[i] when x[feature[i]] <= threshold[i], else to
+    right[i]; at a leaf, feature, left and right are -1 and threshold is 0.
+    label, histogram (n, m), mass and cached_gain are the leaves' label,
+    estimated class probabilities, probability of being reached and last
+    best-split gain (its frontier priority); they are 0 at internal nodes.
+    budget, when set, records the blackbox evaluations spent on the tree.
     """
 
-    nodes: tuple[TreeNode, ...]
-    root: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    histogram: np.ndarray
+    mass: np.ndarray
+    cached_gain: np.ndarray
     d: int
     m: int
     budget: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        for name, dtype in _NODE_DTYPES.items():
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
         self.validate()
+        object.__setattr__(self, "_table", _routing_table((self,)))
+
+    @classmethod
+    def from_rows(cls, rows, d: int, m: int, budget: Optional[int] = None) -> "DecisionTree":
+        """Tree from one leaf_row or split_row per node, in id order."""
+        return cls(*(list(col) for col in zip(*rows)), d, m, budget)
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return self.feature.shape[0]
 
     def validate(self) -> None:
-        seen = set()
-        stack = [self.root]
-        while stack:
-            idx = stack.pop()
-            if idx in seen:
-                raise InputError("tree contains a cycle or shared node")
-            if not (0 <= idx < len(self.nodes)):
-                raise InputError(f"node id {idx} out of range")
-            seen.add(idx)
-            node = self.nodes[idx]
-            if isinstance(node, Internal):
-                if node.constraint.dim >= self.d:
-                    raise InputError("split dim out of range")
-                stack.extend((node.left, node.right))
-            else:
-                if not (0 <= node.label < self.m):
-                    raise InputError(f"leaf label {node.label} out of range for m={self.m}")
-        if len(seen) != len(self.nodes):
-            raise InputError("tree has unreachable nodes")
-        self.path_boxes()  # raises when a root-leaf path is unsatisfiable
+        n, leaf = self.size, self.feature < 0
+        if {getattr(self, k).shape for k in _NODE_DTYPES if k != "histogram"} != {(n,)} \
+                or n < 1 or self.histogram.shape != (n, self.m):
+            raise InputError("node arrays must share one length n >= 1, histogram (n, m)")
+        if np.any((self.feature < -1) | (self.feature >= self.d)):
+            raise InputError("split dim out of range")
+        splits = np.flatnonzero(~leaf)
+        kids = np.concatenate([self.left[splits], self.right[splits]])
+        if not np.array_equal(np.sort(kids), np.arange(1, n)):
+            raise InputError("tree has a shared or unreachable node")
+        if np.any(kids <= np.tile(splits, 2)):
+            raise InputError("child ids must exceed their parent's")
+        if np.any(self.left[leaf] != -1) or np.any(self.right[leaf] != -1) \
+                or np.any(self.threshold[leaf]) or np.any(self.label[~leaf]) \
+                or np.any(self.histogram[~leaf]) or np.any(self.mass[~leaf]) \
+                or np.any(self.cached_gain[~leaf]):
+            raise InputError("leaves need left/right -1 and threshold 0; "
+                             "internal nodes need zero leaf statistics")
+        if np.any((self.label < 0) | (self.label >= self.m)):
+            raise InputError(f"leaf label out of range for m={self.m}")
+        live = self.histogram[leaf & (self.mass > 0)]
+        if np.any(np.abs(live.sum(axis=1) - 1.0) > 1e-9):
+            raise InputError("class histogram must sum to 1 when mass > 0")
+        if np.any(self.cached_gain < 0):
+            raise InputError("cached_gain must be nonnegative")
+        self._path_bounds()  # raises when a root-leaf path is unsatisfiable
 
     def predict(self, x) -> int:
-        return tree_predict(self, x)
+        """Label of one point: the one-row case of predict_batch."""
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        """Vectorized prediction for an (n, d) matrix of points."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise InputError(f"expected points of dimension {self.d}, got shape {X.shape}")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        # Route index sets down the tree instead of walking point by point.
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            idx, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            node = self.nodes[idx]
-            if isinstance(node, Leaf):
-                out[rows] = node.label
-            else:
-                mask = X[rows, node.constraint.dim] <= node.constraint.threshold
-                stack.append((node.left, rows[mask]))
-                stack.append((node.right, rows[~mask]))
-        return out
+        """Vectorized prediction for an (n, d) matrix of finite points."""
+        return self.label[self.apply(X)]
 
-    def leaf_ids(self) -> list[int]:
-        return [i for i in self._reachable_ids() if isinstance(self.nodes[i], Leaf)]
-
-    def _reachable_ids(self) -> Iterator[int]:
-        stack = [self.root]
-        while stack:
-            idx = stack.pop()
-            yield idx
-            node = self.nodes[idx]
-            if isinstance(node, Internal):
-                stack.extend((node.right, node.left))
+    def apply(self, X) -> np.ndarray:
+        """Id of the leaf each row of an (n, d) matrix of finite points reaches."""
+        return _route(self._table, X, self.d)[0]
 
     def path_boxes(self) -> dict[int, BoxConstraint]:
         """Box constraint accumulated along the root path, for every node."""
-        boxes = {self.root: BoxConstraint.unbounded(self.d)}
-        stack = [self.root]
-        while stack:
-            idx = stack.pop()
-            node = self.nodes[idx]
-            if isinstance(node, Internal):
-                box = boxes[idx]
-                left = conjoin(box, node.constraint)
-                right = conjoin(box, node.constraint.negated())
-                if left is None or right is None:
-                    raise InputError(f"path through node {idx} is unsatisfiable")
-                boxes[node.left] = left
-                boxes[node.right] = right
-                stack.extend((node.left, node.right))
-        return boxes
+        return {i: BoxConstraint(lo, hi) for i, (lo, hi) in enumerate(zip(*self._path_bounds()))}
+
+    def _path_bounds(self):
+        """(n, d) lower and upper bounds of every node's path box."""
+        lower = np.full((self.size, self.d), -np.inf)
+        upper = np.full((self.size, self.d), np.inf)
+        for i in np.flatnonzero(self.feature >= 0).tolist():  # parents before children
+            f, t, left, right = self.feature[i], self.threshold[i], self.left[i], self.right[i]
+            if not lower[i, f] < t < upper[i, f]:
+                raise InputError(f"path through node {i} is unsatisfiable")
+            lower[left] = lower[right] = lower[i]
+            upper[left] = upper[right] = upper[i]
+            upper[left, f] = lower[right, f] = t
+        return lower, upper
+
+
+def _routing_table(trees) -> tuple:
+    """One routing arena for trees stacked end to end, node ids shifted by
+    each tree's offset.
+
+    Returns the stacked feature and threshold columns, the child table, the
+    largest depth and each tree's root id. The child table holds [left,
+    right] of node i at 2i and 2i + 1, and a leaf's two entries point back
+    at the leaf, so a row that reaches a leaf stays there.
+    """
+    roots = np.cumsum([0] + [t.size for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    ids = np.arange(feature.shape[0])
+    splits = np.flatnonzero(feature >= 0)
+    children = np.repeat(ids, 2)
+    for side, col in ((0, "left"), (1, "right")):
+        stacked = np.concatenate([getattr(t, col) + r for t, r in zip(trees, roots)])
+        children[2 * splits + side] = stacked[splits]
+    parent = ids.copy()
+    parent[children[2 * splits]] = parent[children[2 * splits + 1]] = splits
+    depth, up = 0, ids
+    while np.any(parent[up] != up):
+        depth, up = depth + 1, parent[up]
+    return feature, np.concatenate([t.threshold for t in trees]), children, depth, roots
+
+
+def _route(table, X, d: int) -> np.ndarray:
+    """(trees, n) stacked leaf ids the rows of an (n, d) matrix of finite
+    points reach from every root of a routing table: depth level-synchronous
+    steps, each to child 2 * node + (x > t)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InputError(f"expected points of dimension {d}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InputError("points contain NaN or Inf")
+    feature, threshold, children, depth, roots = table
+    flat = np.ascontiguousarray(X).ravel()
+    base = np.arange(X.shape[0]) * X.shape[1]
+    node = np.repeat(roots[:, None], X.shape[0], axis=1)
+    # At a leaf, feature -1 reads the element before the row (the last one,
+    # for row 0); both outcomes of the comparison lead back to the leaf.
+    for _ in range(depth):
+        node = children.take(2 * node + (flat.take(base + feature.take(node))
+                                         > threshold.take(node)))
+    return node
 
 
 def leaf_tree(label: int, d: int, m: int, histogram=None, mass: float = 1.0,
               cached_gain: float = 0.0, budget: Optional[int] = None) -> DecisionTree:
     """Single-leaf tree predicting a constant label."""
-    if histogram is None:
-        histogram = np.zeros(m)
-        histogram[label] = 1.0
-    leaf = Leaf(label, histogram, mass=mass, cached_gain=cached_gain)
-    return DecisionTree((leaf,), 0, d, m, budget=budget)
-
-
-def tree_predict(tree: DecisionTree, x) -> int:
-    """Route a single point to its leaf and return the leaf label."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.d,):
-        raise InputError(f"expected a point of dimension {tree.d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("point contains NaN or Inf")
-    idx = tree.root
-    node = tree.nodes[idx]
-    while isinstance(node, Internal):
-        idx = node.left if x[node.constraint.dim] <= node.constraint.threshold else node.right
-        node = tree.nodes[idx]
-    return node.label
+    histogram = np.eye(m)[label] if histogram is None else histogram
+    return DecisionTree.from_rows([leaf_row(label, histogram, mass, cached_gain)], d, m, budget)

@@ -24,7 +24,7 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, PolicyConfig,
                        RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, synthetic_box_blackbox,
                        train_random_forest)
-from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, LE, Leaf, conjoin
+from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, LE, conjoin
 from .errors import InputError
 from .extract import ExtractionConfig, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
@@ -236,14 +236,14 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
         raise InputError("k must be a positive odd node total")
 
     def leaf_for(box):
-        """(leaf, z, impurity term) for a region."""
+        """((label, histogram, z), z, impurity term) for a region."""
         p, z = _class_masses(gmm, bb, box)
         if z > 0:
             hist = p / z
             hist = hist / hist.sum()
         else:
             hist = np.full(bb.m, 1.0 / bb.m)
-        return Leaf(int(np.argmax(p)), hist, mass=z), z, _impurity_term(p, z)
+        return (int(np.argmax(p)), hist, z), z, _impurity_term(p, z)
 
     def score(i, region):
         best = _best_exact_split(gmm, bb, region[0], region[1])
@@ -257,7 +257,7 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
         for c in (constraint, constraint.negated()):
             child_box = conjoin(box, c)
             if child_box is None:
-                children.append((Leaf(parent.label, parent.class_histogram, mass=0.0), None))
+                children.append(((parent[0], parent[1], 0.0), None))
                 continue
             leaf, z, h = leaf_for(child_box)
             children.append((leaf, (child_box, h, leaf) if z > 0 else None))
@@ -265,10 +265,9 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
 
     root_box = BoxConstraint.unbounded(bb.d)
     root_leaf, _, root_h = leaf_for(root_box)
-    nodes, gains = grow_best_first(root_leaf, (root_box, root_h, root_leaf), score,
-                                   commit, k, GAIN_FLOOR)
-    tree = DecisionTree(tuple(nodes), 0, bb.d, bb.m)
-    return OracleResult(tree, dict(enumerate(gains)))
+    rows, gains = grow_best_first(root_leaf, (root_box, root_h, root_leaf), score,
+                                  commit, k, GAIN_FLOOR)
+    return OracleResult(DecisionTree.from_rows(rows, bb.d, bb.m), dict(enumerate(gains)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (LE, AxisConstraint, BoxConstraint, DecisionTree, Internal,
-                   Leaf, conjoin)
+from .core import (LE, AxisConstraint, BoxConstraint, DecisionTree, conjoin,
+                   leaf_row, split_row)
 from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
@@ -36,7 +36,6 @@ class ExtractionConfig:
     min_gain: float = 0.0
     seed: int = 0
     prune: bool = False
-    prune_alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS
 
     def __post_init__(self):
         if self.max_nodes < 1 or self.max_nodes % 2 == 0:
@@ -182,49 +181,46 @@ def _majority(y: np.ndarray, m: int):
     return int(np.argmax(counts)), counts / counts.sum()
 
 
-def grow_best_first(root_leaf: Leaf, region, score, commit, max_nodes: int,
+def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
                     min_gain: float = 0.0) -> tuple[list, list]:
     """Best-first frontier loop shared by every greedy tree builder.
 
-    score(i, region) -> (gain, split) rates leaf i over its region; a leaf
-    whose split is not None and whose gain exceeds min_gain joins a heap
-    ordered by gain, ties in push order. While two more nodes fit in
-    max_nodes, the top leaf is popped and commit(i, region, split) returns
-    None, which keeps it a leaf with cached_gain 0, or
-    (constraint, ((left_leaf, left_region), (right_leaf, right_region))),
-    which makes it an Internal over the two new leaves; each child whose
-    region is not None is scored in turn. Returns the node arena and each
-    node's scored gain (0 for nodes never scored).
+    A leaf is given as its (label, histogram, mass). score(i, region) ->
+    (gain, split) rates leaf i over its region; a leaf whose split is not
+    None and whose gain exceeds min_gain joins a heap ordered by gain, ties
+    in push order. While two more nodes fit in max_nodes, the top leaf is
+    popped and commit(i, region, split) returns None, which keeps it a leaf
+    with cached_gain 0, or (constraint, ((left_leaf, left_region),
+    (right_leaf, right_region))), which splits it into the two new leaves;
+    each child whose region is not None is scored in turn. Returns the
+    tree's rows for DecisionTree.from_rows and each node's scored gain (0
+    for nodes never scored).
     """
-    nodes: list = [root_leaf]
-    gains: list = [0.0]
+    rows: list = []
+    gains: list = []
     heap: list = []
     order = itertools.count()
 
-    def push(i, region):
-        gain, split = score(i, region)
-        gains[i] = gain
-        nodes[i] = replace(nodes[i], cached_gain=max(gain, 0.0))
+    def add(leaf, region):
+        i = len(rows)
+        gain, split = (0.0, None) if region is None else score(i, region)
+        rows.append(leaf_row(*leaf, max(gain, 0.0)))
+        gains.append(gain)
         if split is not None and gain > min_gain:
             heapq.heappush(heap, (-gain, next(order), i, region, split))
+        return i
 
-    push(0, region)
-    while heap and len(nodes) + 2 <= max_nodes:
+    add(root, region)
+    while heap and len(rows) + 2 <= max_nodes:
         _, _, i, region, split = heapq.heappop(heap)
         grown = commit(i, region, split)
         if grown is None:
-            nodes[i] = replace(nodes[i], cached_gain=0.0)
-            continue
-        constraint, children = grown
-        ids = []
-        for leaf, child_region in children:
-            ids.append(len(nodes))
-            nodes.append(leaf)
-            gains.append(0.0)
-            if child_region is not None:
-                push(ids[-1], child_region)
-        nodes[i] = Internal(constraint, *ids)
-    return nodes, gains
+            rows[i] = rows[i][:-1] + (0.0,)  # stays a leaf, with cached_gain 0
+        else:
+            c, children = grown
+            ids = [add(*child) for child in children]
+            rows[i] = split_row(c.dim, c.threshold, *ids, len(root[1]))
+    return rows, gains
 
 
 def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
@@ -274,18 +270,17 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
                 child_cm = None
             if child_cm is None:
                 # Zero-mass region: permanent leaf with the parent-side label.
-                children.append((Leaf(label, hist, mass=0.0), None))
+                children.append(((label, hist, 0.0), None))
             else:
-                children.append((Leaf(label, hist, mass=child_cm.Z), (child_box, child_cm)))
+                children.append(((label, hist, child_cm.Z), (child_box, child_cm)))
         return constraint, children
 
     root_box = BoxConstraint.unbounded(d)
     root_cm = condition(gmm, root_box)
     root_label, root_hist = _majority(draw_labeled(root_cm, "root")[1], m)
-    nodes, _ = grow_best_first(Leaf(root_label, root_hist, mass=root_cm.Z),
-                               (root_box, root_cm), score, commit,
-                               cfg.max_nodes, cfg.min_gain)
-    return DecisionTree(tuple(nodes), 0, d, m, budget=budget)
+    rows, _ = grow_best_first((root_label, root_hist, root_cm.Z), (root_box, root_cm),
+                              score, commit, cfg.max_nodes, cfg.min_gain)
+    return DecisionTree.from_rows(rows, d, m, budget)
 
 
 def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
@@ -308,122 +303,70 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
 
     tree = grow_tree(gmm, f, cfg, rng, draw)
     if cfg.prune:
-        tree = prune(tree, gmm, f, cfg.samples_per_node, cfg.prune_alphas, rng)
+        tree = prune(tree, gmm, f, cfg.samples_per_node, rng=rng)
     return tree
-
-
-def _route_counts(tree: DecisionTree, X, y, m: int):
-    """Per-node class counts of the labeled points reaching each node."""
-    counts = {i: np.zeros(m) for i in range(len(tree.nodes))}
-    stack = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        idx, rows = stack.pop()
-        if rows.size:
-            counts[idx] += np.bincount(y[rows], minlength=m)
-        node = tree.nodes[idx]
-        if isinstance(node, Internal):
-            mask = X[rows, node.constraint.dim] <= node.constraint.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
-    return counts
-
-
-def _collapse_info(tree: DecisionTree, counts):
-    """For every node: validation error if collapsed, subtree leaf error,
-    number of descendant leaves, and the collapse label/histogram."""
-    info = {}
-
-    def visit(idx):
-        node = tree.nodes[idx]
-        c = counts[idx]
-        n_here = c.sum()
-        if isinstance(node, Leaf):
-            err = n_here - c[node.label]
-            info[idx] = dict(sub_err=err, n_leaves=1, mass=node.mass,
-                             hist=node.class_histogram * max(node.mass, 1e-300))
-            return
-        visit(node.left)
-        visit(node.right)
-        li, ri = info[node.left], info[node.right]
-        info[idx] = dict(sub_err=li["sub_err"] + ri["sub_err"],
-                         n_leaves=li["n_leaves"] + ri["n_leaves"],
-                         mass=li["mass"] + ri["mass"],
-                         hist=li["hist"] + ri["hist"])
-
-    visit(tree.root)
-    for idx, entry in info.items():
-        c = counts[idx]
-        if c.sum() > 0:
-            label = int(np.argmax(c))
-        else:
-            label = int(np.argmax(entry["hist"]))
-        entry["collapse_label"] = label
-        entry["collapse_err"] = c.sum() - c[label]
-        total = entry["hist"].sum()
-        entry["collapse_hist"] = entry["hist"] / total if total > 0 else \
-            np.full(len(c), 1.0 / len(c))
-    return info
 
 
 def _pruned_at_alpha(tree: DecisionTree, counts, n_val: int, alpha: float) -> DecisionTree:
     """Weakest-link pruning: repeatedly collapse the internal node whose
-    per-leaf error increase rate is strictly below alpha."""
-    collapsed: set = set()
-    info = _collapse_info(tree, counts)
+    per-leaf error increase rate is strictly below alpha.
 
-    def effective(idx):
-        """Current subtree error/leaves treating collapsed nodes as leaves."""
-        node = tree.nodes[idx]
-        if isinstance(node, Leaf):
-            return info[idx]["sub_err"], 1
-        if idx in collapsed:
-            return info[idx]["collapse_err"], 1
-        le, ln = effective(node.left)
-        re_, rn = effective(node.right)
-        return le + re_, ln + rn
+    counts holds the class counts of the validation points reaching each
+    node. The subtree sums are reverse sweeps over the node ids, as every
+    child id exceeds its parent's.
+    """
+    n = tree.size
+    splits = np.flatnonzero(tree.feature >= 0)
+    reached = counts.sum(axis=1)
+    leaf_err = reached - counts[np.arange(n), tree.label]
+    mass = tree.mass.copy()
+    hist = tree.histogram * np.maximum(tree.mass, 1e-300)[:, None]
+    for i in splits[::-1]:
+        mass[i] = mass[tree.left[i]] + mass[tree.right[i]]
+        hist[i] = hist[tree.left[i]] + hist[tree.right[i]]
+    label = np.where(reached > 0, np.argmax(counts, axis=1), np.argmax(hist, axis=1))
+    collapse_err = reached - counts[np.arange(n), label]
 
+    collapsed = np.zeros(n, dtype=bool)
     while True:
-        best = None
-        stack = [tree.root]
-        while stack:
-            idx = stack.pop()
-            node = tree.nodes[idx]
-            if isinstance(node, Leaf) or idx in collapsed:
-                continue
-            sub_err, n_leaves = effective(idx)
-            # Collapsing trades (size shrink of 2*(n_leaves-1) nodes) against
-            # the validation error increase; scale per node of size removed.
-            g = (info[idx]["collapse_err"] - sub_err) / max(n_val, 1) \
-                / (2.0 * (n_leaves - 1))
-            if best is None or g < best[0] or (g == best[0] and idx < best[1]):
-                best = (g, idx)
-            stack.extend((node.left, node.right))
-        if best is None or not (best[0] < alpha):
+        # Error and leaf count of each subtree, treating collapsed nodes as leaves.
+        err = np.where(collapsed, collapse_err, leaf_err)
+        leaves = np.ones(n)
+        hidden = collapsed.copy()
+        for i in splits[::-1]:
+            if not collapsed[i]:
+                err[i] = err[tree.left[i]] + err[tree.right[i]]
+                leaves[i] = leaves[tree.left[i]] + leaves[tree.right[i]]
+        for i in splits:
+            hidden[[tree.left[i], tree.right[i]]] |= hidden[i]
+        live = splits[~hidden[splits]]
+        # Collapsing trades (size shrink of 2*(leaves-1) nodes) against the
+        # validation error increase; scale per node of size removed.
+        g = (collapse_err[live] - err[live]) / max(n_val, 1) / (2.0 * (leaves[live] - 1))
+        if live.size == 0 or not g.min() < alpha:
             break
-        collapsed.add(best[1])
+        collapsed[live[np.argmin(g)]] = True  # ties go to the lowest id
 
-    # Rebuild the arena without the collapsed subtrees.
-    new_nodes: list = []
+    # Rebuild in preorder without the collapsed subtrees.
+    rows: list = []
 
-    def rebuild(idx):
-        node = tree.nodes[idx]
-        my_id = len(new_nodes)
-        if isinstance(node, Leaf):
-            new_nodes.append(node)
-            return my_id
-        if idx in collapsed:
-            entry = info[idx]
-            new_nodes.append(Leaf(entry["collapse_label"], entry["collapse_hist"],
-                                  mass=entry["mass"], cached_gain=0.0))
-            return my_id
-        new_nodes.append(None)
-        left = rebuild(node.left)
-        right = rebuild(node.right)
-        new_nodes[my_id] = Internal(node.constraint, left, right)
+    def rebuild(i):
+        my_id = len(rows)
+        if tree.feature[i] < 0:
+            rows.append(leaf_row(tree.label[i], tree.histogram[i], tree.mass[i],
+                                 tree.cached_gain[i]))
+        elif collapsed[i]:
+            total = hist[i].sum()
+            rows.append(leaf_row(label[i], hist[i] / total if total > 0 else
+                                 np.full(tree.m, 1.0 / tree.m), mass[i]))
+        else:
+            rows.append(None)
+            left, right = rebuild(tree.left[i]), rebuild(tree.right[i])
+            rows[my_id] = split_row(tree.feature[i], tree.threshold[i], left, right, tree.m)
         return my_id
 
-    rebuild(tree.root)
-    return DecisionTree(tuple(new_nodes), 0, tree.d, tree.m, budget=tree.budget)
+    rebuild(0)
+    return DecisionTree.from_rows(rows, tree.d, tree.m, tree.budget)
 
 
 def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
@@ -442,7 +385,10 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
     y_prune = _label_points(f, X_prune, "prune")
     X_sel = np.atleast_2d(sample_conditional(cm, rng, n_val))
     y_sel = _label_points(f, X_sel, "prune selection")
-    counts = _route_counts(tree, X_prune, y_prune, tree.m)
+    counts = np.zeros((tree.size, tree.m))
+    np.add.at(counts, (tree.apply(X_prune), y_prune), 1.0)
+    for i in np.flatnonzero(tree.feature >= 0)[::-1]:  # children before parents
+        counts[i] = counts[tree.left[i]] + counts[tree.right[i]]
 
     best = None
     for alpha in alphas:

@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blackbox import BoxBlackbox, RandomForest, TabularPolicy
-from .core import (LE, AxisConstraint, BoxConstraint, Dataset, DecisionTree,
-                   Internal, Leaf)
+from .core import BoxConstraint, Dataset, DecisionTree, leaf_row, split_row
 from .errors import InputError, UnknownCategoryError
 from .gmm import GaussianMixture
 
@@ -205,17 +204,18 @@ def _dump(doc) -> str:
 
 def tree_to_doc(tree: DecisionTree) -> dict:
     nodes = []
-    for node in tree.nodes:
-        if isinstance(node, Internal):
-            nodes.append({"type": "internal", "dim": node.constraint.dim,
-                          "threshold": node.constraint.threshold,
-                          "left": node.left, "right": node.right})
+    for i in range(tree.size):
+        if tree.feature[i] >= 0:
+            nodes.append({"type": "internal", "dim": int(tree.feature[i]),
+                          "threshold": float(tree.threshold[i]),
+                          "left": int(tree.left[i]), "right": int(tree.right[i])})
         else:
-            nodes.append({"type": "leaf", "label": node.label,
-                          "class_histogram": [float(v) for v in node.class_histogram],
-                          "mass": node.mass, "cached_gain": node.cached_gain})
+            nodes.append({"type": "leaf", "label": int(tree.label[i]),
+                          "class_histogram": [float(v) for v in tree.histogram[i]],
+                          "mass": float(tree.mass[i]),
+                          "cached_gain": float(tree.cached_gain[i])})
     doc = {"format_version": FORMAT_VERSION, "kind": "decision_tree",
-           "d": tree.d, "m": tree.m, "root": tree.root, "nodes": nodes}
+           "d": tree.d, "m": tree.m, "root": 0, "nodes": nodes}
     if tree.budget is not None:
         doc["budget"] = tree.budget
     return doc
@@ -224,16 +224,16 @@ def tree_to_doc(tree: DecisionTree) -> dict:
 def tree_from_doc(doc: dict) -> DecisionTree:
     if doc.get("kind") != "decision_tree":
         raise InputError("not a decision tree document")
-    nodes: list = []
-    for nd in doc["nodes"]:
-        if nd["type"] == "internal":
-            nodes.append(Internal(AxisConstraint(nd["dim"], nd["threshold"], LE),
-                                  nd["left"], nd["right"]))
-        else:
-            nodes.append(Leaf(nd["label"], np.array(nd["class_histogram"]),
-                              mass=nd["mass"], cached_gain=nd["cached_gain"]))
-    return DecisionTree(tuple(nodes), doc["root"], doc["d"], doc["m"],
-                        budget=doc.get("budget"))
+    if doc["root"] != 0:
+        raise InputError("the root must be node 0")
+    if any(nd["type"] == "internal" and nd["dim"] < 0 for nd in doc["nodes"]):
+        raise InputError("split dim out of range")
+    m = doc["m"]
+    rows = [split_row(nd["dim"], nd["threshold"], nd["left"], nd["right"], m)
+            if nd["type"] == "internal" else
+            leaf_row(nd["label"], nd["class_histogram"], nd["mass"], nd["cached_gain"])
+            for nd in doc["nodes"]]
+    return DecisionTree.from_rows(rows, doc["d"], m, doc.get("budget"))
 
 
 def gmm_to_doc(gmm: GaussianMixture) -> dict:
@@ -337,14 +337,14 @@ def export_dot(tree: DecisionTree, column_names: Optional[Sequence[str]] = None,
         class_names = [f"class_{i}" for i in range(tree.m)]
     lines = ["digraph tree {"]
     edges = []
-    for idx, node in enumerate(tree.nodes):
-        if isinstance(node, Internal):
-            label = f"{column_names[node.constraint.dim]} ≤ {node.constraint.threshold:g}"
-            lines.append(f'  n{idx} [shape=box, label="{label}"];')
-            edges.append(f"  n{idx} -> n{node.left};")
-            edges.append(f"  n{idx} -> n{node.right};")
+    for i in range(tree.size):
+        if tree.feature[i] >= 0:
+            label = f"{column_names[tree.feature[i]]} ≤ {tree.threshold[i]:g}"
+            lines.append(f'  n{i} [shape=box, label="{label}"];')
+            edges.append(f"  n{i} -> n{tree.left[i]};")
+            edges.append(f"  n{i} -> n{tree.right[i]};")
         else:
-            lines.append(f'  n{idx} [shape=ellipse, label="{class_names[node.label]}"];')
+            lines.append(f'  n{i} [shape=ellipse, label="{class_names[tree.label[i]]}"];')
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -265,7 +265,6 @@ def test_criterion_7_estimator_suite():
     # within 4 Monte Carlo standard errors of the exact gain.
     gmm, bb = three_box_benchmark()
     oracle = exact_greedy_oracle(gmm, bb, 3)
-    root = oracle.tree.nodes[oracle.tree.root]
     g_exact = oracle.gains[0]
     cm = condition(gmm, BoxConstraint.unbounded(2))
     estimates = []
@@ -273,8 +272,8 @@ def test_criterion_7_estimator_suite():
         r = np.random.default_rng(seed)
         X = sample_conditional(cm, r, 1000)
         y = bb.predict(X)
-        estimates.append(estimate_split(X, y, 2, 1.0, root.constraint.dim,
-                                        root.constraint.threshold))
+        estimates.append(estimate_split(X, y, 2, 1.0, oracle.tree.feature[0],
+                                        oracle.tree.threshold[0]))
     estimates = np.array(estimates)
     se = estimates.std(ddof=1)
     frac = float(np.mean(np.abs(estimates - g_exact) <= 4 * se))

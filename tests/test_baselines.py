@@ -17,17 +17,16 @@ class TestCartExtract:
         ds = Dataset.from_arrays(rng.normal(size=(50, 2)))
         f = FunctionBlackbox(lambda X: np.ones(len(X), dtype=int), 2, 2)
         tree = cart_extract(ds, f, 15)
-        assert tree.size == 1 and tree.nodes[0].label == 1
+        assert tree.size == 1 and tree.label[0] == 1
 
     def test_split_lands_in_data_gap(self, rng):
         x = np.sort(rng.normal(size=1000))
         ds = Dataset.from_arrays(x.reshape(-1, 1))
         f = threshold_blackbox(0.0)
         tree = cart_extract(ds, f, 3)
-        root = tree.nodes[tree.root]
         below = x[x <= 0.0].max()
         above = x[x > 0.0].min()
-        assert below < root.constraint.threshold <= above
+        assert below < tree.threshold[0] <= above
 
     def test_budget_is_one_labeling_pass(self, rng):
         ds = Dataset.from_arrays(rng.normal(size=(77, 2)))
@@ -41,10 +40,8 @@ class TestCartExtract:
         ds = Dataset.from_arrays(X)
         cart_tree = cart_extract(ds, bb, 3)
         ours = extract_tree(gmm, bb, ExtractionConfig(3, 10 ** 4, seed=1))
-        c_root = cart_tree.nodes[cart_tree.root].constraint
-        o_root = ours.nodes[ours.root].constraint
-        assert c_root.dim == o_root.dim
-        assert abs(c_root.threshold - o_root.threshold) < 0.1
+        assert cart_tree.feature[0] == ours.feature[0]
+        assert abs(cart_tree.threshold[0] - ours.threshold[0]) < 0.1
 
     def test_even_max_nodes_rejected(self, rng):
         ds = Dataset.from_arrays(rng.normal(size=(10, 1)))
@@ -68,9 +65,7 @@ class TestBornAgain:
         ba = born_again_extract(gmm, bb, BaselineConfig(
             15, samples_per_node=200,
             total_sample_budget=10 ** 6, seed=seed))
-        r1 = ours.nodes[ours.root].constraint
-        r2 = ba.nodes[ba.root].constraint
-        assert r1.dim == r2.dim and r1.threshold == r2.threshold
+        assert ours.feature[0] == ba.feature[0] and ours.threshold[0] == ba.threshold[0]
 
     def test_acceptance_rate_estimates_region_mass(self, gmm_2d):
         box = BoxConstraint([0.3, -0.2], [1.4, 1.1])

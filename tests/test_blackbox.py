@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treextract import (CartPoleSystem, Dataset, PolicyConfig,
+from treextract import (CartPoleSystem, Dataset, InputError, PolicyConfig,
                         RandomForestConfig, cartpole_step, collect_states,
                         learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
@@ -55,6 +55,13 @@ class TestRandomForest:
                 votes[i, tree.predict(X[i])] += 1
         expected = np.argmax(votes, axis=1)  # argmax ties to lower index
         assert np.array_equal(forest.predict(X), expected)
+
+    def test_nonfinite_or_misshaped_points_rejected(self, rng):
+        ds = self._blobs(rng, 60)
+        forest = train_random_forest(ds, RandomForestConfig(n_trees=3, seed=0))
+        for X in ([[0.0, np.nan]], [[np.inf, 0.0]], np.zeros((2, 3))):
+            with pytest.raises(InputError):
+                forest.predict(X)
 
     def test_purity_repeated_evaluations(self, rng):
         ds = self._blobs(rng, 100)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treextract import (AxisConstraint, BoxConstraint, Dataset, DecisionTree,
-                        InputError, Internal, Leaf, conjoin, leaf_tree,
-                        tree_predict)
+                        InputError, conjoin, leaf_tree)
 from treextract.core import GT, LE
 
 
@@ -66,64 +65,89 @@ class TestConjoin:
         assert np.array_equal(a.lower, again.lower) and np.array_equal(a.upper, again.upper)
 
 
+def array_tree(feature, threshold, left, right, label, d, m, **stats):
+    """DecisionTree from its routing arrays: leaves get a one-hot histogram
+    and mass 1 unless given, internal nodes zero statistics."""
+    leaf = np.asarray(feature) < 0
+    if "histogram" not in stats:
+        stats["histogram"] = np.eye(m)[label] * leaf[:, None]
+    stats.setdefault("mass", leaf * 1.0)
+    stats.setdefault("cached_gain", np.zeros(leaf.size))
+    return DecisionTree(feature, threshold, left, right, label, d=d, m=m, **stats)
+
+
 def depth2_tree():
     # x0 <= 0 ? (x1 <= 1 ? 0 : 1) : 2
-    nodes = (
-        Internal(AxisConstraint(0, 0.0, LE), 1, 2),
-        Internal(AxisConstraint(1, 1.0, LE), 3, 4),
-        Leaf(2, [0.0, 0.0, 1.0]),
-        Leaf(0, [1.0, 0.0, 0.0]),
-        Leaf(1, [0.0, 1.0, 0.0]),
-    )
-    return DecisionTree(nodes, 0, 2, 3)
+    return array_tree(feature=[0, 1, -1, -1, -1], threshold=[0.0, 1.0, 0.0, 0.0, 0.0],
+                      left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1],
+                      label=[0, 0, 2, 0, 1], d=2, m=3)
+
+
+def walk(tree, x):
+    """Reference routing: follow one point from the root, node by node."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
 
 
 class TestTreePredict:
     def test_single_leaf(self):
         tree = leaf_tree(1, d=3, m=2)
-        assert tree_predict(tree, [5.0, -2.0, 0.0]) == 1
+        assert tree.predict([5.0, -2.0, 0.0]) == 1
 
     def test_left_branch_on_satisfied_constraint(self):
-        nodes = (Internal(AxisConstraint(0, 0.0, LE), 1, 2),
-                 Leaf(0, [1.0, 0.0]), Leaf(1, [0.0, 1.0]))
-        tree = DecisionTree(nodes, 0, 1, 2)
-        assert tree_predict(tree, [-1.0]) == 0
-        assert tree_predict(tree, [0.0]) == 0  # boundary goes left
-        assert tree_predict(tree, [0.5]) == 1
+        tree = array_tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                          [0, 0, 1], d=1, m=2)
+        assert tree.predict([-1.0]) == 0
+        assert tree.predict([0.0]) == 0  # boundary goes left
+        assert tree.predict([0.5]) == 1
 
     def test_grid_matches_path_box_membership(self):
         """Exhaustive check against direct box-membership evaluation."""
         tree = depth2_tree()
         boxes = tree.path_boxes()
-        leaf_ids = tree.leaf_ids()
+        leaf_ids = np.flatnonzero(tree.feature < 0)
         grid = np.linspace(-3, 3, 10)
         for x0 in grid:
             for x1 in grid:
                 x = np.array([x0, x1])
                 hits = [i for i in leaf_ids if boxes[i].contains(x)]
                 assert len(hits) == 1, "exactly one root-leaf path accepts x"
-                assert tree_predict(tree, x) == tree.nodes[hits[0]].label
+                assert tree.predict(x) == tree.label[hits[0]]
 
     def test_predict_batch_matches_pointwise(self, rng):
         tree = depth2_tree()
         X = rng.normal(size=(300, 2)) * 2
         batch = tree.predict_batch(X)
-        assert all(batch[i] == tree_predict(tree, X[i]) for i in range(len(X)))
+        assert all(batch[i] == tree.label[walk(tree, X[i])] for i in range(len(X)))
+        assert all(batch[i] == tree.predict(X[i]) for i in range(len(X)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            tree_predict(depth2_tree(), [1.0])
+            depth2_tree().predict([1.0])
+        with pytest.raises(InputError):
+            depth2_tree().predict_batch(np.zeros((4, 3)))
 
     def test_nonfinite_point(self):
         with pytest.raises(InputError):
-            tree_predict(depth2_tree(), [np.nan, 0.0])
+            depth2_tree().predict([np.nan, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_batch_rejects_nonfinite(self, bad):
+        # A NaN once compared false against every threshold and was routed
+        # right, so predict_batch returned a label where predict raised.
+        X = np.array([[0.5, 0.0], [bad, 0.0]])
+        with pytest.raises(InputError):
+            depth2_tree().predict_batch(X)
 
 
 @st.composite
 def random_trees(draw, d=3, m=3, max_internal=7):
     """Grow a random proper binary tree whose path boxes stay satisfiable:
-    every threshold lands strictly inside its node's interval."""
-    nodes = [None]
+    every threshold lands strictly inside its node's interval, and each new
+    pair of children gets the next two ids."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     open_slots = {0: BoxConstraint.unbounded(d)}
     n_internal = draw(st.integers(0, max_internal))
     for _ in range(n_internal):
@@ -135,18 +159,17 @@ def random_trees(draw, d=3, m=3, max_internal=7):
         hi = min(box.upper[dim], 6.0)
         frac = draw(st.floats(0.05, 0.95))
         t = lo + frac * (hi - lo)
-        left, right = len(nodes), len(nodes) + 1
         c = AxisConstraint(dim, t, LE)
-        nodes[slot] = Internal(c, left, right)
-        nodes.extend([None, None])
-        open_slots[left] = conjoin(box, c)
-        open_slots[right] = conjoin(box, c.negated())
+        ids = (len(feature), len(feature) + 1)
+        feature[slot], threshold[slot], (left[slot], right[slot]) = dim, t, ids
+        for col, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            col.extend([v, v])
+        open_slots[ids[0]] = conjoin(box, c)
+        open_slots[ids[1]] = conjoin(box, c.negated())
+    label = [0] * len(feature)
     for slot in open_slots:
-        label = draw(st.integers(0, m - 1))
-        hist = np.zeros(m)
-        hist[label] = 1.0
-        nodes[slot] = Leaf(label, hist)
-    return DecisionTree(tuple(nodes), 0, d, m)
+        label[slot] = draw(st.integers(0, m - 1))
+    return array_tree(feature, threshold, left, right, label, d, m)
 
 
 class TestTreePathProperty:
@@ -156,37 +179,54 @@ class TestTreePathProperty:
     def test_exactly_one_path_accepts_and_label_matches(self, tree, point):
         x = np.array(point)
         boxes = tree.path_boxes()
-        hits = [i for i in tree.leaf_ids() if boxes[i].contains(x)]
+        hits = [i for i in np.flatnonzero(tree.feature < 0) if boxes[i].contains(x)]
         assert len(hits) == 1
-        assert tree_predict(tree, x) == tree.nodes[hits[0]].label
+        assert tree.apply(x[None])[0] == walk(tree, x) == hits[0]
+        assert tree.predict(x) == tree.label[hits[0]]
 
 
 class TestTreeValidation:
     def test_unreachable_node_rejected(self):
-        nodes = (Leaf(0, [1.0]), Leaf(0, [1.0]))
-        with pytest.raises(InputError):
-            DecisionTree(nodes, 0, 1, 1)
+        with pytest.raises(InputError, match="unreachable"):
+            array_tree([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [0, 0], d=1, m=1)
+
+    def test_shared_node_rejected(self):
+        with pytest.raises(InputError, match="shared"):
+            array_tree([0, -1, -1], [0.0] * 3, [1, -1, -1], [1, -1, -1], [0] * 3, d=1, m=1)
+
+    def test_child_id_below_parent_rejected(self):
+        # 0 -> (2, 3) is fine, but node 2 -> (4, 1) points back to a lower id.
+        with pytest.raises(InputError, match="exceed"):
+            array_tree([0, -1, 0, -1, -1], [0.0, 0.0, 1.0, 0.0, 0.0], [2, -1, 4, -1, -1],
+                       [3, -1, 1, -1, -1], [0] * 5, d=1, m=1)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(InputError):
-            DecisionTree((Leaf(3, [1.0, 0.0]),), 0, 2, 2)
+            array_tree([-1], [0.0], [-1], [-1], [3], d=2, m=2,
+                       histogram=[[1.0, 0.0]])
 
     def test_histogram_must_normalize(self):
         with pytest.raises(InputError):
-            Leaf(0, [0.5, 0.2], mass=0.5)
+            array_tree([-1], [0.0], [-1], [-1], [0], d=1, m=2,
+                       histogram=[[0.5, 0.2]], mass=[0.5])
+
+    def test_leaf_columns_must_be_canonical(self):
+        with pytest.raises(InputError):  # a leaf with a child id
+            array_tree([-1], [0.0], [0], [-1], [0], d=1, m=1)
+        with pytest.raises(InputError):  # an internal node with a leaf mass
+            array_tree([0, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1], [0] * 3,
+                       d=1, m=1, mass=[1.0, 1.0, 1.0])
 
     def test_unsatisfiable_path_rejected(self):
         # x0 <= 1 and then x0 > 1 on the left branch: the (1, 1] interval
         # is empty, so the tree is malformed.
-        nodes = (
-            Internal(AxisConstraint(0, 1.0, LE), 1, 2),
-            Internal(AxisConstraint(0, 1.0, LE), 3, 4),
-            Leaf(0, [1.0]),
-            Leaf(0, [1.0]),
-            Leaf(0, [1.0]),
-        )
         with pytest.raises(InputError, match="unsatisfiable"):
-            DecisionTree(nodes, 0, 1, 1)
+            array_tree([0, 0, -1, -1, -1], [1.0, 1.0, 0.0, 0.0, 0.0],
+                       [1, 3, -1, -1, -1], [2, 4, -1, -1, -1], [0] * 5, d=1, m=1)
+
+    def test_arrays_are_read_only(self):
+        tree = depth2_tree()
+        assert not tree.threshold.flags.writeable and not tree.histogram.flags.writeable
 
 
 class TestDataset:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treextract import (AxisConstraint, BoxConstraint, ExtractionConfig,
-                        FunctionBlackbox, GaussianMixture, InputError, Leaf,
+                        FunctionBlackbox, GaussianMixture, InputError,
                         agreement, exact_greedy_oracle, extract_tree, fidelity,
                         leaf_tree, sample, synthetic_box_blackbox)
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
@@ -75,17 +75,16 @@ class TestExactOracle:
         gmm = GaussianMixture([1.0], [[0.0]], [[1.0]])
         bb = synthetic_box_blackbox([BoxConstraint([-np.inf], [0.0])], [1], d=1, m=2)
         res = exact_greedy_oracle(gmm, bb, 3)
-        root = res.tree.nodes[res.tree.root]
-        assert root.constraint.dim == 0
-        assert abs(root.constraint.threshold) <= 1e-6
+        tree = res.tree
+        assert tree.feature[0] == 0
+        assert abs(tree.threshold[0]) <= 1e-6
         assert res.gains[0] == pytest.approx(0.5, abs=1e-9)
-        labels = {res.tree.nodes[root.left].label, res.tree.nodes[root.right].label}
-        assert labels == {0, 1}
+        assert {tree.label[tree.left[0]], tree.label[tree.right[0]]} == {0, 1}
 
     def test_constant_function_single_leaf(self, gmm_2d):
         bb = synthetic_box_blackbox([], [], d=2, m=2, default_label=1)
         res = exact_greedy_oracle(gmm_2d, bb, 7)
-        assert res.tree.size == 1 and res.tree.nodes[0].label == 1
+        assert res.tree.size == 1 and res.tree.label[0] == 1
 
     def test_class_masses_sum_to_region_mass(self, rng):
         gmm, bb = three_box_benchmark()
@@ -141,14 +140,13 @@ class TestExactOracle:
         """The 7-node exact greedy trees: split dims, thresholds and labels."""
         gmm, bb = bench()
         tree = exact_greedy_oracle(gmm, bb, 7).tree
-        assert tree.root == 0 and len(tree.nodes) == len(expected)
-        for node, want in zip(tree.nodes, expected):
+        assert tree.size == len(expected)
+        for i, want in enumerate(expected):
             if isinstance(want, tuple):
-                c = node.constraint
-                assert (c.dim, c.threshold, node.left, node.right) == want
+                assert (tree.feature[i], tree.threshold[i], tree.left[i], tree.right[i]) == want
             else:
-                assert node.label == want
-        total = sum(n.mass for n in tree.nodes if isinstance(n, Leaf))
+                assert tree.feature[i] == -1 and tree.label[i] == want
+        total = tree.mass[tree.feature < 0].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_even_k_rejected(self, gmm_2d):

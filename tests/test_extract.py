@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
-                        FunctionBlackbox, GaussianMixture, Internal, Leaf,
-                        SamplerError, best_split, best_split_from_samples,
-                        estimate_split, extract_tree, gini_term, prune,
-                        sample_conditional)
+                        FunctionBlackbox, GaussianMixture, SamplerError,
+                        best_split, best_split_from_samples, estimate_split,
+                        extract_tree, gini_term, prune, sample_conditional)
 from treextract import baselines, blackbox
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
@@ -214,12 +213,11 @@ class TestVectorisedScan:
         data = make_imbalanced_classification(400, d=12, seed=7)
         forest, cand = self._root_scan(blackbox, lambda: train_random_forest(
             data, RandomForestConfig(n_trees=3, max_depth=6, balance=True, seed=11)))
-        root = forest.trees[0].nodes[forest.trees[0].root]
-        assert (root.constraint.dim, repr(root.constraint.threshold), repr(cand.gain)) == \
+        first = forest.trees[0]
+        assert (first.feature[0], repr(float(first.threshold[0])), repr(cand.gain)) == \
             (1, "1.5883509611877726", "0.049141618814098155")
         tree, cand = self._root_scan(baselines, lambda: cart_extract(data, forest, 15))
-        root = tree.nodes[tree.root]
-        assert (root.constraint.dim, repr(root.constraint.threshold), repr(cand.gain)) == \
+        assert (tree.feature[0], repr(float(tree.threshold[0])), repr(cand.gain)) == \
             (5, "1.5035765814029205", "0.0398821419798573")
 
 
@@ -253,14 +251,14 @@ class TestExtractTree:
         f = FunctionBlackbox(lambda X: np.full(len(X), 1, dtype=int), 2, 3)
         tree = extract_tree(gmm_2d, f, ExtractionConfig(15, 50, seed=0))
         assert tree.size == 1
-        assert tree.nodes[tree.root].label == 1
+        assert tree.label[0] == 1
 
     def test_budget_recorded_and_bounded(self, gmm_2d):
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
         n = 200
         tree = extract_tree(gmm_2d, f, ExtractionConfig(7, n, seed=0))
-        expansions = sum(isinstance(nd, Internal) for nd in tree.nodes)
-        estimations = sum(isinstance(nd, Leaf) for nd in tree.nodes) + expansions
+        expansions = int(np.sum(tree.feature >= 0))
+        estimations = int(np.sum(tree.feature < 0)) + expansions
         assert tree.budget <= 2 * n * (expansions + estimations)
         # Root labeling + one priority estimate per created leaf + one commit
         # per expansion, n points each.
@@ -325,7 +323,6 @@ class TestExtractTree:
         from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
         gmm, bb = three_box_benchmark()
         oracle = exact_greedy_oracle(gmm, bb, 3)
-        root = oracle.tree.nodes[oracle.tree.root]
         g_exact = oracle.gains[0]
         cm = condition(gmm, BoxConstraint.unbounded(2))
         for n in (100, 1000, 10000):
@@ -334,8 +331,8 @@ class TestExtractTree:
                 r = np.random.default_rng([n, seed])
                 X = sample_conditional(cm, r, n)
                 vals.append(estimate_split(X, bb.predict(X), 2, 1.0,
-                                           root.constraint.dim,
-                                           root.constraint.threshold))
+                                           oracle.tree.feature[0],
+                                           oracle.tree.threshold[0]))
             vals = np.array(vals)
             se = vals.std(ddof=1)
             within = np.mean(np.abs(vals - g_exact) <= 4 * se)
@@ -355,52 +352,35 @@ class TestExtractTree:
 
 
 def _trees_equal(a, b):
-    if a.size != b.size:
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if type(na) is not type(nb):
-            return False
-        if isinstance(na, Internal):
-            if na.constraint != nb.constraint or na.left != nb.left or na.right != nb.right:
-                return False
-        else:
-            if na.label != nb.label or not np.array_equal(na.class_histogram, nb.class_histogram):
-                return False
-    return True
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("feature", "threshold", "left", "right", "label", "histogram"))
 
 
 def _same_structure(a, b, tol):
     if a.size != b.size:
         return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if type(na) is not type(nb):
-            return False
-        if isinstance(na, Internal):
-            if na.constraint.dim != nb.constraint.dim:
-                return False
-            if abs(na.constraint.threshold - nb.constraint.threshold) > tol:
-                return False
-        elif na.label != nb.label:
-            return False
-    return True
+    split = a.feature >= 0
+    return bool(np.array_equal(a.feature, b.feature)
+                and np.all(np.abs(a.threshold - b.threshold)[split] <= tol)
+                and np.array_equal(a.label[~split], b.label[~split]))
 
 
 class TestPrune:
     def _tree_and_model(self):
         """A hand-built tree whose left subtree splits needlessly: both of
         its leaves carry the same label, so collapsing loses nothing."""
-        from treextract.core import LE, AxisConstraint, DecisionTree
+        from treextract.core import DecisionTree, leaf_row, split_row
 
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
-        nodes = (
-            Internal(AxisConstraint(0, 0.0, LE), 1, 2),
-            Internal(AxisConstraint(1, 0.5, LE), 3, 4),   # redundant split
-            Leaf(0, [1.0, 0.0], mass=0.5),
-            Leaf(1, [0.0, 1.0], mass=0.35),
-            Leaf(1, [0.0, 1.0], mass=0.15),
+        rows = (
+            split_row(0, 0.0, 1, 2, m=2),
+            split_row(1, 0.5, 3, 4, m=2),   # redundant split
+            leaf_row(0, [1.0, 0.0], mass=0.5),
+            leaf_row(1, [0.0, 1.0], mass=0.35),
+            leaf_row(1, [0.0, 1.0], mass=0.15),
         )
-        tree = DecisionTree(nodes, 0, 2, 2)
+        tree = DecisionTree.from_rows(rows, d=2, m=2)
         return gmm, f, tree
 
     def test_alpha_zero_keeps_tree(self):

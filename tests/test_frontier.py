@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treextract import (AxisConstraint, BaselineConfig, Dataset, EMConfig,
-                        ExtractionConfig, Internal, Leaf, RandomForestConfig,
+                        ExtractionConfig, RandomForestConfig,
                         born_again_extract, cart_extract, collect_states,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
@@ -21,12 +21,20 @@ from treextract.extract import grow_best_first
 # sha256 digests of fixed-seed synthetic-RF, cart-pole and forest documents,
 # recorded before trees were stored as parallel arrays.
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
+COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
+           "cached_gain")
 
 
 def _leaf(label=0):
     hist = np.zeros(2)
     hist[label] = 1.0
-    return Leaf(label, hist)
+    return label, hist, 1.0
+
+
+def _grow(*args, **kwargs):
+    """grow_best_first's rows as DecisionTree columns, with the gains."""
+    rows, gains = grow_best_first(*args, **kwargs)
+    return dict(zip(COLUMNS, map(np.array, zip(*rows)))), gains
 
 
 def _split(i, depth, split=None):
@@ -42,9 +50,11 @@ class TestGrowBestFirst:
             committed.append(i)
             return _split(i, depth)
 
-        nodes, _ = grow_best_first(_leaf(), 0, lambda i, depth: (1.0, "s"), commit, 11)
+        cols, _ = _grow(_leaf(), 0, lambda i, depth: (1.0, "s"), commit, 11)
         assert committed == [0, 1, 2, 3, 4]
-        assert len(nodes) == 11
+        assert len(cols["feature"]) == 11
+        # Node 0 splits into 1 and 2, node 1 into 3 and 4, and so on.
+        assert list(cols["left"][:5]) == [1, 3, 5, 7, 9]
 
     def test_higher_gain_pops_first(self):
         committed = []
@@ -60,10 +70,10 @@ class TestGrowBestFirst:
         assert committed == [0, 2, 4, 6]
 
     def test_rejected_commit_keeps_leaf_with_zero_gain(self):
-        nodes, gains = grow_best_first(_leaf(1), 0, lambda i, r: (0.5, "s"),
-                                       lambda i, r, s: None, 15)
-        assert len(nodes) == 1 and isinstance(nodes[0], Leaf)
-        assert nodes[0].label == 1 and nodes[0].cached_gain == 0.0
+        cols, gains = _grow(_leaf(1), 0, lambda i, r: (0.5, "s"),
+                            lambda i, r, s: None, 15)
+        assert list(cols["feature"]) == [-1]
+        assert cols["label"][0] == 1 and cols["cached_gain"][0] == 0.0
         assert gains == [0.5]
 
     def test_none_region_is_never_scored(self):
@@ -76,24 +86,24 @@ class TestGrowBestFirst:
         def commit(i, region, split):
             return AxisConstraint(0, float(i)), ((_leaf(0), region), (_leaf(1), None))
 
-        nodes, gains = grow_best_first(_leaf(), "box", score, commit, 9)
+        cols, gains = _grow(_leaf(), "box", score, commit, 9)
         assert scored == [0, 1, 3, 5, 7]
-        assert len(nodes) == 9
+        assert len(cols["feature"]) == 9
         assert [gains[i] for i in (2, 4, 6, 8)] == [0.0] * 4
-        assert all(nodes[i].cached_gain == 0.0 for i in (2, 4, 6, 8))
+        assert all(cols["cached_gain"][[2, 4, 6, 8]] == 0.0)
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 3, 4, 7, 8])
     def test_never_exceeds_max_nodes(self, max_nodes):
-        nodes, gains = grow_best_first(_leaf(), 0, lambda i, depth: (1.0, "s"),
-                                       _split, max_nodes)
-        assert len(nodes) == len(gains) == max_nodes - (max_nodes % 2 == 0)
-        assert sum(isinstance(nd, Internal) for nd in nodes) == len(nodes) // 2
+        cols, gains = _grow(_leaf(), 0, lambda i, depth: (1.0, "s"), _split, max_nodes)
+        size = len(cols["feature"])
+        assert size == len(gains) == max_nodes - (max_nodes % 2 == 0)
+        assert np.sum(cols["feature"] >= 0) == size // 2
 
     def test_gain_at_min_gain_is_not_expanded(self):
-        nodes, gains = grow_best_first(_leaf(), 0, lambda i, depth: (0.25, "s"),
-                                       _split, 7, min_gain=0.25)
-        assert len(nodes) == 1 and gains == [0.25]
-        assert nodes[0].cached_gain == 0.25
+        cols, gains = _grow(_leaf(), 0, lambda i, depth: (0.25, "s"), _split, 7,
+                            min_gain=0.25)
+        assert len(cols["feature"]) == 1 and gains == [0.25]
+        assert cols["cached_gain"][0] == 0.25
 
     @pytest.mark.parametrize("problem", [two_box_benchmark, three_box_benchmark])
     def test_oracle_gains_one_entry_per_node(self, problem):

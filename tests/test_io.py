@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from treextract import (AxisConstraint, BoxConstraint, Dataset, DecisionTree,
-                        EMConfig, ExtractionConfig, FunctionBlackbox,
-                        GaussianMixture, InputError, Internal, Leaf,
-                        UnknownCategoryError, export_dot, extract_tree, fit_em)
-from treextract.core import LE
+from treextract import (BoxConstraint, Dataset, DecisionTree, EMConfig,
+                        ExtractionConfig, FunctionBlackbox, GaussianMixture,
+                        InputError, UnknownCategoryError, export_dot,
+                        extract_tree, fit_em)
+from treextract.core import leaf_row, split_row
 from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            encode_features, gmm_from_doc, gmm_to_doc, load_csv,
                            load_gmm, load_tree, save_csv, save_gmm, save_tree,
@@ -91,12 +91,21 @@ class TestCsv:
 
 
 def sample_tree():
-    nodes = (
-        Internal(AxisConstraint(0, 0.125, LE), 1, 2),
-        Leaf(0, [0.75, 0.25], mass=0.5, cached_gain=0.01),
-        Leaf(1, [0.1, 0.9], mass=0.5, cached_gain=0.0),
-    )
-    return DecisionTree(nodes, 0, 2, 2, budget=400)
+    rows = (split_row(0, 0.125, 1, 2, m=2),
+            leaf_row(0, [0.75, 0.25], mass=0.5, cached_gain=0.01),
+            leaf_row(1, [0.1, 0.9], mass=0.5, cached_gain=0.0))
+    return DecisionTree.from_rows(rows, d=2, m=2, budget=400)
+
+
+def tree_doc(nodes, root=0):
+    """A tree document over leaves given as ints and splits as
+    (left, right) pairs, all on dimension 0 at threshold 0."""
+    return {"kind": "decision_tree", "format_version": 1, "d": 1, "m": 1,
+            "root": root, "nodes": [
+                {"type": "leaf", "label": 0, "class_histogram": [1.0], "mass": 1.0,
+                 "cached_gain": 0.0} if nd == 0 else
+                {"type": "internal", "dim": 0, "threshold": 0.0,
+                 "left": nd[0], "right": nd[1]} for nd in nodes]}
 
 
 class TestTreeJson:
@@ -109,11 +118,10 @@ class TestTreeJson:
         back = load_tree(path)
         X = rng.normal(size=(1000, 2)) * 3
         assert np.array_equal(tree.predict_batch(X), back.predict_batch(X))
-        for a, b in zip(tree.nodes, back.nodes):
-            if isinstance(a, Internal):
-                assert a.constraint.threshold == b.constraint.threshold
-            else:
-                assert np.array_equal(a.class_histogram, b.class_histogram)
+        for name in ("feature", "threshold", "left", "right", "label", "histogram",
+                     "mass", "cached_gain"):
+            a, b = getattr(tree, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert back.budget == tree.budget
         save_tree(tmp_path / "tree2.json", back)
         assert (tmp_path / "tree.json").read_bytes() == (tmp_path / "tree2.json").read_bytes()
@@ -126,6 +134,30 @@ class TestTreeJson:
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
             tree_from_doc({"kind": "gaussian_mixture"})
+
+    def test_well_formed_doc_loads(self):
+        tree = tree_from_doc(tree_doc([(1, 2), 0, 0]))
+        assert tree.predict([-1.0]) == 0 and tree.size == 3
+
+    @pytest.mark.parametrize("nodes, root, match", [
+        ([(1, 2), 0, 0], 1, "root"),                           # root is not node 0
+        ([0, (0, 2), 0], 1, "root"),
+        ([(2, 3), 0, (4, 1), 0, 0], 0, "exceed"),              # child id below its parent's
+        ([(1, 1), 0, 0], 0, "shared"),                         # one node, two parents
+        ([(1, 2), (3, 4), 0, 0, 0, 0], 0, "unreachable"),      # node 5 has no parent
+        ([(1, 2), 0, (3, 4), 0, 0, (1, 3)], 0, "shared|unreachable"),
+    ])
+    def test_arena_invariants(self, nodes, root, match):
+        with pytest.raises(InputError, match=match):
+            tree_from_doc(tree_doc(nodes, root))
+
+    def test_negative_split_dim_rejected(self):
+        # An internal node with dim -1 and no children would read as a leaf.
+        doc = tree_doc([0])
+        doc["nodes"][0] = {"type": "internal", "dim": -1, "threshold": 0.0,
+                           "left": -1, "right": -1}
+        with pytest.raises(InputError, match="dim"):
+            tree_from_doc(doc)
 
 
 class TestGmmJson:
