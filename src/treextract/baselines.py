@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LE, AxisConstraint, Dataset, DecisionTree
+from .core import Dataset, DecisionTree
 from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _label_points, best_split_from_samples,
                       grow_best_first, grow_tree)
@@ -64,7 +64,7 @@ def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
     def commit(i, rows, cand):
         mask = X[rows, cand.dim] <= cand.threshold
         left, right = rows[mask], rows[~mask]
-        return AxisConstraint(cand.dim, cand.threshold, LE), (
+        return (cand.dim, cand.threshold), (
             ((cand.left_label, cand.left_hist, left.size / n), left),
             ((cand.right_label, cand.right_hist, right.size / n), right))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class BoxBlackbox:
         return out
 
 
-def synthetic_box_blackbox(boxes: Sequence[BoxConstraint], labels: Sequence[int],
-                           d: int, m: int, default_label: int = 0) -> BoxBlackbox:
-    return BoxBlackbox(tuple(boxes), tuple(labels), d, m, default_label)
-
-
 # ---------------------------------------------------------------------------
 # Random forest
 
@@ -92,14 +87,14 @@ def synthetic_box_blackbox(boxes: Sequence[BoxConstraint], labels: Sequence[int]
 class RandomForestConfig:
     n_trees: int = 25
     max_depth: int = 8
-    features_per_split: Optional[int] = None  # None -> ceil(sqrt(d))
     balance: bool = False
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class RandomForest:
-    """Bootstrap-bagged Gini trees with per-split feature subsetting.
+    """Bootstrap-bagged Gini trees, each split chosen among floor(sqrt(d))
+    randomly drawn features.
 
     predict is the majority vote over trees; vote ties resolve to the
     lower class index. All trees are stacked into one routing table at
@@ -129,8 +124,7 @@ def _grow_cart_node(X, y, rows, m, depth, cfg, rng, nodes):
     nodes.append(leaf_row(int(np.argmax(counts)), counts / counts.sum()))
     if depth >= cfg.max_depth or rows.size < 2 or counts.max() == counts.sum():
         return node_id
-    k = cfg.features_per_split or max(1, math.isqrt(X.shape[1]))
-    dims = np.sort(rng.choice(X.shape[1], size=min(k, X.shape[1]), replace=False))
+    dims = np.sort(rng.choice(X.shape[1], size=math.isqrt(X.shape[1]), replace=False))
     cand = best_split_from_samples(X[np.ix_(rows, dims)], y[rows], m, 1.0)
     if cand is None:
         return node_id

@@ -1,4 +1,4 @@
-"""Shared data model: datasets, axis-aligned constraints, and decision trees.
+"""Shared data model: datasets, axis-aligned boxes, and decision trees.
 
 All types here are immutable after construction and safe to share across
 threads for read-only use. Feature arrays are marked non-writeable.
@@ -11,9 +11,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-
-LE = "le"  # x_dim <= threshold
-GT = "gt"  # x_dim >  threshold
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -78,30 +75,9 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class AxisConstraint:
-    """Single-feature threshold predicate: x_dim <= t (LE) or x_dim > t (GT)."""
-
-    dim: int
-    threshold: float
-    sense: str = LE
-
-    def __post_init__(self):
-        if self.sense not in (LE, GT):
-            raise InputError(f"sense must be '{LE}' or '{GT}', got {self.sense!r}")
-        if self.dim < 0:
-            raise InputError("dim must be nonnegative")
-        if not np.isfinite(self.threshold):
-            raise InputError("threshold must be finite")
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    def negated(self) -> "AxisConstraint":
-        return AxisConstraint(self.dim, self.threshold, GT if self.sense == LE else LE)
-
-
-@dataclass(frozen=True)
 class BoxConstraint:
-    """Per-dimension interval (lower_i, upper_i], the canonical form of a
-    conjunction of axis-aligned constraints.
+    """Per-dimension interval (lower_i, upper_i], the region a conjunction
+    of axis-aligned threshold tests selects.
 
     lower entries may be -inf and upper entries +inf. The box is satisfiable
     iff lower_i < upper_i for every i; a degenerate interval (t, t] is empty.
@@ -144,25 +120,19 @@ class BoxConstraint:
             return None
         return BoxConstraint(lo, hi)
 
-
-def conjoin(box: BoxConstraint, c: AxisConstraint) -> Optional[BoxConstraint]:
-    """Conjoin one axis-aligned constraint onto a box.
-
-    LE tightens the upper bound, GT tightens the lower bound; redundant
-    constraints leave the box unchanged. Returns None when the resulting
-    interval along c.dim is empty (lower >= upper).
-    """
-    if c.dim >= box.d:
-        raise InputError(f"constraint dim {c.dim} out of range for d={box.d}")
-    lo = box.lower.copy()
-    hi = box.upper.copy()
-    if c.sense == LE:
-        hi[c.dim] = min(hi[c.dim], c.threshold)
-    else:
-        lo[c.dim] = max(lo[c.dim], c.threshold)
-    if lo[c.dim] >= hi[c.dim]:
-        return None
-    return BoxConstraint(lo, hi)
+    def split(self, dim: int, threshold: float) -> tuple:
+        """(left, right): the parts of the box with x_dim <= threshold and
+        x_dim > threshold. A part whose interval along dim is empty is None;
+        a threshold outside the interval leaves the other part unchanged.
+        Raises InputError for a dim outside [0, d) or a NaN threshold.
+        """
+        if not 0 <= dim < self.d or np.isnan(threshold):
+            raise InputError(f"cannot split d={self.d} box at dim {dim}, threshold {threshold}")
+        upper, lower = self.upper.copy(), self.lower.copy()
+        upper[dim] = min(upper[dim], threshold)
+        lower[dim] = max(lower[dim], threshold)
+        return (BoxConstraint(self.lower, upper) if self.lower[dim] < upper[dim] else None,
+                BoxConstraint(lower, self.upper) if lower[dim] < self.upper[dim] else None)
 
 
 def leaf_row(label: int, histogram, mass: float = 1.0, cached_gain: float = 0.0) -> tuple:

@@ -20,11 +20,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineConfig, born_again_extract, cart_extract
-from .blackbox import (BoxBlackbox, CartPoleSystem, PolicyConfig,
-                       RandomForestConfig, collect_states, learn_policy,
-                       make_imbalanced_classification, synthetic_box_blackbox,
-                       train_random_forest)
-from .core import AxisConstraint, BoxConstraint, Dataset, DecisionTree, LE, conjoin
+from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
+                       collect_states, learn_policy,
+                       make_imbalanced_classification, train_random_forest)
+from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
 from .extract import ExtractionConfig, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
@@ -48,8 +47,11 @@ class FidelityReport:
 def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> FidelityReport:
     """Pointwise agreement of the tree with the blackbox on fixed test points.
 
-    F1 is reported for binary problems only, with the given positive class.
+    F1 is reported for binary problems only, with the given positive class,
+    which must then be 0 or 1.
     """
+    if tree.m == 2 and positive_class not in (0, 1):
+        raise InputError(f"positive_class must be 0 or 1, got {positive_class}")
     X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     if X.shape[0] == 0:
         raise InputError("test_points must be nonempty")
@@ -252,16 +254,14 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
     def commit(i, region, best):
         box, _, parent = region
         _, dim, t = best
-        constraint = AxisConstraint(dim, t, LE)
         children = []
-        for c in (constraint, constraint.negated()):
-            child_box = conjoin(box, c)
+        for child_box in box.split(dim, t):
             if child_box is None:
                 children.append(((parent[0], parent[1], 0.0), None))
                 continue
             leaf, z, h = leaf_for(child_box)
             children.append((leaf, (child_box, h, leaf) if z > 0 else None))
-        return constraint, children
+        return (dim, t), children
 
     root_box = BoxConstraint.unbounded(bb.d)
     root_leaf, _, root_h = leaf_for(root_box)
@@ -286,7 +286,7 @@ def two_box_benchmark():
         BoxConstraint([-inf, -inf], [-0.6, 0.4]),
         BoxConstraint([0.9, -inf], [inf, inf]),
     )
-    bb = synthetic_box_blackbox(boxes, (1, 1), d=2, m=2)
+    bb = BoxBlackbox(boxes, (1, 1), d=2, m=2)
     return gmm, bb
 
 
@@ -301,7 +301,7 @@ def three_box_benchmark():
         BoxConstraint([0.6, -1.5], [2.8, 0.3]),
         BoxConstraint([0.2, 0.9], [2.0, 2.6]),
     )
-    bb = synthetic_box_blackbox(boxes, (1, 1, 1), d=2, m=2)
+    bb = BoxBlackbox(boxes, (1, 1, 1), d=2, m=2)
     return gmm, bb
 
 
@@ -328,56 +328,48 @@ class FidelityTask:
     positive_class: int = 1
 
 
-def cartpole_task(n_train: int = 100, n_test: int = 100, samples_per_node: int = 200,
-                  policy_cfg: PolicyConfig = PolicyConfig(),
-                  sys: CartPoleSystem = CartPoleSystem()) -> FidelityTask:
-    """Control-policy distillation task: per seed, fresh rollout states are
-    collected for training/testing and the input model refitted."""
+def cartpole_task() -> FidelityTask:
+    """Control-policy distillation task at 200 samples per node: the policy
+    is learned once, and per seed 100 fresh rollout states are collected for
+    training, 100 for testing, and the input model refitted by BIC."""
+    sys = CartPoleSystem()
     shared: dict = {}
 
     def instance(seed: int) -> TaskInstance:
         if "policy" not in shared:
-            shared["policy"] = learn_policy(sys, policy_cfg)
+            shared["policy"] = learn_policy(sys)
         policy = shared["policy"]
-        train = collect_states(policy, sys, n_train, seed=(7919 + seed) * 2 + 1)
-        test = collect_states(policy, sys, n_test, seed=(104729 + seed) * 2)
+        train = collect_states(policy, sys, 100, seed=(7919 + seed) * 2 + 1)
+        test = collect_states(policy, sys, 100, seed=(104729 + seed) * 2)
         gmm = select_k_bic(train.features, cfg=EMConfig(seed=seed, n_init=2))
         return TaskInstance(policy, gmm, train, test.features)
 
-    return FidelityTask("cartpole", samples_per_node, instance)
+    return FidelityTask("cartpole", 200, instance)
 
 
-def synthetic_rf_task(n: int = 1000, d: int = 50, samples_per_node: int = 1000,
-                      positive_rate: float = 0.118, gmm_k: Optional[int] = 8,
-                      rf_cfg: Optional[RandomForestConfig] = None) -> FidelityTask:
+def synthetic_rf_task() -> FidelityTask:
     """Imbalanced-classification distillation task standing in for private
-    tabular data: a fresh random split and forest per seed.
+    tabular data, at 1000 samples per node: per seed, 1000 rows of 50
+    features with 11.8 % positives get a fresh 70/30 split, a balanced
+    forest and an 8-component input model.
 
-    The input-model component count defaults to 8 here rather than BIC:
-    in 50 dimensions BIC's parameter penalty swamps the likelihood gain of
-    the rare-class blobs and collapses the model to one component, which
-    leaves conditional sampling blind to the minority class. Pass
-    gmm_k=None to select by BIC anyway.
+    The component count is fixed at 8 rather than chosen by BIC: in 50
+    dimensions BIC's parameter penalty swamps the likelihood gain of the
+    rare-class blobs and collapses the model to one component, which
+    leaves conditional sampling blind to the minority class.
     """
     from .gmm import fit_em
 
     def instance(seed: int) -> TaskInstance:
-        data = make_imbalanced_classification(n, d, positive_rate, seed=1000 + seed)
-        rng = np.random.default_rng([17, seed])
-        perm = rng.permutation(n)
-        n_train = int(round(0.7 * n))
-        tr, te = perm[:n_train], perm[n_train:]
+        data = make_imbalanced_classification(1000, seed=1000 + seed)
+        perm = np.random.default_rng([17, seed]).permutation(1000)
+        tr, te = perm[:700], perm[700:]
         train = Dataset(data.features[tr], data.labels[tr], data.column_names, data.m)
-        cfg = rf_cfg or RandomForestConfig(balance=True, seed=seed)
-        forest = train_random_forest(train, cfg)
-        em_cfg = EMConfig(seed=seed, n_init=4)
-        if gmm_k is None:
-            gmm = select_k_bic(train.features, cfg=em_cfg)
-        else:
-            gmm = fit_em(train.features, gmm_k, em_cfg)
+        forest = train_random_forest(train, RandomForestConfig(balance=True, seed=seed))
+        gmm = fit_em(train.features, 8, EMConfig(seed=seed, n_init=4))
         return TaskInstance(forest, gmm, train, data.features[te])
 
-    return FidelityTask("synthetic-rf", samples_per_node, instance)
+    return FidelityTask("synthetic-rf", 1000, instance)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (LE, AxisConstraint, BoxConstraint, DecisionTree, conjoin,
-                   leaf_row, split_row)
+from .core import BoxConstraint, DecisionTree, leaf_row, split_row
 from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
@@ -161,19 +160,6 @@ def _label_points(f, X, context: str) -> np.ndarray:
     return y
 
 
-def best_split(gmm: GaussianMixture, box: BoxConstraint, f, n: int,
-               rng: np.random.Generator, cfg: ExtractionConfig) -> Optional[SplitCandidate]:
-    """Draw n labeled points from the model conditioned on box and return the
-    gain-maximizing split, or None when the region is empty or gain-free."""
-    try:
-        cm = condition(gmm, box)
-    except EmptyRegionError:
-        return None
-    X = sample_conditional(cm, rng, n)
-    y = _label_points(f, X, "best_split")
-    return best_split_from_samples(X, y, f.m, cm.Z, cfg.min_gain)
-
-
 def _majority(y: np.ndarray, m: int):
     counts = np.bincount(y, minlength=m).astype(np.float64)
     if counts.sum() == 0:
@@ -190,9 +176,10 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
     None and whose gain exceeds min_gain joins a heap ordered by gain, ties
     in push order. While two more nodes fit in max_nodes, the top leaf is
     popped and commit(i, region, split) returns None, which keeps it a leaf
-    with cached_gain 0, or (constraint, ((left_leaf, left_region),
-    (right_leaf, right_region))), which splits it into the two new leaves;
-    each child whose region is not None is scored in turn. Returns the
+    with cached_gain 0, or ((dim, threshold), ((left_leaf, left_region),
+    (right_leaf, right_region))), which splits it at x_dim <= threshold into
+    the two new leaves; each child whose region is not None is scored in
+    turn. Returns the
     tree's rows for DecisionTree.from_rows and each node's scored gain (0
     for nodes never scored).
     """
@@ -217,9 +204,9 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
         if grown is None:
             rows[i] = rows[i][:-1] + (0.0,)  # stays a leaf, with cached_gain 0
         else:
-            c, children = grown
+            (dim, threshold), children = grown
             ids = [add(*child) for child in children]
-            rows[i] = split_row(c.dim, c.threshold, *ids, len(root[1]))
+            rows[i] = split_row(dim, threshold, *ids, len(root[1]))
     return rows, gains
 
 
@@ -258,12 +245,11 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
         cand = scan(cm, f"commit at node {i}")
         if cand is None:
             return None
-        constraint = AxisConstraint(cand.dim, cand.threshold, LE)
         children = []
-        for c, label, hist in ((constraint, cand.left_label, cand.left_hist),
-                               (constraint.negated(), cand.right_label, cand.right_hist)):
-            # Conjoin onto the path box: cm.box is clipped to the model's domain.
-            child_box = conjoin(box, c)
+        # Split the path box: cm.box is clipped to the model's domain.
+        for child_box, label, hist in zip(box.split(cand.dim, cand.threshold),
+                                          (cand.left_label, cand.right_label),
+                                          (cand.left_hist, cand.right_hist)):
             try:
                 child_cm = None if child_box is None else condition(gmm, child_box)
             except EmptyRegionError:
@@ -273,7 +259,7 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
                 children.append(((label, hist, 0.0), None))
             else:
                 children.append(((label, hist, child_cm.Z), (child_box, child_cm)))
-        return constraint, children
+        return (cand.dim, cand.threshold), children
 
     root_box = BoxConstraint.unbounded(d)
     root_cm = condition(gmm, root_box)

@@ -331,11 +331,12 @@ def sample(gmm: GaussianMixture, rng: np.random.Generator,
     return sample_conditional(condition(gmm, BoxConstraint.unbounded(gmm.d)), rng, size)
 
 
+EM_MAX_ITERS = 200
+EM_LOGLIK_TOL = 1e-7  # stop once an iteration gains at most this, relative
+
+
 @dataclass(frozen=True)
 class EMConfig:
-    max_iters: int = 200
-    loglik_tol: float = 1e-7
-    variance_floor: Optional[float] = None  # None -> 1e-6 * (per-dim data range)^2
     n_init: int = 4
     seed: int = 0
 
@@ -356,8 +357,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _em_run(X: np.ndarray, k: int, floor: np.ndarray, cfg: EMConfig,
-            rng: np.random.Generator, history: Optional[list] = None):
+def _em_run(X: np.ndarray, k: int, floor: np.ndarray, rng: np.random.Generator,
+            history: Optional[list] = None):
     n, d = X.shape
     centers = _kmeanspp_init(X, k, rng)
     # Hard-assign to the seeded centers for the initial M step.
@@ -370,7 +371,7 @@ def _em_run(X: np.ndarray, k: int, floor: np.ndarray, cfg: EMConfig,
 
     loglik = -np.inf
     w = mu = sd = None
-    for _ in range(cfg.max_iters):
+    for _ in range(EM_MAX_ITERS):
         # M step
         nk = np.maximum(resp.sum(axis=0), 1e-10)
         w = nk / n
@@ -389,7 +390,7 @@ def _em_run(X: np.ndarray, k: int, floor: np.ndarray, cfg: EMConfig,
         resp = np.exp(logp - norm[:, None])
         if history is not None:
             history.append(new_loglik)
-        if new_loglik - loglik <= cfg.loglik_tol * (1.0 + abs(new_loglik)) and np.isfinite(loglik):
+        if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)) and np.isfinite(loglik):
             loglik = new_loglik
             break
         loglik = new_loglik
@@ -408,22 +409,19 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise InputError("expected a 2-d feature matrix")
-    n, d = X.shape
+    n = X.shape[0]
     if k < 1:
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of points n={n}")
-    ranges = X.max(axis=0) - X.min(axis=0)
-    if cfg.variance_floor is None:
-        floor = 1e-6 * np.maximum(ranges, 1e-3) ** 2
-    else:
-        floor = np.full(d, float(cfg.variance_floor))
+    # Variance floor: 1e-6 of each dimension's squared data range (at least 1e-3).
+    floor = 1e-6 * np.maximum(X.max(axis=0) - X.min(axis=0), 1e-3) ** 2
 
     best = None
     for r in range(cfg.n_init):
         rng = np.random.default_rng([cfg.seed, r])
         hist: list = []
-        loglik, w, mu, sd = _em_run(X, k, floor, cfg, rng, hist)
+        loglik, w, mu, sd = _em_run(X, k, floor, rng, hist)
         if best is None or loglik > best[0]:
             best = (loglik, w, mu, sd, hist)
     _, w, mu, sd, hist = best

@@ -54,8 +54,7 @@ class TableSchema:
     @classmethod
     def from_json(cls, doc) -> "TableSchema":
         if isinstance(doc, (str, os.PathLike)):
-            with open(doc, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = load_json(doc)
         return cls([(c["name"], c["kind"]) for c in doc["columns"]])
 
     @classmethod
@@ -303,7 +302,13 @@ def save_json(path, doc: dict) -> None:
 
 def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise InputError(f"{path}: malformed JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def save_tree(path, tree: DecisionTree) -> None:

@@ -183,14 +183,13 @@ class TestSyntheticData:
 
 class TestBoxBlackbox:
     def test_overlapping_boxes_rejected(self):
-        from treextract import BoxConstraint, InputError, synthetic_box_blackbox
+        from treextract import BoxBlackbox, BoxConstraint, InputError
         a = BoxConstraint([0.0, 0.0], [2.0, 2.0])
         b = BoxConstraint([1.0, 1.0], [3.0, 3.0])
         with pytest.raises(InputError):
-            synthetic_box_blackbox([a, b], [1, 1], d=2, m=2)
+            BoxBlackbox([a, b], [1, 1], d=2, m=2)
 
     def test_default_label_outside(self):
-        from treextract import BoxConstraint, synthetic_box_blackbox
-        bb = synthetic_box_blackbox([BoxConstraint([0.0], [1.0])], [1],
-                                    d=1, m=3, default_label=2)
+        from treextract import BoxBlackbox, BoxConstraint
+        bb = BoxBlackbox([BoxConstraint([0.0], [1.0])], [1], d=1, m=3, default_label=2)
         assert np.array_equal(bb.predict(np.array([[0.5], [5.0]])), [1, 2])

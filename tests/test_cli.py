@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from treextract.cli import build_parser, main
-from treextract.io import load_tree, save_csv, save_json, blackbox_to_doc
-from treextract import Dataset, synthetic_box_blackbox, BoxConstraint
+from treextract.io import load_tree, save_csv, save_json, save_tree, blackbox_to_doc
+from treextract import BoxBlackbox, BoxConstraint, Dataset, leaf_tree
 
 
 def run(argv, capsys):
@@ -22,7 +22,7 @@ def workdir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def synthetic_spec(workdir, rng):
-    bb = synthetic_box_blackbox(
+    bb = BoxBlackbox(
         [BoxConstraint([-np.inf, -np.inf], [0.0, np.inf])], [1], d=2, m=2)
     save_json(workdir / "bb.json", blackbox_to_doc(bb))
     X = rng.normal(size=(200, 2))
@@ -117,6 +117,29 @@ class TestPipeline:
                             "--blackbox", "rf:bb.json"], capsys)
         assert code == 1
 
+    def test_positive_class_out_of_range_exits_1(self, workdir, synthetic_spec, capsys):
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        code, out, err = run(["evaluate", "--tree", "tree.json",
+                              "--blackbox", "synthetic:bb.json", "--data", "train.csv",
+                              "--positive-class", "2"], capsys)
+        assert code == 1 and out == ""
+        assert "error: positive_class must be 0 or 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--tree", "bad.json", "--blackbox", "synthetic:bb.json",
+         "--data", "train.csv"],
+        ["evaluate", "--tree", "tree.json", "--blackbox", "synthetic:bad.json",
+         "--data", "train.csv"],
+        ["extract", "--gmm", "bad.json", "--blackbox", "synthetic:bb.json",
+         "--max-nodes", "3", "--samples-per-node", "50", "--out", "t.json"],
+    ], ids=["tree", "blackbox", "gmm"])
+    def test_malformed_json_exits_1(self, workdir, synthetic_spec, capsys, argv):
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        (workdir / "bad.json").write_text('{"kind": ', encoding="utf-8")
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "error: bad.json: malformed JSON" in err
+
 
 class TestDeterminism:
     def test_identical_seeds_byte_identical_outputs(self, workdir, synthetic_spec, capsys):
@@ -170,6 +193,14 @@ class TestExperimentCommand:
         text = (workdir / "rows.csv").read_text()
         assert text.splitlines()[0] == "algorithm,size,seed,fidelity_acc,fidelity_f1,budget,wall_ms"
         assert len(text.splitlines()) == 3
+
+    def test_unknown_algorithm_exits_1_without_csv(self, workdir, capsys):
+        code, _, err = run(["experiment", "fidelity-curve", "--task", "cartpole",
+                            "--sizes", "3", "--seeds", "1", "--algorithms", "ours,bogus",
+                            "--out", "rows.csv"], capsys)
+        assert code == 1
+        assert "error: unknown algorithm 'bogus'" in err
+        assert not (workdir / "rows.csv").exists()
 
     def test_failed_seed_exits_nonzero(self, workdir, capsys, monkeypatch):
         import treextract.cli as cli

@@ -2,57 +2,65 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (AxisConstraint, BoxConstraint, Dataset, DecisionTree,
-                        InputError, conjoin, leaf_tree)
-from treextract.core import GT, LE
+from treextract import (BoxConstraint, Dataset, DecisionTree, InputError,
+                        leaf_tree)
+from treextract.core import leaf_row, split_row
 
 
 def box(d=2):
     return BoxConstraint.unbounded(d)
 
 
-class TestConjoin:
-    def test_single_le_constraint_sets_upper(self):
-        out = conjoin(box(), AxisConstraint(0, 5.0, LE))
-        assert out.upper[0] == 5.0 and np.isinf(out.lower[0])
+class TestSplit:
+    def test_left_part_sets_upper(self):
+        left, right = box().split(0, 5.0)
+        assert left.upper[0] == 5.0 and np.isinf(left.lower[0])
+        assert right.lower[0] == 5.0 and np.isinf(right.upper[0])
 
-    def test_redundant_constraint_discarded(self):
-        tight = conjoin(box(), AxisConstraint(0, 3.0, LE))
-        out = conjoin(tight, AxisConstraint(0, 5.0, LE))
+    def test_redundant_bound_dropped(self):
+        tight = box().split(0, 3.0)[0]
+        out, empty = tight.split(0, 5.0)
         assert np.array_equal(out.upper, tight.upper)
         assert np.array_equal(out.lower, tight.lower)
+        assert empty is None
 
     def test_empty_interval_unsatisfiable(self):
-        low = conjoin(box(), AxisConstraint(0, 2.0, GT))
-        assert conjoin(low, AxisConstraint(0, 2.0, LE)) is None
+        high = box().split(0, 2.0)[1]
+        assert high.split(0, 2.0)[0] is None
 
-    def test_gt_tightens_lower(self):
-        out = conjoin(box(), AxisConstraint(1, -1.0, GT))
+    def test_right_part_tightens_lower(self):
+        out = box().split(1, -1.0)[1]
         assert out.lower[1] == -1.0
 
     def test_dim_out_of_range(self):
+        for dim in (2, -1):
+            with pytest.raises(InputError):
+                box(2).split(dim, 0.0)
+
+    def test_nan_threshold_rejected(self):
         with pytest.raises(InputError):
-            conjoin(box(2), AxisConstraint(2, 0.0, LE))
+            box(2).split(0, np.nan)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2),
                               st.floats(-10, 10, allow_nan=False),
-                              st.sampled_from([LE, GT])),
+                              st.sampled_from([0, 1])),
                     min_size=0, max_size=8),
            st.randoms(use_true_random=False))
     def test_order_insensitive_and_idempotent(self, specs, pyrandom):
-        constraints = [AxisConstraint(d, t, s) for d, t, s in specs]
+        """Folding (dim, threshold, side) tests onto a box, side 0 keeping
+        x_dim <= threshold and side 1 x_dim > threshold."""
 
-        def fold(cs):
+        def fold(tests):
             b = box(3)
-            for c in cs:
+            for dim, t, side in tests:
                 if b is None:
                     return None
-                b = conjoin(b, c)
+                b = b.split(dim, t)[side]
             return b
 
-        a = fold(constraints)
-        shuffled = constraints[:]
+        a = fold(specs)
+        shuffled = specs[:]
         pyrandom.shuffle(shuffled)
         b = fold(shuffled)
         if a is None or b is None:
@@ -61,8 +69,40 @@ class TestConjoin:
             assert (a is None) == (b is None)
             return
         assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
-        again = fold(constraints + constraints)
+        again = fold(specs + specs)
         assert np.array_equal(a.lower, again.lower) and np.array_equal(a.upper, again.upper)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.floats(-5, 5)),
+                              st.one_of(st.none(), st.floats(0.01, 5))),
+                    min_size=3, max_size=3),
+           st.integers(0, 2), st.floats(0.01, 0.99))
+    def test_parts_match_the_path_boxes_of_a_tree(self, bounds, dim, frac):
+        """A tree whose path reaches a random box and then splits it once
+        at (dim, t) has the two parts of box.split(dim, t) as the path
+        boxes of that split's children."""
+        d, m = 3, 1
+        lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
+        upper = np.array([np.inf if w is None else (0.0 if lo is None else lo) + w
+                          for lo, w in bounds])
+        region = BoxConstraint(lower, upper)
+        lo, hi = max(lower[dim], -6.0), min(upper[dim], 6.0)
+        t = lo + frac * (hi - lo)
+        # A chain of splits at the finite bounds; node c continues the path.
+        rows, c = {0: None}, 0
+        tests = [(k, lower[k], 1) for k in range(d) if np.isfinite(lower[k])]
+        tests += [(k, upper[k], 0) for k in range(d) if np.isfinite(upper[k])]
+        for k, v, side in tests + [(dim, t, None)]:
+            kids = (len(rows), len(rows) + 1)
+            rows[c] = split_row(k, v, *kids, m)
+            for kid in kids:
+                rows[kid] = leaf_row(0, np.ones(m))
+            c = c if side is None else kids[side]
+        tree = DecisionTree.from_rows([rows[i] for i in range(len(rows))], d, m)
+        boxes = tree.path_boxes()
+        for part, kid in zip(region.split(dim, t), (tree.left[c], tree.right[c])):
+            assert np.array_equal(part.lower, boxes[kid].lower)
+            assert np.array_equal(part.upper, boxes[kid].upper)
 
 
 def array_tree(feature, threshold, left, right, label, d, m, **stats):
@@ -159,13 +199,11 @@ def random_trees(draw, d=3, m=3, max_internal=7):
         hi = min(box.upper[dim], 6.0)
         frac = draw(st.floats(0.05, 0.95))
         t = lo + frac * (hi - lo)
-        c = AxisConstraint(dim, t, LE)
         ids = (len(feature), len(feature) + 1)
         feature[slot], threshold[slot], (left[slot], right[slot]) = dim, t, ids
         for col, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
             col.extend([v, v])
-        open_slots[ids[0]] = conjoin(box, c)
-        open_slots[ids[1]] = conjoin(box, c.negated())
+        open_slots[ids[0]], open_slots[ids[1]] = box.split(dim, t)
     label = [0] * len(feature)
     for slot in open_slots:
         label[slot] = draw(st.integers(0, m - 1))

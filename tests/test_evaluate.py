@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from treextract import (AxisConstraint, BoxConstraint, ExtractionConfig,
+from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, InputError,
                         agreement, exact_greedy_oracle, extract_tree, fidelity,
-                        leaf_tree, sample, synthetic_box_blackbox)
+                        leaf_tree, sample)
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
                                  TaskInstance, _class_masses, _exact_gain,
                                  _impurity_term, run_fidelity_curve,
                                  three_box_benchmark, two_box_benchmark)
-from treextract.core import GT, LE, conjoin
 from treextract.gmm import box_mass
 
 
@@ -50,6 +49,14 @@ class TestFidelity:
         with pytest.raises(InputError):
             fidelity(tree, f, np.empty((0, 1)))
 
+    @pytest.mark.parametrize("positive_class", [-1, 2])
+    def test_binary_positive_class_outside_0_1_rejected(self, positive_class):
+        tree = leaf_tree(0, d=1, m=2)
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), int), 1, 2)
+        with pytest.raises(InputError, match="positive_class"):
+            fidelity(tree, f, np.zeros((3, 1)), positive_class=positive_class)
+        assert fidelity(tree, f, np.zeros((3, 1)), positive_class=0).f1 == 1.0
+
 
 class TestAgreement:
     def test_identical_trees(self, gmm_2d):
@@ -73,7 +80,7 @@ class TestAgreement:
 class TestExactOracle:
     def test_1d_threshold_function(self):
         gmm = GaussianMixture([1.0], [[0.0]], [[1.0]])
-        bb = synthetic_box_blackbox([BoxConstraint([-np.inf], [0.0])], [1], d=1, m=2)
+        bb = BoxBlackbox([BoxConstraint([-np.inf], [0.0])], [1], d=1, m=2)
         res = exact_greedy_oracle(gmm, bb, 3)
         tree = res.tree
         assert tree.feature[0] == 0
@@ -82,7 +89,7 @@ class TestExactOracle:
         assert {tree.label[tree.left[0]], tree.label[tree.right[0]]} == {0, 1}
 
     def test_constant_function_single_leaf(self, gmm_2d):
-        bb = synthetic_box_blackbox([], [], d=2, m=2, default_label=1)
+        bb = BoxBlackbox([], [], d=2, m=2, default_label=1)
         res = exact_greedy_oracle(gmm_2d, bb, 7)
         assert res.tree.size == 1 and res.tree.label[0] == 1
 
@@ -150,7 +157,7 @@ class TestExactOracle:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_even_k_rejected(self, gmm_2d):
-        bb = synthetic_box_blackbox([], [], d=2, m=2)
+        bb = BoxBlackbox([], [], d=2, m=2)
         with pytest.raises(InputError):
             exact_greedy_oracle(gmm_2d, bb, 4)
 
@@ -167,8 +174,7 @@ def _looped_gain(gmm, bb, box, dim, t):
         p[bb.default_label] += max(z - p.sum(), 0.0)
         return z - np.dot(p, p) / z if z > 0 else 0.0
 
-    left = conjoin(box, AxisConstraint(dim, t, LE))
-    right = conjoin(box, AxisConstraint(dim, t, GT))
+    left, right = box.split(dim, t)
     return impurity(box) - impurity(left) - impurity(right)
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, SamplerError,
-                        best_split, best_split_from_samples, estimate_split,
-                        extract_tree, gini_term, prune, sample_conditional)
+                        best_split_from_samples, estimate_split, extract_tree,
+                        gini_term, prune, sample, sample_conditional)
 from treextract import baselines, blackbox
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
@@ -222,27 +222,27 @@ class TestVectorisedScan:
 
 
 class TestBestSplit:
+    """Best split of n labeled draws from the unconditional model."""
+
     def test_constant_blackbox_returns_none(self, gmm_2d, rng):
         f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), 2, 2)
-        cfg = ExtractionConfig(3, 100, seed=0)
-        assert best_split(gmm_2d, BoxConstraint.unbounded(2), f, 100, rng, cfg) is None
+        X = sample(gmm_2d, rng, 100)
+        assert best_split_from_samples(X, f.predict(X), 2, 1.0) is None
 
     def test_1d_threshold_found_near_zero(self, rng):
         gmm = GaussianMixture([1.0], [[0.0]], [[1.0]])
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 1, 2)
-        cfg = ExtractionConfig(3, 10 ** 4, seed=0)
-        cand = best_split(gmm, BoxConstraint.unbounded(1), f, 10 ** 4, rng, cfg)
+        X = sample(gmm, rng, 10 ** 4)
+        cand = best_split_from_samples(X, f.predict(X), 2, 1.0)
         assert abs(cand.threshold) <= 0.05
         assert cand.left_label == 1 and cand.right_label == 0
 
     def test_informative_dim_dominates(self, gmm_2d):
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0.2).astype(int), 2, 2)
-        cfg = ExtractionConfig(3, 1000, seed=0)
         wins = 0
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            cand = best_split(gmm_2d, BoxConstraint.unbounded(2), f, 1000, rng, cfg)
-            wins += cand.dim == 0
+            X = sample(gmm_2d, np.random.default_rng(seed), 1000)
+            wins += best_split_from_samples(X, f.predict(X), 2, 1.0).dim == 0
         assert wins >= 19
 
 

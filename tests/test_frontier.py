@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treextract import (AxisConstraint, BaselineConfig, Dataset, EMConfig,
+from treextract import (BaselineConfig, Dataset, EMConfig,
                         ExtractionConfig, RandomForestConfig,
                         born_again_extract, cart_extract, collect_states,
                         extract_tree, fit_em, make_imbalanced_classification,
@@ -39,7 +39,7 @@ def _grow(*args, **kwargs):
 
 def _split(i, depth, split=None):
     """A commit that splits leaf i into two children one level deeper."""
-    return AxisConstraint(0, float(i)), ((_leaf(0), depth + 1), (_leaf(1), depth + 1))
+    return (0, float(i)), ((_leaf(0), depth + 1), (_leaf(1), depth + 1))
 
 
 class TestGrowBestFirst:
@@ -84,7 +84,7 @@ class TestGrowBestFirst:
             return 1.0, "s"
 
         def commit(i, region, split):
-            return AxisConstraint(0, float(i)), ((_leaf(0), region), (_leaf(1), None))
+            return (0, float(i)), ((_leaf(0), region), (_leaf(1), None))
 
         cols, gains = _grow(_leaf(), "box", score, commit, 9)
         assert scored == [0, 1, 3, 5, 7]

@@ -11,7 +11,7 @@ from treextract import (BoxConstraint, Dataset, DecisionTree, EMConfig,
 from treextract.core import leaf_row, split_row
 from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            encode_features, gmm_from_doc, gmm_to_doc, load_csv,
-                           load_gmm, load_tree, save_csv, save_gmm, save_tree,
+                           load_gmm, load_json, load_tree, save_csv, save_gmm, save_tree,
                            tree_from_doc, tree_to_doc)
 
 
@@ -160,6 +160,15 @@ class TestTreeJson:
             tree_from_doc(doc)
 
 
+class TestLoadJson:
+    @pytest.mark.parametrize("raw", [b'{"kind": ', b"\xff\xfe{}", b"[1, 2]"],
+                             ids=["truncated", "not-utf8", "not-an-object"])
+    def test_malformed_document_is_input_error(self, tmp_path, raw):
+        (tmp_path / "doc.json").write_bytes(raw)
+        with pytest.raises(InputError, match="doc.json"):
+            load_json(tmp_path / "doc.json")
+
+
 class TestGmmJson:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         gmm = fit_em(rng.normal(size=(200, 3)), 3, EMConfig(seed=1))
@@ -178,8 +187,8 @@ class TestGmmJson:
 
 class TestBlackboxJson:
     def test_box_blackbox_with_infinite_bounds(self, rng):
-        from treextract import synthetic_box_blackbox
-        bb = synthetic_box_blackbox(
+        from treextract import BoxBlackbox
+        bb = BoxBlackbox(
             [BoxConstraint([-np.inf, 0.0], [1.0, np.inf])], [1], d=2, m=2)
         doc = blackbox_to_doc(bb)
         assert doc["boxes"][0]["lower"] == [None, 0.0]
