@@ -132,34 +132,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, actions: list) -> None:
-    """Fill values from a key=value file for flags left at their default."""
-    if not getattr(args, "config", None):
-        return
-    overrides = {}
-    with open(args.config, encoding="utf-8") as fh:
+def _read_config(path, sub: argparse.ArgumentParser) -> dict:
+    """Subcommand defaults from a key=value file; given flags still win."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise InputError(f"{args.config}:{line_no}: expected key=value")
+                raise InputError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    by_dest = {a.dest: a for a in actions}
-    for key, value in overrides.items():
-        if key not in by_dest or not hasattr(args, key):
-            raise InputError(f"{args.config}: unknown key {key!r}")
-        action = by_dest[key]
-        if getattr(args, key) != action.default:
-            continue  # explicit flag wins
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            parsed = value.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            parsed = action.type(value)
-        else:
-            parsed = value
-        setattr(args, key, parsed)
+            values[key.strip().replace("-", "_")] = value.strip()
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    for key, value in values.items():
+        if key not in actions:
+            raise InputError(f"{path}: unknown key {key!r}")
+        # argparse converts other string defaults with the flag's type itself.
+        if isinstance(actions[key], (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            values[key] = value.lower() in ("1", "true", "yes")
+    return values
 
 
 def _resolve_seed(args) -> int:
@@ -348,9 +340,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        actions = [a for g in parser._subparsers._group_actions
-                   for a in g.choices[args.command]._actions]
-        _apply_config_file(args, actions)
+        if args.config:
+            sub = parser._subparsers._group_actions[0].choices[args.command]
+            sub.set_defaults(**_read_config(args.config, sub))
+            args = parser.parse_args(argv)
         _echo_config(args)
         return _COMMANDS[args.command](args)
     except InputError as e:

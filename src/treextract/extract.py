@@ -293,13 +293,15 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     return tree
 
 
-def _pruned_at_alpha(tree: DecisionTree, counts, n_val: int, alpha: float) -> DecisionTree:
-    """Weakest-link pruning: repeatedly collapse the internal node whose
-    per-leaf error increase rate is strictly below alpha.
+def _weakest_links(tree: DecisionTree, counts, on_path, n_val: int):
+    """Weakest-link pruning: collapse, one at a time, the internal node whose
+    per-leaf error increase rate is lowest, until none is left.
 
     counts holds the class counts of the validation points reaching each
-    node. The subtree sums are reverse sweeps over the node ids, as every
-    child id exceeds its parent's.
+    node, on_path[j, i] whether node i is on node j's root path. Returns the
+    nodes and rates in collapse order and each node's label, class
+    histogram and mass as a leaf. The subtree sums are reverse sweeps over
+    the node ids, as every child id exceeds its parent's.
     """
     n = tree.size
     splits = np.flatnonzero(tree.feature >= 0)
@@ -314,27 +316,64 @@ def _pruned_at_alpha(tree: DecisionTree, counts, n_val: int, alpha: float) -> De
     collapse_err = reached - counts[np.arange(n), label]
 
     collapsed = np.zeros(n, dtype=bool)
+    nodes, rates = [], []
     while True:
         # Error and leaf count of each subtree, treating collapsed nodes as leaves.
         err = np.where(collapsed, collapse_err, leaf_err)
         leaves = np.ones(n)
-        hidden = collapsed.copy()
         for i in splits[::-1]:
             if not collapsed[i]:
                 err[i] = err[tree.left[i]] + err[tree.right[i]]
                 leaves[i] = leaves[tree.left[i]] + leaves[tree.right[i]]
-        for i in splits:
-            hidden[[tree.left[i], tree.right[i]]] |= hidden[i]
-        live = splits[~hidden[splits]]
+        live = splits[~(on_path[splits] & collapsed).any(axis=1)]
+        if live.size == 0:
+            return nodes, rates, label, hist, mass
         # Collapsing trades (size shrink of 2*(leaves-1) nodes) against the
         # validation error increase; scale per node of size removed.
         g = (collapse_err[live] - err[live]) / max(n_val, 1) / (2.0 * (leaves[live] - 1))
-        if live.size == 0 or not g.min() < alpha:
-            break
-        collapsed[live[np.argmin(g)]] = True  # ties go to the lowest id
+        nodes.append(live[np.argmin(g)])  # ties go to the lowest id
+        rates.append(g.min())
+        collapsed[nodes[-1]] = True
 
-    # Rebuild in preorder without the collapsed subtrees.
-    rows: list = []
+
+def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
+          alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS,
+          rng: Optional[np.random.Generator] = None) -> DecisionTree:
+    """Cost-complexity pruning against fresh validation samples.
+
+    One fresh labeled sample set drives the weakest-link collapse sequence
+    (error + alpha * size); alpha's tree collapses its nodes up to the first
+    rate not below alpha. A second one selects the alpha whose tree has the
+    highest fidelity; ties prefer the smaller tree, then the earlier alpha.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    cm = condition(gmm, BoxConstraint.unbounded(tree.d))
+    X_prune = np.atleast_2d(sample_conditional(cm, rng, n_val))
+    y_prune = _label_points(f, X_prune, "prune")
+    X_sel = np.atleast_2d(sample_conditional(cm, rng, n_val))
+    y_sel = _label_points(f, X_sel, "prune selection")
+    n = tree.size
+    on_path = np.eye(n, dtype=bool)
+    for i in np.flatnonzero(tree.feature >= 0):  # parents before children
+        on_path[[tree.left[i], tree.right[i]]] |= on_path[i]
+    # Class counts of the points reaching each node (whole numbers, so exact).
+    counts = on_path[tree.apply(X_prune)].T @ np.eye(tree.m)[y_prune]
+    nodes, rates, label, hist, mass = _weakest_links(tree, counts, on_path, n_val)
+    leaf_sel = tree.apply(X_sel)
+    best = None
+    for alpha in alphas:
+        # The nodes before the first rate not below alpha (all when none is).
+        collapsed = np.isin(np.arange(n), nodes[:np.argmax(np.append(rates, np.inf) >= alpha)])
+        cut = on_path & collapsed  # a point stops at its topmost (lowest-id) collapsed node
+        stop_label = np.where(cut.any(axis=1), label[np.argmax(cut, axis=1)], tree.label)
+        key = (-float(np.mean(stop_label[leaf_sel] == y_sel)),
+               n - np.count_nonzero(cut.sum(axis=1) > collapsed))  # fidelity, size
+        if best is None or key < best[0]:
+            best = (key, collapsed)
+    collapsed = best[1]
+
+    rows: list = []  # the selected tree, rebuilt in preorder
 
     def rebuild(i):
         my_id = len(rows)
@@ -353,34 +392,3 @@ def _pruned_at_alpha(tree: DecisionTree, counts, n_val: int, alpha: float) -> De
 
     rebuild(0)
     return DecisionTree.from_rows(rows, tree.d, tree.m, tree.budget)
-
-
-def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
-          alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS,
-          rng: Optional[np.random.Generator] = None) -> DecisionTree:
-    """Cost-complexity pruning against fresh validation samples.
-
-    One fresh labeled sample set drives the weakest-link collapse sequence
-    (error + alpha * size) and a second one selects the alpha whose pruned
-    tree has the highest fidelity; ties prefer the smaller tree.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    cm = condition(gmm, BoxConstraint.unbounded(tree.d))
-    X_prune = np.atleast_2d(sample_conditional(cm, rng, n_val))
-    y_prune = _label_points(f, X_prune, "prune")
-    X_sel = np.atleast_2d(sample_conditional(cm, rng, n_val))
-    y_sel = _label_points(f, X_sel, "prune selection")
-    counts = np.zeros((tree.size, tree.m))
-    np.add.at(counts, (tree.apply(X_prune), y_prune), 1.0)
-    for i in np.flatnonzero(tree.feature >= 0)[::-1]:  # children before parents
-        counts[i] = counts[tree.left[i]] + counts[tree.right[i]]
-
-    best = None
-    for alpha in alphas:
-        candidate = _pruned_at_alpha(tree, counts, n_val, float(alpha))
-        fid = float(np.mean(candidate.predict_batch(X_sel) == y_sel))
-        key = (-fid, candidate.size)
-        if best is None or key < best[0]:
-            best = (key, candidate)
-    return best[1]

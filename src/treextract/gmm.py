@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .core import BoxConstraint, Dataset
 from .errors import ConfigError, EmptyRegionError, InputError
@@ -27,8 +27,8 @@ from .errors import ConfigError, EmptyRegionError, InputError
 Z_FLOOR = 1e-300
 LOG_Z_FLOOR = math.log(Z_FLOOR)
 
-# Standardized bound beyond which inverse-CDF sampling loses precision and
-# we switch to tail rejection sampling.
+# Standardized bound beyond which the linear-space inverse CDF loses
+# precision and the sampler inverts the CDF in log space instead.
 TAIL_CUTOFF = 6.0
 
 
@@ -99,15 +99,22 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+def _log_joint(X: np.ndarray, w: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """(n, K) log w_j + log N(x | mu_j, diag(sd_j^2)) for each row x of X."""
+    # One (n, K, d) buffer, squared in place: freeing two at once let the
+    # allocator return them to the system and fault them in again per call.
+    z2 = X[:, None, :] - mu[None, :, :]
+    z2 /= sd[None, :, :]
+    z2 *= z2
+    with np.errstate(divide="ignore"):  # a zero weight gives -inf
+        return -0.5 * np.sum(z2, axis=2) - np.sum(np.log(sd), axis=1) \
+            - 0.5 * X.shape[1] * math.log(2 * math.pi) + np.log(w)[None, :]
+
+
 def log_pdf(gmm: GaussianMixture, X) -> np.ndarray:
     """Log density of the mixture at each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    z = (X[:, None, :] - gmm.means[None, :, :]) / gmm.stddevs[None, :, :]
-    comp = -0.5 * np.sum(z * z, axis=2) - np.sum(np.log(gmm.stddevs), axis=1) \
-        - 0.5 * gmm.d * math.log(2 * math.pi)
-    with np.errstate(divide="ignore"):
-        logw = np.log(gmm.weights)
-    out = logsumexp(comp + logw[None, :], axis=1)
+    out = logsumexp(_log_joint(X, gmm.weights, gmm.means, gmm.stddevs), axis=1)
     if gmm.x_max is not None:
         outside = ~gmm.domain_box().contains_batch(X)
         out = np.where(outside, -np.inf, out - _log_domain_mass(gmm))
@@ -227,50 +234,35 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarr
     return np.searchsorted(edges, u, side="right").clip(0, p.shape[0] - 1)
 
 
-def _robert_tail(a: float, b: float, rng: np.random.Generator) -> float:
-    """Standard-normal draw from the far upper-tail interval (a, b].
-
-    Exponential-proposal rejection: propose z = a + Exp(rate) with the
-    optimal rate (a + sqrt(a^2+4))/2 and accept with exp(-(z-rate)^2/2).
-    """
-    rate = 0.5 * (a + math.sqrt(a * a + 4.0))
-    while True:
-        z = a + rng.exponential(1.0 / rate)
-        if z <= b and rng.random() <= math.exp(-0.5 * (z - rate) ** 2):
-            return z
-
-
 def _inverse_cdf(a, b, u):
     """Standard-normal inverse-CDF draws on (a, b] from uniforms u.
 
     Intervals with a >= 0 are mirrored to (-b, -a] and the draw negated:
-    the lower-tail CDF keeps the precision the upper tail would lose.
+    the lower-tail CDF keeps the precision the upper tail would lose. Rows
+    whose mirrored interval (lo, hi] lies below -TAIL_CUTOFF invert in log
+    space, exact to a few ulps at any depth and width.
     """
     flip = a >= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
     clo = ndtr(lo)
     z = ndtri(clo + u * (ndtr(hi) - clo))
+    if hi.min() <= -TAIL_CUTOFF:
+        tail = hi <= -TAIL_CUTOFF
+        z, log_lo, log_hi = np.asarray(z), log_ndtr(lo[tail]), log_ndtr(hi[tail])
+        # z = ndtri_exp(log(Phi(lo) + u (Phi(hi) - Phi(lo)))), with the mass as
+        # log_hi + log(1 - e^x); log1p(-e^x) would only sharpen a term whose
+        # error is far below log_hi's ulp.
+        with np.errstate(divide="ignore"):  # u == 0, or hi - lo below log_hi's ulp
+            log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
+            z[tail] = ndtri_exp(np.logaddexp(log_lo, np.log(np.asarray(u)[tail]) + log_mass))
     return np.where(flip, -z, z)
-
-
-def _trunc_std_normal(a: float, b: float, rng: np.random.Generator) -> float:
-    """One standard-normal draw restricted to (a, b]."""
-    if a >= TAIL_CUTOFF:
-        return _robert_tail(a, b, rng)
-    if b <= -TAIL_CUTOFF:
-        return -_robert_tail(-b, -a, rng)
-    return float(_inverse_cdf(a, b, rng.random()))
 
 
 def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
                             rng: np.random.Generator) -> float:
-    """One draw from N(mu, sigma^2) restricted to (lo, hi].
-
-    Inverse-CDF on the truncated uniform for standardized bounds within
-    +-TAIL_CUTOFF; exponential-proposal rejection beyond, which stays
-    numerically valid out to standardized bounds of 30 and more.
-    """
+    """One draw from N(mu, sigma^2) restricted to (lo, hi], by the inverse
+    CDF of one uniform (in log space past TAIL_CUTOFF)."""
     if not (lo < hi):
         raise InputError(f"empty interval ({lo}, {hi}]")
     if sigma <= 0:
@@ -279,7 +271,9 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
         return float(mu + sigma * rng.standard_normal())
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
-    z = _trunc_std_normal(a, b, rng)
+    z = float(_inverse_cdf(a, b, rng.random()))
+    while not math.isfinite(z):  # a uniform at an end of [0, 1) at an infinite bound
+        z = float(_inverse_cdf(a, b, rng.random()))
     x = mu + sigma * z
     # Enforce the half-open interval exactly despite rounding.
     if x <= lo:
@@ -296,7 +290,8 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
     Returns a (d,) point when size is None, else a (size, d) matrix. Every
     returned point satisfies the box exactly. Dimensions the box leaves
     unbounded are drawn as plain normals, so conditioning on the unbounded
-    box reproduces the unconditional sampler draw for draw.
+    box reproduces the unconditional sampler draw for draw; the others take
+    one uniform per point.
     """
     single = size is None
     n = 1 if single else int(size)
@@ -313,10 +308,10 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
         a = cm.alpha[comps, i]
         b = cm.beta[comps, i]
         z = _inverse_cdf(a, b, rng.random(n))
-        # Far-tail points fall back to rejection sampling one at a time.
-        tails = np.flatnonzero((a >= TAIL_CUTOFF) | (b <= -TAIL_CUTOFF) | ~np.isfinite(z))
-        for j in tails:
-            z[j] = _trunc_std_normal(float(a[j]), float(b[j]), rng)
+        bad = np.flatnonzero(~np.isfinite(z))  # a uniform at an end of [0, 1) at an infinite bound
+        while bad.size:
+            z[bad] = _inverse_cdf(a[bad], b[bad], rng.random(bad.size))
+            bad = bad[~np.isfinite(z[bad])]
         x = mu + sd * z
         np.clip(x, np.nextafter(lo, np.inf), hi, out=x)
         X[:, i] = x
@@ -358,8 +353,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _em_run(X: np.ndarray, k: int, floor: np.ndarray, rng: np.random.Generator,
-            history: Optional[list] = None):
-    n, d = X.shape
+            history: list):
+    n = X.shape[0]
     centers = _kmeanspp_init(X, k, rng)
     # Hard-assign to the seeded centers for the initial M step.
     assign = np.argmin(
@@ -380,16 +375,11 @@ def _em_run(X: np.ndarray, k: int, floor: np.ndarray, rng: np.random.Generator,
         var = np.maximum(var, floor[None, :])
         sd = np.sqrt(var)
         # E step
-        z = (X[:, None, :] - mu[None, :, :]) / sd[None, :, :]
-        logp = -0.5 * np.sum(z * z, axis=2) - np.sum(np.log(sd), axis=1) \
-            - 0.5 * d * math.log(2 * math.pi)
-        with np.errstate(divide="ignore"):
-            logp = logp + np.log(np.maximum(w, 1e-300))[None, :]
+        logp = _log_joint(X, w, mu, sd)
         norm = logsumexp(logp, axis=1)
         new_loglik = float(norm.sum())
         resp = np.exp(logp - norm[:, None])
-        if history is not None:
-            history.append(new_loglik)
+        history.append(new_loglik)
         if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)) and np.isfinite(loglik):
             loglik = new_loglik
             break
@@ -436,21 +426,16 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
     return GaussianMixture(w, mu, sd)
 
 
-def select_k_bic(data, k_grid=None, cfg: EMConfig = EMConfig()) -> GaussianMixture:
-    """Pick K by BIC over a small grid (default {1,2,5,10,20} capped at n/10)."""
+def select_k_bic(data, cfg: EMConfig = EMConfig()) -> GaussianMixture:
+    """Pick K by BIC over {1, 2, 5, 10, 20}, capped at n/10 (K = 1 always runs)."""
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     n, d = X.shape
-    if k_grid is None:
-        k_grid = [k for k in (1, 2, 5, 10, 20) if k <= max(1, n // 10)]
-        if not k_grid:
-            k_grid = [1]
     best = None
-    for k in k_grid:
+    for k in (c for c in (1, 2, 5, 10, 20) if c <= max(1, n // 10)):
         hist: list = []
         gmm = fit_em(X, k, cfg, history_out=hist)
-        loglik = hist[-1] if hist else float(log_pdf(gmm, X).sum())
         n_params = (gmm.k - 1) + 2 * gmm.k * d
-        bic = -2.0 * loglik + n_params * math.log(n)
+        bic = -2.0 * hist[-1] + n_params * math.log(n)
         if best is None or bic < best[0]:
             best = (bic, gmm)
     return best[1]

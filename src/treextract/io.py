@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +26,15 @@ FORMAT_VERSION = 1
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 LABEL = "label"
+
+
+@contextmanager
+def _reading(kind: str):
+    """A missing key or a wrong-typed entry in a kind document is an InputError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"malformed {kind} document: {type(e).__name__}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +65,8 @@ class TableSchema:
     def from_json(cls, doc) -> "TableSchema":
         if isinstance(doc, (str, os.PathLike)):
             doc = load_json(doc)
-        return cls([(c["name"], c["kind"]) for c in doc["columns"]])
+        with _reading("table schema"):
+            return cls([(c["name"], c["kind"]) for c in doc["columns"]])
 
     @classmethod
     def all_numeric_with_label(cls, header: Sequence[str]) -> "TableSchema":
@@ -221,18 +232,19 @@ def tree_to_doc(tree: DecisionTree) -> dict:
 
 
 def tree_from_doc(doc: dict) -> DecisionTree:
-    if doc.get("kind") != "decision_tree":
-        raise InputError("not a decision tree document")
-    if doc["root"] != 0:
-        raise InputError("the root must be node 0")
-    if any(nd["type"] == "internal" and nd["dim"] < 0 for nd in doc["nodes"]):
-        raise InputError("split dim out of range")
-    m = doc["m"]
-    rows = [split_row(nd["dim"], nd["threshold"], nd["left"], nd["right"], m)
-            if nd["type"] == "internal" else
-            leaf_row(nd["label"], nd["class_histogram"], nd["mass"], nd["cached_gain"])
-            for nd in doc["nodes"]]
-    return DecisionTree.from_rows(rows, doc["d"], m, doc.get("budget"))
+    with _reading("decision_tree"):
+        if doc.get("kind") != "decision_tree":
+            raise InputError("not a decision tree document")
+        if doc["root"] != 0:
+            raise InputError("the root must be node 0")
+        if any(nd["type"] == "internal" and nd["dim"] < 0 for nd in doc["nodes"]):
+            raise InputError("split dim out of range")
+        m = doc["m"]
+        rows = [split_row(nd["dim"], nd["threshold"], nd["left"], nd["right"], m)
+                if nd["type"] == "internal" else
+                leaf_row(nd["label"], nd["class_histogram"], nd["mass"], nd["cached_gain"])
+                for nd in doc["nodes"]]
+        return DecisionTree.from_rows(rows, doc["d"], m, doc.get("budget"))
 
 
 def gmm_to_doc(gmm: GaussianMixture) -> dict:
@@ -244,10 +256,11 @@ def gmm_to_doc(gmm: GaussianMixture) -> dict:
 
 
 def gmm_from_doc(doc: dict) -> GaussianMixture:
-    if doc.get("kind") != "gaussian_mixture":
-        raise InputError("not a gaussian mixture document")
-    return GaussianMixture(np.array(doc["weights"]), np.array(doc["means"]),
-                           np.array(doc["stddevs"]), x_max=doc.get("x_max"))
+    with _reading("gaussian_mixture"):
+        if doc.get("kind") != "gaussian_mixture":
+            raise InputError("not a gaussian mixture document")
+        return GaussianMixture(np.array(doc["weights"]), np.array(doc["means"]),
+                               np.array(doc["stddevs"]), x_max=doc.get("x_max"))
 
 
 def _bound_to_json(v: float):
@@ -280,20 +293,21 @@ def blackbox_to_doc(model) -> dict:
 
 def blackbox_from_doc(doc: dict):
     kind = doc.get("kind")
-    if kind == "random_forest":
-        return RandomForest(tuple(tree_from_doc(t) for t in doc["trees"]),
-                            doc["d"], doc["m"])
-    if kind == "tabular_policy":
-        return TabularPolicy(tuple(np.array(e) for e in doc["edges"]),
-                             np.array(doc["actions"], dtype=np.int64),
-                             tuple(doc["grid_sizes"]), d=len(doc["grid_sizes"]))
-    if kind == "box_blackbox":
-        boxes = tuple(BoxConstraint([_bound_from_json(v, -1) for v in b["lower"]],
-                                    [_bound_from_json(v, +1) for v in b["upper"]])
-                      for b in doc["boxes"])
-        return BoxBlackbox(boxes, tuple(doc["labels"]), doc["d"], doc["m"],
-                           doc.get("default_label", 0))
-    raise InputError(f"unknown blackbox kind {kind!r}")
+    with _reading(kind):
+        if kind == "random_forest":
+            return RandomForest(tuple(tree_from_doc(t) for t in doc["trees"]),
+                                doc["d"], doc["m"])
+        if kind == "tabular_policy":
+            return TabularPolicy(tuple(np.array(e) for e in doc["edges"]),
+                                 np.array(doc["actions"], dtype=np.int64),
+                                 tuple(doc["grid_sizes"]), d=len(doc["grid_sizes"]))
+        if kind == "box_blackbox":
+            boxes = tuple(BoxConstraint([_bound_from_json(v, -1) for v in b["lower"]],
+                                        [_bound_from_json(v, +1) for v in b["upper"]])
+                          for b in doc["boxes"])
+            return BoxBlackbox(boxes, tuple(doc["labels"]), doc["d"], doc["m"],
+                               doc.get("default_label", 0))
+        raise InputError(f"unknown blackbox kind {kind!r}")
 
 
 def save_json(path, doc: dict) -> None:

@@ -140,6 +140,28 @@ class TestPipeline:
         assert code == 1
         assert "error: bad.json: malformed JSON" in err
 
+    @pytest.mark.parametrize("argv,name,doc,kind", [
+        (["export", "--tree", "bad.json"], "bad.json",
+         {"kind": "decision_tree"}, "decision_tree"),
+        (["extract", "--gmm", "bad.json", "--blackbox", "synthetic:bb.json",
+          "--max-nodes", "3", "--samples-per-node", "50", "--out", "t.json"], "bad.json",
+         {"kind": "gaussian_mixture", "weights": [1.0], "stddevs": [[1.0, 1.0]]},
+         "gaussian_mixture"),
+        (["evaluate", "--tree", "tree.json", "--blackbox", "rf:bad.json",
+          "--data", "train.csv"], "bad.json",
+         {"kind": "random_forest", "d": 2, "m": 2}, "random_forest"),
+        (["fit-gmm", "--data", "train.csv", "--schema", "bad.json", "--out", "g.json"],
+         "bad.json", {"columns": [{"name": "x0"}, {"name": "x1", "kind": "numeric"},
+                                  {"name": "label", "kind": "label"}]}, "table schema"),
+    ], ids=["tree", "gmm", "forest", "schema"])
+    def test_document_missing_key_exits_1(self, workdir, synthetic_spec, capsys,
+                                          argv, name, doc, kind):
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        save_json(workdir / name, doc)
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert f"error: malformed {kind} document: KeyError" in err
+
 
 class TestDeterminism:
     def test_identical_seeds_byte_identical_outputs(self, workdir, synthetic_spec, capsys):
@@ -174,6 +196,19 @@ class TestConfigFile:
         echoed = json.loads(err.splitlines()[0])
         assert echoed["k"] == "1"      # flag wins
         assert echoed["seed"] == 5     # config fills the gap
+
+    def test_flag_equal_to_its_default_beats_config(self, workdir, synthetic_spec, capsys):
+        (workdir / "cfg.txt").write_text("n_init=1\n", encoding="utf-8")
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--n-init", "4", "--k", "1",
+                            "--config", "cfg.txt", "--out", "g.json"], capsys)
+        assert code == 0
+        assert json.loads(err.splitlines()[0])["n_init"] == 4
+
+    def test_bad_config_value_exits_1(self, workdir, synthetic_spec, capsys):
+        (workdir / "cfg.txt").write_text("n_init=many\n", encoding="utf-8")
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--config", "cfg.txt",
+                            "--out", "g.json"], capsys)
+        assert code == 1 and "invalid int value: 'many'" in err
 
     def test_unknown_config_key_rejected(self, workdir, synthetic_spec, capsys):
         (workdir / "cfg.txt").write_text("bogus=1\n", encoding="utf-8")

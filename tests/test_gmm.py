@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 import scipy.special
@@ -7,7 +9,8 @@ from scipy import integrate, stats
 
 from treextract import (BoxConstraint, ConfigError, EMConfig, EmptyRegionError,
                         GaussianMixture, InputError, box_mass, condition,
-                        fit_em, pdf, sample, sample_conditional, select_k_bic)
+                        fit_em, pdf, sample, sample_conditional,
+                        sample_truncated_normal, select_k_bic)
 from treextract import gmm as gmm_mod
 
 
@@ -119,6 +122,82 @@ class TestSampling:
         a = sample_conditional(cm, np.random.default_rng(42), 100)
         b = sample_conditional(cm, np.random.default_rng(42), 100)
         assert np.array_equal(a, b)
+
+
+@st.composite
+def tail_mixtures(draw):
+    """A mixture and a box whose bounded dimensions are bulk, or 6 to 20 sd
+    out on either side for component 0. With k >= 2, component 1 sits on the
+    box's edges (bulk for it) and the weights are set so that no component
+    carries more of the box's mass than component 0, so one draw mixes
+    far-tail and bulk rows."""
+    d, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    mu = draw(arrays(np.float64, (k, d), elements=st.floats(-3.0, 3.0)))
+    sd = draw(arrays(np.float64, (k, d), elements=st.floats(0.5, 2.0)))
+    lower, upper = np.full(d, -np.inf), np.full(d, np.inf)
+    for i in range(d):
+        kind = draw(st.sampled_from(["free", "bulk", "upper tail", "lower tail"]))
+        s = draw(st.floats(6.0, 20.0))
+        width = draw(st.sampled_from([1e-3, 1.0, np.inf]))
+        if kind == "bulk":
+            lower[i], upper[i] = mu[0, i] - sd[0, i], mu[0, i] + sd[0, i]
+        elif kind == "upper tail":
+            lower[i] = mu[0, i] + s * sd[0, i]
+            upper[i] = lower[i] + width
+        elif kind == "lower tail":
+            upper[i] = mu[0, i] - s * sd[0, i]
+            lower[i] = upper[i] - width
+    if k >= 2:
+        edge = np.where(np.isfinite(lower), lower, upper)
+        mu[1] = np.where(np.isfinite(edge), edge, mu[1])
+    box = BoxConstraint(lower, upper)
+    log_m = gmm_mod._log_masses(GaussianMixture(np.full(k, 1.0 / k), mu, sd),
+                                lower[None], upper[None])[0][0]
+    w = np.exp(np.minimum(log_m[0] - log_m, 0.0))  # no more mass than component 0
+    return GaussianMixture(w / w.sum(), mu, sd), box
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 10 s with TimeoutError instead of hanging
+    the suite (SIGALRM; the test must spend its time in Python code)."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("test ran past its 10 s alarm")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTailSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(tail_mixtures(), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+    def test_one_uniform_per_bounded_coordinate(self, model, n, seed):
+        gmm, box = model
+        rng = np.random.default_rng(seed)
+        X = sample_conditional(condition(gmm, box), rng, n)
+        assert box.contains_batch(X).all() and np.all(np.isfinite(X))
+        ref = np.random.default_rng(seed)
+        ref.random(n)  # the component draw
+        for lo, hi in zip(box.lower, box.upper):
+            if np.isinf(lo) and np.isinf(hi):
+                ref.standard_normal(n)
+            else:
+                ref.random(n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_narrow_far_tail_interval(self, alarm):
+        lo, hi = 8.0, 8.0 + 1e-9
+        rng = np.random.default_rng(3)
+        xs = np.array([sample_truncated_normal(0.0, 1.0, lo, hi, rng) for _ in range(1000)])
+        cm = condition(GaussianMixture([1.0], [[0.0]], [[1.0]]), BoxConstraint([lo], [hi]))
+        X = sample_conditional(cm, rng, 1000)[:, 0]
+        for draws in (xs, X):
+            assert np.all((draws > lo) & (draws <= hi))
 
 
 class TestPdf:

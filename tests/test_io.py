@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -13,6 +14,8 @@ from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            encode_features, gmm_from_doc, gmm_to_doc, load_csv,
                            load_gmm, load_json, load_tree, save_csv, save_gmm, save_tree,
                            tree_from_doc, tree_to_doc)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -209,15 +212,11 @@ class TestDocumentSchemas:
     jsonschema = pytest.importorskip("jsonschema")
 
     def test_tree_doc_validates(self):
-        import json as _json
-        import pathlib
-        schema = _json.loads(pathlib.Path("tree.schema.json").read_text())
+        schema = json.loads((REPO / "tree.schema.json").read_text())
         self.jsonschema.validate(tree_to_doc(sample_tree()), schema)
 
     def test_gmm_doc_validates(self, gmm_2d):
-        import json as _json
-        import pathlib
-        schema = _json.loads(pathlib.Path("gmm.schema.json").read_text())
+        schema = json.loads((REPO / "gmm.schema.json").read_text())
         self.jsonschema.validate(gmm_to_doc(gmm_2d), schema)
 
 

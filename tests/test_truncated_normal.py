@@ -47,6 +47,9 @@ def test_far_tail_hard_constraint():
     (2.0, 0.7, 3.0, np.inf),      # one-sided
     (0.0, 1.0, 8.0, 9.0),         # far tail
     (-1.0, 2.0, -np.inf, -4.0),   # lower tail one-sided
+    (0.0, 1.0, -9.0, -8.0),       # far lower tail
+    (0.0, 1.0, 30.0, 31.0),       # very far tail
+    (0.0, 1.0, 8.0, 8.0 + 1e-9),  # narrow far tail
 ])
 def test_ks_against_quadrature_reference(mu, sigma, lo, hi):
     xs = draw(mu, sigma, lo, hi, 10 ** 4, seed=11)
