@@ -259,6 +259,55 @@ class TestFitEM:
         assert g.k >= 2
 
 
+def _offset_data():
+    """2,000 points: sd 0.01 at offset 1e6 and sd 1 at offset 1e8, with the
+    sample moments set exactly so that the truth is the generating values."""
+    Z = np.random.default_rng(11).normal(size=(2000, 2))
+    Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+    return np.array([1e6, 1e8]) + np.array([0.01, 1.0]) * Z
+
+
+class TestLargeOffsets:
+    def test_fit_recovers_spread_far_from_origin(self):
+        g = fit_em(_offset_data(), 1, EMConfig(seed=0, n_init=1))
+        np.testing.assert_allclose(g.stddevs[0], [0.01, 1.0], rtol=0.01)
+        assert np.all(np.abs(g.means[0] - [1e6, 1e8]) <= [1e-4, 1e-2])
+
+    def test_log_pdf_matches_direct_formula(self):
+        X = _offset_data()
+        # A fitted single component is the sample moments. Its mean is
+        # representable only to ulp(1e6) = 1.2e-8 sd, which moves the log
+        # density by up to 1e-7.
+        fitted = fit_em(X, 1, EMConfig(seed=0, n_init=1))
+        ref = stats.norm.logpdf(X, X.mean(axis=0), X.std(axis=0)).sum(axis=1)
+        np.testing.assert_allclose(gmm_mod.log_pdf(fitted, X), ref, rtol=1e-9, atol=1e-6)
+        w = np.array([0.3, 0.7])
+        mu = np.array([[1e6, 1e8], [1e6 + 0.05, 1e8 - 3.0]])
+        sd = np.array([[0.01, 1.0], [0.02, 2.0]])
+        per_comp = stats.norm.logpdf(X[:, None, :], mu, sd).sum(axis=2) + np.log(w)
+        np.testing.assert_allclose(gmm_mod.log_pdf(GaussianMixture(w, mu, sd), X),
+                                   scipy.special.logsumexp(per_comp, axis=1),
+                                   rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.floats(-2.0, 2.0), st.booleans(), st.floats(-1e3, 1e3))
+    def test_fit_is_affine_equivariant(self, seed, d, k, log_a, negative, shift):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(scale=3.0, size=(k, d))
+        X = centers[rng.integers(k, size=60)] + rng.normal(size=(60, d))
+        a = (-1.0 if negative else 1.0) * 10.0 ** log_a
+        # Up to 1e3 data sds away; beyond that, rounding aX + b alone moves
+        # the data by ulp(b), which EM's iterations can amplify toward 1e-9.
+        b = shift * abs(a)
+        cfg = EMConfig(seed=seed % 1000, n_init=1)
+        g, h = fit_em(X, k, cfg), fit_em(a * X + b, k, cfg)
+        np.testing.assert_allclose(h.weights, g.weights, rtol=1e-9)
+        np.testing.assert_allclose(h.stddevs, abs(a) * g.stddevs, rtol=1e-9)
+        np.testing.assert_allclose(h.means, a * g.means + b, rtol=1e-9,
+                                   atol=1e-9 * abs(a) * np.abs(X).max())
+
+
 class TestDomainTruncation:
     def test_samples_respect_x_max(self, rng):
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[3.0, 3.0]], x_max=1.0)
