@@ -63,6 +63,16 @@ class TestCondition:
         with pytest.raises(EmptyRegionError):
             condition(gmm_2d, bad)
 
+    @pytest.mark.parametrize("width", [1e-12, 1e-15, 1e-17])
+    @pytest.mark.parametrize("mu, sd, lo", [(0.0, 1.0, 0.0), (0.3, 0.7, 1e-3)])
+    def test_narrow_box_matches_quadrature(self, width, mu, sd, lo):
+        gmm = GaussianMixture([1.0], [[mu]], [[sd]])
+        box = BoxConstraint([lo], [lo + width])
+        ref, _ = integrate.quad(lambda x: stats.norm.pdf(x, mu, sd), box.lower[0],
+                                box.upper[0], epsabs=0.0, epsrel=1e-13)
+        assert abs(box_mass(gmm, box) / ref - 1.0) <= 1e-9
+        assert abs(condition(gmm, box).Z / ref - 1.0) <= 1e-9
+
     def test_shrinking_box_never_increases_mass(self, gmm_2d, rng):
         for _ in range(20):
             lo = rng.uniform(-3, 0, size=2)
