@@ -132,6 +132,9 @@ def build_parser() -> _Parser:
     return parser
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _read_config(path, sub: argparse.ArgumentParser) -> dict:
     """Subcommand defaults from a key=value file; given flags still win."""
     values = {}
@@ -150,7 +153,9 @@ def _read_config(path, sub: argparse.ArgumentParser) -> dict:
             raise InputError(f"{path}: unknown key {key!r}")
         # argparse converts other string defaults with the flag's type itself.
         if isinstance(actions[key], (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            values[key] = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise InputError(f"{path}: {key}={value!r} is not one of {', '.join(_BOOLEANS)}")
+            values[key] = _BOOLEANS[value.lower()]
     return values
 
 

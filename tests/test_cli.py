@@ -210,6 +210,20 @@ class TestConfigFile:
                             "--out", "g.json"], capsys)
         assert code == 1 and "invalid int value: 'many'" in err
 
+    @pytest.mark.parametrize("value, prune", [("TRUE", True), ("yes", True), ("0", False),
+                                              ("No", False), ("ture", None)])
+    def test_boolean_config_values(self, workdir, value, prune, capsys):
+        (workdir / "cfg.txt").write_text(f"prune={value}\n", encoding="utf-8")
+        # gmm.json does not exist, so a run that reads its config then exits 1.
+        code, _, err = run(["extract", "--gmm", "gmm.json", "--blackbox", "synthetic:bb.json",
+                            "--max-nodes", "3", "--samples-per-node", "10",
+                            "--config", "cfg.txt", "--out", "t.json"], capsys)
+        assert code == 1
+        if prune is None:
+            assert f"prune={value!r}" in err
+        else:
+            assert json.loads(err.splitlines()[0])["prune"] is prune
+
     def test_unknown_config_key_rejected(self, workdir, synthetic_spec, capsys):
         (workdir / "cfg.txt").write_text("bogus=1\n", encoding="utf-8")
         code, _, _ = run(["fit-gmm", "--data", "train.csv", "--config", "cfg.txt",
