@@ -103,22 +103,31 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def _log_joint(X: np.ndarray, w: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """(n, K) log w_j + log N(x | mu_j, diag(sd_j^2)) for each row x of X."""
-    # One (n, K, d) buffer, squared in place: freeing two at once let the
-    # allocator return them to the system and fault them in again per call.
-    z2 = X[:, None, :] - mu[None, :, :]
-    z2 /= sd[None, :, :]
-    z2 *= z2
+def _log_joint(Z, Z2, w, mu, sd) -> np.ndarray:
+    """(K, n) log w_j + log N(z | mu_j, diag(sd_j^2)) for each row z of Z; Z2 = Z * Z."""
+    # The quadratic form as three matmuls, the diagonal case of scikit-learn's
+    # _estimate_log_gaussian_prob: sum_i (z_i - mu_i)^2 prec_i =
+    # prec @ Z2.T - 2 (mu prec) @ Z.T + sum_i mu_i^2 prec_i. Its terms cancel
+    # where |z| and |mu| dwarf sd, so callers pass standardized coordinates.
+    # Components run along axis 0: numpy reduces a short inner axis slowly.
+    prec = 1.0 / (sd * sd)
+    mu_prec = mu * prec
+    quad = prec @ Z2.T - 2.0 * (mu_prec @ Z.T) + np.sum(mu * mu_prec, axis=1)[:, None]
     with np.errstate(divide="ignore"):  # a zero weight gives -inf
-        return -0.5 * np.sum(z2, axis=2) - np.sum(np.log(sd), axis=1) \
-            - 0.5 * X.shape[1] * math.log(2 * math.pi) + np.log(w)[None, :]
+        return -0.5 * quad + (np.log(w) - np.sum(np.log(sd), axis=1)
+                              - 0.5 * Z.shape[1] * math.log(2 * math.pi))[:, None]
 
 
 def log_pdf(gmm: GaussianMixture, X) -> np.ndarray:
     """Log density of the mixture at each row of X."""
+    # Evaluated in coordinates standardized by the mixture's mean and sd.
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = logsumexp(_log_joint(X, gmm.weights, gmm.means, gmm.stddevs), axis=1)
+    w, mu, sd = gmm.weights, gmm.means, gmm.stddevs
+    loc = w @ mu
+    scale = np.sqrt(w @ (sd * sd + (mu - loc) ** 2))
+    Z = (X - loc) / scale
+    out = logsumexp(_log_joint(Z, Z * Z, w, (mu - loc) / scale, sd / scale), axis=0) \
+        - np.sum(np.log(scale))
     if gmm.x_max is not None:
         outside = ~gmm.domain_box().contains_batch(X)
         out = np.where(outside, -np.inf, out - _log_domain_mass(gmm))
@@ -171,13 +180,13 @@ def _phi_interval(alpha, beta, width) -> np.ndarray:
     """Phi(beta) - Phi(alpha), computed stably in either tail and at any width.
 
     When the interval sits in the upper tail the complementary CDF form
-    Phi(-alpha) - Phi(-beta) avoids catastrophic cancellation near 1. Below
-    NARROW_WIDTH a difference of CDF values keeps only about
-    ulp(Phi) / (phi * width) relative accuracy, so the mass is taken from the
-    midpoint m instead, phi(m) * width * (1 + (m^2 - 1) width^2 / 24), whose
-    truncation error there is below 1e-16 relative. width is the box width
-    over sd, which keeps the digits beta - alpha rounds away.
+    Phi(-alpha) - Phi(-beta) avoids catastrophic cancellation near 1.
     """
+    # Below NARROW_WIDTH a CDF difference keeps only ulp(Phi) / (phi * width)
+    # relative accuracy, so the mass comes from the midpoint m instead:
+    # phi(m) * width * (1 + (m^2 - 1) width^2 / 24), truncation error below
+    # 1e-16 relative there. width = (upper - lower) / sd keeps the digits
+    # that beta - alpha rounds away.
     upper_tail = alpha > 0
     direct = ndtr(beta) - ndtr(alpha)
     flipped = ndtr(-alpha) - ndtr(-beta)
@@ -366,39 +375,40 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _em_run(X: np.ndarray, k: int, floor: np.ndarray, rng: np.random.Generator,
-            history: list):
+def _em_run(X: np.ndarray, Z: np.ndarray, k: int, floor: np.ndarray,
+            rng: np.random.Generator, log_scale: float):
+    # Seeded and hard-assigned in raw coordinates X, so every restart starts
+    # where it did before standardizing; iterated in standardized coordinates
+    # Z, with the variance floor in Z units. The history holds log-likelihoods
+    # in the data's units (standardized minus log_scale).
     n = X.shape[0]
     centers = _kmeanspp_init(X, k, rng)
     # Hard-assign to the seeded centers for the initial M step.
     assign = np.argmin(
         ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
-    resp = np.zeros((n, k))
-    resp[np.arange(n), assign] = 1.0
-    resp += 1e-6
-    resp /= resp.sum(axis=1, keepdims=True)
+    # Components along axis 0, as _log_joint returns them.
+    resp = (np.arange(k)[:, None] == assign) + 1e-6
+    resp /= resp.sum(axis=0)
 
-    loglik = -np.inf
-    w = mu = sd = None
+    Z2 = Z * Z
+    loglik, history = -np.inf, []
     for _ in range(EM_MAX_ITERS):
         # M step
-        nk = np.maximum(resp.sum(axis=0), 1e-10)
+        nk = np.maximum(resp.sum(axis=1), 1e-10)
         w = nk / n
-        mu = (resp.T @ X) / nk[:, None]
-        var = (resp.T @ (X * X)) / nk[:, None] - mu * mu
-        var = np.maximum(var, floor[None, :])
-        sd = np.sqrt(var)
+        mu = (resp @ Z) / nk[:, None]
+        sd = np.sqrt(np.maximum((resp @ Z2) / nk[:, None] - mu * mu, floor))
         # E step
-        logp = _log_joint(X, w, mu, sd)
-        norm = logsumexp(logp, axis=1)
+        logp = _log_joint(Z, Z2, w, mu, sd)
+        norm = logsumexp(logp, axis=0)
         new_loglik = float(norm.sum())
-        resp = np.exp(logp - norm[:, None])
-        history.append(new_loglik)
-        if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)) and np.isfinite(loglik):
-            loglik = new_loglik
+        resp = np.exp(logp - norm)
+        history.append(new_loglik - log_scale)
+        # The standardized log-likelihood makes the stop rule unit-free.
+        if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)):
             break
         loglik = new_loglik
-    return loglik, w, mu, sd
+    return new_loglik, w, mu, sd, history
 
 
 def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
@@ -418,17 +428,17 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of points n={n}")
+    # EM runs on the data standardized per dimension (scale 1 for a constant
+    # column), so an offset costs no precision and the fit is affine-equivariant.
+    loc, spread = X.mean(axis=0), np.ptp(X, axis=0)
+    scale = np.where(spread > 0, X.std(axis=0), 1.0)
+    Z = (X - loc) / scale
     # Variance floor: 1e-6 of each dimension's squared data range (at least 1e-3).
-    floor = 1e-6 * np.maximum(X.max(axis=0) - X.min(axis=0), 1e-3) ** 2
-
-    best = None
-    for r in range(cfg.n_init):
-        rng = np.random.default_rng([cfg.seed, r])
-        hist: list = []
-        loglik, w, mu, sd = _em_run(X, k, floor, rng, hist)
-        if best is None or loglik > best[0]:
-            best = (loglik, w, mu, sd, hist)
-    _, w, mu, sd, hist = best
+    floor = 1e-6 * np.maximum(spread, 1e-3) ** 2 / scale ** 2
+    log_scale = n * float(np.log(scale).sum())
+    runs = [_em_run(X, Z, k, floor, np.random.default_rng([cfg.seed, r]), log_scale)
+            for r in range(cfg.n_init)]
+    _, w, mu, sd, hist = max(runs, key=lambda run: run[0])  # the first of equals
     if history_out is not None:
         history_out.extend(hist)
 
@@ -437,7 +447,7 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
         warnings.warn(f"dropping {int((~keep).sum())} degenerate mixture component(s)")
         w, mu, sd = w[keep], mu[keep], sd[keep]
     w = w / w.sum()
-    return GaussianMixture(w, mu, sd)
+    return GaussianMixture(w, loc + scale * mu, scale * sd)
 
 
 def select_k_bic(data, cfg: EMConfig = EMConfig()) -> GaussianMixture:
