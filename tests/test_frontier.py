@@ -19,7 +19,8 @@ from treextract.extract import grow_best_first
 # tree_to_doc documents of fixed-seed 7-node trees on three_box_benchmark and
 # the oracle's gains, recorded before the builders shared one frontier loop;
 # sha256 digests of fixed-seed synthetic-RF, cart-pole and forest documents,
-# recorded before trees were stored as parallel arrays.
+# recorded before trees were stored as parallel arrays and again when EM
+# moved to standardized coordinates (every tree kept its structure).
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
            "cached_gain")
