@@ -377,9 +377,9 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 def _em_run(X: np.ndarray, Z: np.ndarray, k: int, floor: np.ndarray,
             rng: np.random.Generator, log_scale: float):
-    # Seeded and hard-assigned in raw coordinates X, so every restart starts
-    # where it did before standardizing; iterated in standardized coordinates
-    # Z, with the variance floor in Z units. The history holds log-likelihoods
+    # Seeded and hard-assigned in raw coordinates X, where k-means++ weighs
+    # each feature by its own spread; iterated in standardized coordinates Z,
+    # with the variance floor in Z units. The history holds log-likelihoods
     # in the data's units (standardized minus log_scale).
     n = X.shape[0]
     centers = _kmeanspp_init(X, k, rng)
