@@ -38,18 +38,14 @@ class Dataset:
             raise InputError(f"features must be a (n>=1, d>=1) matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise InputError("features contain NaN or Inf")
-        X = X.copy()
-        X.setflags(write=False)
-        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "features", _frozen_array(X))
         if self.labels is not None:
             y = np.asarray(self.labels, dtype=np.int64)
             if y.shape != (X.shape[0],):
                 raise InputError(f"labels shape {y.shape} does not match n={X.shape[0]}")
             if self.m < 1 or y.min() < 0 or y.max() >= self.m:
                 raise InputError(f"labels must lie in [0, {self.m})")
-            y = y.copy()
-            y.setflags(write=False)
-            object.__setattr__(self, "labels", y)
+            object.__setattr__(self, "labels", _frozen_array(y, np.int64))
         if len(self.column_names) != X.shape[1]:
             raise InputError("column_names length does not match d")
         object.__setattr__(self, "column_names", tuple(self.column_names))

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .core import BoxConstraint, Dataset
+from .core import BoxConstraint, Dataset, _frozen_array
 from .errors import ConfigError, EmptyRegionError, InputError
 
 Z_FLOOR = 1e-300
@@ -51,17 +51,13 @@ class GaussianMixture:
     x_max: Optional[float] = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        mu = np.array(self.means, dtype=np.float64)
-        sd = np.array(self.stddevs, dtype=np.float64)
+        w, mu, sd = (_frozen_array(a) for a in (self.weights, self.means, self.stddevs))
         if mu.ndim != 2 or sd.shape != mu.shape or w.shape != (mu.shape[0],):
             raise InputError("inconsistent mixture parameter shapes")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise InputError("weights must be nonnegative and sum to 1")
         if np.any(sd <= 0):
             raise InputError("stddevs must be strictly positive")
-        for arr in (w, mu, sd):
-            arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stddevs", sd)
