@@ -202,6 +202,10 @@ class CartPoleSystem:
     theta_limit: float = TWELVE_DEGREES
     episode_cap: int = 200
 
+    def __post_init__(self):
+        if self.episode_cap < 1:
+            raise ConfigError("episode_cap must be >= 1")
+
     def step_batch(self, states: np.ndarray, actions: np.ndarray):
         """Vectorized transition; returns (next_states, terminal_mask)."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -255,11 +259,16 @@ class TabularPolicy:
     d: int = 4
     m: int = 2
 
+    def __post_init__(self):
+        if not all(np.all(np.diff(e) >= 0) for e in self.edges):
+            raise InputError("policy cell edges must be sorted in increasing order")
+
     def cell_index(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         idx = np.zeros(X.shape[0], dtype=np.int64)
         for i in range(self.d):
-            cells = np.digitize(X[:, i], self.edges[i])
+            # Same cells as np.digitize for increasing edges, without its checks.
+            cells = np.searchsorted(self.edges[i], X[:, i], side="right")
             idx = idx * self.grid_sizes[i] + cells
         return idx
 
@@ -282,21 +291,16 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
         if hi < limit:
             raise ConfigError("state grid must cover the termination bounds")
     rng = np.random.default_rng(cfg.seed)
-    edges = []
-    lows, highs = [], []
-    for (lo, hi), size in zip(cfg.state_ranges, cfg.grid_sizes):
-        grid = np.linspace(lo, hi, size + 1)
-        edges.append(grid[1:-1])
-        lows.append(grid[:-1])
-        highs.append(grid[1:])
+    grids = [np.linspace(lo, hi, size + 1)
+             for (lo, hi), size in zip(cfg.state_ranges, cfg.grid_sizes)]
+    edges = tuple(grid[1:-1] for grid in grids)
     n_cells = int(np.prod(cfg.grid_sizes))
     ns = cfg.n_transition_samples
 
     # Uniform states inside every cell, for both actions.
-    cell_ids = np.arange(n_cells)
-    multi = np.array(np.unravel_index(cell_ids, cfg.grid_sizes)).T  # (n_cells, d)
-    lo_mat = np.stack([lows[i][multi[:, i]] for i in range(d)], axis=1)
-    hi_mat = np.stack([highs[i][multi[:, i]] for i in range(d)], axis=1)
+    multi = np.array(np.unravel_index(np.arange(n_cells), cfg.grid_sizes)).T  # (n_cells, d)
+    lo_mat = np.stack([grids[i][multi[:, i]] for i in range(d)], axis=1)
+    hi_mat = np.stack([grids[i][multi[:, i] + 1] for i in range(d)], axis=1)
     states = lo_mat[:, None, :] + rng.random((n_cells, ns, d)) * (hi_mat - lo_mat)[:, None, :]
     states = np.repeat(states[:, None, :, :], 2, axis=1)  # (n_cells, 2, ns, d)
     actions = np.broadcast_to(np.array([0, 1])[None, :, None], (n_cells, 2, ns))
@@ -305,52 +309,53 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
     flat_actions = actions.reshape(-1)
     nxt, terminal = sys.step_batch(flat_states, flat_actions)
 
-    policy_stub = TabularPolicy(tuple(edges), np.zeros(n_cells, dtype=np.int64),
+    policy_stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64),
                                 tuple(cfg.grid_sizes), d=d)
-    next_cells = policy_stub.cell_index(nxt)
-    next_cells = np.where(terminal, -1, next_cells).reshape(n_cells, 2, ns)
+    # Next cell per transition; the trailing value slot is the absorbing terminal.
+    gather = np.where(terminal, n_cells, policy_stub.cell_index(nxt)).reshape(n_cells, 2, ns)
     rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)
 
-    values = np.zeros(n_cells + 1)  # trailing slot is the absorbing terminal
-    gather = np.where(next_cells < 0, n_cells, next_cells)
-    sweeps = 0
-    while sweeps < cfg.max_sweeps:
+    values = np.zeros(n_cells + 1)
+    for _ in range(cfg.max_sweeps):
         q = np.mean(rewards + cfg.discount * values[gather], axis=2)
         new_values = q.max(axis=1)
         residual = float(np.max(np.abs(new_values - values[:n_cells])))
         values = np.concatenate([new_values, [0.0]])
-        sweeps += 1
         if residuals_out is not None:
             residuals_out.append(residual)
         if residual < cfg.vi_tol:
             break
     q = np.mean(rewards + cfg.discount * values[gather], axis=2)
     greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
-    return TabularPolicy(tuple(edges), greedy, tuple(cfg.grid_sizes), d=d)
+    return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes), d=d)
 
 
-def rollout(policy: TabularPolicy, sys: CartPoleSystem, rng: np.random.Generator,
-            collect: bool = False):
-    """One episode from a randomized near-upright start; returns the reward
-    (steps survived, capped) and optionally the visited states."""
-    state = rng.uniform(-0.05, 0.05, size=4)
-    visited = []
-    reward = 0
+def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):
+    """Step one episode per row of starts in lockstep, each until it ends
+    or reaches sys.episode_cap steps. Returns the visited states (start
+    included, terminal not) episode by episode in the order of starts, and
+    each episode's length, which is its reward."""
+    state, lane = starts, np.arange(starts.shape[0])
+    seen, owner = [], []
     for _ in range(sys.episode_cap):
-        if collect:
-            visited.append(state.copy())
-        action = int(policy.predict(state[None, :])[0])
-        state, terminal = cartpole_step(sys, state, action)
-        reward += 1
-        if terminal:
+        seen.append(state)
+        owner.append(lane)
+        state, terminal = sys.step_batch(state, policy.predict(state))
+        state, lane = state[~terminal], lane[~terminal]
+        if not lane.size:
             break
-    return reward, visited
+    owner = np.concatenate(owner)
+    return (np.concatenate(seen)[np.argsort(owner, kind="stable")],
+            np.bincount(owner, minlength=starts.shape[0]))
 
 
 def mean_rollout_reward(policy: TabularPolicy, sys: CartPoleSystem,
                         n_episodes: int = 100, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    return float(np.mean([rollout(policy, sys, rng)[0] for _ in range(n_episodes)]))
+    """Mean steps survived (capped) over n_episodes near-upright starts."""
+    if n_episodes < 1:
+        raise InputError("n_episodes must be >= 1")
+    starts = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(n_episodes, 4))
+    return float(np.mean(_rollouts(policy, sys, starts)[1]))
 
 
 def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
@@ -360,22 +365,19 @@ def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
     Episodes run until the visited pool holds at least 5x the requested
     points (at least 3 episodes), then n_points states are drawn uniformly
     without replacement. Labels are the policy's action at each state.
-    """
+    Each round runs only episodes certain to be needed: the draws are those
+    of stepping one episode at a time."""
     rng = np.random.default_rng(seed)
-    pool: list = []
-    episodes = 0
-    while len(pool) < max(5 * n_points, 1) or episodes < 3:
-        _, visited = rollout(policy, sys, rng, collect=True)
-        pool.extend(visited)
-        episodes += 1
-        if episodes > 50 * max(1, n_points):
-            raise InputError("policy terminates too quickly to collect states")
-    pool_arr = np.asarray(pool)
-    rows = rng.choice(pool_arr.shape[0], size=n_points, replace=False)
-    X = pool_arr[rows]
-    y = policy.predict(X)
+    need = max(5 * n_points, 1)
+    pool, pooled, episodes = [], 0, 0
+    while pooled < need or episodes < 3:
+        k = max(3 - episodes, -(-(need - pooled) // sys.episode_cap))
+        pool.append(_rollouts(policy, sys, rng.uniform(-0.05, 0.05, size=(k, 4)))[0])
+        pooled, episodes = pooled + len(pool[-1]), episodes + k
+    pool_arr = np.concatenate(pool)
+    X = pool_arr[rng.choice(pool_arr.shape[0], size=n_points, replace=False)]
     names = ("cart_position", "cart_velocity", "pole_angle", "pole_velocity")
-    return Dataset(X, y, names, 2)
+    return Dataset(X, policy.predict(X), names, 2)
 
 
 # ---------------------------------------------------------------------------

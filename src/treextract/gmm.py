@@ -52,12 +52,12 @@ class GaussianMixture:
 
     def __post_init__(self):
         w, mu, sd = (_frozen_array(a) for a in (self.weights, self.means, self.stddevs))
-        if mu.ndim != 2 or sd.shape != mu.shape or w.shape != (mu.shape[0],):
-            raise InputError("inconsistent mixture parameter shapes")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise InputError("weights must be nonnegative and sum to 1")
-        if np.any(sd <= 0):
-            raise InputError("stddevs must be strictly positive")
+        if mu.ndim != 2 or sd.shape != mu.shape or w.shape != mu.shape[:1] or not np.isfinite(mu).all():
+            raise InputError("means must be finite and parameter shapes consistent")
+        if not np.all(w >= 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise InputError("weights must be finite, nonnegative and sum to 1")
+        if not np.all((sd > 0) & (sd < np.inf)):
+            raise InputError("stddevs must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stddevs", sd)
@@ -417,8 +417,8 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
     winning restart's log-likelihood sequence (one entry per iteration).
     """
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise InputError("expected a 2-d feature matrix")
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise InputError("expected a 2-d matrix of finite features")
     n = X.shape[0]
     if k < 1:
         raise ConfigError("k must be >= 1")

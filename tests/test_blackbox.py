@@ -1,11 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treextract import (CartPoleSystem, Dataset, InputError, PolicyConfig,
-                        RandomForestConfig, cartpole_step, collect_states,
+from treextract import (CartPoleSystem, ConfigError, Dataset, InputError, PolicyConfig,
+                        RandomForestConfig, TabularPolicy, cartpole_step, collect_states,
                         learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
 from treextract.blackbox import balance_rows
+
+
+def reference_rollout(policy, sys_, rng):
+    """One episode stepped one state at a time through predict and
+    cartpole_step; returns the visited states (start included, terminal not),
+    whose count is the episode's reward."""
+    state = rng.uniform(-0.05, 0.05, size=4)
+    visited = []
+    for _ in range(sys_.episode_cap):
+        visited.append(state.copy())
+        state, terminal = cartpole_step(sys_, state, int(policy.predict(state[None, :])[0]))
+        if terminal:
+            break
+    return visited
+
+
+def reference_mean_reward(policy, sys_, n_episodes, seed):
+    """Episode-at-a-time reference for mean_rollout_reward."""
+    rng = np.random.default_rng(seed)
+    return float(np.mean([len(reference_rollout(policy, sys_, rng))
+                          for _ in range(n_episodes)]))
+
+
+def reference_collect_states(policy, sys_, n_points, seed):
+    """Episode-at-a-time reference for collect_states: episodes until the pool
+    holds 5x the points (at least 3 episodes), then a uniform subsample."""
+    rng = np.random.default_rng(seed)
+    pool, episodes = [], 0
+    while len(pool) < max(5 * n_points, 1) or episodes < 3:
+        pool.extend(reference_rollout(policy, sys_, rng))
+        episodes += 1
+    pool = np.asarray(pool)
+    X = pool[rng.choice(pool.shape[0], size=n_points, replace=False)]
+    return X, policy.predict(X)
 
 
 class TestRandomForest:
@@ -169,6 +204,88 @@ class TestCollectStates:
         a = collect_states(policy, sys_, 50, seed=9)
         b = collect_states(policy, sys_, 50, seed=9)
         assert np.array_equal(a.features, b.features)
+
+
+def _action_table(policy, kind, seed):
+    if kind == "learned":
+        return policy
+    actions = (np.zeros_like(policy.actions) if kind == "left" else
+               np.random.default_rng(seed).integers(2, size=policy.actions.size))
+    return TabularPolicy(policy.edges, actions, policy.grid_sizes)
+
+
+class TestLockstepRollouts:
+    # An all-left table ends every episode after about 9 steps, so collecting
+    # needs several rounds; a cap of 1 or 7 does the same for any table.
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(0, 250),
+           table=st.sampled_from(["learned", "left", "random"]),
+           table_seed=st.integers(0, 2 ** 16), cap=st.sampled_from([1, 7, 200]),
+           n_episodes=st.integers(1, 8))
+    def test_matches_episode_at_a_time_reference(self, cartpole, seed, n_points, table,
+                                                 table_seed, cap, n_episodes):
+        policy = _action_table(cartpole[1], table, table_seed)
+        sys_ = CartPoleSystem(episode_cap=cap)
+        if n_points == 0:  # a Dataset has at least one row
+            with pytest.raises(InputError):
+                collect_states(policy, sys_, n_points, seed=seed)
+        else:
+            ds = collect_states(policy, sys_, n_points, seed=seed)
+            X, y = reference_collect_states(policy, sys_, n_points, seed)
+            assert ds.features.tobytes() == X.tobytes()
+            assert ds.labels.tobytes() == y.tobytes()
+        assert (mean_rollout_reward(policy, sys_, n_episodes, seed=seed)
+                == reference_mean_reward(policy, sys_, n_episodes, seed))
+
+    def test_collect_states_matches_reference_on_task_seeds(self, cartpole):
+        sys_, policy = cartpole
+        for seed in ((7919 + 0) * 2 + 1, (104729 + 3) * 2):
+            ds = collect_states(policy, sys_, 100, seed=seed)
+            X, _ = reference_collect_states(policy, sys_, 100, seed)
+            assert ds.features.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("n_episodes", [0, -1])
+    def test_no_episodes_rejected(self, cartpole, n_episodes):
+        with pytest.raises(InputError):
+            mean_rollout_reward(cartpole[1], cartpole[0], n_episodes)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_episode_cap_below_one_rejected(self, cap):
+        with pytest.raises(ConfigError):
+            CartPoleSystem(episode_cap=cap)
+
+
+@st.composite
+def edges_and_points(draw):
+    """Sorted edges for two dimensions (the learned grid's or random ones,
+    repeats allowed) and points whose coordinates lie on an edge, one ulp to
+    either side of one, at +-inf, at NaN or anywhere."""
+    grid = st.just(list(np.linspace(-2.4, 2.4, 8)[1:-1]))
+    edges = [np.array(sorted(draw(grid | st.lists(st.floats(-3.0, 3.0), max_size=6))))
+             for _ in range(2)]
+
+    def coord(e):
+        near = [v for x in e for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))]
+        return st.sampled_from(near + [np.inf, -np.inf, np.nan]) | st.floats(-4.0, 4.0)
+
+    rows = draw(st.lists(st.tuples(coord(edges[0]), coord(edges[1])), min_size=1, max_size=6))
+    return edges, np.array(rows)
+
+
+class TestCellIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(edges_and_points())
+    def test_matches_digitize(self, case):
+        (e0, e1), X = case
+        policy = TabularPolicy((e0, e1), np.zeros((e0.size + 1) * (e1.size + 1), np.int64),
+                               (e0.size + 1, e1.size + 1), d=2)
+        expected = np.digitize(X[:, 0], e0) * (e1.size + 1) + np.digitize(X[:, 1], e1)
+        assert np.array_equal(policy.cell_index(X), expected)
+
+    def test_unsorted_edges_rejected(self):
+        for edges in ([0.5, -0.5], [0.0, np.nan]):
+            with pytest.raises(InputError):
+                TabularPolicy((np.array(edges),), np.zeros(3, np.int64), (3,), d=1)
 
 
 class TestSyntheticData:

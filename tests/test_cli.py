@@ -162,6 +162,22 @@ class TestPipeline:
         assert code == 1
         assert f"error: malformed {kind} document: KeyError" in err
 
+    def test_nonfinite_gmm_mean_exits_1(self, workdir, synthetic_spec, capsys):
+        (workdir / "nan.json").write_text(
+            '{"kind": "gaussian_mixture", "weights": [1.0], "means": [[NaN, 0.0]], '
+            '"stddevs": [[1.0, 1.0]]}', encoding="utf-8")
+        code, _, err = run(["extract", "--gmm", "nan.json", "--blackbox", "synthetic:bb.json",
+                            "--max-nodes", "3", "--samples-per-node", "50",
+                            "--out", "t.json"], capsys)
+        assert code == 1 and "means must be finite" in err
+        assert not (workdir / "t.json").exists()
+
+    def test_zero_evaluation_episodes_exits_1(self, workdir, capsys):
+        code, _, err = run(["train-cartpole", "--grid", "3,3,3,3", "--transition-samples", "2",
+                            "--episodes", "0", "--out", "policy.json"], capsys)
+        assert code == 1 and "n_episodes must be >= 1" in err
+        assert not (workdir / "policy.json").exists()
+
 
 class TestDeterminism:
     def test_identical_seeds_byte_identical_outputs(self, workdir, synthetic_spec, capsys):

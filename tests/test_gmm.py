@@ -347,6 +347,27 @@ class TestValidation:
         with pytest.raises(InputError):
             GaussianMixture([1.0], [[0.0]], [[0.0]])
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("weights", [np.nan, 1.0], "weights must be finite"),
+        ("weights", [np.inf, 1.0], "weights must be finite"),
+        ("means", [[0.0], [np.nan]], "means must be finite"),
+        ("means", [[0.0], [np.inf]], "means must be finite"),
+        ("stddevs", [[1.0], [np.nan]], "stddevs must be finite"),
+        ("stddevs", [[1.0], [np.inf]], "stddevs must be finite"),
+    ])
+    def test_nonfinite_parameters_rejected(self, field, value, message):
+        params = {"weights": [0.5, 0.5], "means": [[0.0], [1.0]], "stddevs": [[1.0], [1.0]]}
+        with pytest.raises(InputError, match=message):
+            GaussianMixture(**dict(params, **{field: value}))
+
+    @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2), select_k_bic], ids=["fit_em", "bic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_features_rejected_before_em(self, rng, fit, bad):
+        X = rng.normal(size=(50, 2))
+        X[17, 1] = bad
+        with pytest.raises(InputError, match="finite features"):
+            fit(X)
+
 
 # Few distinct values so that tied maxima are common, plus -inf entries.
 _lse_values = st.one_of(st.sampled_from([-np.inf, -np.inf, 0.0, -1.0, 2.5, -745.0]),
