@@ -367,8 +367,10 @@ def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
     without replacement. Labels are the policy's action at each state.
     Each round runs only episodes certain to be needed: the draws are those
     of stepping one episode at a time."""
+    if n_points < 1:
+        raise InputError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
-    need = max(5 * n_points, 1)
+    need = 5 * n_points
     pool, pooled, episodes = [], 0, 0
     while pooled < need or episodes < 3:
         k = max(3 - episodes, -(-(need - pooled) // sys.episode_cap))

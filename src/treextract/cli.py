@@ -19,7 +19,7 @@ from .baselines import BaselineConfig, born_again_extract, cart_extract
 from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig,
                        collect_states, learn_policy, mean_rollout_reward,
                        train_random_forest)
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
 from .gmm import EMConfig, fit_em, sample, select_k_bic
@@ -351,10 +351,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         _echo_config(args)
         return _COMMANDS[args.command](args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (InputError, ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - anything else is an internal error

@@ -70,6 +70,9 @@ class Dataset:
         return self.features.shape[1]
 
 
+BOUNDED_COLUMNS_MAX = 12  # above this many bounds, contains_batch compares whole rows
+
+
 @dataclass(frozen=True)
 class BoxConstraint:
     """Per-dimension interval (lower_i, upper_i], the region a conjunction
@@ -89,6 +92,9 @@ class BoxConstraint:
             raise InputError("lower and upper must be 1-d arrays of equal length")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_bounded", (
+            [(j, v) for j, v in enumerate(lo.tolist()) if v != -np.inf],
+            [(j, v) for j, v in enumerate(hi.tolist()) if v != np.inf]))
 
     @classmethod
     def unbounded(cls, d: int) -> "BoxConstraint":
@@ -102,12 +108,25 @@ class BoxConstraint:
         return bool(np.all(self.lower < self.upper))
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all((x > self.lower) & (x <= self.upper)))
+        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
     def contains_batch(self, X) -> np.ndarray:
+        """np.all((X > lower) & (X <= upper), axis=1) for (n, d) points X."""
+        # A reduction over a short row axis costs more than the comparisons,
+        # so when there are few bounds other than a -inf lower or +inf upper
+        # one, only those are compared, column by column. That needs X free
+        # of NaN and -inf, which fail those skipped bounds.
         X = np.asarray(X, dtype=np.float64)
-        return np.all((X > self.lower) & (X <= self.upper), axis=1)
+        above, below = self._bounded
+        if (X.ndim != 2 or X.shape[1] != self.d or X.size == 0
+                or len(above) + len(below) > BOUNDED_COLUMNS_MAX or not X.min() > -np.inf):
+            return np.all((X > self.lower) & (X <= self.upper), axis=1)
+        inside = np.ones(X.shape[0], dtype=bool)
+        for j, v in above:
+            inside &= X[:, j] > v
+        for j, v in below:
+            inside &= X[:, j] <= v
+        return inside
 
     def intersect(self, other: "BoxConstraint") -> Optional["BoxConstraint"]:
         lo = np.maximum(self.lower, other.lower)

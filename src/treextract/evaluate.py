@@ -29,6 +29,8 @@ from .extract import ExtractionConfig, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
+GOLDEN_TOL = 1e-8  # golden-section refinement stops at this bracket width
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -136,44 +138,24 @@ def _impurity_term(p, z):
 
 def _exact_gain(gmm, bb, box, parent_h, dim, t):
     """Exact Gini gain of splitting box at x_dim <= t. t may be a vector of
-    thresholds, which are evaluated in one batch and give a gain array."""
+    thresholds, which are evaluated in one batch and give a gain array; dim
+    is then one dimension or an array of them aligned with t."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     n = ts.shape[0]
-    lower = np.repeat(box.lower[None], 2 * n, axis=0)
-    upper = np.repeat(box.upper[None], 2 * n, axis=0)
-    upper[:n, dim] = np.minimum(upper[:n, dim], ts)
-    lower[n:, dim] = np.maximum(lower[n:, dim], ts)
+    rows = np.arange(n)
+    lower, upper = (np.repeat(v[None], 2 * n, axis=0) for v in (box.lower, box.upper))
+    upper[rows, dim] = np.minimum(upper[rows, dim], ts)
+    lower[rows + n, dim] = np.maximum(lower[rows + n, dim], ts)
     h = _impurity_term(*_class_masses(gmm, bb, (lower, upper)))
     gain = parent_h - h[:n] - h[n:]
     return float(gain[0]) if np.ndim(t) == 0 else gain
-
-
-def _golden_max(fn: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section maximization of fn over [a, b]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    t = 0.5 * (a + b)
-    return t, fn(t)
 
 
 def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tuple[float, float]:
     """Finite interval inside the box covering all relevant mixture mass."""
     env_lo = float(np.min(gmm.means[:, dim] - 12.0 * gmm.stddevs[:, dim]))
     env_hi = float(np.max(gmm.means[:, dim] + 12.0 * gmm.stddevs[:, dim]))
-    lo = max(box.lower[dim], env_lo)
-    hi = min(box.upper[dim], env_hi)
+    lo, hi = max(box.lower[dim], env_lo), min(box.upper[dim], env_hi)
     if lo >= hi:
         lo, hi = env_lo, env_hi
     return lo, hi
@@ -181,42 +163,50 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
 
 def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
     """Exact gain maximizer over all dimensions for one region whose
-    impurity term is parent_h.
+    impurity term is parent_h, as (gain, dim, threshold), or None.
 
-    Candidate breakpoints are the blackbox box edges; each smooth piece is
-    scanned on a coarse grid (one batched gain call) and the best bracket
-    refined by golden section. Ties break toward the lowest dimension, then
-    the smallest threshold.
+    Candidate breakpoints are the blackbox box edges. Every smooth piece of
+    every dimension is scanned on a coarse grid in one batched gain call,
+    and each piece's best bracket is refined by golden section. The
+    brackets step in lockstep: one batched call evaluates the next point of
+    every bracket still wider than GOLDEN_TOL. Ties break toward the lowest
+    dimension, then the smallest threshold.
     """
-    best = None  # (gain, dim, threshold)
+    pieces = []  # (dim, a, b) for every smooth piece of every dimension
     for dim in range(bb.d):
         lo, hi = _search_interval(gmm, box, dim)
-        edges = set()
-        for b in bb.boxes:
-            for v in (b.lower[dim], b.upper[dim]):
-                if np.isfinite(v) and lo < v < hi:
-                    edges.add(float(v))
+        edges = {float(v) for b in bb.boxes for v in (b.lower[dim], b.upper[dim])
+                 if np.isfinite(v) and lo < v < hi}
         breaks = [lo] + sorted(edges) + [hi]
-        fn = lambda t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
-        dim_best = None
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            if b - a <= 0:
-                continue
-            grid = np.linspace(a, b, coarse)
-            vals = fn(grid)
-            j = int(np.argmax(vals))
-            ga = grid[max(j - 1, 0)]
-            gb = grid[min(j + 1, coarse - 1)]
-            t, g = _golden_max(fn, float(ga), float(gb))
-            if vals[j] > g:
-                t, g = float(grid[j]), float(vals[j])
-            if dim_best is None or g > dim_best[0] or (g == dim_best[0] and t < dim_best[1]):
-                dim_best = (g, t)
-        if dim_best is None:
-            continue
-        if best is None or dim_best[0] > best[0]:
-            best = (dim_best[0], dim, dim_best[1])
-    return best
+        pieces += [(dim, a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 0]
+    if not pieces:
+        return None
+    dims = np.array([p[0] for p in pieces])
+    gain = lambda dim, t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
+    grid = np.array([np.linspace(a, b, coarse) for _, a, b in pieces])
+    vals = gain(np.repeat(dims, coarse), grid.ravel()).reshape(grid.shape)
+    rows = np.arange(len(pieces))
+    j = np.argmax(vals, axis=1)
+    a = grid[rows, np.maximum(j - 1, 0)]
+    b = grid[rows, np.minimum(j + 1, coarse - 1)]
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = np.split(gain(np.tile(dims, 2), np.concatenate([c, d])), 2)
+    while (live := np.flatnonzero(b - a > GOLDEN_TOL)).size:
+        keep_left = fc[live] >= fd[live]
+        lt, rt = live[keep_left], live[~keep_left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - INV_PHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + INV_PHI * (b[rt] - a[rt])
+        new = gain(dims[live], np.where(keep_left, c[live], d[live]))
+        fc[lt], fd[rt] = new[keep_left], new[~keep_left]
+    t = 0.5 * (a + b)
+    g = gain(dims, t)
+    on_grid = vals[rows, j] > g
+    t = np.where(on_grid, grid[rows, j], t)
+    g = np.where(on_grid, vals[rows, j], g)
+    i = np.lexsort((t, dims, -g))[0]
+    return float(g[i]), int(dims[i]), float(t[i])
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,13 @@ class TestLockstepRollouts:
             X, _ = reference_collect_states(policy, sys_, 100, seed)
             assert ds.features.tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_points_rejected_before_any_episode(self, cartpole, monkeypatch, n_points):
+        import treextract.blackbox as blackbox_mod
+        monkeypatch.setattr(blackbox_mod, "_rollouts", lambda *a: pytest.fail("rolled out"))
+        with pytest.raises(InputError, match="n_points must be >= 1"):
+            collect_states(cartpole[1], cartpole[0], n_points)
+
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_no_episodes_rejected(self, cartpole, n_episodes):
         with pytest.raises(InputError):

@@ -178,6 +178,13 @@ class TestPipeline:
         assert code == 1 and "n_episodes must be >= 1" in err
         assert not (workdir / "policy.json").exists()
 
+    def test_config_error_exits_1(self, workdir, synthetic_spec, capsys):
+        # fit_em raises ConfigError for k < 1; that is bad input, not a crash.
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "0",
+                            "--out", "gmm.json"], capsys)
+        assert code == 1 and "internal error" not in err and "error:" in err
+        assert not (workdir / "gmm.json").exists()
+
 
 class TestDeterminism:
     def test_identical_seeds_byte_identical_outputs(self, workdir, synthetic_spec, capsys):

@@ -280,3 +280,77 @@ class TestDataset:
         ds = Dataset.from_arrays(np.ones((3, 2)), np.array([0, 1, 1]))
         assert ds.m == 2 and ds.column_names == ("x0", "x1")
         assert not ds.features.flags.writeable
+
+
+def reference_contains_batch(box, X):
+    """Membership as one elementwise formula over every column."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.all((X > box.lower) & (X <= box.upper), axis=1)
+
+
+_EDGE_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def boxes_and_points(draw):
+    """A box of 1-20 dims (so both sides of BOUNDED_COLUMNS_MAX are drawn)
+    whose bounds are mostly infinite or on a few shared values, now and then
+    NaN or infinite on the wrong side, and up to 12 points mixing NaN, +-inf,
+    values on the bounds and ordinary values."""
+    d = draw(st.integers(1, 20))
+    odd = [np.nan, np.inf, -np.inf]
+    lower = draw(st.lists(st.sampled_from([-np.inf] * 8 + [-1.0, 0.0, 0.5] + odd),
+                          min_size=d, max_size=d))
+    upper = draw(st.lists(st.sampled_from([np.inf] * 8 + [1.0, 0.5, 0.0] + odd),
+                          min_size=d, max_size=d))
+    n = draw(st.integers(0, 12))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-2, 2))
+    X = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    return BoxConstraint(lower, upper), np.array(X, dtype=np.float64).reshape(n, d)
+
+
+class TestMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes_and_points())
+    def test_matches_elementwise_formula(self, case):
+        b, X = case
+        got, want = b.contains_batch(X), reference_contains_batch(b, X)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert [b.contains(x) for x in X] == want.tolist()
+
+    def test_bounds_nan_and_infinities(self):
+        b = BoxConstraint([0.0, -np.inf], [1.0, np.inf])
+        X = [[0.0, 0.0], [1.0, 0.0], [0.5, np.inf], [0.5, -np.inf], [0.5, np.nan],
+             [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]]
+        assert b.contains_batch(X).tolist() == [False, True, True, False, False,
+                                                False, False, False]
+
+    @pytest.mark.parametrize("lower, upper, inside", [
+        ([-np.inf], [np.inf], [False, False, True, True]),
+        ([-np.inf], [1.0], [False, False, True, False]),
+        ([-1.0], [np.inf], [False, False, True, True]),
+        ([-1.0], [1.0], [False, False, True, False]),
+    ])
+    def test_boxes_infinite_on_either_side(self, lower, upper, inside):
+        X = [[np.nan], [-np.inf], [0.0], [np.inf]]
+        b = BoxConstraint(lower, upper)
+        assert b.contains_batch(X).tolist() == inside
+        assert [b.contains(x) for x in X] == inside
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan, -np.inf], [1.0, np.inf]), ([-np.inf, -np.inf], [1.0, np.nan]),
+        ([np.inf, -np.inf], [np.inf, np.inf]), ([-np.inf, -np.inf], [-np.inf, np.inf]),
+    ])
+    def test_nan_or_wrong_side_infinite_bound_holds_nothing(self, lower, upper):
+        X = [[0.0, 0.0], [0.5, np.inf], [-5.0, 3.0]]
+        assert not BoxConstraint(lower, upper).contains_batch(X).any()
+
+    def test_no_points(self):
+        out = BoxConstraint([0.0, 0.0], [1.0, 1.0]).contains_batch(np.empty((0, 2)))
+        assert out.shape == (0,) and out.dtype == bool
+
+    def test_contains_is_one_row_of_contains_batch(self):
+        b = BoxConstraint([0.0, -1.0], [1.0, 1.0])
+        assert b.contains([0.5, 1.0]) and not b.contains([0.0, 0.0])
+        assert BoxConstraint([0.0], [1.0]).contains(0.5)

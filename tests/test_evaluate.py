@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, InputError,
                         agreement, exact_greedy_oracle, extract_tree, fidelity,
                         leaf_tree, sample)
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
-                                 TaskInstance, _class_masses, _exact_gain,
-                                 _impurity_term, run_fidelity_curve,
+                                 TaskInstance, _best_exact_split, _class_masses,
+                                 _exact_gain, _impurity_term, run_fidelity_curve,
                                  three_box_benchmark, two_box_benchmark)
 from treextract.gmm import box_mass
 
@@ -77,6 +80,78 @@ class TestAgreement:
         assert 0 < res.se < 0.01
 
 
+def reference_golden_max(fn, a, b, tol=1e-8):
+    """Golden-section maximization of fn over [a, b], one bracket at a time."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    t = 0.5 * (a + b)
+    return t, fn(t)
+
+
+def reference_best_exact_split(gmm, bb, box, parent_h, coarse=33):
+    """The oracle's split search with each piece's coarse grid scanned and
+    its bracket refined by its own calls, dimension by dimension."""
+    from treextract.evaluate import _search_interval
+    best = None  # (gain, dim, threshold)
+    for dim in range(bb.d):
+        lo, hi = _search_interval(gmm, box, dim)
+        edges = set()
+        for b in bb.boxes:
+            for v in (b.lower[dim], b.upper[dim]):
+                if np.isfinite(v) and lo < v < hi:
+                    edges.add(float(v))
+        breaks = [lo] + sorted(edges) + [hi]
+        fn = lambda t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
+        dim_best = None
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            if b - a <= 0:
+                continue
+            grid = np.linspace(a, b, coarse)
+            vals = fn(grid)
+            j = int(np.argmax(vals))
+            t, g = reference_golden_max(fn, float(grid[max(j - 1, 0)]),
+                                        float(grid[min(j + 1, coarse - 1)]))
+            if vals[j] > g:
+                t, g = float(grid[j]), float(vals[j])
+            if dim_best is None or g > dim_best[0] or (g == dim_best[0] and t < dim_best[1]):
+                dim_best = (g, t)
+        if dim_best is not None and (best is None or dim_best[0] > best[0]):
+            best = (dim_best[0], dim, dim_best[1])
+    return best
+
+
+@st.composite
+def oracle_cases(draw):
+    """A 1-3 component 2-d mixture, with or without x_max, one of the two
+    benchmark blackboxes, and a node box whose sides are finite or not."""
+    k = draw(st.integers(1, 3))
+    coord = st.floats(-2.5, 2.5)
+    means = draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=k, max_size=k))
+    sds = draw(st.lists(st.lists(st.floats(0.2, 1.5), min_size=2, max_size=2),
+                        min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    x_max = draw(st.sampled_from([None, 2.5, 4.0]))
+    gmm = GaussianMixture(np.array(weights) / sum(weights), means, sds, x_max=x_max)
+    bb = draw(st.sampled_from([three_box_benchmark, two_box_benchmark]))()[1]
+    lower, upper = [], []
+    for _ in range(2):
+        a, b = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+        lower.append(draw(st.sampled_from([a, -np.inf])))
+        upper.append(draw(st.sampled_from([b, np.inf])))
+    return gmm, bb, BoxConstraint(lower, upper)
+
+
 class TestExactOracle:
     def test_1d_threshold_function(self):
         gmm = GaussianMixture([1.0], [[0.0]], [[1.0]])
@@ -134,6 +209,46 @@ class TestExactOracle:
             looped = np.array([_looped_gain(gmm, bb, box, dim, float(t)) for t in ts])
             np.testing.assert_allclose(batched, single, rtol=0, atol=1e-15)
             np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-15)
+
+    def test_batched_gain_over_mixed_dims_matches_single_calls(self):
+        """One batch may mix dimensions; each gain keeps the bits of its own
+        single-threshold call, which lockstep refinement relies on."""
+        gmm, bb = three_box_benchmark()
+        box = BoxConstraint([-2.0, -np.inf], [1.5, 2.2])
+        p, z = _class_masses(gmm, bb, box)
+        parent_h = _impurity_term(p, z)
+        ts = np.concatenate([np.linspace(-3.0, 3.0, 33), [-2.0, 1.5, -0.8, 0.6, 2.8]])
+        dims = np.random.default_rng(3).integers(0, 2, size=ts.shape)
+        batched = _exact_gain(gmm, bb, box, parent_h, dims, ts)
+        single = np.array([_exact_gain(gmm, bb, box, parent_h, int(d), float(t))
+                           for d, t in zip(dims, ts)])
+        looped = np.array([_looped_gain(gmm, bb, box, int(d), float(t))
+                           for d, t in zip(dims, ts)])
+        assert batched.tobytes() == single.tobytes()
+        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_cases())
+    def test_lockstep_split_matches_bracket_at_a_time_reference(self, case):
+        gmm, bb, box = case
+        p, z = _class_masses(gmm, bb, box)
+        parent_h = _impurity_term(p, z)
+        got = _best_exact_split(gmm, bb, box, parent_h)
+        want = reference_best_exact_split(gmm, bb, box, parent_h)
+        bits = lambda r: None if r is None else (r[0].hex(), r[1], r[2].hex())  # noqa: E731
+        assert bits(got) == bits(want)
+
+    def test_three_box_oracle_call_count(self, monkeypatch):
+        """Refinement makes one batched call per golden-section step for all
+        brackets of a node: 287 log_box_masses calls for this tree, against
+        2,414 when each bracket was refined on its own."""
+        import treextract.evaluate as evaluate_mod
+        calls = []
+        real = evaluate_mod.log_box_masses
+        monkeypatch.setattr(evaluate_mod, "log_box_masses",
+                            lambda *a: calls.append(1) or real(*a))
+        exact_greedy_oracle(*three_box_benchmark(), 7)
+        assert len(calls) <= 300
 
     @pytest.mark.parametrize("bench, expected", [
         (two_box_benchmark,
