@@ -70,9 +70,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-BOUNDED_COLUMNS_MAX = 12  # above this many bounds, contains_batch compares whole rows
-
-
 @dataclass(frozen=True)
 class BoxConstraint:
     """Per-dimension interval (lower_i, upper_i], the region a conjunction
@@ -92,9 +89,8 @@ class BoxConstraint:
             raise InputError("lower and upper must be 1-d arrays of equal length")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "_bounded", (
-            [(j, v) for j, v in enumerate(lo.tolist()) if v != -np.inf],
-            [(j, v) for j, v in enumerate(hi.tolist()) if v != np.inf]))
+        above, below = np.flatnonzero(lo != -np.inf), np.flatnonzero(hi != np.inf)
+        object.__setattr__(self, "_bounded", (above, lo[above, None], below, hi[below, None]))
 
     @classmethod
     def unbounded(cls, d: int) -> "BoxConstraint":
@@ -113,19 +109,15 @@ class BoxConstraint:
     def contains_batch(self, X) -> np.ndarray:
         """np.all((X > lower) & (X <= upper), axis=1) for (n, d) points X."""
         # A reduction over a short row axis costs more than the comparisons,
-        # so when there are few bounds other than a -inf lower or +inf upper
-        # one, only those are compared, column by column. That needs X free
-        # of NaN and -inf, which fail those skipped bounds.
+        # so only the bounds other than a -inf lower or +inf upper one are
+        # compared, on the columns of X, and reduced across the bounds. That
+        # needs X free of NaN and -inf, which fail those skipped bounds.
         X = np.asarray(X, dtype=np.float64)
-        above, below = self._bounded
-        if (X.ndim != 2 or X.shape[1] != self.d or X.size == 0
-                or len(above) + len(below) > BOUNDED_COLUMNS_MAX or not X.min() > -np.inf):
+        if X.ndim != 2 or X.shape[1] != self.d or X.size == 0 or not X.min() > -np.inf:
             return np.all((X > self.lower) & (X <= self.upper), axis=1)
-        inside = np.ones(X.shape[0], dtype=bool)
-        for j, v in above:
-            inside &= X[:, j] > v
-        for j, v in below:
-            inside &= X[:, j] <= v
+        above, lo, below, hi = self._bounded
+        inside = np.logical_and.reduce(X.T[above] > lo, axis=0)
+        inside &= np.logical_and.reduce(X.T[below] <= hi, axis=0)
         return inside
 
     def intersect(self, other: "BoxConstraint") -> Optional["BoxConstraint"]:
@@ -245,10 +237,6 @@ class DecisionTree:
     def apply(self, X) -> np.ndarray:
         """Id of the leaf each row of an (n, d) matrix of finite points reaches."""
         return _route(self._table, X, self.d)[0]
-
-    def path_boxes(self) -> dict[int, BoxConstraint]:
-        """Box constraint accumulated along the root path, for every node."""
-        return {i: BoxConstraint(lo, hi) for i, (lo, hi) in enumerate(zip(*self._path_bounds()))}
 
     def _path_bounds(self):
         """(n, d) lower and upper bounds of every node's path box."""

@@ -30,6 +30,7 @@ from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
 GOLDEN_TOL = 1e-8  # golden-section refinement stops at this bracket width
+GAIN_BATCH_CELLS = 1 << 16  # boxes x K x d cells per log_box_masses call in _exact_gain
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -138,12 +139,20 @@ def _impurity_term(p, z):
 
 def _exact_gain(gmm, bb, box, parent_h, dim, t):
     """Exact Gini gain of splitting box at x_dim <= t. t may be a vector of
-    thresholds, which are evaluated in one batch and give a gain array; dim
-    is then one dimension or an array of them aligned with t."""
+    thresholds, which give a gain array; dim is then one dimension or an
+    array of them aligned with t. Each threshold makes 2 * (boxes + 1)
+    boxes for log_box_masses, whose temporaries hold K * d cells per box,
+    so the thresholds go in batches of at most GAIN_BATCH_CELLS cells."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     n = ts.shape[0]
+    dim = np.broadcast_to(dim, ts.shape)
+    step = max(1, GAIN_BATCH_CELLS // (2 * (len(bb.boxes) + 1) * gmm.means.size))
+    if n > step:
+        return np.concatenate([_exact_gain(gmm, bb, box, parent_h, dim[i:i + step], ts[i:i + step])
+                               for i in range(0, n, step)])
     rows = np.arange(n)
-    lower, upper = (np.repeat(v[None], 2 * n, axis=0) for v in (box.lower, box.upper))
+    lower = np.repeat(box.lower[None], 2 * n, axis=0)
+    upper = np.repeat(box.upper[None], 2 * n, axis=0)
     upper[rows, dim] = np.minimum(upper[rows, dim], ts)
     lower[rows + n, dim] = np.maximum(lower[rows + n, dim], ts)
     h = _impurity_term(*_class_masses(gmm, bb, (lower, upper)))
@@ -155,7 +164,8 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
     """Finite interval inside the box covering all relevant mixture mass."""
     env_lo = float(np.min(gmm.means[:, dim] - 12.0 * gmm.stddevs[:, dim]))
     env_hi = float(np.max(gmm.means[:, dim] + 12.0 * gmm.stddevs[:, dim]))
-    lo, hi = max(box.lower[dim], env_lo), min(box.upper[dim], env_hi)
+    lo = max(box.lower[dim], env_lo)
+    hi = min(box.upper[dim], env_hi)
     if lo >= hi:
         lo, hi = env_lo, env_hi
     return lo, hi
@@ -165,18 +175,21 @@ def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
     """Exact gain maximizer over all dimensions for one region whose
     impurity term is parent_h, as (gain, dim, threshold), or None.
 
-    Candidate breakpoints are the blackbox box edges. Every smooth piece of
-    every dimension is scanned on a coarse grid in one batched gain call,
-    and each piece's best bracket is refined by golden section. The
-    brackets step in lockstep: one batched call evaluates the next point of
-    every bracket still wider than GOLDEN_TOL. Ties break toward the lowest
-    dimension, then the smallest threshold.
+    Candidate breakpoints are the blackbox box edges. The coarse grids of
+    every smooth piece of every dimension are scanned by one _exact_gain
+    call, and each piece's best bracket is refined by golden section. The
+    brackets step in lockstep: one _exact_gain call evaluates the next point
+    of every bracket still wider than GOLDEN_TOL. Ties break toward the
+    lowest dimension, then the smallest threshold.
     """
     pieces = []  # (dim, a, b) for every smooth piece of every dimension
     for dim in range(bb.d):
         lo, hi = _search_interval(gmm, box, dim)
-        edges = {float(v) for b in bb.boxes for v in (b.lower[dim], b.upper[dim])
-                 if np.isfinite(v) and lo < v < hi}
+        edges = set()
+        for b in bb.boxes:
+            for v in (b.lower[dim], b.upper[dim]):
+                if np.isfinite(v) and lo < v < hi:
+                    edges.add(float(v))
         breaks = [lo] + sorted(edges) + [hi]
         pieces += [(dim, a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 0]
     if not pieces:
@@ -405,17 +418,6 @@ class ExperimentResult:
                              "" if r.fidelity_f1 is None else repr(r.fidelity_f1),
                              r.budget, repr(r.wall_ms)])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ExperimentResult":
-        reader = csv.DictReader(_io.StringIO(text))
-        out = cls()
-        for rec in reader:
-            out.append(ResultRow(rec["algorithm"], int(rec["size"]), int(rec["seed"]),
-                                 float(rec["fidelity_acc"]),
-                                 None if rec["fidelity_f1"] == "" else float(rec["fidelity_f1"]),
-                                 int(rec["budget"]), float(rec["wall_ms"])))
-        return out
 
 
 ALGORITHMS = ("ours", "cart", "born_again")

@@ -7,6 +7,11 @@ from treextract import (BoxConstraint, Dataset, DecisionTree, InputError,
 from treextract.core import leaf_row, split_row
 
 
+def path_boxes(tree):
+    """Box constraint accumulated along the root path, for every node."""
+    return {i: BoxConstraint(lo, hi) for i, (lo, hi) in enumerate(zip(*tree._path_bounds()))}
+
+
 def box(d=2):
     return BoxConstraint.unbounded(d)
 
@@ -99,7 +104,7 @@ class TestSplit:
                 rows[kid] = leaf_row(0, np.ones(m))
             c = c if side is None else kids[side]
         tree = DecisionTree.from_rows([rows[i] for i in range(len(rows))], d, m)
-        boxes = tree.path_boxes()
+        boxes = path_boxes(tree)
         for part, kid in zip(region.split(dim, t), (tree.left[c], tree.right[c])):
             assert np.array_equal(part.lower, boxes[kid].lower)
             assert np.array_equal(part.upper, boxes[kid].upper)
@@ -146,7 +151,7 @@ class TestTreePredict:
     def test_grid_matches_path_box_membership(self):
         """Exhaustive check against direct box-membership evaluation."""
         tree = depth2_tree()
-        boxes = tree.path_boxes()
+        boxes = path_boxes(tree)
         leaf_ids = np.flatnonzero(tree.feature < 0)
         grid = np.linspace(-3, 3, 10)
         for x0 in grid:
@@ -216,7 +221,7 @@ class TestTreePathProperty:
                                     min_size=3, max_size=3))
     def test_exactly_one_path_accepts_and_label_matches(self, tree, point):
         x = np.array(point)
-        boxes = tree.path_boxes()
+        boxes = path_boxes(tree)
         hits = [i for i in np.flatnonzero(tree.feature < 0) if boxes[i].contains(x)]
         assert len(hits) == 1
         assert tree.apply(x[None])[0] == walk(tree, x) == hits[0]
@@ -293,10 +298,9 @@ _EDGE_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.5, 1.0]
 
 @st.composite
 def boxes_and_points(draw):
-    """A box of 1-20 dims (so both sides of BOUNDED_COLUMNS_MAX are drawn)
-    whose bounds are mostly infinite or on a few shared values, now and then
-    NaN or infinite on the wrong side, and up to 12 points mixing NaN, +-inf,
-    values on the bounds and ordinary values."""
+    """A box of 1-20 dims whose bounds are mostly infinite or on a few
+    shared values, now and then NaN or infinite on the wrong side, and up to
+    12 points mixing NaN, +-inf, values on the bounds and ordinary values."""
     d = draw(st.integers(1, 20))
     odd = [np.nan, np.inf, -np.inf]
     lower = draw(st.lists(st.sampled_from([-np.inf] * 8 + [-1.0, 0.0, 0.5] + odd),

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -250,6 +252,39 @@ class TestExactOracle:
         exact_greedy_oracle(*three_box_benchmark(), 7)
         assert len(calls) <= 300
 
+    def test_gain_batches_are_bounded_on_a_wide_oracle(self, monkeypatch):
+        """A d = 6 node with 8 blackbox boxes and 4 components scans about
+        3,000 thresholds. Every log_box_masses call still holds at most
+        GAIN_BATCH_CELLS box x component x dimension cells, and the split
+        keeps the bits it has when all thresholds go in one batch."""
+        import treextract.evaluate as evaluate_mod
+        rng = np.random.default_rng(5)
+        d, k = 6, 4
+        gmm = GaussianMixture(np.full(k, 1.0 / k), rng.normal(size=(k, d)),
+                              rng.uniform(0.5, 1.5, size=(k, d)))
+        boxes = []
+        for i in range(8):  # disjoint slabs along x0
+            lo = np.concatenate([[-2.4 + 0.6 * i], rng.uniform(-2.0, 0.5, d - 1)])
+            hi = lo + np.concatenate([[0.5], rng.uniform(0.5, 2.0, d - 1)])
+            boxes.append(BoxConstraint(lo, hi))
+        bb = BoxBlackbox(tuple(boxes), (1, 2) * 4, d=d, m=3)
+        box = BoxConstraint.unbounded(d)
+        p, z = _class_masses(gmm, bb, box)
+        parent_h = _impurity_term(p, z)
+        rows = []
+        real = evaluate_mod.log_box_masses
+        monkeypatch.setattr(evaluate_mod, "log_box_masses",
+                            lambda g, lo, hi: rows.append(lo.shape[0]) or real(g, lo, hi))
+        cap = evaluate_mod.GAIN_BATCH_CELLS
+        got = _best_exact_split(gmm, bb, box, parent_h)
+        assert max(rows) * k * d <= cap < 10 * max(rows) * k * d
+        monkeypatch.setattr(evaluate_mod, "GAIN_BATCH_CELLS", 1 << 40)
+        rows.clear()
+        want = _best_exact_split(gmm, bb, box, parent_h)
+        assert max(rows) * k * d > 10 * cap
+        bits = lambda r: (r[0].hex(), r[1], r[2].hex())  # noqa: E731
+        assert bits(got) == bits(want)
+
     @pytest.mark.parametrize("bench, expected", [
         (two_box_benchmark,
          [(0, 0.9, 1, 2), (0, -0.6, 3, 4), 1, (1, 0.4, 5, 6), 0, 1, 0],
@@ -300,13 +335,24 @@ def _exact_gain_at(gmm, bb, dim, t):
     return _exact_gain(gmm, bb, box, _impurity_term(p, z), dim, t)
 
 
+def results_from_csv_text(text):
+    """The rows of an ExperimentResult CSV, parsed back."""
+    res = ExperimentResult()
+    for rec in csv.DictReader(io.StringIO(text)):
+        res.append(ResultRow(rec["algorithm"], int(rec["size"]), int(rec["seed"]),
+                             float(rec["fidelity_acc"]),
+                             None if rec["fidelity_f1"] == "" else float(rec["fidelity_f1"]),
+                             int(rec["budget"]), float(rec["wall_ms"])))
+    return res
+
+
 class TestExperimentResult:
     def test_csv_round_trip(self):
         res = ExperimentResult()
         res.append(ResultRow("ours", 7, 0, 0.91, 0.87, 4600, 12.5))
         res.append(ResultRow("cart", 7, 0, 0.88, None, 100, 3.0))
         text = res.to_csv_text()
-        back = ExperimentResult.from_csv_text(text)
+        back = results_from_csv_text(text)
         assert back.rows == res.rows
         assert text.splitlines()[0] == "algorithm,size,seed,fidelity_acc,fidelity_f1,budget,wall_ms"
 
