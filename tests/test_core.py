@@ -7,11 +7,6 @@ from treextract import (BoxConstraint, Dataset, DecisionTree, InputError,
 from treextract.core import leaf_row, split_row
 
 
-def path_boxes(tree):
-    """Box constraint accumulated along the root path, for every node."""
-    return {i: BoxConstraint(lo, hi) for i, (lo, hi) in enumerate(zip(*tree._path_bounds()))}
-
-
 def box(d=2):
     return BoxConstraint.unbounded(d)
 
@@ -104,10 +99,10 @@ class TestSplit:
                 rows[kid] = leaf_row(0, np.ones(m))
             c = c if side is None else kids[side]
         tree = DecisionTree.from_rows([rows[i] for i in range(len(rows))], d, m)
-        boxes = path_boxes(tree)
+        lower, upper = tree._path_bounds()
         for part, kid in zip(region.split(dim, t), (tree.left[c], tree.right[c])):
-            assert np.array_equal(part.lower, boxes[kid].lower)
-            assert np.array_equal(part.upper, boxes[kid].upper)
+            assert np.array_equal(part.lower, lower[kid])
+            assert np.array_equal(part.upper, upper[kid])
 
 
 def array_tree(feature, threshold, left, right, label, d, m, **stats):
@@ -151,7 +146,7 @@ class TestTreePredict:
     def test_grid_matches_path_box_membership(self):
         """Exhaustive check against direct box-membership evaluation."""
         tree = depth2_tree()
-        boxes = path_boxes(tree)
+        boxes = [BoxConstraint(lo, hi) for lo, hi in zip(*tree._path_bounds())]
         leaf_ids = np.flatnonzero(tree.feature < 0)
         grid = np.linspace(-3, 3, 10)
         for x0 in grid:
@@ -221,7 +216,7 @@ class TestTreePathProperty:
                                     min_size=3, max_size=3))
     def test_exactly_one_path_accepts_and_label_matches(self, tree, point):
         x = np.array(point)
-        boxes = path_boxes(tree)
+        boxes = [BoxConstraint(lo, hi) for lo, hi in zip(*tree._path_bounds())]
         hits = [i for i in np.flatnonzero(tree.feature < 0) if boxes[i].contains(x)]
         assert len(hits) == 1
         assert tree.apply(x[None])[0] == walk(tree, x) == hits[0]
