@@ -5,25 +5,24 @@ actively sampling fresh labeled points from the mixture conditioned on each
 node's path constraints, so deep nodes get full sample budgets instead of a
 thinning share of the original data.
 """
-from .core import BoxConstraint, Dataset, DecisionTree, leaf_tree
+from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import (BlackboxError, ConfigError, EmptyRegionError, InputError,
                      SamplerError, TreextractError, UnknownCategoryError)
 from .gmm import (ConditionalMixture, EMConfig, GaussianMixture, box_mass,
-                  condition, fit_em, pdf, sample, sample_conditional,
+                  condition, fit_em, sample, sample_conditional,
                   sample_truncated_normal, select_k_bic)
 from .extract import (ExtractionConfig, SplitCandidate, best_split_from_samples,
                       estimate_split, extract_tree, gini_term, prune)
 from .blackbox import (BoxBlackbox, CartPoleSystem, FunctionBlackbox,
                        PolicyConfig, RandomForest, RandomForestConfig,
-                       TabularPolicy, cartpole_step, collect_states,
-                       learn_policy, make_imbalanced_classification,
-                       mean_rollout_reward, train_random_forest)
+                       TabularPolicy, collect_states, learn_policy,
+                       make_imbalanced_classification, mean_rollout_reward,
+                       train_random_forest)
 from .baselines import BaselineConfig, born_again_extract, cart_extract
 from .evaluate import (AgreementResult, ExperimentResult, FidelityReport,
                        FidelityTask, agreement, cartpole_task,
                        exact_greedy_oracle, fidelity, run_fidelity_curve,
-                       synthetic_rf_task, three_box_benchmark,
-                       two_box_benchmark)
+                       synthetic_rf_task, three_box_benchmark)
 from .io import (TableSchema, export_dot, load_csv, load_gmm, load_tree,
                  save_gmm, save_tree)
 

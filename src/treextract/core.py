@@ -50,17 +50,6 @@ class Dataset:
             raise InputError("column_names length does not match d")
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
-    @classmethod
-    def from_arrays(cls, features, labels=None, column_names=None, m=None) -> "Dataset":
-        X = np.asarray(features, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if column_names is None:
-            column_names = tuple(f"x{i}" for i in range(X.shape[1]))
-        if labels is not None and m is None:
-            m = int(np.max(labels)) + 1
-        return cls(X, labels if labels is None else np.asarray(labels), tuple(column_names), int(m or 0))
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -102,9 +91,6 @@ class BoxConstraint:
 
     def is_satisfiable(self) -> bool:
         return bool(np.all(self.lower < self.upper))
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
     def contains_batch(self, X) -> np.ndarray:
         """np.all((X > lower) & (X <= upper), axis=1) for (n, d) points X."""
@@ -296,10 +282,3 @@ def _route(table, X, d: int) -> np.ndarray:
         node = children.take(2 * node + (flat.take(base + feature.take(node))
                                          > threshold.take(node)))
     return node
-
-
-def leaf_tree(label: int, d: int, m: int, histogram=None, mass: float = 1.0,
-              cached_gain: float = 0.0, budget: Optional[int] = None) -> DecisionTree:
-    """Single-leaf tree predicting a constant label."""
-    histogram = np.eye(m)[label] if histogram is None else histogram
-    return DecisionTree.from_rows([leaf_row(label, histogram, mass, cached_gain)], d, m, budget)

@@ -102,64 +102,93 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     return max(float(gain), 0.0)
 
 
-def best_split_from_samples(X, y, m: int, mass: float,
-                            min_gain: float = 0.0) -> Optional[SplitCandidate]:
+def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
+                            segments=None, values=None):
     """Exhaustive empirical gain maximization over a labeled sample set.
 
-    Every dimension is scored in one pass over a (d, n - 1) gain matrix: one
-    sort per row, then left class counts as running sums along the sorted
+    Every dimension is scored in one pass over a (d, n - 1) gain matrix:
+    each row sorted, then left class counts as running sums along the sorted
     labels. A cut at column p sends nl = p + 1 samples left of the threshold
     midway between the p-th and (p+1)-th sorted values; only gaps between
     distinct values qualify, so both sides are nonempty and the counts do not
     depend on how tied rows are ordered. Ties are broken toward the lowest
     dimension index, then the smallest threshold. Returns None when the best
     gain does not exceed min_gain.
+
+    With segments (row i's node in [0, S)), the rows are a ragged batch and
+    the result lists each node's candidate as its rows alone give it; mass
+    is a scalar or one per node. A batch sorts one integer key per column,
+    (node, value index, label), where values, when given, holds the sorted
+    distinct values and X each sample's index into it.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
-    if n < 2 or X.shape[1] == 0:
-        return None
-    total = np.bincount(y, minlength=m).astype(np.float64)
-    h_parent = gini_term(total / n, mass)
+    seg = np.zeros(n, np.int64) if segments is None else np.asarray(segments, np.int64)
+    S = 1 if segments is None else int(seg.max()) + 1 if n else 0
+    out = [None] * S
+    if n < 2 or np.shape(X)[1] == 0:
+        return out if segments is not None else None
+    if values is None and segments is not None:
+        values, X = np.unique(X, return_inverse=True)
+    if values is None:  # one node: sort each column
+        Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        sv, lab = np.sort(Xt, axis=1), y.astype(np.min_scalar_type(m))[Xt.argsort(axis=1)]
+    else:
+        vb, mb = (len(values) - 1).bit_length(), (m - 1).bit_length()
+        key = (seg << vb | np.reshape(X, (n, -1)).T.astype(np.int64, order="C")) << mb | y
+        key.sort(axis=1)
+        sv = np.asarray(values, dtype=np.float64)[key >> mb & ((1 << vb) - 1)]
+        lab = key & ((1 << mb) - 1)
 
-    Xt = np.ascontiguousarray(X.T)
-    order = np.argsort(Xt, axis=1)
-    sv = np.take_along_axis(Xt, order, axis=1)
-    cand = sv[:, :-1] < sv[:, 1:]
-
-    head = order[:, :-1]
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
+    counts = np.bincount(seg, minlength=S)
+    ends = counts.cumsum()
+    starts = ends - counts
+    cand = sv[:, :-1] < sv[:, 1:]  # a gap between distinct values of one node
     # Left class counts; int32 holds them, as n < 2**31 for any X that fits
     # in memory. The last class is what the others leave of nl.
-    lcs = [np.cumsum((y == k)[head], axis=1, dtype=np.int32) for k in range(m - 1)]
-    lcs.append(np.arange(1, n, dtype=np.int32) - sum(lcs) if lcs else nl)
-    sq_left = np.zeros(head.shape)
-    sq_right = np.zeros(head.shape)
-    t = np.empty(head.shape)
+    nl_int = np.arange(1, n, dtype=np.int32)
+    if S > 1:  # restart the counts at each node's first row
+        node = np.repeat(np.arange(S), counts)[:-1]  # of the gap after each sorted row
+        cand[:, ends[:-1][ends[:-1] > 0] - 1] = False
+        nl_int -= starts[node].astype(np.int32)
+
+    def per_gap(v):  # v's entry for the node of each gap; for one node, a scalar
+        return np.asarray(v)[node] if S > 1 else v[0]
+
+    totals = np.bincount(y if S == 1 else seg * m + y, minlength=S * m).reshape(S, m)
+    masses = [mass] * S if np.ndim(mass) == 0 else list(mass)
+    h_parent = [gini_term(totals[s] / max(counts[s], 1), masses[s]) for s in range(S)]
+    nl, n_node = nl_int.astype(np.float64), per_gap(counts)
+    nr = np.maximum(n_node - nl, 1.0)  # 0 at a gap between nodes, which is no cut
+    lcs = []
+    for k in range(m - 1):
+        lcs.append((lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32))
+        if S > 1:
+            lcs[-1] -= np.where(starts > 0, lcs[-1][:, starts - 1], 0)[:, node]
+    lcs.append(nl_int - sum(lcs))
+    sq_left, sq_right, t = np.zeros(cand.shape), np.zeros(cand.shape), np.empty(cand.shape)
     for k, lc in enumerate(lcs):  # classes in order, as a per-row sum adds them
         sq_left += np.square(np.divide(lc, nl, out=t), out=t)
-        sq_right += np.square(np.divide(total[k] - lc, nr, out=t), out=t)
-    gains = h_parent - (1.0 - sq_left) * (mass * nl / n)
-    gains -= (1.0 - sq_right) * (mass * nr / n)
+        sq_right += np.square(np.divide(per_gap(totals[:, k].astype(np.int32)) - lc, nr, out=t),
+                              out=t)
+    gains = per_gap(h_parent) - (1.0 - sq_left) * (per_gap(masses) * nl / n_node)
+    gains -= (1.0 - sq_right) * (per_gap(masses) * nr / n_node)
     np.maximum(gains, 0.0, out=gains)
     gains[~cand] = -np.inf
 
-    dim = int(np.argmax(gains.max(axis=1)))  # first max: lowest dimension
-    pos = int(np.argmax(gains[dim]))         # then the smallest threshold
-    gain = float(gains[dim, pos])
-    if gain <= min_gain:
-        return None
-    threshold = float(0.5 * (sv[dim, pos] + sv[dim, pos + 1]))
-    left_rows = order[dim, : pos + 1]
-    right_rows = order[dim, pos + 1:]
-    lh = np.bincount(y[left_rows], minlength=m) / left_rows.size
-    rh = np.bincount(y[right_rows], minlength=m) / right_rows.size
-    return SplitCandidate(dim, threshold, gain,
-                          int(np.argmax(np.bincount(y[left_rows], minlength=m))),
-                          int(np.argmax(np.bincount(y[right_rows], minlength=m))),
-                          lh, rh, left_rows.size, right_rows.size)
+    # Each node's best gain per dimension; its first max is the lowest dimension.
+    best = np.maximum.reduceat(gains, np.minimum(starts, n - 2), axis=1)
+    picks = zip(best.argmax(axis=0).tolist(), best.max(axis=0).tolist(),
+                starts.tolist(), ends.tolist())
+    for s, (d, gain, a, b) in enumerate(picks):
+        if gain <= min_gain or b - a < 2:  # a node of 0 or 1 rows reads another's gaps
+            continue
+        p = a + int(gains[d, a:b - 1].argmax())  # then the smallest threshold
+        lc = np.array([c[d, p] for c in lcs])
+        lh, rh = lc / (p - a + 1), (totals[s] - lc) / (b - p - 1)
+        out[s] = SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), gain,
+                                int(lh.argmax()), int(rh.argmax()), lh, rh, p - a + 1, b - p - 1)
+    return out if segments is not None else out[0]
 
 
 def _label_points(f, X, context: str) -> np.ndarray:

@@ -137,10 +137,6 @@ def _log_domain_mass(gmm: GaussianMixture) -> float:
     return float(_log_masses(gmm, box.lower[None], box.upper[None])[1][0])
 
 
-def pdf(gmm: GaussianMixture, X) -> np.ndarray:
-    return np.exp(log_pdf(gmm, X))
-
-
 def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
                 upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log masses of T boxes under the untruncated mixture.

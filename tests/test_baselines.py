@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from treextract import (BaselineConfig, BoxConstraint, ConfigError, Dataset,
+from treextract import (BaselineConfig, BoxConstraint, ConfigError,
                         ExtractionConfig, FunctionBlackbox,
                         born_again_extract, cart_extract, condition,
                         extract_tree, sample)
 from treextract.evaluate import three_box_benchmark
+
+from helpers import dataset
 
 
 def threshold_blackbox(t=0.0):
@@ -14,14 +16,14 @@ def threshold_blackbox(t=0.0):
 
 class TestCartExtract:
     def test_constant_labels_single_leaf(self, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(50, 2)))
+        ds = dataset(rng.normal(size=(50, 2)))
         f = FunctionBlackbox(lambda X: np.ones(len(X), dtype=int), 2, 2)
         tree = cart_extract(ds, f, 15)
         assert tree.size == 1 and tree.label[0] == 1
 
     def test_split_lands_in_data_gap(self, rng):
         x = np.sort(rng.normal(size=1000))
-        ds = Dataset.from_arrays(x.reshape(-1, 1))
+        ds = dataset(x.reshape(-1, 1))
         f = threshold_blackbox(0.0)
         tree = cart_extract(ds, f, 3)
         below = x[x <= 0.0].max()
@@ -29,7 +31,7 @@ class TestCartExtract:
         assert below < tree.threshold[0] <= above
 
     def test_budget_is_one_labeling_pass(self, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(77, 2)))
+        ds = dataset(rng.normal(size=(77, 2)))
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
         assert cart_extract(ds, f, 7).budget == 77
 
@@ -37,14 +39,14 @@ class TestCartExtract:
         """CART on abundant root samples finds the same first split."""
         gmm, bb = three_box_benchmark()
         X = sample(gmm, np.random.default_rng(0), 10 ** 5)
-        ds = Dataset.from_arrays(X)
+        ds = dataset(X)
         cart_tree = cart_extract(ds, bb, 3)
         ours = extract_tree(gmm, bb, ExtractionConfig(3, 10 ** 4, seed=1))
         assert cart_tree.feature[0] == ours.feature[0]
         assert abs(cart_tree.threshold[0] - ours.threshold[0]) < 0.1
 
     def test_even_max_nodes_rejected(self, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(10, 1)))
+        ds = dataset(rng.normal(size=(10, 1)))
         with pytest.raises(ConfigError):
             cart_extract(ds, threshold_blackbox(), 2)
 

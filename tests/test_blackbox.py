@@ -1,12 +1,96 @@
+import json
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (CartPoleSystem, ConfigError, Dataset, InputError, PolicyConfig,
-                        RandomForestConfig, TabularPolicy, cartpole_step, collect_states,
-                        learn_policy, make_imbalanced_classification,
+from treextract import (CartPoleSystem, ConfigError, DecisionTree, InputError,
+                        PolicyConfig, RandomForest, RandomForestConfig, TabularPolicy,
+                        collect_states, learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
-from treextract.blackbox import balance_rows
+from treextract import blackbox
+from treextract.blackbox import SPLIT_BATCH_CELLS, balance_rows
+from treextract.core import leaf_row, split_row
+from treextract.io import blackbox_to_doc
+
+from helpers import dataset, reference_best_split
+
+
+def cartpole_step(sys_, state, action: int):
+    """One Euler step of one state: the one-row case of step_batch."""
+    nxt, term = sys_.step_batch(np.asarray(state, dtype=np.float64)[None, :],
+                                np.array([action]))
+    return nxt[0], bool(term[0])
+
+
+def _grow_reference_node(X, y, rows, m, depth, cfg, rng, nodes):
+    """Recursive Gini tree on the given rows; feature subset per split,
+    scored by the per-dimension reference scan."""
+    counts = np.bincount(y[rows], minlength=m).astype(np.float64)
+    node_id = len(nodes)
+    nodes.append(leaf_row(int(np.argmax(counts)), counts / counts.sum()))
+    if depth >= cfg.max_depth or rows.size < 2 or counts.max() == counts.sum():
+        return node_id
+    dims = np.sort(rng.choice(X.shape[1], size=math.isqrt(X.shape[1]), replace=False))
+    cand = reference_best_split(X[np.ix_(rows, dims)], y[rows], m, 1.0)
+    if cand is None:
+        return node_id
+    dim = int(dims[cand.dim])
+    mask = X[rows, dim] <= cand.threshold
+    left = _grow_reference_node(X, y, rows[mask], m, depth + 1, cfg, rng, nodes)
+    right = _grow_reference_node(X, y, rows[~mask], m, depth + 1, cfg, rng, nodes)
+    nodes[node_id] = split_row(dim, cand.threshold, left, right, m)
+    return node_id
+
+
+def reference_train_random_forest(data, cfg):
+    """Tree-at-a-time reference for train_random_forest: each tree grows
+    depth first, one split scan per node."""
+    X, y, m = data.features, data.labels, data.m
+    if cfg.balance:
+        X, y = balance_rows(X, y, m)
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng([cfg.seed, t])
+        rows = rng.integers(X.shape[0], size=X.shape[0])
+        nodes: list = []
+        _grow_reference_node(X, y, rows, m, 0, cfg, rng, nodes)
+        trees.append(DecisionTree.from_rows(nodes, X.shape[1], m))
+    return RandomForest(tuple(trees), X.shape[1], m)
+
+
+def _forest_bytes(forest) -> str:
+    return json.dumps(blackbox_to_doc(forest), sort_keys=True)
+
+
+@st.composite
+def forest_cases(draw):
+    """Small labeled tables with duplicated rows, tied and repeated columns,
+    constant columns and, now and then, a single class; plus forest settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d, m = draw(st.integers(2, 40)), draw(st.integers(1, 10)), draw(st.sampled_from([2, 3]))
+    X = np.round(rng.normal(size=(n, d)), draw(st.sampled_from([0, 1, 3])))
+    X[:, rng.integers(d, size=draw(st.integers(0, d)))] = X[:, [0]]  # repeated columns
+    X[:, rng.integers(d, size=draw(st.integers(0, 2)))] = 0.5  # constant columns
+    X[rng.integers(n, size=n // 3)] = X[0]  # duplicated rows
+    if draw(st.booleans()):
+        y = rng.integers(m, size=n)
+    else:  # labels that the first column separates
+        y = (X[:, 0] > np.median(X[:, 0])).astype(int) * (m - 1)
+    if draw(st.integers(0, 9)) == 0:
+        y = np.full(n, draw(st.integers(0, m - 1)))
+    cfg = RandomForestConfig(n_trees=draw(st.sampled_from([1, 2, 25])),
+                             max_depth=draw(st.sampled_from([0, 1, 2, 8])),
+                             balance=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    return dataset(X, y, m), cfg
+
+
+def _train_quietly(train, data, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-class data warns
+        return train(data, cfg)
 
 
 def reference_rollout(policy, sys_, rng):
@@ -48,11 +132,10 @@ class TestRandomForest:
         X = np.concatenate([rng.normal(-2, 0.5, size=(n // 2, 2)),
                             rng.normal(2, 0.5, size=(n // 2, 2))])
         y = np.concatenate([np.zeros(n // 2, int), np.ones(n // 2, int)])
-        return Dataset.from_arrays(X, y)
+        return dataset(X, y)
 
     def test_stump_forest_is_constant_majority(self, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(50, 2)),
-                                 np.array([0] * 30 + [1] * 20))
+        ds = dataset(rng.normal(size=(50, 2)), np.array([0] * 30 + [1] * 20))
         forest = train_random_forest(ds, RandomForestConfig(n_trees=1, max_depth=0))
         preds = forest.predict(rng.normal(size=(100, 2)))
         assert np.all(preds == 0)
@@ -73,7 +156,7 @@ class TestRandomForest:
     def test_balanced_training_sees_both_classes(self, rng):
         X = rng.normal(size=(200, 3))
         y = np.array([0] * 180 + [1] * 20)
-        ds = Dataset.from_arrays(X, y)
+        ds = dataset(X, y)
         forest = train_random_forest(ds, RandomForestConfig(n_trees=10, balance=True, seed=0))
         # Average bootstrap composition after balancing is ~50/50; check the
         # forest actually predicts the minority class somewhere.
@@ -106,7 +189,7 @@ class TestRandomForest:
         assert np.array_equal(forest.predict(X), a)
 
     def test_single_class_warns(self, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(30, 2)), np.zeros(30, int), m=2)
+        ds = dataset(rng.normal(size=(30, 2)), np.zeros(30, int), m=2)
         with pytest.warns(UserWarning):
             forest = train_random_forest(ds, RandomForestConfig(n_trees=3))
         assert np.all(forest.predict(rng.normal(size=(20, 2))) == 0)
@@ -117,6 +200,43 @@ class TestRandomForest:
         b = train_random_forest(ds, RandomForestConfig(seed=11))
         X = rng.normal(size=(50, 2))
         assert np.array_equal(a.predict(X), b.predict(X))
+
+    @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -3}, {"max_depth": -1}])
+    def test_bad_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            RandomForestConfig(**kwargs)
+
+
+class TestLockstepForest:
+    @settings(max_examples=120, deadline=None)
+    @given(forest_cases())
+    def test_matches_tree_at_a_time_reference(self, case):
+        data, cfg = case
+        got = _train_quietly(train_random_forest, data, cfg)
+        want = _train_quietly(reference_train_random_forest, data, cfg)
+        assert _forest_bytes(got) == _forest_bytes(want)
+
+    def test_batches_stay_under_the_cell_cap(self, monkeypatch):
+        # The synthetic-RF training split: 25 balanced roots of 1,236 rows
+        # and 7 features each fill a step about 6.5 times over.
+        data = make_imbalanced_classification(1000, seed=1000)
+        rows = np.random.default_rng([17, 0]).permutation(1000)[:700]
+        data = dataset(data.features[rows], data.labels[rows], 2)
+        cfg = RandomForestConfig(balance=True, seed=0)
+        cells, scan = [], blackbox.best_split_from_samples
+
+        def record(X, *args, **kwargs):
+            cells.append(np.size(X))
+            return scan(X, *args, **kwargs)
+
+        monkeypatch.setattr(blackbox, "best_split_from_samples", record)
+        forest = train_random_forest(data, cfg)
+        internal = sum(int(np.sum(t.feature >= 0)) for t in forest.trees)
+        assert max(cells) <= SPLIT_BATCH_CELLS
+        assert len(cells) <= 100 < internal
+        monkeypatch.setattr(blackbox, "best_split_from_samples", scan)
+        assert _forest_bytes(forest) == _forest_bytes(
+            reference_train_random_forest(data, cfg))
 
 
 class TestCartPoleDynamics:

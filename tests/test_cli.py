@@ -5,7 +5,9 @@ import pytest
 
 from treextract.cli import build_parser, main
 from treextract.io import load_tree, save_csv, save_json, save_tree, blackbox_to_doc
-from treextract import BoxBlackbox, BoxConstraint, Dataset, leaf_tree
+from treextract import BoxBlackbox, BoxConstraint
+
+from helpers import dataset, leaf_tree
 
 
 def run(argv, capsys):
@@ -26,7 +28,7 @@ def synthetic_spec(workdir, rng):
         [BoxConstraint([-np.inf, -np.inf], [0.0, np.inf])], [1], d=2, m=2)
     save_json(workdir / "bb.json", blackbox_to_doc(bb))
     X = rng.normal(size=(200, 2))
-    save_csv(workdir / "train.csv", Dataset.from_arrays(X, bb.predict(X)))
+    save_csv(workdir / "train.csv", dataset(X, bb.predict(X)))
     return bb
 
 
@@ -184,6 +186,14 @@ class TestPipeline:
                             "--out", "gmm.json"], capsys)
         assert code == 1 and "internal error" not in err and "error:" in err
         assert not (workdir / "gmm.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--n-trees", "0"], ["--max-depth", "-1"]])
+    def test_bad_forest_settings_exit_1(self, workdir, synthetic_spec, capsys, flag):
+        code, _, err = run(["train-rf", "--data", "train.csv", *flag, "--out", "rf.json"],
+                           capsys)
+        assert code == 1 and "internal error" not in err
+        assert "n_trees >= 1 and max_depth >= 0" in err
+        assert not (workdir / "rf.json").exists()
 
 
 class TestDeterminism:

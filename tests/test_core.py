@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BoxConstraint, Dataset, DecisionTree, InputError,
-                        leaf_tree)
+from treextract import BoxConstraint, Dataset, DecisionTree, InputError
 from treextract.core import leaf_row, split_row
+
+from helpers import dataset, leaf_tree
 
 
 def box(d=2):
     return BoxConstraint.unbounded(d)
+
+
+def contains(b, x) -> bool:
+    """Membership of one point: the one-row case of contains_batch."""
+    return bool(b.contains_batch(np.reshape(x, (1, -1)))[0])
 
 
 class TestSplit:
@@ -152,7 +158,7 @@ class TestTreePredict:
         for x0 in grid:
             for x1 in grid:
                 x = np.array([x0, x1])
-                hits = [i for i in leaf_ids if boxes[i].contains(x)]
+                hits = [i for i in leaf_ids if contains(boxes[i], x)]
                 assert len(hits) == 1, "exactly one root-leaf path accepts x"
                 assert tree.predict(x) == tree.label[hits[0]]
 
@@ -217,7 +223,7 @@ class TestTreePathProperty:
     def test_exactly_one_path_accepts_and_label_matches(self, tree, point):
         x = np.array(point)
         boxes = [BoxConstraint(lo, hi) for lo, hi in zip(*tree._path_bounds())]
-        hits = [i for i in np.flatnonzero(tree.feature < 0) if boxes[i].contains(x)]
+        hits = [i for i in np.flatnonzero(tree.feature < 0) if contains(boxes[i], x)]
         assert len(hits) == 1
         assert tree.apply(x[None])[0] == walk(tree, x) == hits[0]
         assert tree.predict(x) == tree.label[hits[0]]
@@ -277,7 +283,7 @@ class TestDataset:
             Dataset(np.ones((2, 1)), np.array([0, 5]), ("a",), 2)
 
     def test_from_arrays_defaults(self):
-        ds = Dataset.from_arrays(np.ones((3, 2)), np.array([0, 1, 1]))
+        ds = dataset(np.ones((3, 2)), np.array([0, 1, 1]))
         assert ds.m == 2 and ds.column_names == ("x0", "x1")
         assert not ds.features.flags.writeable
 
@@ -316,7 +322,7 @@ class TestMembership:
         got, want = b.contains_batch(X), reference_contains_batch(b, X)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-        assert [b.contains(x) for x in X] == want.tolist()
+        assert [contains(b, x) for x in X] == want.tolist()
 
     def test_bounds_nan_and_infinities(self):
         b = BoxConstraint([0.0, -np.inf], [1.0, np.inf])
@@ -335,7 +341,7 @@ class TestMembership:
         X = [[np.nan], [-np.inf], [0.0], [np.inf]]
         b = BoxConstraint(lower, upper)
         assert b.contains_batch(X).tolist() == inside
-        assert [b.contains(x) for x in X] == inside
+        assert [contains(b, x) for x in X] == inside
 
     @pytest.mark.parametrize("lower, upper", [
         ([np.nan, -np.inf], [1.0, np.inf]), ([-np.inf, -np.inf], [1.0, np.nan]),
@@ -351,5 +357,5 @@ class TestMembership:
 
     def test_contains_is_one_row_of_contains_batch(self):
         b = BoxConstraint([0.0, -1.0], [1.0, 1.0])
-        assert b.contains([0.5, 1.0]) and not b.contains([0.0, 0.0])
-        assert BoxConstraint([0.0], [1.0]).contains(0.5)
+        assert contains(b, [0.5, 1.0]) and not contains(b, [0.0, 0.0])
+        assert contains(BoxConstraint([0.0], [1.0]), 0.5)

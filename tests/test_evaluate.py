@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, InputError,
                         agreement, exact_greedy_oracle, extract_tree, fidelity,
-                        leaf_tree, sample)
+                        sample)
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
                                  TaskInstance, _best_exact_split, _class_masses,
                                  _exact_gain, _impurity_term, run_fidelity_curve,
-                                 three_box_benchmark, two_box_benchmark)
+                                 three_box_benchmark)
 from treextract.gmm import box_mass
+
+from helpers import dataset, leaf_tree, two_box_benchmark
 
 
 class TestFidelity:
@@ -374,9 +376,8 @@ class TestRunFidelityCurve:
 
         def instance(seed):
             rng = np.random.default_rng(seed)
-            from treextract import Dataset
             X = sample(gmm, rng, 100)
-            return TaskInstance(bb, gmm, Dataset.from_arrays(X, bb.predict(X)),
+            return TaskInstance(bb, gmm, dataset(X, bb.predict(X)),
                                 sample(gmm, rng, 200))
 
         task = FidelityTask("toy", 100, instance)

@@ -10,8 +10,10 @@ from treextract import baselines, blackbox
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
-from treextract.extract import SplitCandidate, grow_tree
-from treextract.evaluate import exact_greedy_oracle, two_box_benchmark
+from treextract.extract import grow_tree
+from treextract.evaluate import exact_greedy_oracle
+
+from helpers import reference_best_split, split_fields as _fields, two_box_benchmark
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):
@@ -35,58 +37,6 @@ def brute_force_gain(X, y, m, mass, dim, threshold):
     if not left or not right:
         return 0.0
     return h_parent - h_left - h_right
-
-
-def reference_best_split(X, y, m, mass, min_gain=0.0):
-    """Per-dimension scan: a stable sort and a one-hot cumsum per column.
-
-    Field-for-field reference for best_split_from_samples, which scores all
-    dimensions in one pass.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = y.shape[0]
-    if n < 2:
-        return None
-    total = np.bincount(y, minlength=m).astype(np.float64)
-    h_parent = gini_term(total / n, mass)
-    best = None  # (gain, dim, threshold, pos, order)
-    for dim in range(X.shape[1]):
-        order = np.argsort(X[:, dim], kind="stable")
-        sv = X[order, dim]
-        positions = np.flatnonzero(sv[:-1] < sv[1:])
-        if positions.size == 0:
-            continue
-        thresholds = 0.5 * (sv[positions] + sv[positions + 1])
-        onehot = np.zeros((n, m))
-        onehot[np.arange(n), y[order]] = 1.0
-        lc = np.cumsum(onehot, axis=0)[positions]
-        rc = total[None, :] - lc
-        nl = (positions + 1).astype(np.float64)
-        nr = n - nl
-        h_left = (1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)) * (mass * nl / n)
-        h_right = (1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)) * (mass * nr / n)
-        gains = np.maximum(h_parent - h_left - h_right, 0.0)
-        j = int(np.argmax(gains))
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), dim, float(thresholds[j]), int(positions[j]), order)
-    if best is None or best[0] <= min_gain:
-        return None
-    gain, dim, threshold, pos, order = best
-    left, right = y[order[: pos + 1]], y[order[pos + 1:]]
-    lcount, rcount = np.bincount(left, minlength=m), np.bincount(right, minlength=m)
-    return SplitCandidate(dim, threshold, gain, int(np.argmax(lcount)),
-                          int(np.argmax(rcount)), lcount / left.size,
-                          rcount / right.size, left.size, right.size)
-
-
-def _fields(cand):
-    """Bitwise-comparable fields of a SplitCandidate."""
-    if cand is None:
-        return None
-    return (cand.dim, repr(cand.threshold), repr(cand.gain), cand.left_label,
-            cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes(),
-            cand.left_count, cand.right_count)
 
 
 @st.composite
@@ -193,7 +143,9 @@ class TestVectorisedScan:
 
     @staticmethod
     def _root_scan(module, build):
-        """Run build with module's scan recorded; return the root candidate."""
+        """Run build with module's scan recorded; return the root candidate:
+        the first call's, or the first segment's when that call scores a
+        ragged batch (the forest's first batch starts with tree 0's root)."""
         calls = []
         scan = module.best_split_from_samples
 
@@ -206,7 +158,7 @@ class TestVectorisedScan:
             out = build()
         finally:
             module.best_split_from_samples = scan
-        return out, calls[0]
+        return out, calls[0][0] if isinstance(calls[0], list) else calls[0]
 
     def test_pinned_root_splits(self):
         # Values recorded with the per-dimension scan (reference_best_split).
@@ -219,6 +171,61 @@ class TestVectorisedScan:
         tree, cand = self._root_scan(baselines, lambda: cart_extract(data, forest, 15))
         assert (tree.feature[0], repr(float(tree.threshold[0])), repr(cand.gain)) == \
             (5, "1.5035765814029205", "0.0398821419798573")
+
+
+@st.composite
+def ragged_batches(draw):
+    """Nodes of 1-40 rows (size 2 among them) stacked in a shuffled row
+    order, drawn from one table with ties, constant columns and repeated
+    columns, with one mass per node; node 0's rows are all one point. A
+    negative min_gain admits every cut, so only the node masks hold back
+    a node without one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 2, 3, 7, 40]), min_size=1, max_size=8))
+    n = sum(sizes)
+    X = np.round(rng.normal(size=(n, d)) * 2, draw(st.sampled_from([0, 1, 4])))
+    X[:, rng.integers(d, size=draw(st.integers(0, d)))] = X[:, [0]]
+    X[:, rng.integers(d, size=draw(st.integers(0, 1)))] = -1.5
+    y = rng.integers(m, size=n)
+    if draw(st.booleans()):  # labels that the first column separates
+        y = (X[:, 0] > 0).astype(int) * (m - 1)
+    seg = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    X[seg == 0] = X[np.argmax(seg == 0)]  # a node whose rows offer no cut
+    mass = rng.uniform(1e-3, 1.0, size=len(sizes))
+    return X, y, m, mass, seg, draw(st.sampled_from([0.0, 0.0, 1e-3, -1.0]))
+
+
+class TestRaggedBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_batches())
+    def test_matches_per_node_calls_bitwise(self, case):
+        X, y, m, mass, seg, min_gain = case
+        want = [_fields(best_split_from_samples(X[seg == s], y[seg == s], m, mass[s], min_gain))
+                for s in range(len(mass))]
+        assert want == [_fields(reference_best_split(X[seg == s], y[seg == s], m, mass[s],
+                                                     min_gain)) for s in range(len(mass))]
+        values, codes = np.unique(X, return_inverse=True)
+        coded = best_split_from_samples(codes.reshape(X.shape), y, m, mass, min_gain,
+                                        segments=seg, values=values)
+        floats = best_split_from_samples(X, y, m, mass, min_gain, segments=seg)
+        assert [_fields(c) for c in coded] == [_fields(c) for c in floats] == want
+
+    def test_one_segment_matches_single_node(self, rng):
+        X, y = np.round(rng.normal(size=(60, 4)), 1), rng.integers(3, size=60)
+        single = _fields(best_split_from_samples(X, y, 3, 0.4))
+        (batched,) = best_split_from_samples(X, y, 3, 0.4, segments=np.zeros(60, int))
+        values, codes = np.unique(X, return_inverse=True)
+        coded = best_split_from_samples(codes.reshape(X.shape), y, 3, 0.4, values=values)
+        assert _fields(batched) == _fields(coded) == single
+
+    def test_empty_and_single_row_nodes_get_none(self, rng):
+        X, y = rng.normal(size=(9, 2)), np.array([0, 1] * 4 + [1])
+        seg = np.array([0, 0, 0, 0, 2, 2, 2, 2, 3])  # node 1 has no rows
+        cands = best_split_from_samples(X, y, 2, 1.0, segments=seg)
+        assert len(cands) == 4 and cands[1] is None and cands[3] is None
+        assert _fields(cands[2]) == _fields(best_split_from_samples(X[4:8], y[4:8], 2, 1.0))
+        assert best_split_from_samples(X[:0], y[:0], 2, 1.0, segments=seg[:0]) == []
 
 
 class TestBestSplit:

@@ -6,15 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treextract import (BaselineConfig, Dataset, EMConfig,
+from treextract import (BaselineConfig, EMConfig,
                         ExtractionConfig, RandomForestConfig,
                         born_again_extract, cart_extract, collect_states,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
 from treextract import io as tio
-from treextract.evaluate import (exact_greedy_oracle, three_box_benchmark,
-                                 two_box_benchmark)
+from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
 from treextract.extract import grow_best_first
+
+from helpers import dataset, two_box_benchmark
 
 # tree_to_doc documents of fixed-seed 7-node trees on three_box_benchmark and
 # the oracle's gains, recorded before the builders shared one frontier loop;
@@ -117,7 +118,7 @@ class TestGrowBestFirst:
 def _pinned_builds():
     gmm, bb = three_box_benchmark()
     ours = extract_tree(gmm, bb, ExtractionConfig(7, 200, seed=4))
-    train = Dataset.from_arrays(sample(gmm, np.random.default_rng(4), 300))
+    train = dataset(sample(gmm, np.random.default_rng(4), 300))
     return {
         "ours": lambda: ours,
         "pruned": lambda: extract_tree(gmm, bb, ExtractionConfig(7, 200, seed=4,

@@ -9,9 +9,14 @@ from scipy import integrate, stats
 
 from treextract import (BoxConstraint, ConfigError, EMConfig, EmptyRegionError,
                         GaussianMixture, InputError, box_mass, condition,
-                        fit_em, pdf, sample, sample_conditional,
+                        fit_em, sample, sample_conditional,
                         sample_truncated_normal, select_k_bic)
 from treextract import gmm as gmm_mod
+
+
+def pdf(gmm, X):
+    """Mixture density: exp of gmm.log_pdf."""
+    return np.exp(gmm_mod.log_pdf(gmm, X))
 
 
 def quadrature_component_weights(gmm, box):

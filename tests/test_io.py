@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from treextract import (BoxConstraint, Dataset, DecisionTree, EMConfig,
+from treextract import (BoxConstraint, DecisionTree, EMConfig,
                         ExtractionConfig, FunctionBlackbox, GaussianMixture,
                         InputError, UnknownCategoryError, export_dot,
                         extract_tree, fit_em)
@@ -14,6 +14,8 @@ from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            encode_features, gmm_from_doc, gmm_to_doc, load_csv,
                            load_gmm, load_json, load_tree, save_csv, save_gmm, save_tree,
                            tree_from_doc, tree_to_doc)
+
+from helpers import dataset
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -69,7 +71,7 @@ class TestCsv:
             load_csv(csv_file, schema)
 
     def test_save_load_round_trip(self, tmp_path, rng):
-        ds = Dataset.from_arrays(rng.normal(size=(20, 3)), rng.integers(2, size=20))
+        ds = dataset(rng.normal(size=(20, 3)), rng.integers(2, size=20))
         path = tmp_path / "round.csv"
         save_csv(path, ds)
         back, _ = load_csv(path)
