@@ -116,10 +116,12 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
     gain does not exceed min_gain.
 
     With segments (row i's node in [0, S)), the rows are a ragged batch and
-    the result lists each node's candidate as its rows alone give it; mass
-    is a scalar or one per node. A batch sorts one integer key per column,
-    (node, value index, label), where values, when given, holds the sorted
-    distinct values and X each sample's index into it.
+    the result lists each node's candidate as its rows alone give it. A
+    batch gives values, the sorted distinct values, with X holding each
+    sample's index into them, and sorts one integer key per column, (node,
+    value index, label). A single node sorts its float columns instead: on
+    the single-node calls of extraction and the baselines that is 1.3-1.5x
+    faster than coding them with np.unique for the key.
     """
     y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
@@ -128,9 +130,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
     out = [None] * S
     if n < 2 or np.shape(X)[1] == 0:
         return out if segments is not None else None
-    if values is None and segments is not None:
-        values, X = np.unique(X, return_inverse=True)
-    if values is None:  # one node: sort each column
+    if segments is None:  # one node: sort each column
         Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
         sv, lab = np.sort(Xt, axis=1), y.astype(np.min_scalar_type(m))[Xt.argsort(axis=1)]
     else:
@@ -156,8 +156,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
         return np.asarray(v)[node] if S > 1 else v[0]
 
     totals = np.bincount(y if S == 1 else seg * m + y, minlength=S * m).reshape(S, m)
-    masses = [mass] * S if np.ndim(mass) == 0 else list(mass)
-    h_parent = [gini_term(totals[s] / max(counts[s], 1), masses[s]) for s in range(S)]
+    h_parent = [gini_term(totals[s] / max(counts[s], 1), mass) for s in range(S)]
     nl, n_node = nl_int.astype(np.float64), per_gap(counts)
     nr = np.maximum(n_node - nl, 1.0)  # 0 at a gap between nodes, which is no cut
     lcs = []
@@ -171,8 +170,8 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
         sq_left += np.square(np.divide(lc, nl, out=t), out=t)
         sq_right += np.square(np.divide(per_gap(totals[:, k].astype(np.int32)) - lc, nr, out=t),
                               out=t)
-    gains = per_gap(h_parent) - (1.0 - sq_left) * (per_gap(masses) * nl / n_node)
-    gains -= (1.0 - sq_right) * (per_gap(masses) * nr / n_node)
+    gains = per_gap(h_parent) - (1.0 - sq_left) * (mass * nl / n_node)
+    gains -= (1.0 - sq_right) * (mass * nr / n_node)
     np.maximum(gains, 0.0, out=gains)
     gains[~cand] = -np.inf
 

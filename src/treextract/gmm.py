@@ -114,22 +114,6 @@ def _log_joint(Z, Z2, w, mu, sd) -> np.ndarray:
                               - 0.5 * Z.shape[1] * math.log(2 * math.pi))[:, None]
 
 
-def log_pdf(gmm: GaussianMixture, X) -> np.ndarray:
-    """Log density of the mixture at each row of X."""
-    # Evaluated in coordinates standardized by the mixture's mean and sd.
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    w, mu, sd = gmm.weights, gmm.means, gmm.stddevs
-    loc = w @ mu
-    scale = np.sqrt(w @ (sd * sd + (mu - loc) ** 2))
-    Z = (X - loc) / scale
-    out = logsumexp(_log_joint(Z, Z * Z, w, (mu - loc) / scale, sd / scale), axis=0) \
-        - np.sum(np.log(scale))
-    if gmm.x_max is not None:
-        outside = ~gmm.domain_box().contains_batch(X)
-        out = np.where(outside, -np.inf, out - _log_domain_mass(gmm))
-    return out
-
-
 def _log_domain_mass(gmm: GaussianMixture) -> float:
     if gmm.x_max is None:
         return 0.0

@@ -1,7 +1,7 @@
 """Builders and reference implementations that only the tests need."""
 import numpy as np
 
-from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture
+from treextract import Dataset, DecisionTree
 from treextract.core import leaf_row
 from treextract.extract import SplitCandidate, gini_term
 
@@ -19,16 +19,6 @@ def dataset(features, labels=None, m=None) -> Dataset:
 def leaf_tree(label: int, d: int, m: int) -> DecisionTree:
     """Single-leaf tree predicting a constant label."""
     return DecisionTree.from_rows([leaf_row(label, np.eye(m)[label])], d, m)
-
-
-def two_box_benchmark():
-    """Two positive regions over a 2-component mixture whose exact greedy
-    tree is a full 7-node tree (three clean splits, pure leaves)."""
-    gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.2]],
-                          stddevs=[[1.0, 0.9], [0.9, 1.0]])
-    boxes = (BoxConstraint([-np.inf, -np.inf], [-0.6, 0.4]),
-             BoxConstraint([0.9, -np.inf], [np.inf, np.inf]))
-    return gmm, BoxBlackbox(boxes, (1, 1), d=2, m=2)
 
 
 def reference_best_split(X, y, m, mass, min_gain=0.0):

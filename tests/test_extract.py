@@ -11,9 +11,9 @@ from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
 from treextract.extract import grow_tree
-from treextract.evaluate import exact_greedy_oracle
+from treextract.evaluate import exact_greedy_oracle, two_box_benchmark
 
-from helpers import reference_best_split, split_fields as _fields, two_box_benchmark
+from helpers import reference_best_split, split_fields as _fields
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):
@@ -177,9 +177,8 @@ class TestVectorisedScan:
 def ragged_batches(draw):
     """Nodes of 1-40 rows (size 2 among them) stacked in a shuffled row
     order, drawn from one table with ties, constant columns and repeated
-    columns, with one mass per node; node 0's rows are all one point. A
-    negative min_gain admits every cut, so only the node masks hold back
-    a node without one."""
+    columns; node 0's rows are all one point. A negative min_gain admits
+    every cut, so only the node masks hold back a node without one."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
     sizes = draw(st.lists(st.sampled_from([1, 2, 2, 3, 7, 40]), min_size=1, max_size=8))
@@ -192,8 +191,15 @@ def ragged_batches(draw):
         y = (X[:, 0] > 0).astype(int) * (m - 1)
     seg = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     X[seg == 0] = X[np.argmax(seg == 0)]  # a node whose rows offer no cut
-    mass = rng.uniform(1e-3, 1.0, size=len(sizes))
+    mass = draw(st.floats(1e-3, 1.0))
     return X, y, m, mass, seg, draw(st.sampled_from([0.0, 0.0, 1e-3, -1.0]))
+
+
+def batch_scan(X, y, m, mass, min_gain, seg):
+    """The scan of a ragged batch, with X coded as the forest codes it."""
+    values, codes = np.unique(X, return_inverse=True)
+    return best_split_from_samples(codes.reshape(X.shape), y, m, mass, min_gain,
+                                   segments=seg, values=values)
 
 
 class TestRaggedBatch:
@@ -201,31 +207,26 @@ class TestRaggedBatch:
     @given(ragged_batches())
     def test_matches_per_node_calls_bitwise(self, case):
         X, y, m, mass, seg, min_gain = case
-        want = [_fields(best_split_from_samples(X[seg == s], y[seg == s], m, mass[s], min_gain))
-                for s in range(len(mass))]
-        assert want == [_fields(reference_best_split(X[seg == s], y[seg == s], m, mass[s],
-                                                     min_gain)) for s in range(len(mass))]
-        values, codes = np.unique(X, return_inverse=True)
-        coded = best_split_from_samples(codes.reshape(X.shape), y, m, mass, min_gain,
-                                        segments=seg, values=values)
-        floats = best_split_from_samples(X, y, m, mass, min_gain, segments=seg)
-        assert [_fields(c) for c in coded] == [_fields(c) for c in floats] == want
+        S = seg.max() + 1
+        want = [_fields(best_split_from_samples(X[seg == s], y[seg == s], m, mass, min_gain))
+                for s in range(S)]
+        assert want == [_fields(reference_best_split(X[seg == s], y[seg == s], m, mass,
+                                                     min_gain)) for s in range(S)]
+        assert [_fields(c) for c in batch_scan(X, y, m, mass, min_gain, seg)] == want
 
     def test_one_segment_matches_single_node(self, rng):
         X, y = np.round(rng.normal(size=(60, 4)), 1), rng.integers(3, size=60)
         single = _fields(best_split_from_samples(X, y, 3, 0.4))
-        (batched,) = best_split_from_samples(X, y, 3, 0.4, segments=np.zeros(60, int))
-        values, codes = np.unique(X, return_inverse=True)
-        coded = best_split_from_samples(codes.reshape(X.shape), y, 3, 0.4, values=values)
-        assert _fields(batched) == _fields(coded) == single
+        (batched,) = batch_scan(X, y, 3, 0.4, 0.0, np.zeros(60, int))
+        assert _fields(batched) == single
 
     def test_empty_and_single_row_nodes_get_none(self, rng):
         X, y = rng.normal(size=(9, 2)), np.array([0, 1] * 4 + [1])
         seg = np.array([0, 0, 0, 0, 2, 2, 2, 2, 3])  # node 1 has no rows
-        cands = best_split_from_samples(X, y, 2, 1.0, segments=seg)
+        cands = batch_scan(X, y, 2, 1.0, 0.0, seg)
         assert len(cands) == 4 and cands[1] is None and cands[3] is None
         assert _fields(cands[2]) == _fields(best_split_from_samples(X[4:8], y[4:8], 2, 1.0))
-        assert best_split_from_samples(X[:0], y[:0], 2, 1.0, segments=seg[:0]) == []
+        assert batch_scan(X[:0], y[:0], 2, 1.0, 0.0, seg[:0]) == []
 
 
 class TestBestSplit:
