@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import Dataset, DecisionTree
 from .errors import ConfigError, InputError
-from .extract import (ExtractionConfig, _label_points, best_split_from_samples,
-                      grow_best_first, grow_tree)
+from .extract import (ExtractionConfig, _label_points, _majority,
+                      best_split_from_samples, grow_best_first, grow_tree)
 from .gmm import GaussianMixture, sample
 
 
@@ -24,7 +24,8 @@ class BaselineConfig:
     """Settings for born_again_extract.
 
     samples_per_node is the per-node raw-draw quota and total_sample_budget
-    the raw draws shared by all nodes.
+    the raw draws shared by all nodes. max_nodes and samples_per_node are
+    checked by the ExtractionConfig that extraction() builds.
     """
 
     max_nodes: int
@@ -33,12 +34,12 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_nodes % 2 == 0:
-            raise ConfigError("max_nodes must be a positive odd node total")
-        if self.samples_per_node < 2:
-            raise ConfigError("born_again requires samples_per_node >= 2")
+        self.extraction()
         if self.total_sample_budget < 1:
             raise ConfigError("born_again requires a positive total_sample_budget")
+
+    def extraction(self) -> ExtractionConfig:
+        return ExtractionConfig(self.max_nodes, self.samples_per_node, seed=self.seed)
 
 
 def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
@@ -68,9 +69,7 @@ def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
             ((cand.left_label, cand.left_hist, left.size / n), left),
             ((cand.right_label, cand.right_hist, right.size / n), right))
 
-    counts = np.bincount(y, minlength=m).astype(np.float64)
-    root = (int(np.argmax(counts)), counts / counts.sum(), 1.0)
-    nodes, _ = grow_best_first(root, np.arange(n), score, commit, max_nodes)
+    nodes, _ = grow_best_first((*_majority(y, m), 1.0), np.arange(n), score, commit, max_nodes)
     return DecisionTree.from_rows(nodes, f.d, m, budget=n)
 
 
@@ -96,10 +95,8 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> Decision
         allowance = min(n_requested, remaining[0])
         if allowance <= 0:
             return np.empty((0, gmm.d))
-        X = np.atleast_2d(sample(gmm, r, allowance))
+        X = sample(gmm, r, allowance)
         remaining[0] -= allowance
         return X[cm.box.contains_batch(X)]
 
-    inner = ExtractionConfig(max_nodes=cfg.max_nodes,
-                             samples_per_node=cfg.samples_per_node, seed=cfg.seed)
-    return grow_tree(gmm, f, inner, rng, draw)
+    return grow_tree(gmm, f, cfg.extraction(), rng, draw)

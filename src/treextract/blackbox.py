@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,13 +18,6 @@ from .core import (BoxConstraint, Dataset, DecisionTree, _route, _routing_table,
                    leaf_row, split_row)
 from .errors import ConfigError, InputError
 from .extract import _majority, best_split_from_samples
-
-
-class BlackboxModel(Protocol):
-    d: int
-    m: int
-
-    def predict(self, X) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,10 @@ def train_random_forest(data: Dataset, cfg: RandomForestConfig = RandomForestCon
 # Cart-pole system, value-iteration policy
 
 
-TWELVE_DEGREES = 12.0 * math.pi / 180.0
+# The classic constants (Barto, Sutton & Anderson 1983).
+GRAVITY, CART_MASS, POLE_MASS, HALF_LENGTH = 9.8, 1.0, 0.1, 0.5
+FORCE_MAG, TIMESTEP = 10.0, 0.02
+X_LIMIT, THETA_LIMIT = 2.4, 12.0 * math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -217,17 +213,10 @@ class CartPoleSystem:
 
     State is (cart position, cart velocity, pole angle, pole angular
     velocity); actions are 0 (push left) and 1 (push right). An episode
-    terminates when |angle| > 12 degrees or |position| > 2.4.
+    terminates when |angle| > THETA_LIMIT (12 degrees) or |position| >
+    X_LIMIT (2.4), or after episode_cap steps.
     """
 
-    gravity: float = 9.8
-    cart_mass: float = 1.0
-    pole_mass: float = 0.1
-    half_length: float = 0.5
-    force_mag: float = 10.0
-    timestep: float = 0.02
-    x_limit: float = 2.4
-    theta_limit: float = TWELVE_DEGREES
     episode_cap: int = 200
 
     def __post_init__(self):
@@ -238,22 +227,27 @@ class CartPoleSystem:
         """Vectorized transition; returns (next_states, terminal_mask)."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         x, x_dot, theta, theta_dot = states.T
-        force = np.where(np.asarray(actions) == 1, self.force_mag, -self.force_mag)
-        total_mass = self.cart_mass + self.pole_mass
-        pml = self.pole_mass * self.half_length
+        force = np.where(np.asarray(actions) == 1, FORCE_MAG, -FORCE_MAG)
+        total_mass = CART_MASS + POLE_MASS
+        pml = POLE_MASS * HALF_LENGTH
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         temp = (force + pml * theta_dot ** 2 * sin_t) / total_mass
-        theta_acc = (self.gravity * sin_t - cos_t * temp) / (
-            self.half_length * (4.0 / 3.0 - self.pole_mass * cos_t ** 2 / total_mass))
+        theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+            HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
         x_acc = temp - pml * theta_acc * cos_t / total_mass
         nxt = np.stack([
-            x + self.timestep * x_dot,
-            x_dot + self.timestep * x_acc,
-            theta + self.timestep * theta_dot,
-            theta_dot + self.timestep * theta_acc,
+            x + TIMESTEP * x_dot,
+            x_dot + TIMESTEP * x_acc,
+            theta + TIMESTEP * theta_dot,
+            theta_dot + TIMESTEP * theta_acc,
         ], axis=1)
-        terminal = (np.abs(nxt[:, 0]) > self.x_limit) | (np.abs(nxt[:, 2]) > self.theta_limit)
+        terminal = (np.abs(nxt[:, 0]) > X_LIMIT) | (np.abs(nxt[:, 2]) > THETA_LIMIT)
         return nxt, terminal
+
+
+# The policy grid spans the termination bounds in position and angle.
+STATE_RANGES = ((-X_LIMIT, X_LIMIT), (-3.0, 3.0), (-THETA_LIMIT, THETA_LIMIT), (-3.5, 3.5))
+VI_TOL, VI_MAX_SWEEPS = 1e-8, 5000
 
 
 @dataclass(frozen=True)
@@ -261,13 +255,15 @@ class PolicyConfig:
     # Defaults reach the full episode-cap reward at desk scale while keeping
     # the action surface coarse enough for small trees to track.
     grid_sizes: tuple[int, ...] = (7, 7, 7, 7)
-    state_ranges: tuple[tuple[float, float], ...] = (
-        (-2.4, 2.4), (-3.0, 3.0), (-TWELVE_DEGREES, TWELVE_DEGREES), (-3.5, 3.5))
     n_transition_samples: int = 30  # per (cell, action) pair
     discount: float = 0.99
-    vi_tol: float = 1e-8
-    max_sweeps: int = 5000
     seed: int = 0
+
+    def __post_init__(self):
+        if len(self.grid_sizes) != 4 or min(self.grid_sizes) < 1 or self.n_transition_samples < 1:
+            raise ConfigError("a policy needs four grid sizes >= 1 and n_transition_samples >= 1")
+        if not 0.0 <= self.discount < 1.0:
+            raise ConfigError("discount must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -307,13 +303,9 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
     when given, receives the per-sweep sup-norm value changes.
     """
     d = len(cfg.grid_sizes)
-    for (lo, hi), limit in zip(cfg.state_ranges[:1] + cfg.state_ranges[2:3],
-                               (sys.x_limit, sys.theta_limit)):
-        if hi < limit:
-            raise ConfigError("state grid must cover the termination bounds")
     rng = np.random.default_rng(cfg.seed)
     grids = [np.linspace(lo, hi, size + 1)
-             for (lo, hi), size in zip(cfg.state_ranges, cfg.grid_sizes)]
+             for (lo, hi), size in zip(STATE_RANGES, cfg.grid_sizes)]
     edges = tuple(grid[1:-1] for grid in grids)
     n_cells = int(np.prod(cfg.grid_sizes))
     ns = cfg.n_transition_samples
@@ -330,25 +322,24 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
     flat_actions = actions.reshape(-1)
     nxt, terminal = sys.step_batch(flat_states, flat_actions)
 
-    policy_stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64),
-                                tuple(cfg.grid_sizes), d=d)
+    policy_stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64), tuple(cfg.grid_sizes))
     # Next cell per transition; the trailing value slot is the absorbing terminal.
     gather = np.where(terminal, n_cells, policy_stub.cell_index(nxt)).reshape(n_cells, 2, ns)
     rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)
 
     values = np.zeros(n_cells + 1)
-    for _ in range(cfg.max_sweeps):
+    for _ in range(VI_MAX_SWEEPS):
         q = np.mean(rewards + cfg.discount * values[gather], axis=2)
         new_values = q.max(axis=1)
         residual = float(np.max(np.abs(new_values - values[:n_cells])))
         values = np.concatenate([new_values, [0.0]])
         if residuals_out is not None:
             residuals_out.append(residual)
-        if residual < cfg.vi_tol:
+        if residual < VI_TOL:
             break
     q = np.mean(rewards + cfg.discount * values[gather], axis=2)
     greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
-    return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes), d=d)
+    return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes))
 
 
 def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):
@@ -407,27 +398,28 @@ def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
 # Synthetic classification data
 
 
-def make_imbalanced_classification(n: int, d: int = 50, positive_rate: float = 0.118,
-                                   n_clusters: int = 3, dims_per_cluster: int = 2,
-                                   shift: float = 2.2, spread: float = 0.7,
-                                   seed: int = 0) -> Dataset:
+POSITIVE_RATE, N_CLUSTERS, DIMS_PER_CLUSTER, SHIFT, SPREAD = 0.118, 3, 2, 2.2, 0.7
+
+
+def make_imbalanced_classification(n: int, d: int = 50, seed: int = 0) -> Dataset:
     """Rare-positive Gaussian classification data.
 
-    Negatives are standard normal in every dimension. Positives fall into
-    n_clusters blobs, each shifted along its own pair of feature dimensions
-    with tighter spread, so the positive class is fragmented: localizing all
-    blobs from few labeled rows is hard, while a mixture model fit to the
-    inputs recovers them.
+    Negatives are standard normal in every dimension. A POSITIVE_RATE share
+    of rows is positive, falling into N_CLUSTERS blobs, each shifted by
+    +-SHIFT along its own DIMS_PER_CLUSTER feature dimensions with spread
+    SPREAD, so the positive class is fragmented: localizing all blobs from
+    few labeled rows is hard, while a mixture model fit to the inputs
+    recovers them.
     """
     rng = np.random.default_rng(seed)
-    y = (rng.random(n) < positive_rate).astype(np.int64)
+    y = (rng.random(n) < POSITIVE_RATE).astype(np.int64)
     X = rng.standard_normal((n, d))
     pos = np.flatnonzero(y == 1)
-    blob = rng.integers(n_clusters, size=pos.size)
-    for c in range(n_clusters):
+    blob = rng.integers(N_CLUSTERS, size=pos.size)
+    for c in range(N_CLUSTERS):
         rows = pos[blob == c]
-        dims = np.arange(c * dims_per_cluster, (c + 1) * dims_per_cluster)
+        dims = np.arange(c * DIMS_PER_CLUSTER, (c + 1) * DIMS_PER_CLUSTER)
         sign = 1.0 if c % 2 == 0 else -1.0
-        X[np.ix_(rows, dims)] *= spread
-        X[np.ix_(rows, dims)] += sign * shift
+        X[np.ix_(rows, dims)] *= SPREAD
+        X[np.ix_(rows, dims)] += sign * SHIFT
     return Dataset(X, y, tuple(f"f{i}" for i in range(d)), 2)

@@ -35,11 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (default: ${SEED_ENV} or 0)")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"random seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults; flags win")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, e.g. 7,7,7,7."""
+    return tuple(int(v) for v in text.split(","))
 
 
 def build_parser() -> _Parser:
@@ -68,7 +74,8 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("train-cartpole", help="learn the cart-pole control policy")
-    p.add_argument("--grid", default="7,7,7,7", help="cells per state dimension")
+    p.add_argument("--grid", type=_int_list, default="7,7,7,7",
+                   help="cells per state dimension")
     p.add_argument("--transition-samples", type=int, default=30)
     p.add_argument("--discount", type=float, default=0.99)
     p.add_argument("--episodes", type=int, default=100, help="evaluation rollouts")
@@ -117,12 +124,12 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.add_argument("--columns", default=None, help="comma-separated feature names")
     p.add_argument("--classes", default=None, help="comma-separated class names")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("experiment", help="experiment harness")
     p.add_argument("what", choices=["fidelity-curve"])
     p.add_argument("--task", required=True, choices=["cartpole", "synthetic-rf"])
-    p.add_argument("--sizes", default="3,7,11,15")
+    p.add_argument("--sizes", type=_int_list, default="3,7,11,15")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--algorithms", default="ours,cart,born_again")
     p.add_argument("--samples-per-node", type=int, default=None)
@@ -174,8 +181,7 @@ def _echo_config(args) -> None:
 
 def _load_features(path, schema_path):
     schema = tio.TableSchema.from_json(schema_path) if schema_path else None
-    dataset, schema = tio.load_csv(path, schema)
-    return dataset, schema
+    return tio.load_csv(path, schema)
 
 
 def _load_blackbox(spec: str):
@@ -221,24 +227,19 @@ def _cmd_train_rf(args) -> int:
 
 
 def _cmd_train_cartpole(args) -> int:
-    grid = tuple(int(v) for v in args.grid.split(","))
-    sys_ = CartPoleSystem()
-    cfg = PolicyConfig(grid_sizes=grid, n_transition_samples=args.transition_samples,
-                       discount=args.discount, seed=_resolve_seed(args))
+    if args.collect < 0 or bool(args.collect) != bool(args.train_csv or args.test_csv):
+        raise InputError("--collect N >= 1 and --train-csv or --test-csv go together")
+    sys_, seed = CartPoleSystem(), _resolve_seed(args)
+    cfg = PolicyConfig(grid_sizes=args.grid, n_transition_samples=args.transition_samples,
+                       discount=args.discount, seed=seed)
     policy = learn_policy(sys_, cfg)
-    reward = mean_rollout_reward(policy, sys_, args.episodes, seed=_resolve_seed(args))
+    reward = mean_rollout_reward(policy, sys_, args.episodes, seed=seed)
     tio.save_json(args.out, tio.blackbox_to_doc(policy))
-    print(f"policy: grid {grid}, mean reward {reward:.1f} over {args.episodes} episodes -> {args.out}")
-    if args.collect:
-        seed = _resolve_seed(args)
-        if args.train_csv:
-            tio.save_csv(args.train_csv, collect_states(policy, sys_, args.collect,
-                                                        seed=2 * seed + 1))
-            print(f"collected {args.collect} training states -> {args.train_csv}")
-        if args.test_csv:
-            tio.save_csv(args.test_csv, collect_states(policy, sys_, args.collect,
-                                                       seed=2 * seed + 2))
-            print(f"collected {args.collect} test states -> {args.test_csv}")
+    print(f"policy: grid {args.grid}, mean reward {reward:.1f} over {args.episodes} episodes -> {args.out}")
+    for split, path, offset in (("training", args.train_csv, 1), ("test", args.test_csv, 2)):
+        if path:
+            tio.save_csv(path, collect_states(policy, sys_, args.collect, seed=2 * seed + offset))
+            print(f"collected {args.collect} {split} states -> {path}")
     return 0
 
 
@@ -305,12 +306,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = args.sizes
     algorithms = [a.strip() for a in args.algorithms.split(",")]
-    if args.task == "cartpole":
-        task = cartpole_task()
-    else:
-        task = synthetic_rf_task()
+    task = cartpole_task() if args.task == "cartpole" else synthetic_rf_task()
     if args.samples_per_node:
         task.samples_per_node = args.samples_per_node
     result = run_fidelity_curve(task, sizes, algorithms, n_seeds=args.seeds,

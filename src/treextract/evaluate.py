@@ -25,11 +25,12 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
                        make_imbalanced_classification, train_random_forest)
 from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
-from .extract import ExtractionConfig, extract_tree, grow_best_first
+from .extract import ExtractionConfig, _label_points, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
 GOLDEN_TOL = 1e-8  # golden-section refinement stops at this bracket width
+COARSE_GRID = 33  # points per smooth piece scanned before golden-section refinement
 GAIN_BATCH_CELLS = 1 << 16  # boxes x K x d cells per log_box_masses call in _exact_gain
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,7 +59,7 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     if X.shape[0] == 0:
         raise InputError("test_points must be nonempty")
-    ref = np.asarray(f.predict(X), dtype=np.int64)
+    ref = _label_points(f, X, "fidelity")
     pred = tree.predict_batch(X)
     m = tree.m
     confusion = np.zeros((m, m), dtype=np.int64)
@@ -88,7 +89,7 @@ def agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
         raise InputError("trees have different input dimensions")
     if rng is None:
         rng = np.random.default_rng(0)
-    X = np.atleast_2d(sample(gmm, rng, n))
+    X = sample(gmm, rng, n)
     rate = float(np.mean(tree_a.predict_batch(X) == tree_b.predict_batch(X)))
     se = math.sqrt(max(rate * (1 - rate), 1e-12) / n)
     return AgreementResult(rate, se, n)
@@ -98,16 +99,13 @@ def agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
 # Exact greedy oracle
 
 
-def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox, box) -> tuple:
-    """(p, z): p_y = Pr[f(x)=y and x in box], z = Pr[x in box].
+def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox, lower, upper) -> tuple:
+    """(p, z) for T boxes with (T, d) bounds: the (T, m) p_y = Pr[f(x)=y and
+    x in box] and the (T,) z = Pr[x in box].
 
-    box is one BoxConstraint, or a batch of T boxes as a pair of (T, d)
-    lower/upper bound arrays, for which p is (T, m) and z is (T,). Empty
-    boxes get zero masses. The boxes and their intersections with every
-    blackbox box go through one log_box_masses call.
+    Empty boxes get zero masses. The boxes and their intersections with
+    every blackbox box go through one log_box_masses call.
     """
-    single = isinstance(box, BoxConstraint)
-    lower, upper = (box.lower[None], box.upper[None]) if single else box
     t = lower.shape[0]
     lo, hi = [lower], [upper]
     for b in bb.boxes:
@@ -121,29 +119,24 @@ def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox, box) -> tuple:
         p[:, label] += pb
         covered += pb
     p[:, bb.default_label] += np.maximum(z - covered, 0.0)
-    return (p[0], float(z[0])) if single else (p, z)
+    return p, z
 
 
 def _impurity_term(p, z):
-    """z - |p|^2 / z, and 0 where z <= 0; p is (m,) with a scalar z, or a
-    (T, m) batch with z of shape (T,)."""
-    p = np.asarray(p, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    """(T,) z - |p|^2 / z, and 0 where z <= 0, for (T, m) p and (T,) z."""
     # matmul rounds |p|^2 as np.dot does (BLAS), unlike an elementwise sum,
     # so the oracle's gains stay bit-identical to the dot-product form.
-    sq = (p[..., None, :] @ p[..., :, None])[..., 0, 0]
+    sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(z > 0, z - sq / z, 0.0)
-    return float(h) if h.ndim == 0 else h
+        return np.where(z > 0, z - sq / z, 0.0)
 
 
-def _exact_gain(gmm, bb, box, parent_h, dim, t):
-    """Exact Gini gain of splitting box at x_dim <= t. t may be a vector of
-    thresholds, which give a gain array; dim is then one dimension or an
-    array of them aligned with t. Each threshold makes 2 * (boxes + 1)
-    boxes for log_box_masses, whose temporaries hold K * d cells per box,
-    so the thresholds go in batches of at most GAIN_BATCH_CELLS cells."""
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+def _exact_gain(gmm, bb, box, parent_h, dim, ts):
+    """Exact Gini gains of splitting box at x_dim <= t for each threshold t
+    of the vector ts; dim is one dimension or an array aligned with ts.
+    Each threshold makes 2 * (boxes + 1) boxes for log_box_masses, whose
+    temporaries hold K * d cells per box, so the thresholds go in batches
+    of at most GAIN_BATCH_CELLS cells."""
     n = ts.shape[0]
     dim = np.broadcast_to(dim, ts.shape)
     step = max(1, GAIN_BATCH_CELLS // (2 * (len(bb.boxes) + 1) * gmm.means.size))
@@ -155,9 +148,8 @@ def _exact_gain(gmm, bb, box, parent_h, dim, t):
     upper = np.repeat(box.upper[None], 2 * n, axis=0)
     upper[rows, dim] = np.minimum(upper[rows, dim], ts)
     lower[rows + n, dim] = np.maximum(lower[rows + n, dim], ts)
-    h = _impurity_term(*_class_masses(gmm, bb, (lower, upper)))
-    gain = parent_h - h[:n] - h[n:]
-    return float(gain[0]) if np.ndim(t) == 0 else gain
+    h = _impurity_term(*_class_masses(gmm, bb, lower, upper))
+    return parent_h - h[:n] - h[n:]
 
 
 def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tuple[float, float]:
@@ -171,7 +163,7 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
     return lo, hi
 
 
-def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
+def _best_exact_split(gmm, bb, box, parent_h: float):
     """Exact gain maximizer over all dimensions for one region whose
     impurity term is parent_h, as (gain, dim, threshold), or None.
 
@@ -196,12 +188,12 @@ def _best_exact_split(gmm, bb, box, parent_h: float, coarse: int = 33):
         return None
     dims = np.array([p[0] for p in pieces])
     gain = lambda dim, t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
-    grid = np.array([np.linspace(a, b, coarse) for _, a, b in pieces])
-    vals = gain(np.repeat(dims, coarse), grid.ravel()).reshape(grid.shape)
+    grid = np.array([np.linspace(a, b, COARSE_GRID) for _, a, b in pieces])
+    vals = gain(np.repeat(dims, COARSE_GRID), grid.ravel()).reshape(grid.shape)
     rows = np.arange(len(pieces))
     j = np.argmax(vals, axis=1)
     a = grid[rows, np.maximum(j - 1, 0)]
-    b = grid[rows, np.minimum(j + 1, coarse - 1)]
+    b = grid[rows, np.minimum(j + 1, COARSE_GRID - 1)]
     c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
     fc, fd = np.split(gain(np.tile(dims, 2), np.concatenate([c, d])), 2)
     while (live := np.flatnonzero(b - a > GOLDEN_TOL)).size:
@@ -242,13 +234,14 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
 
     def leaf_for(box):
         """((label, histogram, z), z, impurity term) for a region."""
-        p, z = _class_masses(gmm, bb, box)
+        p, z = _class_masses(gmm, bb, box.lower[None], box.upper[None])
+        h, p, z = float(_impurity_term(p, z)[0]), p[0], float(z[0])
         if z > 0:
             hist = p / z
             hist = hist / hist.sum()
         else:
             hist = np.full(bb.m, 1.0 / bb.m)
-        return (int(np.argmax(p)), hist, z), z, _impurity_term(p, z)
+        return (int(np.argmax(p)), hist, z), z, h
 
     def score(i, region):
         best = _best_exact_split(gmm, bb, region[0], region[1])

@@ -68,8 +68,6 @@ class SplitCandidate:
     right_label: int
     left_hist: np.ndarray
     right_hist: np.ndarray
-    left_count: int
-    right_count: int
 
 
 def gini_term(hist, mass: float) -> float:
@@ -186,7 +184,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
         lc = np.array([c[d, p] for c in lcs])
         lh, rh = lc / (p - a + 1), (totals[s] - lc) / (b - p - 1)
         out[s] = SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), gain,
-                                int(lh.argmax()), int(rh.argmax()), lh, rh, p - a + 1, b - p - 1)
+                                int(lh.argmax()), int(rh.argmax()), lh, rh)
     return out if segments is not None else out[0]
 
 
@@ -326,10 +324,7 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    def draw(cm, n, r):
-        return np.atleast_2d(sample_conditional(cm, r, n))
-
-    tree = grow_tree(gmm, f, cfg, rng, draw)
+    tree = grow_tree(gmm, f, cfg, rng, lambda cm, n, r: sample_conditional(cm, r, n))
     if cfg.prune:
         tree = prune(tree, gmm, f, cfg.samples_per_node, rng=rng)
     return tree
@@ -391,9 +386,9 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
     if rng is None:
         rng = np.random.default_rng(0)
     cm = condition(gmm, BoxConstraint.unbounded(tree.d))
-    X_prune = np.atleast_2d(sample_conditional(cm, rng, n_val))
+    X_prune = sample_conditional(cm, rng, n_val)
     y_prune = _label_points(f, X_prune, "prune")
-    X_sel = np.atleast_2d(sample_conditional(cm, rng, n_val))
+    X_sel = sample_conditional(cm, rng, n_val)
     y_sel = _label_points(f, X_sel, "prune selection")
     n = tree.size
     on_path = np.eye(n, dtype=bool)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .core import BoxConstraint, Dataset, _frozen_array
+from .core import BoxConstraint, _frozen_array
 from .errors import ConfigError, EmptyRegionError, InputError
 
 Z_FLOOR = 1e-300
@@ -283,17 +283,15 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
 
 
 def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
-                       size: Optional[int] = None) -> np.ndarray:
-    """Draw points from the conditional mixture.
+                       size: int) -> np.ndarray:
+    """Draw a (size, d) matrix of points from the conditional mixture.
 
-    Returns a (d,) point when size is None, else a (size, d) matrix. Every
-    returned point satisfies the box exactly. Dimensions the box leaves
+    Every returned point satisfies the box exactly. Dimensions the box leaves
     unbounded are drawn as plain normals, so conditioning on the unbounded
     box reproduces the unconditional sampler draw for draw; the others take
     one uniform per point.
     """
-    single = size is None
-    n = 1 if single else int(size)
+    n = int(size)
     gmm = cm.base
     comps = _categorical(rng, cm.tilde_phi, n)
     X = np.empty((n, gmm.d))
@@ -314,14 +312,13 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
         x = mu + sd * z
         np.clip(x, np.nextafter(lo, np.inf), hi, out=x)
         X[:, i] = x
-    return X[0] if single else X
+    return X
 
 
-def sample(gmm: GaussianMixture, rng: np.random.Generator,
-           size: Optional[int] = None) -> np.ndarray:
-    """Unconditional draw: component from Categorical(weights), then the
-    component's axis-aligned normal. Implemented as conditioning on the
-    unbounded box (identical code path, Z = 1)."""
+def sample(gmm: GaussianMixture, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, d) unconditional draws: component from Categorical(weights),
+    then the component's axis-aligned normal. Implemented as conditioning on
+    the unbounded box (identical code path, Z = 1)."""
     return sample_conditional(condition(gmm, BoxConstraint.unbounded(gmm.d)), rng, size)
 
 
@@ -387,16 +384,16 @@ def _em_run(X: np.ndarray, Z: np.ndarray, k: int, floor: np.ndarray,
     return new_loglik, w, mu, sd, history
 
 
-def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
+def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
            history_out: Optional[list] = None) -> GaussianMixture:
-    """Fit a diagonal-covariance mixture by EM with k-means++ seeding.
+    """Fit a diagonal-covariance mixture to an (n, d) X by k-means++-seeded EM.
 
     Runs cfg.n_init restarts and keeps the best final log-likelihood.
     Deterministic given cfg.seed. Components whose weight collapses below
     1e-8 are dropped with a warning. history_out, when given, receives the
     winning restart's log-likelihood sequence (one entry per iteration).
     """
-    X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or not np.isfinite(X).all():
         raise InputError("expected a 2-d matrix of finite features")
     n = X.shape[0]
@@ -426,9 +423,9 @@ def fit_em(data, k: int, cfg: EMConfig = EMConfig(),
     return GaussianMixture(w, loc + scale * mu, scale * sd)
 
 
-def select_k_bic(data, cfg: EMConfig = EMConfig()) -> GaussianMixture:
+def select_k_bic(X, cfg: EMConfig = EMConfig()) -> GaussianMixture:
     """Pick K by BIC over {1, 2, 5, 10, 20}, capped at n/10 (K = 1 always runs)."""
-    X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     best = None
     for k in (c for c in (1, 2, 5, 10, 20) if c <= max(1, n // 10)):

@@ -162,7 +162,7 @@ def _encode_row(schema: TableSchema, row, row_idx: int) -> list:
     return out
 
 
-def encode_features(schema: TableSchema, rows, has_labels: bool = False) -> np.ndarray:
+def encode_features(schema: TableSchema, rows) -> np.ndarray:
     """Encode raw CSV rows with an already-fitted schema (predict time)."""
     X = []
     for r_idx, row in enumerate(rows, start=1):
@@ -172,15 +172,15 @@ def encode_features(schema: TableSchema, rows, has_labels: bool = False) -> np.n
     return np.array(X)
 
 
-def save_csv(path, dataset: Dataset, label_column: str = "label") -> None:
-    """Write a numeric dataset (and labels, when present) as headered CSV."""
+def save_csv(path, dataset: Dataset) -> None:
+    """Write a numeric dataset as headered CSV, any labels in a last "label" column."""
     import io as _io
 
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = list(dataset.column_names)
     if dataset.labels is not None:
-        header.append(label_column)
+        header.append("label")
     writer.writerow(header)
     for i in range(dataset.n):
         row = [repr(float(v)) for v in dataset.features[i]]

@@ -61,7 +61,7 @@ def reference_best_split(X, y, m, mass, min_gain=0.0):
     lcount, rcount = np.bincount(left, minlength=m), np.bincount(right, minlength=m)
     return SplitCandidate(dim, threshold, gain, int(np.argmax(lcount)),
                           int(np.argmax(rcount)), lcount / left.size,
-                          rcount / right.size, left.size, right.size)
+                          rcount / right.size)
 
 
 def split_fields(cand):
@@ -69,5 +69,4 @@ def split_fields(cand):
     if cand is None:
         return None
     return (cand.dim, repr(cand.threshold), repr(cand.gain), cand.left_label,
-            cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes(),
-            cand.left_count, cand.right_count)
+            cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes())

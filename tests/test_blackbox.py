@@ -11,7 +11,8 @@ from treextract import (CartPoleSystem, ConfigError, DecisionTree, InputError,
                         collect_states, learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
 from treextract import blackbox
-from treextract.blackbox import SPLIT_BATCH_CELLS, balance_rows
+from treextract.blackbox import (POSITIVE_RATE, SPLIT_BATCH_CELLS, THETA_LIMIT, X_LIMIT,
+                                 balance_rows)
 from treextract.core import leaf_row, split_row
 from treextract.io import blackbox_to_doc
 
@@ -268,6 +269,14 @@ class TestCartPoleDynamics:
 
 
 class TestPolicy:
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_sizes": (7, 7, 7)}, {"grid_sizes": (7, 7, 7, 7, 7)},
+        {"grid_sizes": (7, 7, 7, 0)}, {"n_transition_samples": 0},
+        {"discount": 1.0}, {"discount": -0.01}])
+    def test_bad_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            PolicyConfig(**kwargs)
+
     def test_vi_residuals_monotone_after_first_sweep(self):
         sys_ = CartPoleSystem()
         residuals = []
@@ -297,14 +306,6 @@ class TestPolicy:
         violation = np.mean(a != 1 - a_mirror)
         assert violation > 0
 
-    def test_grid_must_cover_termination_bounds(self):
-        sys_ = CartPoleSystem()
-        from treextract import ConfigError
-        bad = PolicyConfig(state_ranges=((-1.0, 1.0), (-3.0, 3.0),
-                                         (-0.2094, 0.2094), (-3.5, 3.5)))
-        with pytest.raises(ConfigError):
-            learn_policy(sys_, bad)
-
 
 class TestCollectStates:
     def test_shapes_and_labels(self, cartpole):
@@ -316,8 +317,8 @@ class TestCollectStates:
     def test_states_nonterminal(self, cartpole):
         sys_, policy = cartpole
         ds = collect_states(policy, sys_, 150, seed=6)
-        assert np.all(np.abs(ds.features[:, 0]) <= sys_.x_limit)
-        assert np.all(np.abs(ds.features[:, 2]) <= sys_.theta_limit)
+        assert np.all(np.abs(ds.features[:, 0]) <= X_LIMIT)
+        assert np.all(np.abs(ds.features[:, 2]) <= THETA_LIMIT)
 
     def test_deterministic(self, cartpole):
         sys_, policy = cartpole
@@ -417,7 +418,8 @@ class TestCellIndex:
 
 class TestSyntheticData:
     def test_positive_rate_near_target(self):
-        ds = make_imbalanced_classification(20000, 20, 0.118, seed=0)
+        ds = make_imbalanced_classification(20000, 20, seed=0)
+        assert POSITIVE_RATE == 0.118
         assert abs(ds.labels.mean() - 0.118) < 0.01
 
     def test_shapes(self):

@@ -196,6 +196,61 @@ class TestPipeline:
         assert not (workdir / "rf.json").exists()
 
 
+class TestCartpoleSettings:
+    FAST = ["--transition-samples", "2", "--episodes", "1", "--out", "policy.json"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("7,x,7,7", "argument --grid"),
+        ("7,7,7", "four grid sizes"),
+        ("7,7,7,0", "four grid sizes"),
+    ])
+    def test_bad_grid_exits_1(self, workdir, capsys, grid, message):
+        code, _, err = run(["train-cartpole", "--grid", grid, *self.FAST], capsys)
+        assert code == 1 and "internal error" not in err and message in err
+        assert not (workdir / "policy.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--transition-samples", "0"], ["--discount", "1.0"],
+                                      ["--discount", "-0.1"]])
+    def test_bad_policy_setting_exits_1(self, workdir, capsys, flag):
+        code, _, err = run(["train-cartpole", "--grid", "3,3,3,3", *self.FAST, *flag], capsys)
+        assert code == 1 and "internal error" not in err
+        assert not (workdir / "policy.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--collect", "20"],
+                                       ["--train-csv", "train.csv"],
+                                       ["--collect", "0", "--test-csv", "test.csv"],
+                                       ["--collect", "-5"]])
+    def test_collect_without_csv_or_csv_without_collect_exits_1(self, workdir, capsys, flags):
+        code, _, err = run(["train-cartpole", "--grid", "3,3,3,3", *self.FAST, *flags], capsys)
+        assert code == 1 and "--collect N >= 1" in err
+        assert not any(workdir.iterdir())
+
+    def test_collect_writes_each_named_split(self, workdir, capsys):
+        from treextract import CartPoleSystem, collect_states
+        from treextract.io import blackbox_from_doc, load_csv, load_json
+        code, _, _ = run(["train-cartpole", "--grid", "3,3,3,3", *self.FAST, "--seed", "3",
+                          "--collect", "20", "--test-csv", "test.csv"], capsys)
+        assert code == 0 and not (workdir / "train.csv").exists()
+        policy = blackbox_from_doc(load_json(workdir / "policy.json"))
+        want = collect_states(policy, CartPoleSystem(), 20, seed=2 * 3 + 2)
+        got, _ = load_csv(workdir / "test.csv")
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+
+
+class TestExportFlags:
+    def test_seed_rejected(self, workdir, capsys):
+        save_tree(workdir / "tree.json", leaf_tree(1, 2, 2))
+        code, _, err = run(["export", "--tree", "tree.json", "--seed", "3"], capsys)
+        assert code == 1 and "--seed" in err
+
+    def test_config_accepted(self, workdir, capsys):
+        save_tree(workdir / "tree.json", leaf_tree(1, 2, 2))
+        (workdir / "cfg.txt").write_text("format=json\n", encoding="utf-8")
+        code, out, _ = run(["export", "--tree", "tree.json", "--config", "cfg.txt"], capsys)
+        assert code == 0 and json.loads(out)["kind"] == "decision_tree"
+
+
 class TestDeterminism:
     def test_identical_seeds_byte_identical_outputs(self, workdir, synthetic_spec, capsys):
         run(["fit-gmm", "--data", "train.csv", "--k", "2", "--seed", "0",
@@ -275,6 +330,12 @@ class TestExperimentCommand:
         text = (workdir / "rows.csv").read_text()
         assert text.splitlines()[0] == "algorithm,size,seed,fidelity_acc,fidelity_f1,budget,wall_ms"
         assert len(text.splitlines()) == 3
+
+    def test_bad_sizes_exit_1(self, workdir, capsys):
+        code, _, err = run(["experiment", "fidelity-curve", "--task", "cartpole",
+                            "--sizes", "3,x", "--seeds", "1", "--out", "c.csv"], capsys)
+        assert code == 1 and "internal error" not in err and "argument --sizes" in err
+        assert not (workdir / "c.csv").exists()
 
     def test_unknown_algorithm_exits_1_without_csv(self, workdir, capsys):
         code, _, err = run(["experiment", "fidelity-curve", "--task", "cartpole",

@@ -54,6 +54,16 @@ class TestFidelity:
         with pytest.raises(InputError):
             fidelity(tree, f, np.empty((0, 1)))
 
+    def test_column_shaped_blackbox_output_rejected(self):
+        """A (n, 1) label column used to broadcast in the confusion count:
+        100 points gave accuracy 48.0 over 10,000 counts."""
+        from treextract import BlackboxError
+        tree = leaf_tree(0, d=1, m=2)
+        f = FunctionBlackbox(lambda X: (X[:, :1] > 0).astype(int), 1, 2)
+        X = np.linspace(-1.0, 1.0, 100)[:, None]
+        with pytest.raises(BlackboxError, match=r"shape \(100, 1\)"):
+            fidelity(tree, f, X)
+
     @pytest.mark.parametrize("positive_class", [-1, 2])
     def test_binary_positive_class_outside_0_1_rejected(self, positive_class):
         tree = leaf_tree(0, d=1, m=2)
@@ -114,13 +124,13 @@ def reference_best_exact_split(gmm, bb, box, parent_h, coarse=33):
                 if np.isfinite(v) and lo < v < hi:
                     edges.add(float(v))
         breaks = [lo] + sorted(edges) + [hi]
-        fn = lambda t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
+        fn = lambda t: _gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
         dim_best = None
         for a, b in zip(breaks[:-1], breaks[1:]):
             if b - a <= 0:
                 continue
             grid = np.linspace(a, b, coarse)
-            vals = fn(grid)
+            vals = _exact_gain(gmm, bb, box, parent_h, dim, grid)
             j = int(np.argmax(vals))
             t, g = reference_golden_max(fn, float(grid[max(j - 1, 0)]),
                                         float(grid[min(j + 1, coarse - 1)]))
@@ -176,7 +186,7 @@ class TestExactOracle:
             lo = rng.uniform(-3, 0, size=2)
             hi = lo + rng.uniform(0.5, 4, size=2)
             box = BoxConstraint(lo, hi)
-            p, z = _class_masses(gmm, bb, box)
+            p, z = _box_masses(gmm, bb, box)
             assert abs(p.sum() - z) <= 1e-10
             assert abs(z - box_mass(gmm, box)) <= 1e-12
 
@@ -198,15 +208,14 @@ class TestExactOracle:
     def test_batched_gain_matches_per_threshold_calls(self):
         gmm, bb = three_box_benchmark()
         box = BoxConstraint([-2.0, -np.inf], [1.5, 2.2])
-        p, z = _class_masses(gmm, bb, box)
-        parent_h = _impurity_term(p, z)
+        parent_h = _parent_h(gmm, bb, box)
         # Includes box edges, blackbox edges and thresholds outside the box,
         # where one child is empty.
         ts = np.concatenate([np.linspace(-3.0, 3.0, 33), [-2.0, 1.5, -0.8, 0.6, 2.8]])
         for dim in (0, 1):
             batched = _exact_gain(gmm, bb, box, parent_h, dim, ts)
             assert batched.shape == ts.shape
-            single = np.array([_exact_gain(gmm, bb, box, parent_h, dim, float(t))
+            single = np.array([_gain(gmm, bb, box, parent_h, dim, float(t))
                                for t in ts])
             looped = np.array([_looped_gain(gmm, bb, box, dim, float(t)) for t in ts])
             np.testing.assert_allclose(batched, single, rtol=0, atol=1e-15)
@@ -217,12 +226,11 @@ class TestExactOracle:
         single-threshold call, which lockstep refinement relies on."""
         gmm, bb = three_box_benchmark()
         box = BoxConstraint([-2.0, -np.inf], [1.5, 2.2])
-        p, z = _class_masses(gmm, bb, box)
-        parent_h = _impurity_term(p, z)
+        parent_h = _parent_h(gmm, bb, box)
         ts = np.concatenate([np.linspace(-3.0, 3.0, 33), [-2.0, 1.5, -0.8, 0.6, 2.8]])
         dims = np.random.default_rng(3).integers(0, 2, size=ts.shape)
         batched = _exact_gain(gmm, bb, box, parent_h, dims, ts)
-        single = np.array([_exact_gain(gmm, bb, box, parent_h, int(d), float(t))
+        single = np.array([_gain(gmm, bb, box, parent_h, int(d), float(t))
                            for d, t in zip(dims, ts)])
         looped = np.array([_looped_gain(gmm, bb, box, int(d), float(t))
                            for d, t in zip(dims, ts)])
@@ -233,8 +241,7 @@ class TestExactOracle:
     @given(oracle_cases())
     def test_lockstep_split_matches_bracket_at_a_time_reference(self, case):
         gmm, bb, box = case
-        p, z = _class_masses(gmm, bb, box)
-        parent_h = _impurity_term(p, z)
+        parent_h = _parent_h(gmm, bb, box)
         got = _best_exact_split(gmm, bb, box, parent_h)
         want = reference_best_exact_split(gmm, bb, box, parent_h)
         bits = lambda r: None if r is None else (r[0].hex(), r[1], r[2].hex())  # noqa: E731
@@ -269,8 +276,7 @@ class TestExactOracle:
             boxes.append(BoxConstraint(lo, hi))
         bb = BoxBlackbox(tuple(boxes), (1, 2) * 4, d=d, m=3)
         box = BoxConstraint.unbounded(d)
-        p, z = _class_masses(gmm, bb, box)
-        parent_h = _impurity_term(p, z)
+        parent_h = _parent_h(gmm, bb, box)
         rows = []
         real = evaluate_mod.log_box_masses
         monkeypatch.setattr(evaluate_mod, "log_box_masses",
@@ -328,11 +334,26 @@ def _looped_gain(gmm, bb, box, dim, t):
     return impurity(box) - impurity(left) - impurity(right)
 
 
+def _box_masses(gmm, bb, box):
+    """_class_masses of one box: its (m,) class masses and its mass."""
+    p, z = _class_masses(gmm, bb, box.lower[None], box.upper[None])
+    return p[0], float(z[0])
+
+
+def _parent_h(gmm, bb, box):
+    """The impurity term of one box, through the batch kernels."""
+    p, z = _class_masses(gmm, bb, box.lower[None], box.upper[None])
+    return float(_impurity_term(p, z)[0])
+
+
+def _gain(gmm, bb, box, parent_h, dim, t):
+    """_exact_gain at one threshold, as a batch of one."""
+    return float(_exact_gain(gmm, bb, box, parent_h, dim, np.array([t]))[0])
+
+
 def _exact_gain_at(gmm, bb, dim, t):
-    from treextract.evaluate import _class_masses, _exact_gain, _impurity_term
     box = BoxConstraint.unbounded(2)
-    p, z = _class_masses(gmm, bb, box)
-    return _exact_gain(gmm, bb, box, _impurity_term(p, z), dim, t)
+    return _gain(gmm, bb, box, _parent_h(gmm, bb, box), dim, t)
 
 
 class TestExperimentResult:

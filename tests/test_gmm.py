@@ -144,8 +144,8 @@ class TestSampling:
         assert stats.ks_2samp(direct, ref).pvalue > 0.01
 
     def test_single_point_shape(self, gmm_2d, rng):
-        x = sample_conditional(condition(gmm_2d, BoxConstraint.unbounded(2)), rng)
-        assert x.shape == (2,)
+        x = sample_conditional(condition(gmm_2d, BoxConstraint.unbounded(2)), rng, 1)
+        assert x.shape == (1, 2)
 
     def test_deterministic_given_seed(self, gmm_2d):
         box = BoxConstraint([-1.0, 0.0], [2.0, np.inf])
