@@ -9,12 +9,10 @@ and the greedy tree built without sampling.
 """
 from __future__ import annotations
 
-import csv
-import io as _io
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +25,7 @@ from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
 from .extract import ExtractionConfig, _label_points, extract_tree, grow_best_first
 from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
+from .io import csv_text
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
 GOLDEN_TOL = 1e-8  # golden-section refinement stops at this bracket width
@@ -373,10 +372,6 @@ class ResultRow:
     wall_ms: float
 
 
-CSV_FIELDS = ("algorithm", "size", "seed", "fidelity_acc", "fidelity_f1",
-              "budget", "wall_ms")
-
-
 @dataclass
 class ExperimentResult:
     """Result rows plus one message per run that failed and left no row."""
@@ -396,15 +391,7 @@ class ExperimentResult:
         return float(np.median(vals))
 
     def to_csv_text(self) -> str:
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for r in self.rows:
-            writer.writerow([r.algorithm, r.size, r.seed,
-                             repr(r.fidelity_acc),
-                             "" if r.fidelity_f1 is None else repr(r.fidelity_f1),
-                             r.budget, repr(r.wall_ms)])
-        return buf.getvalue()
+        return csv_text([f.name for f in fields(ResultRow)], map(astuple, self.rows))
 
 
 ALGORITHMS = ("ours", "cart", "born_again")

@@ -12,6 +12,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from io import StringIO
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,16 +63,10 @@ class TableSchema:
             raise InputError("at most one label column allowed")
 
     @classmethod
-    def from_json(cls, doc) -> "TableSchema":
-        if isinstance(doc, (str, os.PathLike)):
-            doc = load_json(doc)
+    def from_json(cls, path) -> "TableSchema":
+        doc = load_json(path)
         with _reading("table schema"):
             return cls([(c["name"], c["kind"]) for c in doc["columns"]])
-
-    @classmethod
-    def all_numeric_with_label(cls, header: Sequence[str]) -> "TableSchema":
-        cols = [(name, NUMERIC) for name in header[:-1]] + [(header[-1], LABEL)]
-        return cls(cols)
 
     def feature_names(self) -> list[str]:
         names = []
@@ -81,13 +76,6 @@ class TableSchema:
             elif kind == CATEGORICAL:
                 names.extend(f"{name}={c}" for c in self.categories.get(name, []))
         return names
-
-
-def _parse_number(text: str, row_idx: int, col: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"row {row_idx}: non-numeric value {text!r} in column {col!r}")
 
 
 def load_csv(path, schema: Optional[TableSchema] = None) -> tuple[Dataset, TableSchema]:
@@ -107,87 +95,72 @@ def load_csv(path, schema: Optional[TableSchema] = None) -> tuple[Dataset, Table
     if not rows:
         raise InputError(f"{path}: no data rows")
     if schema is None:
-        schema = TableSchema.all_numeric_with_label(header)
+        schema = TableSchema([(name, NUMERIC) for name in header[:-1]] + [(header[-1], LABEL)])
     names = [name for name, _ in schema.columns]
     if names != list(header):
         raise InputError(f"{path}: header {header} does not match schema columns {names}")
-
-    # First pass: collect category orderings by first appearance.
-    schema.categories = {name: [] for name, kind in schema.columns if kind == CATEGORICAL}
-    label_col = next((i for i, (_, k) in enumerate(schema.columns) if k == LABEL), None)
-    raw_labels: list = []
     for r_idx, row in enumerate(rows, start=1):
-        if len(row) != len(schema.columns):
-            raise InputError(f"{path}: row {r_idx} has {len(row)} fields, expected {len(schema.columns)}")
-        for (name, kind), value in zip(schema.columns, row):
-            if kind == CATEGORICAL and value not in schema.categories[name]:
-                schema.categories[name].append(value)
-        if label_col is not None:
-            raw_labels.append(row[label_col])
+        # Checked before the transpose below, which would truncate ragged rows.
+        if len(row) != len(names):
+            raise InputError(f"{path}: row {r_idx} has {len(row)} fields, expected {len(names)}")
+    values = dict(zip(names, zip(*rows)))
 
-    labels = None
-    m = 0
-    if label_col is not None:
+    schema.categories = {name: list(dict.fromkeys(values[name]))
+                         for name, kind in schema.columns if kind == CATEGORICAL}
+    labels, m = None, 0
+    raw_labels = next((values[name] for name, kind in schema.columns if kind == LABEL), None)
+    if raw_labels is not None:
         try:
-            ints = [int(v) for v in raw_labels]
-            if min(ints) < 0:
+            codes = [int(v) for v in raw_labels]
+            if min(codes) < 0:
                 raise ValueError
-            schema.label_classes = [str(i) for i in range(max(ints) + 1)]
-            labels = np.array(ints, dtype=np.int64)
+            schema.label_classes = [str(i) for i in range(max(codes) + 1)]
         except ValueError:
-            classes: list = []
-            for v in raw_labels:
-                if v not in classes:
-                    classes.append(v)
-            schema.label_classes = classes
-            labels = np.array([classes.index(v) for v in raw_labels], dtype=np.int64)
+            schema.label_classes = list(dict.fromkeys(raw_labels))
+            codes = [schema.label_classes.index(v) for v in raw_labels]
+        labels = np.array(codes, dtype=np.int64)
         m = len(schema.label_classes)
-
-    X = np.array([_encode_row(schema, row, r_idx)
-                  for r_idx, row in enumerate(rows, start=1)])
-    return Dataset(X, labels, tuple(schema.feature_names()), m), schema
-
-
-def _encode_row(schema: TableSchema, row, row_idx: int) -> list:
-    out: list = []
-    for (name, kind), value in zip(schema.columns, row):
-        if kind == NUMERIC:
-            out.append(_parse_number(value, row_idx, name))
-        elif kind == CATEGORICAL:
-            cats = schema.categories[name]
-            if value not in cats:
-                raise UnknownCategoryError(
-                    f"row {row_idx}: unseen category {value!r} in column {name!r}")
-            out.extend(1.0 if value == c else 0.0 for c in cats)
-    return out
+    return Dataset(encode_features(schema, rows), labels, tuple(schema.feature_names()), m), schema
 
 
 def encode_features(schema: TableSchema, rows) -> np.ndarray:
-    """Encode raw CSV rows with an already-fitted schema (predict time)."""
+    """Encode raw CSV rows with a fitted schema, as load_csv returns it."""
     X = []
     for r_idx, row in enumerate(rows, start=1):
         if len(row) != len(schema.columns):
             raise InputError(f"row {r_idx} has {len(row)} fields")
-        X.append(_encode_row(schema, row, r_idx))
+        out: list = []
+        for (name, kind), value in zip(schema.columns, row):
+            if kind == NUMERIC:
+                try:
+                    out.append(float(value))
+                except ValueError:
+                    raise InputError(f"row {r_idx}: non-numeric value {value!r} in column {name!r}")
+            elif kind == CATEGORICAL:
+                cats = schema.categories[name]
+                if value not in cats:
+                    raise UnknownCategoryError(
+                        f"row {r_idx}: unseen category {value!r} in column {name!r}")
+                out.extend(1.0 if value == c else 0.0 for c in cats)
+        X.append(out)
     return np.array(X)
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """Header and rows as "\\n"-terminated CSV. csv writes a Python float in its
+    shortest round-trip form and None as an empty field; callers format nothing."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def save_csv(path, dataset: Dataset) -> None:
     """Write a numeric dataset as headered CSV, any labels in a last "label" column."""
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(dataset.column_names)
+    header, columns = list(dataset.column_names), dataset.features.T.tolist()
     if dataset.labels is not None:
         header.append("label")
-    writer.writerow(header)
-    for i in range(dataset.n):
-        row = [repr(float(v)) for v in dataset.features[i]]
-        if dataset.labels is not None:
-            row.append(int(dataset.labels[i]))
-        writer.writerow(row)
-    write_text_atomic(path, buf.getvalue())
+        columns.append(dataset.labels.tolist())
+    write_text_atomic(path, csv_text(header, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
