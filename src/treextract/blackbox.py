@@ -104,6 +104,8 @@ class RandomForest:
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
+        if any(t.d != self.d or t.m != self.m for t in self.trees):
+            raise InputError(f"every tree of a forest must have d={self.d} and m={self.m}")
         object.__setattr__(self, "_table", _routing_table(self.trees))
         object.__setattr__(self, "_labels", np.concatenate([t.label for t in self.trees]))
 
@@ -277,8 +279,13 @@ class TabularPolicy:
     m: int = 2
 
     def __post_init__(self):
+        if len(self.edges) != self.d or [len(e) + 1 for e in self.edges] != list(self.grid_sizes):
+            raise InputError(f"a policy needs {self.d} edge arrays of grid_sizes[i] - 1 edges each")
         if not all(np.all(np.diff(e) >= 0) for e in self.edges):
             raise InputError("policy cell edges must be sorted in increasing order")
+        actions = np.asarray(self.actions)
+        if actions.shape != (math.prod(self.grid_sizes),) or actions.min() < 0 or actions.max() >= self.m:
+            raise InputError(f"a policy needs one action in [0, {self.m}) per grid cell")
 
     def cell_index(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -411,6 +418,8 @@ def make_imbalanced_classification(n: int, d: int = 50, seed: int = 0) -> Datase
     few labeled rows is hard, while a mixture model fit to the inputs
     recovers them.
     """
+    if d < N_CLUSTERS * DIMS_PER_CLUSTER:
+        raise InputError(f"need d >= {N_CLUSTERS * DIMS_PER_CLUSTER}, one pair of dims per blob; got d={d}")
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < POSITIVE_RATE).astype(np.int64)
     X = rng.standard_normal((n, d))

@@ -12,7 +12,7 @@ import heapq
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -309,24 +309,21 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
-def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
-                 rng: Optional[np.random.Generator] = None) -> DecisionTree:
+def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree:
     """Extract a decision tree approximating blackbox f under input model gmm.
 
     Every node's splits and labels are estimated from fresh i.i.d. samples of
     the conditional input distribution at that node, so deep nodes receive
-    the same sample budget as the root. Deterministic given cfg.seed (or the
-    supplied rng). The total number of blackbox evaluations is recorded on
-    the returned tree's budget field.
+    the same sample budget as the root. Deterministic given cfg.seed. The
+    total number of blackbox evaluations is recorded on the returned tree's
+    budget field.
     """
     if gmm.d != f.d:
         raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-
+    rng = np.random.default_rng(cfg.seed)
     tree = grow_tree(gmm, f, cfg, rng, lambda cm, n, r: sample_conditional(cm, r, n))
     if cfg.prune:
-        tree = prune(tree, gmm, f, cfg.samples_per_node, rng=rng)
+        tree = prune(tree, gmm, f, cfg.samples_per_node, rng)
     return tree
 
 
@@ -373,9 +370,8 @@ def _weakest_links(tree: DecisionTree, counts, on_path, n_val: int):
         collapsed[nodes[-1]] = True
 
 
-def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
-          alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS,
-          rng: Optional[np.random.Generator] = None) -> DecisionTree:
+def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.random.Generator,
+          alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS) -> DecisionTree:
     """Cost-complexity pruning against fresh validation samples.
 
     One fresh labeled sample set drives the weakest-link collapse sequence
@@ -383,8 +379,6 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
     rate not below alpha. A second one selects the alpha whose tree has the
     highest fidelity; ties prefer the smaller tree, then the earlier alpha.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     cm = condition(gmm, BoxConstraint.unbounded(tree.d))
     X_prune = sample_conditional(cm, rng, n_val)
     y_prune = _label_points(f, X_prune, "prune")

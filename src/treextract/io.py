@@ -103,12 +103,14 @@ def load_csv(path, schema: Optional[TableSchema] = None) -> tuple[Dataset, Table
         # Checked before the transpose below, which would truncate ragged rows.
         if len(row) != len(names):
             raise InputError(f"{path}: row {r_idx} has {len(row)} fields, expected {len(names)}")
-    values = dict(zip(names, zip(*rows)))
+    columns = list(zip(schema.columns, zip(*rows)))
 
-    schema.categories = {name: list(dict.fromkeys(values[name]))
-                         for name, kind in schema.columns if kind == CATEGORICAL}
+    schema.categories = {}
+    for (name, kind), values in columns:  # a repeated name shares one category list
+        if kind == CATEGORICAL:
+            schema.categories[name] = list(dict.fromkeys([*schema.categories.get(name, ()), *values]))
     labels, m = None, 0
-    raw_labels = next((values[name] for name, kind in schema.columns if kind == LABEL), None)
+    raw_labels = next((values for (_, kind), values in columns if kind == LABEL), None)
     if raw_labels is not None:
         try:
             codes = [int(v) for v in raw_labels]

@@ -208,6 +208,36 @@ class TestRandomForest:
             RandomForestConfig(**kwargs)
 
 
+class TestDocumentSizes:
+    """A forest or policy whose stated sizes contradict its contents is
+    rejected at construction instead of mis-routing points."""
+
+    def _tree(self, d, m):
+        rows = (split_row(d - 1, 0.0, 1, 2, m), leaf_row(0, np.eye(m)[0]), leaf_row(1, np.eye(m)[1]))
+        return DecisionTree.from_rows(rows, d, m)
+
+    @pytest.mark.parametrize("d,m", [(4, 2), (2, 3)], ids=["d", "m"])
+    def test_forest_tree_sizes_must_match(self, d, m):
+        with pytest.raises(InputError, match="every tree of a forest"):
+            RandomForest((self._tree(2, 2), self._tree(d, m)), 2, 2)
+
+    @pytest.mark.parametrize("edges,grid,actions", [
+        ([[0.0]] * 3, (2, 2, 2, 2), 16),
+        ([[0.0]] * 4, (3, 3, 3, 3), 81),
+        ([[0.0]] * 4, (2, 2, 2, 2), 15),
+    ], ids=["edge-count", "edges-per-dim", "action-count"])
+    def test_policy_grid_must_match_edges_and_actions(self, edges, grid, actions):
+        with pytest.raises(InputError):
+            TabularPolicy(tuple(np.array(e) for e in edges), np.zeros(actions, np.int64), grid)
+
+    @pytest.mark.parametrize("action", [-1, 2])
+    def test_policy_actions_must_be_classes(self, action):
+        actions = np.zeros(16, np.int64)
+        actions[5] = action
+        with pytest.raises(InputError, match="one action in"):
+            TabularPolicy((np.array([0.0]),) * 4, actions, (2, 2, 2, 2))
+
+
 class TestLockstepForest:
     @settings(max_examples=120, deadline=None)
     @given(forest_cases())
@@ -425,6 +455,12 @@ class TestSyntheticData:
     def test_shapes(self):
         ds = make_imbalanced_classification(100, 50, seed=1)
         assert ds.features.shape == (100, 50) and ds.m == 2
+
+    def test_too_few_dims_rejected(self):
+        # Three blobs of two dims each need d >= 6; d = 4 used to raise IndexError.
+        with pytest.raises(InputError, match="need d >= 6"):
+            make_imbalanced_classification(100, 4, seed=0)
+        assert make_imbalanced_classification(100, 6, seed=0).d == 6
 
 
 class TestBoxBlackbox:

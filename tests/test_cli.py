@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from treextract.cli import build_parser, main
-from treextract.io import load_tree, save_csv, save_json, save_tree, blackbox_to_doc
-from treextract import BoxBlackbox, BoxConstraint
+from treextract.io import (blackbox_to_doc, load_csv, load_gmm, load_json, load_tree,
+                           save_csv, save_gmm, save_json, save_tree, tree_to_doc)
+from treextract import (BoxBlackbox, BoxConstraint, DecisionTree, EMConfig, GaussianMixture,
+                        fidelity, sample, select_k_bic)
+from treextract.core import leaf_row, split_row
 
 from helpers import dataset, leaf_tree
 
@@ -194,6 +197,97 @@ class TestPipeline:
         assert code == 1 and "internal error" not in err
         assert "n_trees >= 1 and max_depth >= 0" in err
         assert not (workdir / "rf.json").exists()
+
+
+class TestCommandPaths:
+    def test_fit_gmm_auto_k_is_bic_selection(self, workdir, synthetic_spec, capsys):
+        code, out, _ = run(["fit-gmm", "--data", "train.csv", "--k", "auto", "--n-init", "1",
+                            "--seed", "3", "--out", "gmm.json"], capsys)
+        assert code == 0
+        features = load_csv(workdir / "train.csv")[0].features
+        expected = select_k_bic(features, EMConfig(seed=3, n_init=1))
+        got = load_gmm(workdir / "gmm.json")
+        assert f"K={expected.k} " in out and got.k == expected.k
+        assert np.array_equal(got.means, expected.means)
+
+    def test_fit_gmm_x_max_saved(self, workdir, synthetic_spec, capsys):
+        for name, flags in (("plain.json", []), ("cut.json", ["--x-max", "4.5"])):
+            code, _, _ = run(["fit-gmm", "--data", "train.csv", "--k", "2", "--seed", "0",
+                              *flags, "--out", name], capsys)
+            assert code == 0
+        plain, cut = load_json(workdir / "plain.json"), load_json(workdir / "cut.json")
+        assert plain["x_max"] is None and cut["x_max"] == 4.5
+        assert cut["means"] == plain["means"] and cut["weights"] == plain["weights"]
+
+    def test_evaluate_sample_from(self, workdir, synthetic_spec, capsys):
+        gmm = GaussianMixture([1.0], [[0.5, 0.0]], [[1.0, 2.0]])
+        save_gmm(workdir / "gmm.json", gmm)
+        save_tree(workdir / "tree.json", leaf_tree(1, d=2, m=2))
+        code, out, _ = run(["evaluate", "--tree", "tree.json", "--blackbox", "synthetic:bb.json",
+                            "--sample-from", "gmm.json", "--n", "500", "--seed", "3"], capsys)
+        assert code == 0
+        report = json.loads(out.splitlines()[-1])
+        points = sample(gmm, np.random.default_rng(3), 500)
+        assert report["n_test"] == 500
+        assert report["accuracy"] == fidelity(leaf_tree(1, d=2, m=2), synthetic_spec, points).accuracy
+
+    def test_evaluate_needs_test_points(self, workdir, synthetic_spec, capsys):
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        code, out, err = run(["evaluate", "--tree", "tree.json",
+                              "--blackbox", "synthetic:bb.json"], capsys)
+        assert code == 1 and out == ""
+        assert "evaluate requires --data or --sample-from" in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("bb.json", "blackbox spec must look like"),
+        ("forest:bb.json", "unknown blackbox kind 'forest'"),
+        ("cartpole:bb.json", "holds 'box_blackbox', expected 'tabular_policy'"),
+    ], ids=["no-colon", "unknown-prefix", "wrong-kind"])
+    def test_bad_blackbox_spec_exits_1(self, workdir, synthetic_spec, capsys, spec, message):
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        code, _, err = run(["evaluate", "--tree", "tree.json", "--blackbox", spec,
+                            "--data", "train.csv"], capsys)
+        assert code == 1 and message in err
+
+    @pytest.mark.parametrize("kind,flags,message", [
+        ("cart", [], "cart baseline requires --data"),
+        ("born-again", ["--budget", "1000", "--samples-per-node", "100"], "born-again requires"),
+        ("born-again", ["--gmm", "gmm.json", "--samples-per-node", "100"], "born-again requires"),
+        ("born-again", ["--gmm", "gmm.json", "--budget", "1000"], "born-again requires"),
+    ], ids=["cart-data", "born-again-gmm", "born-again-budget", "born-again-samples"])
+    def test_baseline_missing_inputs_exit_1(self, workdir, synthetic_spec, capsys,
+                                            kind, flags, message):
+        save_gmm(workdir / "gmm.json", GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]))
+        code, _, err = run(["baseline", "--kind", kind, "--blackbox", "synthetic:bb.json",
+                            "--max-nodes", "3", *flags, "--out", "b.json"], capsys)
+        assert code == 1 and message in err
+        assert not (workdir / "b.json").exists()
+
+
+class TestBlackboxDocumentSizes:
+    """Documents whose stated sizes contradict their contents exit 1; they
+    used to crash (exit 2) or to report an accuracy from mis-indexed cells."""
+
+    def _evaluate(self, workdir, capsys, spec, d):
+        save_gmm(workdir / "gmm.json", GaussianMixture([1.0], [[0.0] * d], [[1.0] * d]))
+        save_tree(workdir / "tree.json", leaf_tree(0, d=d, m=2))
+        return run(["evaluate", "--tree", "tree.json", "--blackbox", spec,
+                    "--sample-from", "gmm.json", "--n", "200"], capsys)
+
+    def test_forest_tree_dimension_mismatch(self, workdir, capsys):
+        rows = (split_row(3, 0.0, 1, 2, 2), leaf_row(0, [1.0, 0.0]), leaf_row(1, [0.0, 1.0]))
+        tree = DecisionTree.from_rows(rows, 4, 2)
+        save_json(workdir / "rf.json", {"format_version": 1, "kind": "random_forest",
+                                        "d": 2, "m": 2, "trees": [tree_to_doc(tree)]})
+        code, out, err = self._evaluate(workdir, capsys, "rf:rf.json", 2)
+        assert code == 1 and out == "" and "every tree of a forest must have d=2" in err
+
+    def test_policy_grid_sizes_contradict_edges(self, workdir, capsys):
+        save_json(workdir / "policy.json", {
+            "format_version": 1, "kind": "tabular_policy", "grid_sizes": [3, 3, 3, 3],
+            "edges": [[0.0]] * 4, "actions": [0] * 81})
+        code, out, err = self._evaluate(workdir, capsys, "cartpole:policy.json", 4)
+        assert code == 1 and out == "" and "grid_sizes[i] - 1 edges" in err
 
 
 class TestCartpoleSettings:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
+from treextract import (BoxConstraint, ConfigError, EmptyRegionError, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, SamplerError,
                         best_split_from_samples, estimate_split, extract_tree,
                         gini_term, prune, sample, sample_conditional)
-from treextract import baselines, blackbox
+from treextract import baselines, blackbox, extract
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
@@ -292,6 +292,30 @@ class TestExtractTree:
         with pytest.raises(SamplerError, match="escaped its node box"):
             grow_tree(gmm_2d, f, ExtractionConfig(3, 100, seed=0),
                       np.random.default_rng(0), draw)
+
+    def test_zero_mass_child_is_an_unscored_leaf(self, gmm_2d, monkeypatch):
+        # A child whose conditioning finds no mass keeps the label and class
+        # histogram of its side of the parent's split, with mass 0, and draws
+        # no sample: the 3-node tree costs one node sample less.
+        f = FunctionBlackbox(lambda X: (X[:, 0] <= 0.3).astype(int), 2, 2)
+        cfg = ExtractionConfig(3, 200, seed=5)
+        full = extract_tree(gmm_2d, f, cfg)
+        condition = extract.condition
+
+        def right_side_empty(gmm, box):
+            if np.isfinite(box.lower).any():
+                raise EmptyRegionError("no mass")
+            return condition(gmm, box)
+
+        monkeypatch.setattr(extract, "condition", right_side_empty)
+        tree = extract_tree(gmm_2d, f, cfg)
+        assert tree.size == 3 and tree.feature[0] == full.feature[0]
+        assert tree.threshold[0] == full.threshold[0] and tree.right[0] == 2
+        assert tree.feature[2] < 0 and tree.mass[2] == 0.0 and tree.cached_gain[2] == 0.0
+        assert tree.label[2] == full.label[2]
+        assert np.array_equal(tree.histogram[2], full.histogram[2])
+        assert tree.mass[1] == full.mass[1] > 0
+        assert tree.budget == full.budget - cfg.samples_per_node
 
     def test_odd_max_nodes_enforced(self):
         with pytest.raises(ConfigError):

@@ -47,6 +47,13 @@ class TestCsv:
         ds, _ = load_csv(path)
         assert ds.d == 2 and ds.m == 2
 
+    def test_encode_features_matches_load(self, csv_file):
+        # The fitted schema encodes further rows as load_csv encoded its own.
+        ds, schema = load_csv(csv_file, categorical_schema())
+        rows = [line.split(",") for line in csv_file.read_text(encoding="utf-8").splitlines()[1:]]
+        assert np.array_equal(encode_features(schema, rows), ds.features)
+        assert np.array_equal(encode_features(schema, rows[::-1]), ds.features[::-1])
+
     def test_unknown_category_at_predict_time(self, csv_file):
         _, schema = load_csv(csv_file, categorical_schema())
         with pytest.raises(UnknownCategoryError):
