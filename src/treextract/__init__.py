@@ -22,8 +22,7 @@ from .baselines import BaselineConfig, born_again_extract, cart_extract
 from .evaluate import (AgreementResult, ExperimentResult, FidelityReport,
                        FidelityTask, agreement, cartpole_task,
                        exact_greedy_oracle, fidelity, run_fidelity_curve,
-                       synthetic_rf_task, three_box_benchmark,
-                       two_box_benchmark)
+                       synthetic_rf_task, three_box_benchmark)
 from .io import (TableSchema, export_dot, load_csv, load_gmm, load_tree,
                  save_gmm, save_tree)
 

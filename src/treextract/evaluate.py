@@ -269,16 +269,6 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
 # Canonical synthetic benchmarks
 
 
-def two_box_benchmark():
-    """Two positive regions over a 2-component mixture whose exact greedy
-    tree is a full 7-node tree (three clean splits, pure leaves)."""
-    gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.2]],
-                          stddevs=[[1.0, 0.9], [0.9, 1.0]])
-    boxes = (BoxConstraint([-np.inf, -np.inf], [-0.6, 0.4]),
-             BoxConstraint([0.9, -np.inf], [np.inf, np.inf]))
-    return gmm, BoxBlackbox(boxes, (1, 1), d=2, m=2)
-
-
 def three_box_benchmark():
     """Three disjoint finite boxes labeled 1 over a 2-component mixture."""
     gmm = GaussianMixture(

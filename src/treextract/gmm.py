@@ -229,33 +229,49 @@ def box_mass(gmm: GaussianMixture, box: Optional[BoxConstraint]) -> float:
 def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
     u = rng.random(size)
     edges = np.cumsum(p)
-    edges[-1] = 1.0
-    return np.searchsorted(edges, u, side="right").clip(0, p.shape[0] - 1)
+    edges[-1] = 1.0  # above every u, so no index reaches len(p)
+    return np.searchsorted(edges, u, side="right")
 
 
-def _inverse_cdf(a, b, u):
-    """Standard-normal inverse-CDF draws on (a, b] from uniforms u.
+def _cdf_tables(a, b):
+    """Inverse-CDF tables for standard-normal draws on the intervals (a, b].
 
-    Intervals with a >= 0 are mirrored to (-b, -a] and the draw negated:
-    the lower-tail CDF keeps the precision the upper tail would lose. Rows
-    whose mirrored interval (lo, hi] lies below -TAIL_CUTOFF invert in log
-    space, exact to a few ulps at any depth and width.
+    Intervals with a >= 0 are mirrored to (lo, hi] = (-b, -a] (flip) and the
+    draw negated: the lower-tail CDF keeps the precision the upper tail would
+    lose. Returns flip, Phi(lo), Phi(hi) - Phi(lo), the tail entries (hi <=
+    -TAIL_CUTOFF), log Phi(lo) and the log mass.
     """
     flip = a >= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
-    clo = ndtr(lo)
-    z = ndtri(clo + u * (ndtr(hi) - clo))
-    if hi.min() <= -TAIL_CUTOFF:
-        tail = hi <= -TAIL_CUTOFF
-        z, log_lo, log_hi = np.asarray(z), log_ndtr(lo[tail]), log_ndtr(hi[tail])
-        # z = ndtri_exp(log(Phi(lo) + u (Phi(hi) - Phi(lo)))), with the mass as
-        # log_hi + log(1 - e^x); log1p(-e^x) would only sharpen a term whose
-        # error is far below log_hi's ulp.
-        with np.errstate(divide="ignore"):  # u == 0, or hi - lo below log_hi's ulp
-            log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
-            z[tail] = ndtri_exp(np.logaddexp(log_lo, np.log(np.asarray(u)[tail]) + log_mass))
-    return np.where(flip, -z, z)
+    clo, log_lo, log_hi = ndtr(lo), log_ndtr(lo), log_ndtr(hi)
+    # The log mass as log_hi + log(1 - e^x); log1p(-e^x) would only sharpen
+    # a term whose error is far below log_hi's ulp.
+    with np.errstate(divide="ignore"):  # hi - lo below log_hi's ulp
+        log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
+    return flip, clo, ndtr(hi) - clo, hi <= -TAIL_CUTOFF, log_lo, log_mass
+
+
+def _inverse_cdf(tables, j, rng):
+    """Draws z on the mirrored intervals of 1-d table entries j, one uniform u
+    each: z = Phi^-1(Phi(lo) + u (Phi(hi) - Phi(lo))), in log space on tail
+    entries (exact to a few ulps at any depth and width). A non-finite z (u
+    at an end of [0, 1) at an infinite bound) is redrawn before returning."""
+    _, clo, width, tail, log_lo, log_mass = tables
+    u = rng.random(j.size)
+    if not tail.any():
+        z = ndtri(clo[j] + u * width[j])
+    else:
+        t = tail[j]
+        z = np.empty(j.size)
+        with np.errstate(divide="ignore"):  # u == 0
+            z[t] = ndtri_exp(np.logaddexp(log_lo[j[t]], np.log(u[t]) + log_mass[j[t]]))
+        t = ~t
+        z[t] = ndtri(clo[j[t]] + u[t] * width[j[t]])
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        z[bad] = _inverse_cdf(tables, j[bad], rng)
+    return z
 
 
 def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
@@ -268,51 +284,46 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
         raise InputError("sigma must be positive")
     if lo == -np.inf and hi == np.inf:
         return float(mu + sigma * rng.standard_normal())
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    z = float(_inverse_cdf(a, b, rng.random()))
-    while not math.isfinite(z):  # a uniform at an end of [0, 1) at an infinite bound
-        z = float(_inverse_cdf(a, b, rng.random()))
-    x = mu + sigma * z
+    tables = _cdf_tables(np.array([(lo - mu) / sigma]), np.array([(hi - mu) / sigma]))
+    z = float(_inverse_cdf(tables, np.zeros(1, dtype=np.intp), rng)[0])
+    x = mu + sigma * (-z if tables[0][0] else z)
     # Enforce the half-open interval exactly despite rounding.
-    if x <= lo:
-        x = np.nextafter(lo, np.inf)
-    if x > hi:
-        x = hi
-    return float(x)
+    return float(min(max(x, np.nextafter(lo, np.inf)), hi))
 
 
 def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
                        size: int) -> np.ndarray:
     """Draw a (size, d) matrix of points from the conditional mixture.
 
-    Every returned point satisfies the box exactly. Dimensions the box leaves
-    unbounded are drawn as plain normals, so conditioning on the unbounded
-    box reproduces the unconditional sampler draw for draw; the others take
-    one uniform per point.
+    Every returned point satisfies the box exactly. The generator is read in
+    a fixed order: one uniform per point for its component, then dimension
+    by dimension one standard normal per point where the box leaves the
+    dimension unbounded (a run of such dimensions in one call), else one
+    uniform per point with any redraws. So conditioning on the unbounded box
+    reproduces the unconditional sampler draw for draw.
     """
     n = int(size)
     gmm = cm.base
     comps = _categorical(rng, cm.tilde_phi, n)
-    X = np.empty((n, gmm.d))
-    for i in range(gmm.d):
-        lo, hi = cm.box.lower[i], cm.box.upper[i]
-        mu = gmm.means[comps, i]
-        sd = gmm.stddevs[comps, i]
-        if lo == -np.inf and hi == np.inf:
-            X[:, i] = mu + sd * rng.standard_normal(n)
-            continue
-        a = cm.alpha[comps, i]
-        b = cm.beta[comps, i]
-        z = _inverse_cdf(a, b, rng.random(n))
-        bad = np.flatnonzero(~np.isfinite(z))  # a uniform at an end of [0, 1) at an infinite bound
-        while bad.size:
-            z[bad] = _inverse_cdf(a[bad], b[bad], rng.random(bad.size))
-            bad = bad[~np.isfinite(z[bad])]
-        x = mu + sd * z
-        np.clip(x, np.nextafter(lo, np.inf), hi, out=x)
-        X[:, i] = x
-    return X
+    lower, upper = cm.box.lower, cm.box.upper
+    bounded = np.flatnonzero((lower > -np.inf) | (upper < np.inf))
+    sd = gmm.stddevs.T.copy()
+    Z = np.empty((gmm.d, n))
+    start = 0
+    if bounded.size:
+        # One table entry per (bounded dimension, component). The mirror flag
+        # goes into the sign of the sd, as sd * (-z) == (-sd) * z exactly.
+        tables = _cdf_tables(cm.alpha[:, bounded].T, cm.beta[:, bounded].T)
+        sd[bounded] *= np.where(tables[0], -1.0, 1.0)
+        for row, i in enumerate(bounded):
+            rng.standard_normal(out=Z[start:i])
+            Z[i] = _inverse_cdf([t[row] for t in tables], comps, rng)
+            start = i + 1
+    rng.standard_normal(out=Z[start:])
+    Z *= np.take(sd, comps, axis=1)
+    Z += np.take(gmm.means.T, comps, axis=1)
+    np.clip(Z, np.nextafter(lower, np.inf)[:, None], upper[:, None], out=Z)
+    return np.ascontiguousarray(Z.T)
 
 
 def sample(gmm: GaussianMixture, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -87,10 +87,9 @@ def load_csv(path, schema: Optional[TableSchema] = None) -> tuple[Dataset, Table
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header required")
+        header = next(reader, [])  # [] for an empty file or a blank first line
+        if not header:
+            raise InputError(f"{path}: empty first line, header required")
         rows = list(reader)
     if not rows:
         raise InputError(f"{path}: no data rows")

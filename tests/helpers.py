@@ -1,7 +1,8 @@
 """Builders and reference implementations that only the tests need."""
 import numpy as np
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from treextract import Dataset, DecisionTree
+from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture
 from treextract.core import leaf_row
 from treextract.extract import SplitCandidate, gini_term
 
@@ -70,3 +71,97 @@ def split_fields(cand):
         return None
     return (cand.dim, repr(cand.threshold), repr(cand.gain), cand.left_label,
             cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes())
+
+
+def two_box_benchmark():
+    """Two positive regions over a 2-component mixture whose exact greedy
+    tree is a full 7-node tree (three clean splits, pure leaves)."""
+    gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.2]],
+                          stddevs=[[1.0, 0.9], [0.9, 1.0]])
+    boxes = (BoxConstraint([-np.inf, -np.inf], [-0.6, 0.4]),
+             BoxConstraint([0.9, -np.inf], [np.inf, np.inf]))
+    return gmm, BoxBlackbox(boxes, (1, 1), d=2, m=2)
+
+
+def reference_inverse_cdf(a, b, u, cutoff=6.0):
+    """Per-point inverse-CDF draws on (a, b]: mirrored when a >= 0, in log
+    space where the mirrored interval lies below -cutoff."""
+    flip = a >= 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    clo = ndtr(lo)
+    z = ndtri(clo + u * (ndtr(hi) - clo))
+    if hi.min() <= -cutoff:
+        tail = hi <= -cutoff
+        z, log_lo, log_hi = np.asarray(z), log_ndtr(lo[tail]), log_ndtr(hi[tail])
+        with np.errstate(divide="ignore"):
+            log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
+            z[tail] = ndtri_exp(np.logaddexp(log_lo, np.log(np.asarray(u)[tail]) + log_mass))
+    return np.where(flip, -z, z)
+
+
+def reference_sample_conditional(cm, rng, size):
+    """Dimension-by-dimension conditional sampler: a component per point from
+    one uniform each, then per dimension standard_normal(n) if the box leaves
+    it unbounded, else random(n) through reference_inverse_cdf with any
+    non-finite draw redrawn before the next dimension.
+
+    Draw-for-draw reference for gmm.sample_conditional, which builds the
+    inverse-CDF values once per component and dimension.
+    """
+    n = int(size)
+    gmm = cm.base
+    u = rng.random(n)
+    edges = np.cumsum(cm.tilde_phi)
+    edges[-1] = 1.0
+    comps = np.searchsorted(edges, u, side="right")
+    X = np.empty((n, gmm.d))
+    for i in range(gmm.d):
+        lo, hi = cm.box.lower[i], cm.box.upper[i]
+        mu = gmm.means[comps, i]
+        sd = gmm.stddevs[comps, i]
+        if lo == -np.inf and hi == np.inf:
+            X[:, i] = mu + sd * rng.standard_normal(n)
+            continue
+        a = cm.alpha[comps, i]
+        b = cm.beta[comps, i]
+        z = reference_inverse_cdf(a, b, rng.random(n))
+        bad = np.flatnonzero(~np.isfinite(z))
+        while bad.size:
+            z[bad] = reference_inverse_cdf(a[bad], b[bad], rng.random(bad.size))
+            bad = bad[~np.isfinite(z[bad])]
+        x = mu + sd * z
+        np.clip(x, np.nextafter(lo, np.inf), hi, out=x)
+        X[:, i] = x
+    return X
+
+
+def reference_truncated_normal(mu, sigma, lo, hi, rng):
+    """Scalar draw on (lo, hi] through reference_inverse_cdf, redrawn while
+    not finite and clamped into the half-open interval."""
+    if lo == -np.inf and hi == np.inf:
+        return float(mu + sigma * rng.standard_normal())
+    a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    z = float(reference_inverse_cdf(a, b, rng.random()))
+    while not np.isfinite(z):
+        z = float(reference_inverse_cdf(a, b, rng.random()))
+    return float(np.clip(mu + sigma * z, np.nextafter(lo, np.inf), hi))
+
+
+class ZeroUniforms:
+    """A numpy Generator stand-in whose uniforms below `below` come out as an
+    exact 0.0, the end of [0, 1) where an infinite bound makes the inverse
+    CDF non-finite. Counts the uniforms it hands out."""
+
+    def __init__(self, seed, below):
+        self._gen = np.random.default_rng(seed)
+        self.bit_generator = self._gen.bit_generator
+        self.below, self.uniforms = below, 0
+
+    def random(self, size=None):
+        u = self._gen.random(size)
+        self.uniforms += np.size(u)
+        return np.where(u < self.below, 0.0, u)
+
+    def standard_normal(self, *args, **kwargs):
+        return self._gen.standard_normal(*args, **kwargs)

@@ -118,9 +118,11 @@ class TestPipeline:
         assert load_tree(workdir / "ba.json").budget <= 1000
 
     def test_blackbox_kind_mismatch(self, workdir, synthetic_spec, capsys):
-        code, _, err = run(["evaluate", "--tree", "missing.json",
-                            "--blackbox", "rf:bb.json"], capsys)
-        assert code == 1
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        code, out, err = run(["evaluate", "--tree", "tree.json", "--blackbox", "rf:bb.json",
+                              "--data", "train.csv"], capsys)
+        assert code == 1 and out == ""
+        assert "bb.json holds 'box_blackbox', expected 'random_forest'" in err
 
     def test_positive_class_out_of_range_exits_1(self, workdir, synthetic_spec, capsys):
         save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
@@ -182,6 +184,13 @@ class TestPipeline:
                             "--episodes", "0", "--out", "policy.json"], capsys)
         assert code == 1 and "n_episodes must be >= 1" in err
         assert not (workdir / "policy.json").exists()
+
+    def test_blank_first_line_exits_1(self, workdir, capsys):
+        (workdir / "blank.csv").write_text("\n1,0\n2,1\n", encoding="utf-8")
+        code, _, err = run(["fit-gmm", "--data", "blank.csv", "--out", "gmm.json"], capsys)
+        assert code == 1 and "internal error" not in err
+        assert "blank.csv: empty first line, header required" in err
+        assert not (workdir / "gmm.json").exists()
 
     def test_config_error_exits_1(self, workdir, synthetic_spec, capsys):
         # fit_em raises ConfigError for k < 1; that is bad input, not a crash.

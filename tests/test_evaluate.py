@@ -11,10 +11,10 @@ from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
 from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
                                  TaskInstance, _best_exact_split, _class_masses,
                                  _exact_gain, _impurity_term, run_fidelity_curve,
-                                 three_box_benchmark, two_box_benchmark)
+                                 three_box_benchmark)
 from treextract.gmm import box_mass
 
-from helpers import dataset, leaf_tree
+from helpers import dataset, leaf_tree, two_box_benchmark
 
 
 class TestFidelity:

@@ -11,9 +11,9 @@ from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
 from treextract.extract import grow_tree
-from treextract.evaluate import exact_greedy_oracle, two_box_benchmark
+from treextract.evaluate import exact_greedy_oracle
 
-from helpers import reference_best_split, split_fields as _fields
+from helpers import reference_best_split, split_fields as _fields, two_box_benchmark
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):

@@ -12,11 +12,10 @@ from treextract import (BaselineConfig, EMConfig,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
 from treextract import io as tio
-from treextract.evaluate import (exact_greedy_oracle, three_box_benchmark,
-                                 two_box_benchmark)
+from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
 from treextract.extract import grow_best_first
 
-from helpers import dataset
+from helpers import dataset, two_box_benchmark
 
 # tree_to_doc documents of fixed-seed 7-node trees on three_box_benchmark and
 # the oracle's gains, recorded before the builders shared one frontier loop;

@@ -13,6 +13,9 @@ from treextract import (BoxConstraint, ConfigError, EMConfig, EmptyRegionError,
                         sample_truncated_normal, select_k_bic)
 from treextract import gmm as gmm_mod
 
+from helpers import (ZeroUniforms, reference_sample_conditional,
+                     reference_truncated_normal)
+
 
 def log_pdf(gmm, X):
     """Log density of the mixture at each row of X, evaluated in coordinates
@@ -156,20 +159,25 @@ class TestSampling:
 
 
 @st.composite
-def tail_mixtures(draw):
+def tail_mixtures(draw, max_d=2):
     """A mixture and a box whose bounded dimensions are bulk, or 6 to 20 sd
     out on either side for component 0. With k >= 2, component 1 sits on the
     box's edges (bulk for it) and the weights are set so that no component
     carries more of the box's mass than component 0, so one draw mixes
-    far-tail and bulk rows."""
-    d, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    far-tail and bulk rows. Tail dimensions past a total s^2 of 1200 (box
+    mass about exp(-600), above gmm.Z_FLOOR) are made bulk instead."""
+    d, k = draw(st.integers(1, max_d)), draw(st.integers(1, 3))
     mu = draw(arrays(np.float64, (k, d), elements=st.floats(-3.0, 3.0)))
     sd = draw(arrays(np.float64, (k, d), elements=st.floats(0.5, 2.0)))
     lower, upper = np.full(d, -np.inf), np.full(d, np.inf)
+    budget = 1200.0
     for i in range(d):
         kind = draw(st.sampled_from(["free", "bulk", "upper tail", "lower tail"]))
         s = draw(st.floats(6.0, 20.0))
         width = draw(st.sampled_from([1e-3, 1.0, np.inf]))
+        if kind.endswith("tail"):
+            budget -= s * s
+            kind = kind if budget >= 0 else "bulk"
         if kind == "bulk":
             lower[i], upper[i] = mu[0, i] - sd[0, i], mu[0, i] + sd[0, i]
         elif kind == "upper tail":
@@ -229,6 +237,62 @@ class TestTailSampling:
         X = sample_conditional(cm, rng, 1000)[:, 0]
         for draws in (xs, X):
             assert np.all((draws > lo) & (draws <= hi))
+
+
+class TestReferenceSampler:
+    """sample_conditional against the dimension-by-dimension reference:
+    byte-equal draws and the same generator state afterwards."""
+
+    @staticmethod
+    def _assert_matches_reference(cm, make_rng, n):
+        rng, ref = make_rng(), make_rng()
+        X = sample_conditional(cm, rng, n)
+        R = reference_sample_conditional(cm, ref, n)
+        assert X.flags.c_contiguous and X.shape == R.shape
+        assert X.tobytes() == R.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return rng
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_mixtures(max_d=6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([None, 60.0]), st.booleans())
+    def test_draws_match_reference(self, model, n, seed, x_max, zeros):
+        gmm, box = model
+        gmm = GaussianMixture(gmm.weights, gmm.means, gmm.stddevs, x_max)
+        # With zeros about one uniform in 20 is 0.0, so redraws run.
+        make = (lambda: ZeroUniforms(seed, 0.05)) if zeros else (lambda: np.random.default_rng(seed))
+        self._assert_matches_reference(condition(gmm, box), make, n)
+
+    def test_zero_uniform_at_infinite_bound_is_redrawn(self):
+        gmm = GaussianMixture([0.5, 0.5], [[0.0, 0.0, 0.0], [1.0, 0.0, -1.0]],
+                              [[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]])
+        # Bounded above only (in the bulk), free, and bounded below only (8 sd
+        # out for component 0): a 0.0 uniform is non-finite in both.
+        box = BoxConstraint([-np.inf, -np.inf, 8.0], [0.5, np.inf, np.inf])
+        n = 500
+        rng = self._assert_matches_reference(condition(gmm, box), lambda: ZeroUniforms(5, 0.1), n)
+        assert rng.uniforms > 3 * n  # components and two bounded dimensions, plus redraws
+        X = sample_conditional(condition(gmm, box), ZeroUniforms(5, 0.1), n)
+        assert np.isfinite(X).all() and box.contains_batch(X).all()
+
+    @pytest.mark.parametrize("mu,sigma,lo,hi", [
+        (0.0, 1.0, -1.0, 0.5),          # bulk
+        (2.0, 0.7, 3.0, np.inf),        # bulk, one-sided
+        (-1.0, 2.0, -np.inf, 0.0),      # bulk, bounded above
+        (0.0, 1.0, 8.0, 9.0),           # far upper tail
+        (1.0, 0.5, -np.inf, -9.0),      # far lower tail, one-sided
+        (0.0, 1.0, 15.0, 15.0 + 1e-9),  # narrow far tail
+        (0.0, 1.0, -np.inf, np.inf),    # untruncated
+    ])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_truncated_normal_matches_reference(self, mu, sigma, lo, hi, zeros):
+        def make():
+            return ZeroUniforms(9, 0.1) if zeros else np.random.default_rng(9)
+        rng, ref = make(), make()
+        xs = [sample_truncated_normal(mu, sigma, lo, hi, rng) for _ in range(300)]
+        rs = [reference_truncated_normal(mu, sigma, lo, hi, ref) for _ in range(300)]
+        assert np.array(xs).tobytes() == np.array(rs).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestPdf:
