@@ -238,18 +238,14 @@ def _cdf_tables(a, b):
 
     Intervals with a >= 0 are mirrored to (lo, hi] = (-b, -a] (flip) and the
     draw negated: the lower-tail CDF keeps the precision the upper tail would
-    lose. Returns flip, Phi(lo), Phi(hi) - Phi(lo), the tail entries (hi <=
-    -TAIL_CUTOFF), log Phi(lo) and the log mass.
+    lose. Returns flip, lo, hi, Phi(lo), Phi(hi) - Phi(lo) and the tail
+    entries, whose (lo, hi] lies below -TAIL_CUTOFF.
     """
     flip = a >= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
-    clo, log_lo, log_hi = ndtr(lo), log_ndtr(lo), log_ndtr(hi)
-    # The log mass as log_hi + log(1 - e^x); log1p(-e^x) would only sharpen
-    # a term whose error is far below log_hi's ulp.
-    with np.errstate(divide="ignore"):  # hi - lo below log_hi's ulp
-        log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
-    return flip, clo, ndtr(hi) - clo, hi <= -TAIL_CUTOFF, log_lo, log_mass
+    clo = ndtr(lo)
+    return flip, lo, hi, clo, ndtr(hi) - clo, hi <= -TAIL_CUTOFF
 
 
 def _inverse_cdf(tables, j, rng):
@@ -257,14 +253,18 @@ def _inverse_cdf(tables, j, rng):
     each: z = Phi^-1(Phi(lo) + u (Phi(hi) - Phi(lo))), in log space on tail
     entries (exact to a few ulps at any depth and width). A non-finite z (u
     at an end of [0, 1) at an infinite bound) is redrawn before returning."""
-    _, clo, width, tail, log_lo, log_mass = tables
+    _, lo, hi, clo, width, tail = tables
     u = rng.random(j.size)
     if not tail.any():
         z = ndtri(clo[j] + u * width[j])
     else:
+        # The log mass as log_hi + log(1 - e^x); log1p(-e^x) would only
+        # sharpen a term whose error is far below log_hi's ulp.
+        log_lo, log_hi = log_ndtr(lo), log_ndtr(hi)
         t = tail[j]
         z = np.empty(j.size)
-        with np.errstate(divide="ignore"):  # u == 0
+        with np.errstate(divide="ignore"):  # u == 0, or hi - lo below log_hi's ulp
+            log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
             z[t] = ndtri_exp(np.logaddexp(log_lo[j[t]], np.log(u[t]) + log_mass[j[t]]))
         t = ~t
         z[t] = ndtri(clo[j[t]] + u[t] * width[j[t]])

@@ -251,7 +251,7 @@ class TestReferenceSampler:
         assert X.flags.c_contiguous and X.shape == R.shape
         assert X.tobytes() == R.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
-        return rng
+        return X, rng
 
     @settings(max_examples=200, deadline=None)
     @given(tail_mixtures(max_d=6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
@@ -270,9 +270,8 @@ class TestReferenceSampler:
         # out for component 0): a 0.0 uniform is non-finite in both.
         box = BoxConstraint([-np.inf, -np.inf, 8.0], [0.5, np.inf, np.inf])
         n = 500
-        rng = self._assert_matches_reference(condition(gmm, box), lambda: ZeroUniforms(5, 0.1), n)
+        X, rng = self._assert_matches_reference(condition(gmm, box), lambda: ZeroUniforms(5, 0.1), n)
         assert rng.uniforms > 3 * n  # components and two bounded dimensions, plus redraws
-        X = sample_conditional(condition(gmm, box), ZeroUniforms(5, 0.1), n)
         assert np.isfinite(X).all() and box.contains_batch(X).all()
 
     @pytest.mark.parametrize("mu,sigma,lo,hi", [
