@@ -5,6 +5,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture
 from treextract.core import leaf_row
 from treextract.extract import SplitCandidate, gini_term
+from treextract.gmm import TAIL_CUTOFF
 
 
 def dataset(features, labels=None, m=None) -> Dataset:
@@ -83,16 +84,16 @@ def two_box_benchmark():
     return gmm, BoxBlackbox(boxes, (1, 1), d=2, m=2)
 
 
-def reference_inverse_cdf(a, b, u, cutoff=6.0):
+def reference_inverse_cdf(a, b, u):
     """Per-point inverse-CDF draws on (a, b]: mirrored when a >= 0, in log
-    space where the mirrored interval lies below -cutoff."""
+    space where the mirrored interval lies below -TAIL_CUTOFF."""
     flip = a >= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
     clo = ndtr(lo)
     z = ndtri(clo + u * (ndtr(hi) - clo))
-    if hi.min() <= -cutoff:
-        tail = hi <= -cutoff
+    if hi.min() <= -TAIL_CUTOFF:
+        tail = hi <= -TAIL_CUTOFF
         z, log_lo, log_hi = np.asarray(z), log_ndtr(lo[tail]), log_ndtr(hi[tail])
         with np.errstate(divide="ignore"):
             log_mass = log_hi + np.log(-np.expm1(log_lo - log_hi))
