@@ -12,7 +12,7 @@ from treextract import (BaselineConfig, EMConfig,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
 from treextract import io as tio
-from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
+from treextract.evaluate import cartpole_task, exact_greedy_oracle, three_box_benchmark
 from treextract.extract import grow_best_first
 
 from helpers import dataset, two_box_benchmark
@@ -145,10 +145,23 @@ def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _instance_digest(task, seeds) -> str:
+    """sha256 over the training set, test points and input model of a task's
+    instances."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        inst = task.instance(seed)
+        for a in (inst.train.features, inst.train.labels, inst.test_points,
+                  inst.gmm.means, inst.gmm.weights, inst.gmm.stddevs):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def test_pinned_digests(cartpole):
     """Byte-identical documents on a small synthetic-RF instance (d=50): the
-    forest itself and the four builders' trees, plus a 15-node cart-pole
-    extraction."""
+    forest itself and the four builders' trees; a 15-node cart-pole
+    extraction and its budget-matched born-again tree; and the cart-pole
+    task's instances at seeds 0 and 1."""
     data = make_imbalanced_classification(300, d=50, seed=5)
     forest = train_random_forest(data, RandomForestConfig(n_trees=5, max_depth=5,
                                                           balance=True, seed=5))
@@ -166,6 +179,9 @@ def test_pinned_digests(cartpole):
         "rf_cart": cart_extract(data, forest, 7),
         "cartpole_ours": extract_tree(cp_gmm, policy, ExtractionConfig(15, 200, seed=5)),
     }
+    trees["cartpole_born_again"] = born_again_extract(cp_gmm, policy, BaselineConfig(
+        15, samples_per_node=200, total_sample_budget=trees["cartpole_ours"].budget, seed=5))
     got = {name: _digest(tio.tree_to_doc(t)) for name, t in trees.items()}
     got["rf_forest"] = _digest(tio.blackbox_to_doc(forest))
+    got["cartpole_instance"] = _instance_digest(cartpole_task(), (0, 1))
     assert got == PINNED["digests"]
