@@ -13,8 +13,7 @@ policy = learn_policy(system, PolicyConfig(seed=0))
 print("mean rollout reward over 100 episodes:",
       mean_rollout_reward(policy, system, 100, seed=0))
 
-train = collect_states(policy, system, 100, seed=1)
-test = collect_states(policy, system, 100, seed=2)
+train, test = collect_states(policy, system, 100, [1, 2])
 print("collected 100 train / 100 test states from policy rollouts")
 
 gmm = select_k_bic(train.features, cfg=EMConfig(seed=0, n_init=2))

@@ -226,10 +226,10 @@ class CartPoleSystem:
             raise ConfigError("episode_cap must be >= 1")
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray):
-        """Vectorized transition; returns (next_states, terminal_mask)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        x, x_dot, theta, theta_dot = states.T
-        force = np.where(np.asarray(actions) == 1, FORCE_MAG, -FORCE_MAG)
+        """Vectorized transition of a (4, n) block, one column per state;
+        returns the (4, n) next states and the (n,) terminal mask."""
+        x, x_dot, theta, theta_dot = states
+        force = np.where(actions == 1, FORCE_MAG, -FORCE_MAG)
         total_mass = CART_MASS + POLE_MASS
         pml = POLE_MASS * HALF_LENGTH
         cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -237,13 +237,8 @@ class CartPoleSystem:
         theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
             HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
         x_acc = temp - pml * theta_acc * cos_t / total_mass
-        nxt = np.stack([
-            x + TIMESTEP * x_dot,
-            x_dot + TIMESTEP * x_acc,
-            theta + TIMESTEP * theta_dot,
-            theta_dot + TIMESTEP * theta_acc,
-        ], axis=1)
-        terminal = (np.abs(nxt[:, 0]) > X_LIMIT) | (np.abs(nxt[:, 2]) > THETA_LIMIT)
+        nxt = states + TIMESTEP * np.array([x_dot, x_acc, theta_dot, theta_acc])
+        terminal = (np.abs(nxt[0]) > X_LIMIT) | (np.abs(nxt[2]) > THETA_LIMIT)
         return nxt, terminal
 
 
@@ -327,11 +322,11 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
 
     flat_states = states.reshape(-1, d)
     flat_actions = actions.reshape(-1)
-    nxt, terminal = sys.step_batch(flat_states, flat_actions)
+    nxt, terminal = sys.step_batch(flat_states.T, flat_actions)
 
     policy_stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64), tuple(cfg.grid_sizes))
     # Next cell per transition; the trailing value slot is the absorbing terminal.
-    gather = np.where(terminal, n_cells, policy_stub.cell_index(nxt)).reshape(n_cells, 2, ns)
+    gather = np.where(terminal, n_cells, policy_stub.cell_index(nxt.T)).reshape(n_cells, 2, ns)
     rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)
 
     values = np.zeros(n_cells + 1)
@@ -354,17 +349,17 @@ def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):
     or reaches sys.episode_cap steps. Returns the visited states (start
     included, terminal not) episode by episode in the order of starts, and
     each episode's length, which is its reward."""
-    state, lane = starts, np.arange(starts.shape[0])
+    state, lane = starts.T, np.arange(starts.shape[0])  # one column per episode
     seen, owner = [], []
     for _ in range(sys.episode_cap):
         seen.append(state)
         owner.append(lane)
-        state, terminal = sys.step_batch(state, policy.predict(state))
-        state, lane = state[~terminal], lane[~terminal]
+        state, terminal = sys.step_batch(state, policy.predict(state.T))
+        state, lane = state[:, ~terminal], lane[~terminal]
         if not lane.size:
             break
     owner = np.concatenate(owner)
-    return (np.concatenate(seen)[np.argsort(owner, kind="stable")],
+    return (np.concatenate(seen, axis=1).T[np.argsort(owner, kind="stable")],
             np.bincount(owner, minlength=starts.shape[0]))
 
 
@@ -378,27 +373,30 @@ def mean_rollout_reward(policy: TabularPolicy, sys: CartPoleSystem,
 
 
 def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
-                   seed: int = 0) -> Dataset:
-    """Roll out the policy and subsample visited states uniformly.
-
-    Episodes run until the visited pool holds at least 5x the requested
-    points (at least 3 episodes), then n_points states are drawn uniformly
-    without replacement. Labels are the policy's action at each state.
-    Each round runs only episodes certain to be needed: the draws are those
-    of stepping one episode at a time."""
+                   seeds) -> list[Dataset]:
+    """Roll out the policy and subsample visited states uniformly, one Dataset
+    per seed: its pool runs episodes until it holds 5x the points (at least 3
+    episodes), then gives n_points states without replacement, labeled by the
+    policy. Each round steps every unfinished pool's next episodes in one
+    lockstep batch; pool i draws its starts and subsample from
+    default_rng(seeds[i]) as if it stepped one episode at a time."""
     if n_points < 1:
         raise InputError("n_points must be >= 1")
-    rng = np.random.default_rng(seed)
-    need = 5 * n_points
-    pool, pooled, episodes = [], 0, 0
-    while pooled < need or episodes < 3:
-        k = max(3 - episodes, -(-(need - pooled) // sys.episode_cap))
-        pool.append(_rollouts(policy, sys, rng.uniform(-0.05, 0.05, size=(k, 4)))[0])
-        pooled, episodes = pooled + len(pool[-1]), episodes + k
-    pool_arr = np.concatenate(pool)
-    X = pool_arr[rng.choice(pool_arr.shape[0], size=n_points, replace=False)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    need, pools = 5 * n_points, [[] for _ in rngs]
+    pooled, episodes = [0] * len(rngs), [0] * len(rngs)
+    while live := [i for i in range(len(rngs)) if pooled[i] < need or episodes[i] < 3]:
+        ks = [max(3 - episodes[i], -(-(need - pooled[i]) // sys.episode_cap)) for i in live]
+        states, lengths = _rollouts(policy, sys, np.concatenate(
+            [rngs[i].uniform(-0.05, 0.05, size=(k, 4)) for i, k in zip(live, ks)]))
+        sizes = np.add.reduceat(lengths, np.cumsum([0] + ks[:-1]))  # states per pool
+        for i, k, part in zip(live, ks, np.split(states, np.cumsum(sizes)[:-1])):
+            pools[i].append(part)
+            pooled[i], episodes[i] = pooled[i] + len(part), episodes[i] + k
+    pools = [np.concatenate(pool) for pool in pools]
+    X = [pool[rng.choice(len(pool), size=n_points, replace=False)] for rng, pool in zip(rngs, pools)]
     names = ("cart_position", "cart_velocity", "pole_angle", "pole_velocity")
-    return Dataset(X, policy.predict(X), names, 2)
+    return [Dataset(x, policy.predict(x), names, 2) for x in X]
 
 
 # ---------------------------------------------------------------------------

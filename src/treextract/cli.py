@@ -236,10 +236,12 @@ def _cmd_train_cartpole(args) -> int:
     reward = mean_rollout_reward(policy, sys_, args.episodes, seed=seed)
     tio.save_json(args.out, tio.blackbox_to_doc(policy))
     print(f"policy: grid {args.grid}, mean reward {reward:.1f} over {args.episodes} episodes -> {args.out}")
-    for split, path, offset in (("training", args.train_csv, 1), ("test", args.test_csv, 2)):
-        if path:
-            tio.save_csv(path, collect_states(policy, sys_, args.collect, seed=2 * seed + offset))
-            print(f"collected {args.collect} {split} states -> {path}")
+    splits = [(split, path, 2 * seed + offset) for split, path, offset
+              in (("training", args.train_csv, 1), ("test", args.test_csv, 2)) if path]
+    pools = collect_states(policy, sys_, args.collect, [s for _, _, s in splits]) if splits else []
+    for (split, path, _), data in zip(splits, pools):
+        tio.save_csv(path, data)
+        print(f"collected {args.collect} {split} states -> {path}")
     return 0
 
 

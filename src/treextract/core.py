@@ -51,10 +51,6 @@ class Dataset:
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
     @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def d(self) -> int:
         return self.features.shape[1]
 
@@ -211,10 +207,6 @@ class DecisionTree:
         if np.any(self.cached_gain < 0):
             raise InputError("cached_gain must be nonnegative")
         self._path_bounds()  # raises when a root-leaf path is unsatisfiable
-
-    def predict(self, x) -> int:
-        """Label of one point: the one-row case of predict_batch."""
-        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         """Vectorized prediction for an (n, d) matrix of finite points."""

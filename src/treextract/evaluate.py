@@ -318,8 +318,7 @@ def cartpole_task() -> FidelityTask:
         if "policy" not in shared:
             shared["policy"] = learn_policy(sys)
         policy = shared["policy"]
-        train = collect_states(policy, sys, 100, seed=(7919 + seed) * 2 + 1)
-        test = collect_states(policy, sys, 100, seed=(104729 + seed) * 2)
+        train, test = collect_states(policy, sys, 100, [(7919 + seed) * 2 + 1, (104729 + seed) * 2])
         gmm = select_k_bic(train.features, cfg=EMConfig(seed=seed, n_init=2))
         return TaskInstance(policy, gmm, train, test.features)
 
@@ -368,9 +367,6 @@ class ExperimentResult:
 
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-
-    def append(self, row: ResultRow) -> None:
-        self.rows.append(row)
 
     def median(self, algorithm: str, size: int, metric: str = "fidelity_f1") -> float:
         vals = [getattr(r, metric) for r in self.rows
@@ -427,8 +423,8 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                 return None
             if record:
                 rep = fidelity(tree, f, inst.test_points, task.positive_class)
-                result.append(ResultRow(name, size, seed, rep.accuracy, rep.f1,
-                                        tree.budget, (time.perf_counter() - t0) * 1e3))
+                result.rows.append(ResultRow(name, size, seed, rep.accuracy, rep.f1,
+                                             tree.budget, (time.perf_counter() - t0) * 1e3))
             return tree
 
         for size in sizes:

@@ -301,8 +301,7 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
                 children.append(((label, hist, child_cm.Z), (child_box, child_cm)))
         return (cand.dim, cand.threshold), children
 
-    root_box = BoxConstraint.unbounded(d)
-    root_cm = condition(gmm, root_box)
+    root_box, root_cm = BoxConstraint.unbounded(d), gmm.unconditional
     root_label, root_hist = _majority(draw_labeled(root_cm, "root")[1], m)
     rows, _ = grow_best_first((root_label, root_hist, root_cm.Z), (root_box, root_cm),
                               score, commit, cfg.max_nodes, cfg.min_gain)
@@ -379,7 +378,7 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
     rate not below alpha. A second one selects the alpha whose tree has the
     highest fidelity; ties prefer the smaller tree, then the earlier alpha.
     """
-    cm = condition(gmm, BoxConstraint.unbounded(tree.d))
+    cm = gmm.unconditional
     X_prune = sample_conditional(cm, rng, n_val)
     y_prune = _label_points(f, X_prune, "prune")
     X_sel = sample_conditional(cm, rng, n_val)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,11 @@ class GaussianMixture:
         if self.x_max is None:
             return BoxConstraint.unbounded(self.d)
         return BoxConstraint(np.full(self.d, -self.x_max), np.full(self.d, self.x_max))
+
+    @cached_property
+    def unconditional(self) -> ConditionalMixture:
+        """The conditional on the unbounded box (the domain box with x_max set), built once."""
+        return condition(self, BoxConstraint.unbounded(self.d))
 
 
 def logsumexp(a, axis=None):
@@ -328,9 +334,9 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
 
 def sample(gmm: GaussianMixture, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) unconditional draws: component from Categorical(weights),
-    then the component's axis-aligned normal. Implemented as conditioning on
-    the unbounded box (identical code path, Z = 1)."""
-    return sample_conditional(condition(gmm, BoxConstraint.unbounded(gmm.d)), rng, size)
+    then the component's axis-aligned normal. Drawn from gmm.unconditional,
+    the cached conditional on the unbounded box (same code path, Z = 1)."""
+    return sample_conditional(gmm.unconditional, rng, size)
 
 
 EM_MAX_ITERS = 200

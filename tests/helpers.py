@@ -23,6 +23,11 @@ def leaf_tree(label: int, d: int, m: int) -> DecisionTree:
     return DecisionTree.from_rows([leaf_row(label, np.eye(m)[label])], d, m)
 
 
+def predict_one(tree: DecisionTree, x) -> int:
+    """Label of one point: the one-row case of predict_batch."""
+    return int(tree.predict_batch(np.asarray(x, dtype=np.float64)[None])[0])
+
+
 def reference_best_split(X, y, m, mass, min_gain=0.0):
     """Per-dimension scan: a stable sort and a one-hot cumsum per column.
 

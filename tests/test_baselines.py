@@ -92,7 +92,7 @@ class TestBornAgain:
         from treextract import EMConfig, collect_states, fit_em
 
         sys_, policy = cartpole
-        train = collect_states(policy, sys_, 100, seed=21)
+        train, = collect_states(policy, sys_, 100, [21])
         gmm = fit_em(train.features, 5, EMConfig(seed=0))
         ours = extract_tree(gmm, policy, ExtractionConfig(15, 200, seed=2))
 

@@ -16,14 +16,14 @@ from treextract.blackbox import (POSITIVE_RATE, SPLIT_BATCH_CELLS, THETA_LIMIT, 
 from treextract.core import leaf_row, split_row
 from treextract.io import blackbox_to_doc
 
-from helpers import dataset, reference_best_split
+from helpers import dataset, predict_one, reference_best_split
 
 
 def cartpole_step(sys_, state, action: int):
-    """One Euler step of one state: the one-row case of step_batch."""
-    nxt, term = sys_.step_batch(np.asarray(state, dtype=np.float64)[None, :],
+    """One Euler step of one state: the one-column case of step_batch."""
+    nxt, term = sys_.step_batch(np.asarray(state, dtype=np.float64)[:, None],
                                 np.array([action]))
-    return nxt[0], bool(term[0])
+    return nxt[:, 0], bool(term[0])
 
 
 def _grow_reference_node(X, y, rows, m, depth, cfg, rng, nodes):
@@ -171,7 +171,7 @@ class TestRandomForest:
         votes = np.zeros((40, 2), int)
         for tree in forest.trees:
             for i in range(40):
-                votes[i, tree.predict(X[i])] += 1
+                votes[i, predict_one(tree, X[i])] += 1
         expected = np.argmax(votes, axis=1)  # argmax ties to lower index
         assert np.array_equal(forest.predict(X), expected)
 
@@ -340,20 +340,20 @@ class TestPolicy:
 class TestCollectStates:
     def test_shapes_and_labels(self, cartpole):
         sys_, policy = cartpole
-        ds = collect_states(policy, sys_, 100, seed=5)
+        ds = collect_states(policy, sys_, 100, [5])[0]
         assert ds.features.shape == (100, 4) and ds.m == 2
         assert np.array_equal(ds.labels, policy.predict(ds.features))
 
     def test_states_nonterminal(self, cartpole):
         sys_, policy = cartpole
-        ds = collect_states(policy, sys_, 150, seed=6)
+        ds = collect_states(policy, sys_, 150, [6])[0]
         assert np.all(np.abs(ds.features[:, 0]) <= X_LIMIT)
         assert np.all(np.abs(ds.features[:, 2]) <= THETA_LIMIT)
 
     def test_deterministic(self, cartpole):
         sys_, policy = cartpole
-        a = collect_states(policy, sys_, 50, seed=9)
-        b = collect_states(policy, sys_, 50, seed=9)
+        a = collect_states(policy, sys_, 50, [9])[0]
+        b = collect_states(policy, sys_, 50, [9])[0]
         assert np.array_equal(a.features, b.features)
 
 
@@ -367,40 +367,65 @@ def _action_table(policy, kind, seed):
 
 class TestLockstepRollouts:
     # An all-left table ends every episode after about 9 steps, so collecting
-    # needs several rounds; a cap of 1 or 7 does the same for any table.
+    # needs several rounds; a cap of 1 or 7 does the same for any table. Pools
+    # of different seeds end their rounds at different times, so later
+    # rounds step only some of them.
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(0, 250),
-           table=st.sampled_from(["learned", "left", "random"]),
+    @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+           n_points=st.integers(0, 250), table=st.sampled_from(["learned", "left", "random"]),
            table_seed=st.integers(0, 2 ** 16), cap=st.sampled_from([1, 7, 200]),
            n_episodes=st.integers(1, 8))
-    def test_matches_episode_at_a_time_reference(self, cartpole, seed, n_points, table,
+    def test_matches_episode_at_a_time_reference(self, cartpole, seeds, n_points, table,
                                                  table_seed, cap, n_episodes):
         policy = _action_table(cartpole[1], table, table_seed)
         sys_ = CartPoleSystem(episode_cap=cap)
         if n_points == 0:  # a Dataset has at least one row
             with pytest.raises(InputError):
-                collect_states(policy, sys_, n_points, seed=seed)
+                collect_states(policy, sys_, n_points, seeds)
         else:
-            ds = collect_states(policy, sys_, n_points, seed=seed)
-            X, y = reference_collect_states(policy, sys_, n_points, seed)
-            assert ds.features.tobytes() == X.tobytes()
-            assert ds.labels.tobytes() == y.tobytes()
-        assert (mean_rollout_reward(policy, sys_, n_episodes, seed=seed)
-                == reference_mean_reward(policy, sys_, n_episodes, seed))
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            pools = collect_states(policy, sys_, n_points, rngs)
+            assert len(pools) == len(seeds)
+            for seed, rng, ds in zip(seeds, rngs, pools):
+                ref_rng = np.random.default_rng(seed)
+                X, y = reference_collect_states(policy, sys_, n_points, ref_rng)
+                assert ds.features.tobytes() == X.tobytes()
+                assert ds.labels.tobytes() == y.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (mean_rollout_reward(policy, sys_, n_episodes, seed=seeds[0])
+                == reference_mean_reward(policy, sys_, n_episodes, seeds[0]))
 
     def test_collect_states_matches_reference_on_task_seeds(self, cartpole):
         sys_, policy = cartpole
-        for seed in ((7919 + 0) * 2 + 1, (104729 + 3) * 2):
-            ds = collect_states(policy, sys_, 100, seed=seed)
+        seeds = ((7919 + 0) * 2 + 1, (104729 + 3) * 2)
+        for seed, ds in zip(seeds, collect_states(policy, sys_, 100, seeds)):
             X, _ = reference_collect_states(policy, sys_, 100, seed)
             assert ds.features.tobytes() == X.tobytes()
+
+    def test_pools_share_each_round(self, cartpole, monkeypatch):
+        """One rollout batch per round steps the episodes of every pool
+        still short of states; finished pools drop out of later rounds."""
+        sys_, policy = cartpole
+        left = _action_table(policy, "left", 0)  # about 9 steps per episode
+        calls = []
+        rollouts = blackbox._rollouts
+        monkeypatch.setattr(blackbox, "_rollouts",
+                            lambda p, s, starts: calls.append(len(starts)) or rollouts(p, s, starts))
+        collect_states(policy, sys_, 100, [1, 2, 3])
+        assert calls == [9]  # three 200-step episodes per pool fill 500 states
+        calls.clear()
+        # 30 states each: pools 8 and 11 fill them in three episodes, 0 and 1
+        # need a fourth.
+        collect_states(left, sys_, 6, [8, 0, 11, 1])
+        assert calls == [12, 2]
+        assert collect_states(left, sys_, 6, []) == []
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_no_points_rejected_before_any_episode(self, cartpole, monkeypatch, n_points):
         import treextract.blackbox as blackbox_mod
         monkeypatch.setattr(blackbox_mod, "_rollouts", lambda *a: pytest.fail("rolled out"))
         with pytest.raises(InputError, match="n_points must be >= 1"):
-            collect_states(cartpole[1], cartpole[0], n_points)
+            collect_states(cartpole[1], cartpole[0], n_points, [0])
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_no_episodes_rejected(self, cartpole, n_episodes):

@@ -335,7 +335,7 @@ class TestCartpoleSettings:
                           "--collect", "20", "--test-csv", "test.csv"], capsys)
         assert code == 0 and not (workdir / "train.csv").exists()
         policy = blackbox_from_doc(load_json(workdir / "policy.json"))
-        want = collect_states(policy, CartPoleSystem(), 20, seed=2 * 3 + 2)
+        want, = collect_states(policy, CartPoleSystem(), 20, [2 * 3 + 2])
         got, _ = load_csv(workdir / "test.csv")
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)

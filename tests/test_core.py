@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from treextract import BoxConstraint, Dataset, DecisionTree, InputError
 from treextract.core import leaf_row, split_row
 
-from helpers import dataset, leaf_tree
+from helpers import dataset, leaf_tree, predict_one
 
 
 def box(d=2):
@@ -140,14 +140,14 @@ def walk(tree, x):
 class TestTreePredict:
     def test_single_leaf(self):
         tree = leaf_tree(1, d=3, m=2)
-        assert tree.predict([5.0, -2.0, 0.0]) == 1
+        assert predict_one(tree, [5.0, -2.0, 0.0]) == 1
 
     def test_left_branch_on_satisfied_constraint(self):
         tree = array_tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
                           [0, 0, 1], d=1, m=2)
-        assert tree.predict([-1.0]) == 0
-        assert tree.predict([0.0]) == 0  # boundary goes left
-        assert tree.predict([0.5]) == 1
+        assert predict_one(tree, [-1.0]) == 0
+        assert predict_one(tree, [0.0]) == 0  # boundary goes left
+        assert predict_one(tree, [0.5]) == 1
 
     def test_grid_matches_path_box_membership(self):
         """Exhaustive check against direct box-membership evaluation."""
@@ -160,24 +160,24 @@ class TestTreePredict:
                 x = np.array([x0, x1])
                 hits = [i for i in leaf_ids if contains(boxes[i], x)]
                 assert len(hits) == 1, "exactly one root-leaf path accepts x"
-                assert tree.predict(x) == tree.label[hits[0]]
+                assert predict_one(tree, x) == tree.label[hits[0]]
 
     def test_predict_batch_matches_pointwise(self, rng):
         tree = depth2_tree()
         X = rng.normal(size=(300, 2)) * 2
         batch = tree.predict_batch(X)
         assert all(batch[i] == tree.label[walk(tree, X[i])] for i in range(len(X)))
-        assert all(batch[i] == tree.predict(X[i]) for i in range(len(X)))
+        assert all(batch[i] == predict_one(tree, X[i]) for i in range(len(X)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            depth2_tree().predict([1.0])
+            predict_one(depth2_tree(), [1.0])
         with pytest.raises(InputError):
             depth2_tree().predict_batch(np.zeros((4, 3)))
 
     def test_nonfinite_point(self):
         with pytest.raises(InputError):
-            depth2_tree().predict([np.nan, 0.0])
+            predict_one(depth2_tree(), [np.nan, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_predict_batch_rejects_nonfinite(self, bad):
@@ -226,7 +226,7 @@ class TestTreePathProperty:
         hits = [i for i in np.flatnonzero(tree.feature < 0) if contains(boxes[i], x)]
         assert len(hits) == 1
         assert tree.apply(x[None])[0] == walk(tree, x) == hits[0]
-        assert tree.predict(x) == tree.label[hits[0]]
+        assert predict_one(tree, x) == tree.label[hits[0]]
 
 
 class TestTreeValidation:

@@ -359,8 +359,8 @@ def _exact_gain_at(gmm, bb, dim, t):
 class TestExperimentResult:
     def test_csv_round_trip(self):
         res = ExperimentResult()
-        res.append(ResultRow("ours", 7, 0, 0.91, 0.87, 4600, 12.5))
-        res.append(ResultRow("cart", 7, 0, 0.88, None, 100, 3.0))
+        res.rows.append(ResultRow("ours", 7, 0, 0.91, 0.87, 4600, 12.5))
+        res.rows.append(ResultRow("cart", 7, 0, 0.88, None, 100, 3.0))
         assert res.to_csv_text().splitlines() == [
             "algorithm,size,seed,fidelity_acc,fidelity_f1,budget,wall_ms",
             "ours,7,0,0.91,0.87,4600,12.5",  # floats as repr, which reads back exactly
@@ -369,7 +369,7 @@ class TestExperimentResult:
     def test_median(self):
         res = ExperimentResult()
         for seed, f1 in enumerate([0.5, 0.9, 0.7]):
-            res.append(ResultRow("ours", 3, seed, 0.8, f1, 10, 1.0))
+            res.rows.append(ResultRow("ours", 3, seed, 0.8, f1, 10, 1.0))
         assert res.median("ours", 3) == 0.7
 
     def test_missing_rows_rejected(self):

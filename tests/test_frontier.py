@@ -168,7 +168,7 @@ def test_pinned_digests(cartpole):
     gmm = fit_em(data.features, 3, EMConfig(seed=5, n_init=1))
     ours = extract_tree(gmm, forest, ExtractionConfig(7, 300, seed=5))
     sys_, policy = cartpole
-    states = collect_states(policy, sys_, 100, seed=5)
+    states, = collect_states(policy, sys_, 100, [5])
     cp_gmm = fit_em(states.features, 2, EMConfig(seed=5, n_init=1))
     trees = {
         "rf_ours": ours,

@@ -150,6 +150,34 @@ class TestSampling:
         x = sample_conditional(condition(gmm_2d, BoxConstraint.unbounded(2)), rng, 1)
         assert x.shape == (1, 2)
 
+    @pytest.mark.parametrize("x_max", [None, 1.5])
+    def test_sample_matches_conditioning_on_unbounded_box(self, gmm_2d, x_max):
+        gmm = GaussianMixture(gmm_2d.weights, gmm_2d.means, gmm_2d.stddevs, x_max)
+        cm = condition(gmm, BoxConstraint.unbounded(2))
+        for n in (1, 7, 1000, 7):  # later calls draw from the cached conditional
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            assert sample(gmm, a, n).tobytes() == sample_conditional(cm, b, n).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(gmm.unconditional.box.upper, gmm.domain_box().upper)
+
+    def test_unbounded_box_conditioned_once_per_mixture(self, gmm_2d, monkeypatch):
+        from treextract import ExtractionConfig, extract_tree
+        from helpers import two_box_benchmark
+
+        calls = []
+        real = gmm_mod.condition
+        monkeypatch.setattr(gmm_mod, "condition",
+                            lambda g, box: calls.append(g) or real(g, box))
+        gmm = GaussianMixture(gmm_2d.weights, gmm_2d.means, gmm_2d.stddevs)
+        for seed in range(3):
+            sample(gmm, np.random.default_rng(seed), 10)
+        assert calls == [gmm]
+        # Root and prune of an extraction draw from the same conditional.
+        bb_gmm, bb = two_box_benchmark()
+        for seed in range(2):
+            extract_tree(bb_gmm, bb, ExtractionConfig(5, 50, seed=seed, prune=True))
+        assert calls == [gmm, bb_gmm]
+
     def test_deterministic_given_seed(self, gmm_2d):
         box = BoxConstraint([-1.0, 0.0], [2.0, np.inf])
         cm = condition(gmm_2d, box)

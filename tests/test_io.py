@@ -15,7 +15,7 @@ from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            load_gmm, load_json, load_tree, save_csv, save_gmm, save_tree,
                            tree_from_doc, tree_to_doc)
 
-from helpers import dataset
+from helpers import dataset, predict_one
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -149,7 +149,7 @@ class TestTreeJson:
 
     def test_well_formed_doc_loads(self):
         tree = tree_from_doc(tree_doc([(1, 2), 0, 0]))
-        assert tree.predict([-1.0]) == 0 and tree.size == 3
+        assert predict_one(tree, [-1.0]) == 0 and tree.size == 3
 
     @pytest.mark.parametrize("nodes, root, match", [
         ([(1, 2), 0, 0], 1, "root"),                           # root is not node 0
