@@ -229,7 +229,7 @@ class CartPoleSystem:
         """Vectorized transition of a (4, n) block, one column per state;
         returns the (4, n) next states and the (n,) terminal mask."""
         x, x_dot, theta, theta_dot = states
-        force = np.where(actions == 1, FORCE_MAG, -FORCE_MAG)
+        force = np.where(np.asarray(actions) == 1, FORCE_MAG, -FORCE_MAG)
         total_mass = CART_MASS + POLE_MASS
         pml = POLE_MASS * HALF_LENGTH
         cos_t, sin_t = np.cos(theta), np.sin(theta)

@@ -297,6 +297,17 @@ class TestCartPoleDynamics:
         _, term = cartpole_step(sys_, np.array([2.39, 5.0, 0.0, 0.0]), 1)
         assert term
 
+    def test_block_step_matches_one_state_steps(self, rng):
+        """A (4, n) block steps column by column as its states one at a
+        time, and actions may come as a list."""
+        sys_ = CartPoleSystem()
+        S = rng.uniform(-1, 1, size=(4, 64)) * np.array([[2.0], [2.0], [0.15], [2.0]])
+        actions = rng.integers(2, size=64).tolist()
+        nxt, term = sys_.step_batch(S, actions)
+        for i, a in enumerate(actions):
+            one, t = cartpole_step(sys_, S[:, i], a)
+            assert nxt[:, i].tobytes() == one.tobytes() and term[i] == t
+
 
 class TestPolicy:
     @pytest.mark.parametrize("kwargs", [
