@@ -423,7 +423,7 @@ class TestLockstepRollouts:
         monkeypatch.setattr(blackbox, "_rollouts",
                             lambda p, s, starts: calls.append(len(starts)) or rollouts(p, s, starts))
         collect_states(policy, sys_, 100, [1, 2, 3])
-        assert calls == [9]  # three 200-step episodes per pool fill 500 states
+        assert calls == [9]  # three learned episodes per pool fill its 500 states
         calls.clear()
         # 30 states each: pools 8 and 11 fill them in three episodes, 0 and 1
         # need a fourth.
