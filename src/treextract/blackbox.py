@@ -287,7 +287,7 @@ class TabularPolicy:
         idx = np.zeros(X.shape[0], dtype=np.int64)
         for i in range(self.d):
             # Same cells as np.digitize for increasing edges, without its checks.
-            cells = np.searchsorted(self.edges[i], X[:, i], side="right")
+            cells = self.edges[i].searchsorted(X[:, i], side="right")
             idx = idx * self.grid_sizes[i] + cells
         return idx
 

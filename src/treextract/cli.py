@@ -22,7 +22,7 @@ from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig,
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
-from .gmm import EMConfig, fit_em, sample, select_k_bic
+from .gmm import EMConfig, GaussianMixture, fit_em, sample, select_k_bic
 
 SEED_ENV = "EXTRACT_SEED"
 
@@ -208,7 +208,6 @@ def _cmd_fit_gmm(args) -> int:
     else:
         gmm = fit_em(dataset.features, int(args.k), cfg)
     if args.x_max is not None:
-        from .gmm import GaussianMixture
         gmm = GaussianMixture(gmm.weights, gmm.means, gmm.stddevs, x_max=args.x_max)
     tio.save_gmm(args.out, gmm)
     print(f"fitted mixture: K={gmm.k} d={gmm.d} -> {args.out}")
@@ -282,8 +281,7 @@ def _cmd_evaluate(args) -> int:
     tree = tio.load_tree(args.tree)
     f = _load_blackbox(args.blackbox)
     if args.data:
-        dataset, _ = _load_features(args.data, args.schema)
-        points = dataset.features
+        points = _load_features(args.data, args.schema)[0].features
     elif args.sample_from:
         gmm = tio.load_gmm(args.sample_from)
         points = sample(gmm, np.random.default_rng(_resolve_seed(args)), args.n)

@@ -24,7 +24,7 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
 from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
 from .extract import ExtractionConfig, _label_points, extract_tree, grow_best_first
-from .gmm import EMConfig, GaussianMixture, log_box_masses, sample, select_k_bic
+from .gmm import EMConfig, GaussianMixture, fit_em, log_box_masses, select_k_bic
 from .io import csv_text
 
 GAIN_FLOOR = 1e-12  # exact gains at or below this count as zero
@@ -79,19 +79,28 @@ class AgreementResult:
     rate: float
     se: float
     n: int
+    exact: float
 
 
 def agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
               n: int = 10 ** 5, rng: Optional[np.random.Generator] = None) -> AgreementResult:
-    """Monte Carlo estimate of Pr[A(x) = B(x)] under the input model."""
-    if tree_a.d != tree_b.d:
-        raise InputError("trees have different input dimensions")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    X = sample(gmm, rng, n)
-    rate = float(np.mean(tree_a.predict_batch(X) == tree_b.predict_batch(X)))
+    """Exact Pr[A(x) = B(x)] under the input model: the mass of box_a & box_b
+    summed over the leaf pairs with equal labels. rate is the agreeing share
+    of n draws, drawn as Binomial(n, exact) / n (the law of that count, as
+    tree boundaries have measure zero), and se its standard error."""
+    if not tree_a.d == tree_b.d == gmm.d:
+        raise InputError(f"trees of d={tree_a.d}, {tree_b.d} and mixture dimension {gmm.d} differ")
+    # Each tree's leaf boxes and labels.
+    (lo_a, hi_a, y_a), (lo_b, hi_b, y_b) = (
+        [v[t.feature < 0] for v in (*t._path_bounds(), t.label)] for t in (tree_a, tree_b))
+    a, b = np.nonzero(y_a[:, None] == y_b)
+    lower, upper = np.maximum(lo_a[a], lo_b[b]), np.minimum(hi_a[a], hi_b[b])
+    keep = np.all(lower < upper, axis=1)
+    # fsum rounds the sum once, so exact does not depend on the pair order.
+    exact = min(math.fsum(np.exp(log_box_masses(gmm, lower[keep], upper[keep]))), 1.0)
+    rate = (np.random.default_rng(0) if rng is None else rng).binomial(n, exact) / n
     se = math.sqrt(max(rate * (1 - rate), 1e-12) / n)
-    return AgreementResult(rate, se, n)
+    return AgreementResult(rate, se, n, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +289,7 @@ def three_box_benchmark():
         BoxConstraint([0.6, -1.5], [2.8, 0.3]),
         BoxConstraint([0.2, 0.9], [2.0, 2.6]),
     )
-    bb = BoxBlackbox(boxes, (1, 1, 1), d=2, m=2)
-    return gmm, bb
+    return gmm, BoxBlackbox(boxes, (1, 1, 1), d=2, m=2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +344,6 @@ def synthetic_rf_task() -> FidelityTask:
     rare-class blobs and collapses the model to one component, which
     leaves conditional sampling blind to the minority class.
     """
-    from .gmm import fit_em
-
     def instance(seed: int) -> TaskInstance:
         data = make_imbalanced_classification(1000, seed=1000 + seed)
         perm = np.random.default_rng([17, seed]).permutation(1000)
@@ -406,12 +412,12 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
         warnings.warn(message)
         result.failures.append(message)
 
-    def run_seed(seed: int):
+    for seed in range(n_seeds):
         try:
             inst = task.instance(seed)
         except Exception as e:  # noqa: BLE001
             fail(f"task instance failed at seed={seed}: {e}")
-            return
+            continue
         f, gmm = inst.blackbox, inst.gmm
 
         def attempt(name, size, build, record=True):
@@ -450,7 +456,4 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                                           seed=_child_seed(base_seed, seed, size, 2))
                     attempt("born_again", size,
                             lambda: born_again_extract(gmm, f, bcfg))
-
-    for seed in range(n_seeds):
-        run_seed(seed)
     return result

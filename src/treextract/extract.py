@@ -219,9 +219,8 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
     with cached_gain 0, or ((dim, threshold), ((left_leaf, left_region),
     (right_leaf, right_region))), which splits it at x_dim <= threshold into
     the two new leaves; each child whose region is not None is scored in
-    turn. Returns the
-    tree's rows for DecisionTree.from_rows and each node's scored gain (0
-    for nodes never scored).
+    turn. Returns the tree's rows for DecisionTree.from_rows and each node's
+    scored gain (0 for nodes never scored).
     """
     rows: list = []
     gains: list = []

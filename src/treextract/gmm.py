@@ -128,20 +128,20 @@ def _log_domain_mass(gmm: GaussianMixture) -> float:
 
 
 def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
-                upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                upper: np.ndarray) -> tuple:
     """Log masses of T boxes under the untruncated mixture.
 
     lower and upper are (T, d) bounds. Returns the (T, K) per-component log
-    masses log w_j + sum_i log( Phi(beta_ji) - Phi(alpha_ji) ) and their
-    (T,) logsumexp over components. Empty boxes (lower >= upper in some
-    dimension) get log mass -inf.
+    masses log w_j + sum_i log( Phi(beta_ji) - Phi(alpha_ji) ), their (T,)
+    logsumexp, and the (T, K, d) standardized bounds alpha and beta. Empty
+    boxes (lower >= upper in some dimension) get log mass -inf.
     """
     alpha = (lower[:, None, :] - gmm.means) / gmm.stddevs
     beta = (upper[:, None, :] - gmm.means) / gmm.stddevs
     width = (upper - lower)[:, None, :] / gmm.stddevs
     with np.errstate(divide="ignore"):
         logw = np.log(gmm.weights) + np.log(_phi_interval(alpha, beta, width)).sum(axis=2)
-    return logw, logsumexp(logw, axis=1)
+    return logw, logsumexp(logw, axis=1), alpha, beta
 
 
 def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
@@ -213,16 +213,14 @@ def condition(gmm: GaussianMixture, box: BoxConstraint) -> ConditionalMixture:
         box = clipped
     if not box.is_satisfiable():
         raise EmptyRegionError("box is unsatisfiable")
-    logw, log_z = _log_masses(gmm, box.lower[None], box.upper[None])
+    logw, log_z, alpha, beta = _log_masses(gmm, box.lower[None], box.upper[None])
     logw, log_z = logw[0], float(log_z[0])
     if not np.isfinite(log_z) or log_z < LOG_Z_FLOOR:
         raise EmptyRegionError(f"box mass below floor (log mass {log_z:.1f})")
     tilde = np.exp(logw - log_z)
     tilde = tilde / tilde.sum()
     z = math.exp(log_z - _log_domain_mass(gmm))
-    alpha = (box.lower[None, :] - gmm.means) / gmm.stddevs
-    beta = (box.upper[None, :] - gmm.means) / gmm.stddevs
-    return ConditionalMixture(gmm, box, tilde, z, alpha=alpha, beta=beta)
+    return ConditionalMixture(gmm, box, tilde, z, alpha=alpha[0], beta=beta[0])
 
 
 def box_mass(gmm: GaussianMixture, box: Optional[BoxConstraint]) -> float:

@@ -2,8 +2,8 @@
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture
-from treextract.core import leaf_row
+from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture, sample
+from treextract.core import leaf_row, split_row
 from treextract.extract import SplitCandidate, gini_term
 from treextract.gmm import TAIL_CUTOFF
 
@@ -21,6 +21,45 @@ def dataset(features, labels=None, m=None) -> Dataset:
 def leaf_tree(label: int, d: int, m: int) -> DecisionTree:
     """Single-leaf tree predicting a constant label."""
     return DecisionTree.from_rows([leaf_row(label, np.eye(m)[label])], d, m)
+
+
+def random_tree(rng: np.random.Generator, d: int, m: int, n_internal: int) -> DecisionTree:
+    """Random proper binary tree with n_internal splits: each splits a random
+    leaf along a random dimension strictly inside the leaf's interval (cut
+    to [-6, 6]), its children take the next two ids, and every leaf gets a
+    random label."""
+    rows, boxes, leaves = [None], [BoxConstraint.unbounded(d)], [0]
+    for _ in range(n_internal):
+        i = leaves.pop(int(rng.integers(len(leaves))))
+        dim = int(rng.integers(d))
+        lo, hi = max(boxes[i].lower[dim], -6.0), min(boxes[i].upper[dim], 6.0)
+        t = lo + rng.uniform(0.05, 0.95) * (hi - lo)
+        rows[i] = split_row(dim, t, len(rows), len(rows) + 1, m)
+        leaves += [len(rows), len(rows) + 1]
+        boxes += boxes[i].split(dim, t)
+        rows += [None, None]
+    for i in leaves:
+        label = int(rng.integers(m))
+        rows[i] = leaf_row(label, np.eye(m)[label])
+    return DecisionTree.from_rows(rows, d, m)
+
+
+def random_mixture(rng: np.random.Generator, d: int, k: int, x_max=None) -> GaussianMixture:
+    """k-component mixture over R^d with means in [-2.5, 2.5] and sds in
+    [0.2, 1.5], truncated to ||x||_inf <= x_max when x_max is given."""
+    return GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(-2.5, 2.5, (k, d)),
+                           rng.uniform(0.2, 1.5, (k, d)), x_max=x_max)
+
+
+def reference_agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
+                        n: int, rng: np.random.Generator) -> int:
+    """How many of n mixture draws the two trees give the same label.
+
+    Monte Carlo reference for evaluate.agreement, which sums the masses of
+    the leaf-box intersections instead of sampling and routing points.
+    """
+    X = sample(gmm, rng, n)
+    return int(np.count_nonzero(tree_a.predict_batch(X) == tree_b.predict_batch(X)))
 
 
 def predict_one(tree: DecisionTree, x) -> int:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
@@ -14,7 +15,8 @@ from treextract.evaluate import (ExperimentResult, FidelityTask, ResultRow,
                                  three_box_benchmark)
 from treextract.gmm import box_mass
 
-from helpers import dataset, leaf_tree, two_box_benchmark
+from helpers import (dataset, leaf_tree, random_mixture, random_tree, reference_agreement,
+                     two_box_benchmark)
 
 
 class TestFidelity:
@@ -90,6 +92,67 @@ class TestAgreement:
         t2 = extract_tree(gmm, bb, ExtractionConfig(7, 500, seed=1))
         res = agreement(t1, t2, gmm, n=10 ** 4)
         assert 0 < res.se < 0.01
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3),
+           st.sampled_from([None, 1.5, 3.0]), st.integers(0, 2 ** 32 - 1))
+    def test_exact_matches_monte_carlo_reference(self, d, k, m, x_max, seed):
+        """The agreeing count of 2e4 draws routed through both trees lies
+        inside the two-sided 5-sigma band of Binomial(2e4, exact): 5 SE in
+        the bulk, and exact binomial tails where the count is near 0 or n."""
+        rng = np.random.default_rng(seed)
+        gmm = random_mixture(rng, d, k, x_max)
+        a, b = (random_tree(rng, d, m, int(rng.integers(0, 8))) for _ in range(2))
+        exact = agreement(a, b, gmm).exact
+        n = 2 * 10 ** 4
+        count = reference_agreement(a, b, gmm, n, rng)
+        five_sigma = scipy.stats.norm.sf(5.0)  # one tail of a 5 SE band
+        assert scipy.stats.binom.cdf(count, n, exact) > five_sigma
+        assert scipy.stats.binom.sf(count - 1, n, exact) > five_sigma
+
+    @pytest.mark.parametrize("x_max", [None, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_self_agreement_is_one(self, seed, x_max):
+        """The leaf boxes of a tree partition the (truncated) domain."""
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 3
+        tree = random_tree(rng, d, 3, 12)
+        gmm = random_mixture(rng, d, 3, x_max)
+        assert agreement(tree, tree, gmm).exact == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("x_max", [None, 2.0])
+    def test_exact_is_symmetric(self, x_max):
+        rng = np.random.default_rng(3)
+        gmm = random_mixture(rng, 2, 3, x_max)
+        for _ in range(10):
+            a, b = random_tree(rng, 2, 2, 6), random_tree(rng, 2, 2, 9)
+            assert agreement(a, b, gmm).exact == agreement(b, a, gmm).exact
+
+    def test_rate_is_a_binomial_draw_at_exact(self):
+        gmm, bb = three_box_benchmark()
+        a = extract_tree(gmm, bb, ExtractionConfig(7, 200, seed=0))
+        b = exact_greedy_oracle(gmm, bb, 7).tree
+        n = 12_345
+        res = agreement(a, b, gmm, n, np.random.default_rng(5))
+        assert 0.9 < res.exact < 1.0
+        assert res.rate == np.random.default_rng(5).binomial(n, res.exact) / n
+        assert res.se == math.sqrt(res.rate * (1 - res.rate) / n) and res.n == n
+
+    @pytest.mark.parametrize("d_a, d_b, gmm_d", [(2, 2, 1), (2, 2, 3), (2, 3, 2)])
+    def test_dimension_mismatch_rejected(self, d_a, d_b, gmm_d):
+        rng = np.random.default_rng(0)
+        a, b = random_tree(rng, d_a, 2, 3), random_tree(rng, d_b, 2, 3)
+        with pytest.raises(InputError, match="mixture dimension"):
+            agreement(a, b, random_mixture(rng, gmm_d, 2))
+
+    def test_criterion_5_call_form(self):
+        """Positional n and rng, and .rate/.se, as the convergence criterion
+        and the benchmark call it."""
+        gmm, bb = three_box_benchmark()
+        oracle = exact_greedy_oracle(gmm, bb, 7).tree
+        tree = extract_tree(gmm, bb, ExtractionConfig(7, 1000, seed=0))
+        res = agreement(tree, oracle, gmm, 10 ** 5, np.random.default_rng(10_000))
+        assert 0.95 < res.rate <= 1.0 and 0 < res.se < 1e-3
 
 
 def reference_golden_max(fn, a, b, tol=1e-8):
