@@ -18,7 +18,7 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, FunctionBlackbox,
                        TabularPolicy, collect_states, learn_policy,
                        make_imbalanced_classification, mean_rollout_reward,
                        train_random_forest)
-from .baselines import BaselineConfig, born_again_extract, cart_extract
+from .baselines import born_again_extract, cart_extract
 from .evaluate import (AgreementResult, ExperimentResult, FidelityReport,
                        FidelityTask, agreement, cartpole_task,
                        exact_greedy_oracle, fidelity, run_fidelity_curve,

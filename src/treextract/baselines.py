@@ -8,38 +8,13 @@ starve once the region gets thin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, DecisionTree
 from .errors import ConfigError, InputError
-from .extract import (ExtractionConfig, _label_points, _majority,
+from .extract import (ExtractionConfig, _check_max_nodes, _label_points, _majority,
                       best_split_from_samples, grow_best_first, grow_tree)
 from .gmm import GaussianMixture, sample
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Settings for born_again_extract.
-
-    samples_per_node is the per-node raw-draw quota and total_sample_budget
-    the raw draws shared by all nodes. max_nodes and samples_per_node are
-    checked by the ExtractionConfig that extraction() builds.
-    """
-
-    max_nodes: int
-    samples_per_node: int
-    total_sample_budget: int
-    seed: int = 0
-
-    def __post_init__(self):
-        self.extraction()
-        if self.total_sample_budget < 1:
-            raise ConfigError("born_again requires a positive total_sample_budget")
-
-    def extraction(self) -> ExtractionConfig:
-        return ExtractionConfig(self.max_nodes, self.samples_per_node, seed=self.seed)
 
 
 def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
@@ -50,8 +25,7 @@ def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
     Expansion stops at max_nodes or when no leaf has a positive gain.
     Budget equals one blackbox labeling pass.
     """
-    if max_nodes < 1 or max_nodes % 2 == 0:
-        raise ConfigError("max_nodes must be a positive odd node total")
+    _check_max_nodes(max_nodes)
     X = train.features
     if X.shape[1] != f.d:
         raise InputError("training data dimension does not match the blackbox")
@@ -73,17 +47,20 @@ def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
     return DecisionTree.from_rows(nodes, f.d, m, budget=n)
 
 
-def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> DecisionTree:
+def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree:
     """Greedy extraction with rejection-sampled node data.
 
     Identical frontier loop to the active extractor, but each node's sample
     set is drawn from the unconditional mixture and filtered by the node's
     box, so a node of mass Z accepts roughly Z of its draws. The shared
-    budget counts raw draws (the active extractor labels every draw, so its
-    recorded budget equals its draw count); once it is spent, remaining
-    frontier leaves get no data and finalize as leaves. Only accepted points
-    are ever labeled, so blackbox calls never exceed the budget.
+    budget, cfg.total_sample_budget, counts raw draws (the active extractor
+    labels every draw, so its recorded budget equals its draw count); once
+    it is spent, remaining frontier leaves get no data and finalize as
+    leaves. Only accepted points are ever labeled, so blackbox calls never
+    exceed the budget; cfg.prune is refused, as pruning would label more.
     """
+    if cfg.total_sample_budget is None or cfg.prune:
+        raise ConfigError("born_again requires a total_sample_budget and no prune")
     rng = np.random.default_rng(cfg.seed)
     remaining = [int(cfg.total_sample_budget)]
 
@@ -99,4 +76,4 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: BaselineConfig) -> Decision
         remaining[0] -= allowance
         return X[cm.box.contains_batch(X)]
 
-    return grow_tree(gmm, f, cfg.extraction(), rng, draw)
+    return grow_tree(gmm, f, cfg, rng, draw)

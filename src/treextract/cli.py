@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .baselines import BaselineConfig, born_again_extract, cart_extract
+from .baselines import born_again_extract, cart_extract
 from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig,
                        collect_states, learn_policy, mean_rollout_reward,
                        train_random_forest)
@@ -268,9 +268,8 @@ def _cmd_baseline(args) -> int:
         if not (args.gmm and args.budget and args.samples_per_node):
             raise InputError("born-again requires --gmm, --budget and --samples-per-node")
         gmm = tio.load_gmm(args.gmm)
-        cfg = BaselineConfig(args.max_nodes, samples_per_node=args.samples_per_node,
-                             total_sample_budget=args.budget,
-                             seed=_resolve_seed(args))
+        cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, seed=_resolve_seed(args),
+                               total_sample_budget=args.budget)
         tree = born_again_extract(gmm, f, cfg)
     tio.save_tree(args.out, tree)
     print(f"{args.kind} tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
@@ -283,6 +282,8 @@ def _cmd_evaluate(args) -> int:
     if args.data:
         points = _load_features(args.data, args.schema)[0].features
     elif args.sample_from:
+        if args.n < 1:
+            raise InputError("--n must be >= 1")
         gmm = tio.load_gmm(args.sample_from)
         points = sample(gmm, np.random.default_rng(_resolve_seed(args)), args.n)
     else:

@@ -12,18 +12,19 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import BaselineConfig, born_again_extract, cart_extract
+from .baselines import born_again_extract, cart_extract
 from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
                        collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
 from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
-from .extract import ExtractionConfig, _label_points, extract_tree, grow_best_first
+from .extract import (ExtractionConfig, _check_max_nodes, _label_points, extract_tree,
+                      grow_best_first)
 from .gmm import EMConfig, GaussianMixture, fit_em, log_box_masses, select_k_bic
 from .io import csv_text
 
@@ -237,8 +238,7 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
     """
     if not isinstance(bb, BoxBlackbox):
         raise InputError("the exact oracle requires a box-piecewise blackbox")
-    if k < 1 or k % 2 == 0:
-        raise InputError("k must be a positive odd node total")
+    _check_max_nodes(k)
 
     def leaf_for(box):
         """((label, histogram, z), z, impurity term) for a region."""
@@ -434,7 +434,7 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
             return tree
 
         for size in sizes:
-            ours_budget = None
+            tree = None
             if "ours" in algorithms or "born_again" in algorithms:
                 # Run ours even when only born-again was asked for: the
                 # baseline is matched to its recorded budget.
@@ -442,18 +442,15 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
                                        seed=_child_seed(base_seed, seed, size, 0))
                 tree = attempt("ours", size, lambda: extract_tree(gmm, f, cfg),
                                record="ours" in algorithms)
-                if tree is not None:
-                    ours_budget = tree.budget
             if "cart" in algorithms:
                 attempt("cart", size, lambda: cart_extract(inst.train, f, size))
             if "born_again" in algorithms:
-                if ours_budget is None:
+                if tree is None:
                     fail(f"born_again skipped at size={size} seed={seed}: "
                          "no matched budget")
                 else:
-                    bcfg = BaselineConfig(size, samples_per_node=task.samples_per_node,
-                                          total_sample_budget=ours_budget,
-                                          seed=_child_seed(base_seed, seed, size, 2))
+                    bcfg = replace(cfg, seed=_child_seed(base_seed, seed, size, 2),
+                                   total_sample_budget=tree.budget)
                     attempt("born_again", size,
                             lambda: born_again_extract(gmm, f, bcfg))
     return result

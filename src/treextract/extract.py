@@ -12,11 +12,11 @@ import heapq
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BoxConstraint, DecisionTree, leaf_row, split_row
+from .core import DecisionTree, leaf_row, split_row
 from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
@@ -35,13 +35,21 @@ if sys.platform.startswith("linux"):
     _mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
 
 
+def _check_max_nodes(max_nodes: int) -> None:
+    """Every tree builder's node-total rule: a binary tree's is odd and >= 1."""
+    if max_nodes < 1 or max_nodes % 2 == 0:
+        raise ConfigError("max_nodes must be a positive odd node total")
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Settings for extract_tree.
+    """Settings for extract_tree and born_again_extract.
 
     max_nodes counts internal plus leaf nodes (odd for a binary tree);
     samples_per_node is the per-node draw used for both the priority
-    estimate and the committed split.
+    estimate and the committed split. total_sample_budget, the raw draws
+    shared by all nodes, is required by born_again_extract and refused by
+    extract_tree.
     """
 
     max_nodes: int
@@ -49,14 +57,16 @@ class ExtractionConfig:
     min_gain: float = 0.0
     seed: int = 0
     prune: bool = False
+    total_sample_budget: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_nodes % 2 == 0:
-            raise ConfigError("max_nodes must be a positive odd node total")
+        _check_max_nodes(self.max_nodes)
         if self.samples_per_node < 2:
             raise ConfigError("samples_per_node must be >= 2")
-        if self.min_gain < 0:
+        if not self.min_gain >= 0:
             raise ConfigError("min_gain must be >= 0")
+        if self.total_sample_budget is not None and self.total_sample_budget < 1:
+            raise ConfigError("total_sample_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -256,10 +266,13 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     """The active extractor and the rejection-sampling baseline on the
     shared frontier loop; draw supplies each node's sample set.
 
-    A region is a leaf's path box with the model conditioned on it. Each
-    leaf is scored on one sample set and its split committed from a second,
-    independent one.
+    A region is the model conditioned on a leaf's path box. Each leaf is
+    scored on one sample set and its split committed from a second,
+    independent one. A model whose dimension differs from the blackbox's
+    is refused before the first draw.
     """
+    if gmm.d != f.d:
+        raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
     d, m = f.d, f.m
     budget = 0
 
@@ -275,35 +288,30 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     def scan(cm, context):
         return best_split_from_samples(*draw_labeled(cm, context), m, cm.Z, cfg.min_gain)
 
-    def score(i, region):
-        cand = scan(region[1], f"priority estimate at node {i}")
+    def score(i, cm):
+        cand = scan(cm, f"priority estimate at node {i}")
         return (0.0 if cand is None else cand.gain), cand
 
-    def commit(i, region, _):
-        box, cm = region
+    def commit(i, cm, _):
         cand = scan(cm, f"commit at node {i}")
         if cand is None:
             return None
         children = []
-        # Split the path box: cm.box is clipped to the model's domain.
-        for child_box, label, hist in zip(box.split(cand.dim, cand.threshold),
+        for child_box, label, hist in zip(cm.box.split(cand.dim, cand.threshold),
                                           (cand.left_label, cand.right_label),
                                           (cand.left_hist, cand.right_hist)):
             try:
                 child_cm = None if child_box is None else condition(gmm, child_box)
             except EmptyRegionError:
                 child_cm = None
-            if child_cm is None:
-                # Zero-mass region: permanent leaf with the parent-side label.
-                children.append(((label, hist, 0.0), None))
-            else:
-                children.append(((label, hist, child_cm.Z), (child_box, child_cm)))
+            # A zero-mass child is a permanent leaf with the parent-side label.
+            children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
         return (cand.dim, cand.threshold), children
 
-    root_box, root_cm = BoxConstraint.unbounded(d), gmm.unconditional
-    root_label, root_hist = _majority(draw_labeled(root_cm, "root")[1], m)
-    rows, _ = grow_best_first((root_label, root_hist, root_cm.Z), (root_box, root_cm),
-                              score, commit, cfg.max_nodes, cfg.min_gain)
+    root = gmm.unconditional
+    root_label, root_hist = _majority(draw_labeled(root, "root")[1], m)
+    rows, _ = grow_best_first((root_label, root_hist, root.Z), root, score, commit,
+                              cfg.max_nodes, cfg.min_gain)
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -314,10 +322,11 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     the conditional input distribution at that node, so deep nodes receive
     the same sample budget as the root. Deterministic given cfg.seed. The
     total number of blackbox evaluations is recorded on the returned tree's
-    budget field.
+    budget field; a raw-draw budget in cfg is refused, as nothing here
+    would spend it.
     """
-    if gmm.d != f.d:
-        raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
+    if cfg.total_sample_budget is not None:
+        raise ConfigError("extract_tree takes no total_sample_budget (born-again's)")
     rng = np.random.default_rng(cfg.seed)
     tree = grow_tree(gmm, f, cfg, rng, lambda cm, n, r: sample_conditional(cm, r, n))
     if cfg.prune:

@@ -59,6 +59,8 @@ class GaussianMixture:
             raise InputError("weights must be finite, nonnegative and sum to 1")
         if not np.all((sd > 0) & (sd < np.inf)):
             raise InputError("stddevs must be finite and strictly positive")
+        if self.x_max is not None and not self.x_max > 0:
+            raise InputError(f"x_max must be > 0, got {self.x_max}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stddevs", sd)
@@ -345,6 +347,10 @@ EM_LOGLIK_TOL = 1e-7  # stop once an iteration gains at most this, relative
 class EMConfig:
     n_init: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_init < 1:
+            raise ConfigError("n_init must be >= 1")
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from treextract import (BaselineConfig, BoxConstraint, ConfigError,
-                        ExtractionConfig, FunctionBlackbox,
-                        born_again_extract, cart_extract, condition,
-                        extract_tree, sample)
+from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
+                        FunctionBlackbox, born_again_extract,
+                        cart_extract, condition, extract_tree, sample)
 from treextract.evaluate import three_box_benchmark
 
 from helpers import dataset
@@ -45,28 +44,31 @@ class TestCartExtract:
         assert cart_tree.feature[0] == ours.feature[0]
         assert abs(cart_tree.threshold[0] - ours.threshold[0]) < 0.1
 
-    def test_even_max_nodes_rejected(self, rng):
-        ds = dataset(rng.normal(size=(10, 1)))
-        with pytest.raises(ConfigError):
-            cart_extract(ds, threshold_blackbox(), 2)
-
 
 class TestBornAgain:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            BaselineConfig(3, samples_per_node=100, total_sample_budget=0)
+            ExtractionConfig(3, samples_per_node=100, total_sample_budget=0)
         with pytest.raises(ConfigError):
-            BaselineConfig(3, samples_per_node=1, total_sample_budget=100)
+            ExtractionConfig(3, samples_per_node=1, total_sample_budget=100)
         with pytest.raises(ConfigError):
-            BaselineConfig(4, samples_per_node=100, total_sample_budget=100)
+            ExtractionConfig(4, samples_per_node=100, total_sample_budget=100)
+
+    @pytest.mark.parametrize("cfg", [ExtractionConfig(3, 100),
+                                     ExtractionConfig(3, 100, prune=True,
+                                                      total_sample_budget=1000)],
+                             ids=["no-budget", "prune"])
+    def test_needs_a_budget_and_no_prune(self, gmm_2d, cfg):
+        f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
+        with pytest.raises(ConfigError, match="total_sample_budget and no prune"):
+            born_again_extract(gmm_2d, f, cfg)
 
     def test_root_step_identical_to_extractor(self):
         gmm, bb = three_box_benchmark()
         seed = 7
         ours = extract_tree(gmm, bb, ExtractionConfig(15, 200, seed=seed))
-        ba = born_again_extract(gmm, bb, BaselineConfig(
-            15, samples_per_node=200,
-            total_sample_budget=10 ** 6, seed=seed))
+        ba = born_again_extract(gmm, bb, ExtractionConfig(
+            15, 200, seed=seed, total_sample_budget=10 ** 6))
         assert ours.feature[0] == ba.feature[0] and ours.threshold[0] == ba.threshold[0]
 
     def test_acceptance_rate_estimates_region_mass(self, gmm_2d):
@@ -82,9 +84,8 @@ class TestBornAgain:
     def test_budget_parity(self):
         gmm, bb = three_box_benchmark()
         ours = extract_tree(gmm, bb, ExtractionConfig(15, 200, seed=3))
-        ba = born_again_extract(gmm, bb, BaselineConfig(
-            15, samples_per_node=200,
-            total_sample_budget=ours.budget, seed=3))
+        ba = born_again_extract(gmm, bb, ExtractionConfig(
+            15, 200, seed=3, total_sample_budget=ours.budget))
         assert ba.budget <= ours.budget
 
     def test_starvation_shrinks_node_sample_sets(self, cartpole):
@@ -105,9 +106,8 @@ class TestBornAgain:
                 batch_sizes.append(len(X))
                 return policy.predict(X)
 
-        born_again_extract(gmm, Probe(), BaselineConfig(
-            15, samples_per_node=200,
-            total_sample_budget=ours.budget, seed=2))
+        born_again_extract(gmm, Probe(), ExtractionConfig(
+            15, 200, seed=2, total_sample_budget=ours.budget))
         # The root set is full; node sets labeled later (deeper frontier
         # work) accept at most as much on average and taper off as the
         # shared draw budget runs out.
@@ -118,6 +118,6 @@ class TestBornAgain:
 
     def test_zero_budget_yields_root_leaf(self, gmm_2d):
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
-        ba = born_again_extract(gmm_2d, f, BaselineConfig(
-            15, samples_per_node=100, total_sample_budget=1, seed=0))
+        ba = born_again_extract(gmm_2d, f, ExtractionConfig(
+            15, 100, seed=0, total_sample_budget=1))
         assert ba.size == 1

@@ -199,6 +199,36 @@ class TestPipeline:
         assert code == 1 and "internal error" not in err and "error:" in err
         assert not (workdir / "gmm.json").exists()
 
+    @pytest.mark.parametrize("flag,message", [
+        (["--n-init", "0"], "n_init must be >= 1"),
+        (["--x-max", "0"], "x_max must be > 0"),
+        (["--x-max", "-3"], "x_max must be > 0"),
+        (["--x-max", "nan"], "x_max must be > 0"),
+    ], ids=["n-init-0", "x-max-0", "x-max-negative", "x-max-nan"])
+    def test_bad_fit_settings_exit_1(self, workdir, synthetic_spec, capsys, flag, message):
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "1", *flag,
+                            "--out", "gmm.json"], capsys)
+        assert code == 1 and "internal error" not in err and message in err
+        assert not (workdir / "gmm.json").exists()
+
+    def test_nonpositive_x_max_document_exits_1(self, workdir, synthetic_spec, capsys):
+        (workdir / "cut.json").write_text(
+            '{"kind": "gaussian_mixture", "weights": [1.0], "means": [[0.0, 0.0]], '
+            '"stddevs": [[1.0, 1.0]], "x_max": 0}', encoding="utf-8")
+        code, _, err = run(["extract", "--gmm", "cut.json", "--blackbox", "synthetic:bb.json",
+                            "--max-nodes", "3", "--samples-per-node", "50",
+                            "--out", "t.json"], capsys)
+        assert code == 1 and "x_max must be > 0" in err
+        assert not (workdir / "t.json").exists()
+
+    def test_born_again_dimension_mismatch_exits_1(self, workdir, synthetic_spec, capsys):
+        save_gmm(workdir / "gmm3.json", GaussianMixture([1.0], [[0.0] * 3], [[1.0] * 3]))
+        code, _, err = run(["baseline", "--kind", "born-again", "--blackbox", "synthetic:bb.json",
+                            "--gmm", "gmm3.json", "--max-nodes", "3", "--samples-per-node", "50",
+                            "--budget", "1000", "--out", "ba.json"], capsys)
+        assert code == 1 and "model dimension 3 does not match blackbox d=2" in err
+        assert not (workdir / "ba.json").exists()
+
     @pytest.mark.parametrize("flag", [["--n-trees", "0"], ["--max-depth", "-1"]])
     def test_bad_forest_settings_exit_1(self, workdir, synthetic_spec, capsys, flag):
         code, _, err = run(["train-rf", "--data", "train.csv", *flag, "--out", "rf.json"],
@@ -239,6 +269,14 @@ class TestCommandPaths:
         points = sample(gmm, np.random.default_rng(3), 500)
         assert report["n_test"] == 500
         assert report["accuracy"] == fidelity(leaf_tree(1, d=2, m=2), synthetic_spec, points).accuracy
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_evaluate_sample_count_below_one_exits_1(self, workdir, synthetic_spec, capsys, n):
+        save_gmm(workdir / "gmm.json", GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]))
+        save_tree(workdir / "tree.json", leaf_tree(1, d=2, m=2))
+        code, out, err = run(["evaluate", "--tree", "tree.json", "--blackbox", "synthetic:bb.json",
+                              "--sample-from", "gmm.json", "--n", n], capsys)
+        assert code == 1 and out == "" and "--n must be >= 1" in err
 
     def test_evaluate_needs_test_points(self, workdir, synthetic_spec, capsys):
         save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))

@@ -375,11 +375,6 @@ class TestExactOracle:
         total = tree.mass[tree.feature < 0].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_even_k_rejected(self, gmm_2d):
-        bb = BoxBlackbox([], [], d=2, m=2)
-        with pytest.raises(InputError):
-            exact_greedy_oracle(gmm_2d, bb, 4)
-
 
 def _looped_gain(gmm, bb, box, dim, t):
     """Reference gain, one box_mass call per region and blackbox box."""

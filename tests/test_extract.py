@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BoxConstraint, ConfigError, EmptyRegionError, ExtractionConfig,
-                        FunctionBlackbox, GaussianMixture, SamplerError,
-                        best_split_from_samples, estimate_split, extract_tree,
-                        gini_term, prune, sample, sample_conditional)
+from treextract import (BoxBlackbox, BoxConstraint, ConfigError, EmptyRegionError,
+                        ExtractionConfig, FunctionBlackbox, GaussianMixture, SamplerError,
+                        best_split_from_samples, born_again_extract, estimate_split,
+                        extract_tree, gini_term, prune, sample, sample_conditional)
 from treextract import baselines, blackbox, extract
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
@@ -13,7 +13,7 @@ from treextract.blackbox import (RandomForestConfig, make_imbalanced_classificat
 from treextract.extract import grow_tree
 from treextract.evaluate import exact_greedy_oracle
 
-from helpers import reference_best_split, split_fields as _fields, two_box_benchmark
+from helpers import dataset, reference_best_split, split_fields as _fields, two_box_benchmark
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):
@@ -317,13 +317,48 @@ class TestExtractTree:
         assert tree.mass[1] == full.mass[1] > 0
         assert tree.budget == full.budget - cfg.samples_per_node
 
-    def test_odd_max_nodes_enforced(self):
-        with pytest.raises(ConfigError):
-            ExtractionConfig(4, 100)
+    @pytest.mark.parametrize("build", [
+        lambda k: ExtractionConfig(k, 100),
+        lambda k: cart_extract(dataset(np.zeros((10, 2))), BoxBlackbox([], [], d=2, m=2), k),
+        lambda k: exact_greedy_oracle(GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]),
+                                      BoxBlackbox([], [], d=2, m=2), k),
+    ], ids=["config", "cart", "oracle"])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_node_total_rule(self, build, k):
+        with pytest.raises(ConfigError, match="^max_nodes must be a positive odd node total$"):
+            build(k)
 
     def test_min_samples_enforced(self):
         with pytest.raises(ConfigError):
             ExtractionConfig(3, 1)
+
+    def test_nan_min_gain_rejected(self):
+        with pytest.raises(ConfigError, match="min_gain"):
+            ExtractionConfig(3, 100, min_gain=float("nan"))
+
+    def test_raw_draw_budget_rejected(self, gmm_2d):
+        f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
+        with pytest.raises(ConfigError, match="total_sample_budget"):
+            extract_tree(gmm_2d, f, ExtractionConfig(3, 100, total_sample_budget=1000))
+
+    @pytest.mark.parametrize("extractor,budget", [(extract_tree, None),
+                                                  (born_again_extract, 1000)],
+                             ids=["ours", "born_again"])
+    def test_dimension_mismatch_rejected_before_any_call(self, extractor, budget):
+        calls = []
+
+        class Probe:
+            d, m = 2, 2
+
+            def predict(self, X):
+                calls.append(len(X))
+                return np.zeros(len(X), dtype=int)
+
+        gmm = GaussianMixture([1.0], [[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+        cfg = ExtractionConfig(3, 100, total_sample_budget=budget)
+        with pytest.raises(ConfigError, match="model dimension 3 does not match blackbox d=2"):
+            extractor(gmm, Probe(), cfg)
+        assert calls == []
 
     def test_structure_matches_oracle_on_two_box(self):
         gmm, bb = two_box_benchmark()

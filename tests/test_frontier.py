@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treextract import (BaselineConfig, EMConfig,
-                        ExtractionConfig, RandomForestConfig,
+from treextract import (EMConfig, ExtractionConfig, RandomForestConfig,
                         born_again_extract, cart_extract, collect_states,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
@@ -123,8 +122,8 @@ def _pinned_builds():
         "ours": lambda: ours,
         "pruned": lambda: extract_tree(gmm, bb, ExtractionConfig(7, 200, seed=4,
                                                                  prune=True)),
-        "born_again": lambda: born_again_extract(gmm, bb, BaselineConfig(
-            7, samples_per_node=200, total_sample_budget=ours.budget, seed=4)),
+        "born_again": lambda: born_again_extract(gmm, bb, ExtractionConfig(
+            7, 200, seed=4, total_sample_budget=ours.budget)),
         "cart": lambda: cart_extract(train, bb, 7),
     }
 
@@ -174,13 +173,13 @@ def test_pinned_digests(cartpole):
         "rf_ours": ours,
         "rf_pruned": extract_tree(gmm, forest, ExtractionConfig(7, 300, seed=5,
                                                                 prune=True)),
-        "rf_born_again": born_again_extract(gmm, forest, BaselineConfig(
-            7, samples_per_node=300, total_sample_budget=ours.budget, seed=5)),
+        "rf_born_again": born_again_extract(gmm, forest, ExtractionConfig(
+            7, 300, seed=5, total_sample_budget=ours.budget)),
         "rf_cart": cart_extract(data, forest, 7),
         "cartpole_ours": extract_tree(cp_gmm, policy, ExtractionConfig(15, 200, seed=5)),
     }
-    trees["cartpole_born_again"] = born_again_extract(cp_gmm, policy, BaselineConfig(
-        15, samples_per_node=200, total_sample_budget=trees["cartpole_ours"].budget, seed=5))
+    trees["cartpole_born_again"] = born_again_extract(cp_gmm, policy, ExtractionConfig(
+        15, 200, seed=5, total_sample_budget=trees["cartpole_ours"].budget))
     got = {name: _digest(tio.tree_to_doc(t)) for name, t in trees.items()}
     got["rf_forest"] = _digest(tio.blackbox_to_doc(forest))
     got["cartpole_instance"] = _instance_digest(cartpole_task(), (0, 1))

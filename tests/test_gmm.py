@@ -472,6 +472,11 @@ class TestValidation:
         with pytest.raises(InputError, match=message):
             GaussianMixture(**dict(params, **{field: value}))
 
+    @pytest.mark.parametrize("x_max", [0.0, -3.0, np.nan])
+    def test_x_max_must_be_positive(self, x_max):
+        with pytest.raises(InputError, match="x_max must be > 0"):
+            GaussianMixture([1.0], [[0.0]], [[1.0]], x_max=x_max)
+
     @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2), select_k_bic], ids=["fit_em", "bic"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_features_rejected_before_em(self, rng, fit, bad):
