@@ -158,9 +158,9 @@ def _instance_digest(task, seeds) -> str:
 
 def test_pinned_digests(cartpole):
     """Byte-identical documents on a small synthetic-RF instance (d=50): the
-    forest itself and the four builders' trees; a 15-node cart-pole
-    extraction and its budget-matched born-again tree; and the cart-pole
-    task's instances at seeds 0 and 1."""
+    forest itself and the four builders' trees; the default cart-pole
+    policy, a 15-node extraction from it and its budget-matched born-again
+    tree; and the cart-pole task's instances at seeds 0 and 1."""
     data = make_imbalanced_classification(300, d=50, seed=5)
     forest = train_random_forest(data, RandomForestConfig(n_trees=5, max_depth=5,
                                                           balance=True, seed=5))
@@ -182,5 +182,6 @@ def test_pinned_digests(cartpole):
         15, 200, seed=5, total_sample_budget=trees["cartpole_ours"].budget))
     got = {name: _digest(tio.tree_to_doc(t)) for name, t in trees.items()}
     got["rf_forest"] = _digest(tio.blackbox_to_doc(forest))
+    got["cartpole_policy"] = _digest(tio.blackbox_to_doc(policy))
     got["cartpole_instance"] = _instance_digest(cartpole_task(), (0, 1))
     assert got == PINNED["digests"]
