@@ -301,47 +301,50 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
 
     Each (cell, action) pair is simulated cfg.n_transition_samples times from
     states drawn uniformly inside the cell; rewards are +1 per non-terminal
-    transition. Greedy action ties resolve to left (action 0). residuals_out,
-    when given, receives the per-sweep sup-norm value changes.
+    transition. The samples are counted once per distinct (pair, next cell),
+    and each sweep is one weighted bincount over those counts. Greedy action
+    ties resolve to left (action 0). residuals_out, when given, receives the
+    per-sweep sup-norm value changes. If VI_MAX_SWEEPS sweeps end above
+    VI_TOL, a UserWarning names the sweep count and the last residual.
     """
-    d = len(cfg.grid_sizes)
+    shape, ns, n_cells = tuple(cfg.grid_sizes), cfg.n_transition_samples, math.prod(cfg.grid_sizes)
     rng = np.random.default_rng(cfg.seed)
-    grids = [np.linspace(lo, hi, size + 1)
-             for (lo, hi), size in zip(STATE_RANGES, cfg.grid_sizes)]
-    edges = tuple(grid[1:-1] for grid in grids)
-    n_cells = int(np.prod(cfg.grid_sizes))
-    ns = cfg.n_transition_samples
+    grids = [np.linspace(lo, hi, size + 1) for (lo, hi), size in zip(STATE_RANGES, shape)]
+    stub = TabularPolicy(tuple(grid[1:-1] for grid in grids), np.zeros(n_cells, np.int64), shape)
 
-    # Uniform states inside every cell, for both actions.
-    multi = np.array(np.unravel_index(np.arange(n_cells), cfg.grid_sizes)).T  # (n_cells, d)
-    lo_mat = np.stack([grids[i][multi[:, i]] for i in range(d)], axis=1)
-    hi_mat = np.stack([grids[i][multi[:, i] + 1] for i in range(d)], axis=1)
-    states = lo_mat[:, None, :] + rng.random((n_cells, ns, d)) * (hi_mat - lo_mat)[:, None, :]
-    states = np.repeat(states[:, None, :, :], 2, axis=1)  # (n_cells, 2, ns, d)
-    actions = np.broadcast_to(np.array([0, 1])[None, :, None], (n_cells, 2, ns))
+    # Uniform states inside every cell, each simulated under both actions;
+    # transition j belongs to pair j // ns = 2 * cell + action.
+    cells = np.unravel_index(np.arange(n_cells), shape)
+    lo = np.stack([grid[c] for grid, c in zip(grids, cells)], axis=1)[:, None, :]
+    width = np.stack([grid[c + 1] - grid[c] for grid, c in zip(grids, cells)], axis=1)[:, None, :]
+    states = (lo + rng.random((n_cells, ns, 4)) * width).repeat(2, axis=0)  # action 0, then 1
+    nxt, terminal = sys.step_batch(states.reshape(-1, 4).T, np.tile(np.repeat([0, 1], ns), n_cells))
 
-    flat_states = states.reshape(-1, d)
-    flat_actions = actions.reshape(-1)
-    nxt, terminal = sys.step_batch(flat_states.T, flat_actions)
+    # A terminal transition adds reward 0 and value 0, so it drops out; the
+    # others are counted per distinct (pair, next cell).
+    pair = np.arange(2 * n_cells).repeat(ns)[~terminal]
+    triples, counts = np.unique(pair * n_cells + stub.cell_index(nxt.T)[~terminal],
+                                return_counts=True)
+    pair, nxt_cell = np.divmod(triples, n_cells)
+    counts = counts.astype(np.float64)
+    rewards = np.bincount(pair, counts, 2 * n_cells)
 
-    policy_stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64), tuple(cfg.grid_sizes))
-    # Next cell per transition; the trailing value slot is the absorbing terminal.
-    gather = np.where(terminal, n_cells, policy_stub.cell_index(nxt.T)).reshape(n_cells, 2, ns)
-    rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)
+    def q_values(values):
+        future = np.bincount(pair, counts * values.take(nxt_cell), 2 * n_cells)
+        return ((rewards + cfg.discount * future) / ns).reshape(n_cells, 2)
 
-    values = np.zeros(n_cells + 1)
+    values, residuals = np.zeros(n_cells), [] if residuals_out is None else residuals_out
     for _ in range(VI_MAX_SWEEPS):
-        q = np.mean(rewards + cfg.discount * values[gather], axis=2)
-        new_values = q.max(axis=1)
-        residual = float(np.max(np.abs(new_values - values[:n_cells])))
-        values = np.concatenate([new_values, [0.0]])
-        if residuals_out is not None:
-            residuals_out.append(residual)
-        if residual < VI_TOL:
+        q, previous = q_values(values), values
+        values = np.maximum(q[:, 0], q[:, 1])
+        residuals.append(float(abs(values - previous).max()))
+        if residuals[-1] < VI_TOL:
             break
-    q = np.mean(rewards + cfg.discount * values[gather], axis=2)
-    greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
-    return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes))
+    else:
+        warnings.warn(f"value iteration stopped after {VI_MAX_SWEEPS} sweeps at residual "
+                      f"{residuals[-1]:.3g}, above VI_TOL = {VI_TOL:g}")
+    q = q_values(values)
+    return TabularPolicy(stub.edges, (q[:, 1] > q[:, 0]).astype(np.int64), shape)
 
 
 def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):

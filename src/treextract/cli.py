@@ -22,7 +22,7 @@ from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig,
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
-from .gmm import EMConfig, GaussianMixture, fit_em, sample, select_k_bic
+from .gmm import EMConfig, GaussianMixture, _check_x_max, fit_em, sample, select_k_bic
 
 SEED_ENV = "EXTRACT_SEED"
 
@@ -200,6 +200,7 @@ def _load_blackbox(spec: str):
 
 
 def _cmd_fit_gmm(args) -> int:
+    _check_x_max(args.x_max)  # before the data is read and every EM restart runs
     dataset, _ = _load_features(args.data, args.schema)
     seed = _resolve_seed(args)
     cfg = EMConfig(seed=seed, n_init=args.n_init)
@@ -247,10 +248,8 @@ def _cmd_train_cartpole(args) -> int:
 def _cmd_extract(args) -> int:
     gmm = tio.load_gmm(args.gmm)
     f = _load_blackbox(args.blackbox)
-    cfg = ExtractionConfig(max_nodes=args.max_nodes,
-                           samples_per_node=args.samples_per_node,
-                           min_gain=args.min_gain, seed=_resolve_seed(args),
-                           prune=args.prune)
+    cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, min_gain=args.min_gain,
+                           seed=_resolve_seed(args), prune=args.prune)
     tree = extract_tree(gmm, f, cfg)
     tio.save_tree(args.out, tree)
     print(f"extracted tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
@@ -307,12 +306,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    sizes = args.sizes
     algorithms = [a.strip() for a in args.algorithms.split(",")]
     task = cartpole_task() if args.task == "cartpole" else synthetic_rf_task()
     if args.samples_per_node:
         task.samples_per_node = args.samples_per_node
-    result = run_fidelity_curve(task, sizes, algorithms, n_seeds=args.seeds,
+    result = run_fidelity_curve(task, args.sizes, algorithms, n_seeds=args.seeds,
                                 base_seed=_resolve_seed(args))
     tio.write_text_atomic(args.out, result.to_csv_text())
     if result.failures:
@@ -322,7 +320,7 @@ def _cmd_experiment(args) -> int:
               file=sys.stderr)
         return 1
     for alg in algorithms:
-        meds = {s: round(result.median(alg, s), 3) for s in sizes}
+        meds = {s: round(result.median(alg, s), 3) for s in args.sizes}
         print(f"{alg}: median fidelity by size {meds}")
     print(f"rows -> {args.out}")
     return 0

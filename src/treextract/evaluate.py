@@ -13,6 +13,7 @@ import math
 import time
 import warnings
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +24,8 @@ from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
                        make_imbalanced_classification, train_random_forest)
 from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
-from .extract import (ExtractionConfig, _check_max_nodes, _label_points, extract_tree,
-                      grow_best_first)
+from .extract import (ExtractionConfig, _check_dims, _check_max_nodes, _label_points,
+                      extract_tree, grow_best_first)
 from .gmm import EMConfig, GaussianMixture, fit_em, log_box_masses, select_k_bic
 from .io import csv_text
 
@@ -239,6 +240,7 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
     if not isinstance(bb, BoxBlackbox):
         raise InputError("the exact oracle requires a box-piecewise blackbox")
     _check_max_nodes(k)
+    _check_dims(gmm, bb)
 
     def leaf_for(box):
         """((label, histogram, z), z, impurity term) for a region."""
@@ -320,15 +322,12 @@ def cartpole_task() -> FidelityTask:
     is learned once, and per seed 100 fresh rollout states are collected for
     training, 100 for testing, and the input model refitted by BIC."""
     sys = CartPoleSystem()
-    shared: dict = {}
+    policy = cache(lambda: learn_policy(sys))  # learned by the first instance
 
     def instance(seed: int) -> TaskInstance:
-        if "policy" not in shared:
-            shared["policy"] = learn_policy(sys)
-        policy = shared["policy"]
-        train, test = collect_states(policy, sys, 100, [(7919 + seed) * 2 + 1, (104729 + seed) * 2])
+        train, test = collect_states(policy(), sys, 100, [(7919 + seed) * 2 + 1, (104729 + seed) * 2])
         gmm = select_k_bic(train.features, cfg=EMConfig(seed=seed, n_init=2))
-        return TaskInstance(policy, gmm, train, test.features)
+        return TaskInstance(policy(), gmm, train, test.features)
 
     return FidelityTask("cartpole", 200, instance)
 

@@ -41,6 +41,12 @@ def _check_max_nodes(max_nodes: int) -> None:
         raise ConfigError("max_nodes must be a positive odd node total")
 
 
+def _check_dims(gmm: GaussianMixture, f) -> None:
+    """Every model-driven builder's rule: the model and the blackbox share d."""
+    if gmm.d != f.d:
+        raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
     """Settings for extract_tree and born_again_extract.
@@ -95,18 +101,15 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     X = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n = y.shape[0]
-    if n == 0:
-        return 0.0
     left = X[:, dim] <= threshold
     nl = int(left.sum())
     nr = n - nl
-    parent = np.bincount(y, minlength=m) / n
-    h_parent = gini_term(parent, mass)
-    if nl == 0 or nr == 0:
+    if nl == 0 or nr == 0:  # also when there are no samples
         return 0.0
+    parent = np.bincount(y, minlength=m) / n
     lh = np.bincount(y[left], minlength=m) / nl
     rh = np.bincount(y[~left], minlength=m) / nr
-    gain = h_parent - gini_term(lh, mass * (nl / n)) - gini_term(rh, mass * (nr / n))
+    gain = gini_term(parent, mass) - gini_term(lh, mass * (nl / n)) - gini_term(rh, mass * (nr / n))
     return max(float(gain), 0.0)
 
 
@@ -271,8 +274,7 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     independent one. A model whose dimension differs from the blackbox's
     is refused before the first draw.
     """
-    if gmm.d != f.d:
-        raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
+    _check_dims(gmm, f)
     d, m = f.d, f.m
     budget = 0
 

@@ -37,6 +37,12 @@ TAIL_CUTOFF = 6.0
 NARROW_WIDTH = 1e-5
 
 
+def _check_x_max(x_max: Optional[float]) -> None:
+    """The truncation bound's one rule: unset, or a number > 0 (NaN is not)."""
+    if x_max is not None and not x_max > 0:
+        raise InputError(f"x_max must be > 0, got {x_max}")
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Diagonal-covariance Gaussian mixture over R^d.
@@ -59,8 +65,7 @@ class GaussianMixture:
             raise InputError("weights must be finite, nonnegative and sum to 1")
         if not np.all((sd > 0) & (sd < np.inf)):
             raise InputError("stddevs must be finite and strictly positive")
-        if self.x_max is not None and not self.x_max > 0:
-            raise InputError(f"x_max must be > 0, got {self.x_max}")
+        _check_x_max(self.x_max)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stddevs", sd)
@@ -152,8 +157,7 @@ def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
     With x_max set the boxes are first intersected with the domain box and
     the masses renormalized by its mass. Empty boxes get -inf.
     """
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
     if gmm.x_max is not None:
         lower = np.maximum(lower, -gmm.x_max)
         upper = np.minimum(upper, gmm.x_max)
@@ -363,8 +367,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         if total <= 0:
             centers[j] = X[rng.integers(n)]
             continue
-        probs = d2 / total
-        centers[j] = X[_categorical(rng, probs, 1)[0]]
+        centers[j] = X[_categorical(rng, d2 / total, 1)[0]]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
     return centers
 

@@ -2,7 +2,9 @@
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from treextract import BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture, sample
+from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture,
+                        TabularPolicy, sample)
+from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL
 from treextract.core import leaf_row, split_row
 from treextract.extract import SplitCandidate, gini_term
 from treextract.gmm import TAIL_CUTOFF
@@ -191,6 +193,45 @@ def reference_truncated_normal(mu, sigma, lo, hi, rng):
     while not np.isfinite(z):
         z = float(reference_inverse_cdf(a, b, rng.random()))
     return float(np.clip(mu + sigma * z, np.nextafter(lo, np.inf), hi))
+
+
+def reference_learn_policy(sys, cfg):
+    """Value iteration that gathers every sampled transition on every sweep:
+    q is the mean over a pair's samples of reward + discount * V[next], the
+    terminal next state being an extra value slot that stays 0.
+
+    Sweep-for-sweep reference for blackbox.learn_policy, which reduces the
+    samples to counts per distinct (cell, action, next cell) first. Returns
+    the policy, the final (n_cells, 2) Q-values and the per-sweep residuals.
+    """
+    d = len(cfg.grid_sizes)
+    rng = np.random.default_rng(cfg.seed)
+    grids = [np.linspace(lo, hi, size + 1)
+             for (lo, hi), size in zip(STATE_RANGES, cfg.grid_sizes)]
+    edges = tuple(grid[1:-1] for grid in grids)
+    n_cells = int(np.prod(cfg.grid_sizes))
+    ns = cfg.n_transition_samples
+    multi = np.array(np.unravel_index(np.arange(n_cells), cfg.grid_sizes)).T
+    lo_mat = np.stack([grids[i][multi[:, i]] for i in range(d)], axis=1)
+    hi_mat = np.stack([grids[i][multi[:, i] + 1] for i in range(d)], axis=1)
+    states = lo_mat[:, None, :] + rng.random((n_cells, ns, d)) * (hi_mat - lo_mat)[:, None, :]
+    states = np.repeat(states[:, None, :, :], 2, axis=1)  # (n_cells, 2, ns, d)
+    actions = np.broadcast_to(np.array([0, 1])[None, :, None], (n_cells, 2, ns))
+    nxt, terminal = sys.step_batch(states.reshape(-1, d).T, actions.reshape(-1))
+    stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64), tuple(cfg.grid_sizes))
+    gather = np.where(terminal, n_cells, stub.cell_index(nxt.T)).reshape(n_cells, 2, ns)
+    rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)
+    values, residuals = np.zeros(n_cells + 1), []
+    for _ in range(VI_MAX_SWEEPS):
+        q = np.mean(rewards + cfg.discount * values[gather], axis=2)
+        new_values = q.max(axis=1)
+        residuals.append(float(np.max(np.abs(new_values - values[:n_cells]))))
+        values = np.concatenate([new_values, [0.0]])
+        if residuals[-1] < VI_TOL:
+            break
+    q = np.mean(rewards + cfg.discount * values[gather], axis=2)
+    greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
+    return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes)), q, residuals
 
 
 class ZeroUniforms:

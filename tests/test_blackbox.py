@@ -16,7 +16,7 @@ from treextract.blackbox import (POSITIVE_RATE, SPLIT_BATCH_CELLS, THETA_LIMIT, 
 from treextract.core import leaf_row, split_row
 from treextract.io import blackbox_to_doc
 
-from helpers import dataset, predict_one, reference_best_split
+from helpers import dataset, predict_one, reference_best_split, reference_learn_policy
 
 
 def cartpole_step(sys_, state, action: int):
@@ -325,6 +325,35 @@ class TestPolicy:
                      residuals_out=residuals)
         tail = residuals[1:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.tuples(*[st.integers(2, 4)] * 4), samples=st.integers(1, 6),
+           discount=st.floats(0.5, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+    def test_count_sweeps_match_per_sample_reference(self, grid, samples, discount, seed):
+        """Value iteration on transition counts takes the per-sample sweep's
+        steps: as many sweeps, residuals within 1e-9, and the same action
+        wherever the reference's Q-values differ by more than 1e-9."""
+        cfg = PolicyConfig(grid_sizes=grid, n_transition_samples=samples, discount=discount,
+                           seed=seed)
+        residuals = []
+        policy = learn_policy(CartPoleSystem(), cfg, residuals_out=residuals)
+        ref, q, ref_residuals = reference_learn_policy(CartPoleSystem(), cfg)
+        assert len(residuals) == len(ref_residuals)
+        np.testing.assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-9)
+        clear = np.abs(q[:, 0] - q[:, 1]) > 1e-9
+        assert np.array_equal(policy.actions[clear], ref.actions[clear])
+
+    def test_unconverged_value_iteration_warns(self):
+        cfg = PolicyConfig(grid_sizes=(3, 3, 3, 3), n_transition_samples=2, discount=0.999)
+        residuals = []
+        with pytest.warns(UserWarning, match=r"stopped after 5000 sweeps at residual 0\.00\d+"):
+            learn_policy(CartPoleSystem(), cfg, residuals_out=residuals)
+        assert len(residuals) == blackbox.VI_MAX_SWEEPS and residuals[-1] > blackbox.VI_TOL
+
+    def test_default_policy_converges_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            learn_policy(CartPoleSystem())
 
     def test_reward_near_cap(self, cartpole):
         sys_, policy = cartpole

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from treextract import cli
 from treextract.cli import build_parser, main
 from treextract.io import (blackbox_to_doc, load_csv, load_gmm, load_json, load_tree,
                            save_csv, save_gmm, save_json, save_tree, tree_to_doc)
@@ -205,10 +206,18 @@ class TestPipeline:
         (["--x-max", "-3"], "x_max must be > 0"),
         (["--x-max", "nan"], "x_max must be > 0"),
     ], ids=["n-init-0", "x-max-0", "x-max-negative", "x-max-nan"])
-    def test_bad_fit_settings_exit_1(self, workdir, synthetic_spec, capsys, flag, message):
-        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "1", *flag,
-                            "--out", "gmm.json"], capsys)
-        assert code == 1 and "internal error" not in err and message in err
+    def test_bad_fit_settings_exit_1(self, workdir, synthetic_spec, capsys, monkeypatch,
+                                     flag, message):
+        """Each bad setting is rejected before any EM fit starts."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit-gmm started a fit before checking its settings")
+
+        monkeypatch.setattr(cli, "fit_em", no_fit)
+        monkeypatch.setattr(cli, "select_k_bic", no_fit)
+        for k in ("1", "auto"):
+            code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", k, *flag,
+                                "--out", "gmm.json"], capsys)
+            assert code == 1 and "internal error" not in err and message in err
         assert not (workdir / "gmm.json").exists()
 
     def test_nonpositive_x_max_document_exits_1(self, workdir, synthetic_spec, capsys):

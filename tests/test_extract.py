@@ -11,7 +11,7 @@ from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
 from treextract.extract import grow_tree
-from treextract.evaluate import exact_greedy_oracle
+from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
 
 from helpers import dataset, reference_best_split, split_fields as _fields, two_box_benchmark
 
@@ -359,6 +359,14 @@ class TestExtractTree:
         with pytest.raises(ConfigError, match="model dimension 3 does not match blackbox d=2"):
             extractor(gmm, Probe(), cfg)
         assert calls == []
+
+    def test_oracle_dimension_mismatch_rejected(self):
+        """The exact oracle applies the extractors' dimension rule instead of
+        failing on a numpy broadcast deep in its box masses."""
+        gmm = GaussianMixture([1.0], [[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+        _, bb = three_box_benchmark()
+        with pytest.raises(ConfigError, match="model dimension 3 does not match blackbox d=2"):
+            exact_greedy_oracle(gmm, bb, 7)
 
     def test_structure_matches_oracle_on_two_box(self):
         gmm, bb = two_box_benchmark()
