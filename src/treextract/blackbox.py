@@ -118,17 +118,12 @@ class RandomForest:
 
 def balance_rows(X, y, m: int):
     """Duplicate minority-class rows up to the majority-class count."""
-    counts = np.bincount(y, minlength=m)
-    target = counts.max()
+    target = np.bincount(y, minlength=m).max()
     keep = [np.arange(y.shape[0])]
     for c in range(m):
         rows = np.flatnonzero(y == c)
-        if rows.size == 0 or rows.size == target:
-            continue
-        deficit = target - rows.size
-        reps = np.concatenate([np.tile(rows, deficit // rows.size),
-                               rows[: deficit % rows.size]])
-        keep.append(reps)
+        if rows.size:  # repeated cyclically to the deficit
+            keep.append(np.resize(rows, target - rows.size))
     idx = np.concatenate(keep)
     return X[idx], y[idx]
 
@@ -245,6 +240,10 @@ class CartPoleSystem:
 # The policy grid spans the termination bounds in position and angle.
 STATE_RANGES = ((-X_LIMIT, X_LIMIT), (-3.0, 3.0), (-THETA_LIMIT, THETA_LIMIT), (-3.5, 3.5))
 VI_TOL, VI_MAX_SWEEPS = 1e-8, 5000
+# Transitions learn_policy simulates per slab of cells. It bounds the
+# simulation's temporaries: the default 7^4 table in one batch traced an
+# 18.1 MiB peak, and the table grows as grid cells x samples.
+POLICY_SLAB_TRANSITIONS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -301,32 +300,34 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
 
     Each (cell, action) pair is simulated cfg.n_transition_samples times from
     states drawn uniformly inside the cell; rewards are +1 per non-terminal
-    transition. The samples are counted once per distinct (pair, next cell),
-    and each sweep is one weighted bincount over those counts. Greedy action
-    ties resolve to left (action 0). residuals_out, when given, receives the
-    per-sweep sup-norm value changes. If VI_MAX_SWEEPS sweeps end above
-    VI_TOL, a UserWarning names the sweep count and the last residual.
+    transition. Slabs of at most POLICY_SLAB_TRANSITIONS transitions (one
+    cell or more) are simulated in cell order, which keeps the one-batch rng
+    draws, and counted once per distinct (pair, next cell); each sweep is one
+    weighted bincount over those counts. Greedy action ties resolve to left
+    (action 0). residuals_out, when given, receives the per-sweep sup-norm
+    value changes. If VI_MAX_SWEEPS sweeps end above VI_TOL, a UserWarning
+    names the sweep count and the last residual.
     """
     shape, ns, n_cells = tuple(cfg.grid_sizes), cfg.n_transition_samples, math.prod(cfg.grid_sizes)
     rng = np.random.default_rng(cfg.seed)
     grids = [np.linspace(lo, hi, size + 1) for (lo, hi), size in zip(STATE_RANGES, shape)]
     stub = TabularPolicy(tuple(grid[1:-1] for grid in grids), np.zeros(n_cells, np.int64), shape)
-
-    # Uniform states inside every cell, each simulated under both actions;
-    # transition j belongs to pair j // ns = 2 * cell + action.
-    cells = np.unravel_index(np.arange(n_cells), shape)
-    lo = np.stack([grid[c] for grid, c in zip(grids, cells)], axis=1)[:, None, :]
-    width = np.stack([grid[c + 1] - grid[c] for grid, c in zip(grids, cells)], axis=1)[:, None, :]
-    states = (lo + rng.random((n_cells, ns, 4)) * width).repeat(2, axis=0)  # action 0, then 1
-    nxt, terminal = sys.step_batch(states.reshape(-1, 4).T, np.tile(np.repeat([0, 1], ns), n_cells))
-
-    # A terminal transition adds reward 0 and value 0, so it drops out; the
-    # others are counted per distinct (pair, next cell).
-    pair = np.arange(2 * n_cells).repeat(ns)[~terminal]
-    triples, counts = np.unique(pair * n_cells + stub.cell_index(nxt.T)[~terminal],
-                                return_counts=True)
-    pair, nxt_cell = np.divmod(triples, n_cells)
-    counts = counts.astype(np.float64)
+    step, slabs = max(1, POLICY_SLAB_TRANSITIONS // (2 * ns)), []
+    for first in range(0, n_cells, step):
+        # Uniform states inside each of the slab's k cells, each simulated
+        # under both actions; transition j belongs to pair 2 * first + j // ns.
+        k = min(step, n_cells - first)
+        cells = np.unravel_index(np.arange(first, first + k), shape)
+        # Each cell's lower and upper edges, shaped (k, 1, 4).
+        lo, hi = (np.stack([g[c + s] for g, c in zip(grids, cells)], axis=1)[:, None] for s in (0, 1))
+        states = (lo + rng.random((k, ns, 4)) * (hi - lo)).repeat(2, axis=0)  # action 0, then 1
+        nxt, terminal = sys.step_batch(states.reshape(-1, 4).T, np.tile(np.repeat([0, 1], ns), k))
+        # A terminal transition adds reward 0 and value 0, so it drops out; the
+        # others are counted per distinct (pair, next cell).
+        pair = np.arange(2 * first, 2 * (first + k)).repeat(ns)[~terminal]
+        slabs.append(np.unique(pair * n_cells + stub.cell_index(nxt.T)[~terminal], return_counts=True))
+    pair, nxt_cell = np.divmod(np.concatenate([slab[0] for slab in slabs]), n_cells)
+    counts = np.concatenate([slab[1] for slab in slabs]).astype(np.float64)
     rewards = np.bincount(pair, counts, 2 * n_cells)
 
     def q_values(values):
@@ -366,11 +367,15 @@ def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):
             np.bincount(owner, minlength=starts.shape[0]))
 
 
+def _check_episodes(n_episodes: int) -> None:
+    if n_episodes < 1:
+        raise InputError("n_episodes must be >= 1")
+
+
 def mean_rollout_reward(policy: TabularPolicy, sys: CartPoleSystem,
                         n_episodes: int = 100, seed: int = 0) -> float:
     """Mean steps survived (capped) over n_episodes near-upright starts."""
-    if n_episodes < 1:
-        raise InputError("n_episodes must be >= 1")
+    _check_episodes(n_episodes)
     starts = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(n_episodes, 4))
     return float(np.mean(_rollouts(policy, sys, starts)[1]))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as tio
 from .baselines import born_again_extract, cart_extract
-from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig,
+from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig, _check_episodes,
                        collect_states, learn_policy, mean_rollout_reward,
                        train_random_forest)
 from .errors import ConfigError, InputError
@@ -174,9 +174,7 @@ def _resolve_seed(args) -> int:
 
 
 def _echo_config(args) -> None:
-    doc = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
-    doc["command"] = args.command
-    print(json.dumps(doc, default=str, sort_keys=True), file=sys.stderr)
+    print(json.dumps(vars(args), default=str, sort_keys=True), file=sys.stderr)
 
 
 def _load_features(path, schema_path):
@@ -229,6 +227,7 @@ def _cmd_train_rf(args) -> int:
 def _cmd_train_cartpole(args) -> int:
     if args.collect < 0 or bool(args.collect) != bool(args.train_csv or args.test_csv):
         raise InputError("--collect N >= 1 and --train-csv or --test-csv go together")
+    _check_episodes(args.episodes)  # before learning the policy, which a fine grid makes slow
     sys_, seed = CartPoleSystem(), _resolve_seed(args)
     cfg = PolicyConfig(grid_sizes=args.grid, n_transition_samples=args.transition_samples,
                        discount=args.discount, seed=seed)

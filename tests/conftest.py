@@ -22,7 +22,7 @@ def gmm_2d():
 
 @pytest.fixture(scope="session")
 def cartpole():
-    """Shared system + trained policy; training takes a couple of seconds."""
+    """Shared system + trained policy; learning it takes about 0.15 s."""
     sys_ = CartPoleSystem()
     policy = learn_policy(sys_, PolicyConfig())
     return sys_, policy

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -342,6 +343,40 @@ class TestPolicy:
         np.testing.assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-9)
         clear = np.abs(q[:, 0] - q[:, 1]) > 1e-9
         assert np.array_equal(policy.actions[clear], ref.actions[clear])
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.tuples(*[st.integers(2, 4)] * 4), samples=st.integers(1, 6),
+           discount=st.floats(0.5, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+    def test_slab_size_changes_nothing(self, grid, samples, discount, seed):
+        """One cell per slab, slabs that do not divide the cell count and
+        the whole table in one slab give the same actions and residuals."""
+        cfg = PolicyConfig(grid_sizes=grid, n_transition_samples=samples, discount=discount,
+                           seed=seed)
+        n_cells = math.prod(grid)
+        step = next(k for k in range(2, n_cells) if n_cells % k)  # cells per slab
+        results = []
+        for slab in (1, 2 * samples * step + samples, 2 * samples * n_cells):
+            residuals = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blackbox, "POLICY_SLAB_TRANSITIONS", slab)
+                results.append((learn_policy(CartPoleSystem(), cfg, residuals_out=residuals),
+                                residuals))
+        for policy, residuals in results[1:]:
+            assert np.array_equal(policy.actions, results[0][0].actions)
+            assert np.array_equal(residuals, results[0][1])
+
+    @pytest.mark.parametrize("grid, bound_mib", [((7, 7, 7, 7), 4), ((10, 10, 10, 10), 12)],
+                             ids=["7^4", "10^4"])
+    def test_traced_peak_memory_bounded(self, grid, bound_mib):
+        """Slabs of cells bound the simulation's temporaries: simulated in one
+        batch, the table traced an 18.1 MiB peak at 7^4 and 75.4 MiB at 10^4."""
+        tracemalloc.start()
+        try:
+            learn_policy(CartPoleSystem(), PolicyConfig(grid_sizes=grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
     def test_unconverged_value_iteration_warns(self):
         cfg = PolicyConfig(grid_sizes=(3, 3, 3, 3), n_transition_samples=2, discount=0.999)

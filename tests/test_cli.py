@@ -180,9 +180,14 @@ class TestPipeline:
         assert code == 1 and "means must be finite" in err
         assert not (workdir / "t.json").exists()
 
-    def test_zero_evaluation_episodes_exits_1(self, workdir, capsys):
-        code, _, err = run(["train-cartpole", "--grid", "3,3,3,3", "--transition-samples", "2",
-                            "--episodes", "0", "--out", "policy.json"], capsys)
+    def test_zero_evaluation_episodes_exits_1(self, workdir, capsys, monkeypatch):
+        """The episode count is checked before the policy is learned."""
+        def no_learning(*args, **kwargs):
+            raise AssertionError("train-cartpole learned a policy before checking --episodes")
+
+        monkeypatch.setattr(cli, "learn_policy", no_learning)
+        code, _, err = run(["train-cartpole", "--grid", "9,9,9,9", "--episodes", "0",
+                            "--out", "policy.json"], capsys)
         assert code == 1 and "n_episodes must be >= 1" in err
         assert not (workdir / "policy.json").exists()
 
