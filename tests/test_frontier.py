@@ -11,7 +11,8 @@ from treextract import (EMConfig, ExtractionConfig, RandomForestConfig,
                         extract_tree, fit_em, make_imbalanced_classification,
                         sample, train_random_forest)
 from treextract import io as tio
-from treextract.evaluate import cartpole_task, exact_greedy_oracle, three_box_benchmark
+from treextract.evaluate import (cartpole_task, exact_greedy_oracle, synthetic_rf_task,
+                                 three_box_benchmark)
 from treextract.extract import grow_best_first
 
 from helpers import dataset, two_box_benchmark
@@ -156,11 +157,22 @@ def _instance_digest(task, seeds) -> str:
     return h.hexdigest()
 
 
+def _em_digest(X, k, cfg) -> str:
+    """sha256 over a fit's means, weights and stddevs and its history_out."""
+    hist: list = []
+    gmm = fit_em(X, k, cfg, history_out=hist)
+    h = hashlib.sha256()
+    for a in (gmm.means, gmm.weights, gmm.stddevs, np.array(hist)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def test_pinned_digests(cartpole):
     """Byte-identical documents on a small synthetic-RF instance (d=50): the
     forest itself and the four builders' trees; the default cart-pole
     policy, a 15-node extraction from it and its budget-matched born-again
-    tree; and the cart-pole task's instances at seeds 0 and 1."""
+    tree; the cart-pole task's instances at seeds 0 and 1; and a four-restart
+    K=8 fit on the synthetic-RF task's seed-0 training rows."""
     data = make_imbalanced_classification(300, d=50, seed=5)
     forest = train_random_forest(data, RandomForestConfig(n_trees=5, max_depth=5,
                                                           balance=True, seed=5))
@@ -184,4 +196,6 @@ def test_pinned_digests(cartpole):
     got["rf_forest"] = _digest(tio.blackbox_to_doc(forest))
     got["cartpole_policy"] = _digest(tio.blackbox_to_doc(policy))
     got["cartpole_instance"] = _instance_digest(cartpole_task(), (0, 1))
+    got["rf_em_restarts"] = _em_digest(synthetic_rf_task().instance(0).train.features, 8,
+                                       EMConfig(seed=0, n_init=4))
     assert got == PINNED["digests"]
