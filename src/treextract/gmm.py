@@ -113,18 +113,19 @@ def logsumexp(a, axis=None):
 
 
 def _log_joint(Z, Z2, w, mu, sd) -> np.ndarray:
-    """(K, n) log w_j + log N(z | mu_j, diag(sd_j^2)) for each row z of Z; Z2 = Z * Z."""
+    """(..., K, n) log w_j + log N(z | mu_j, diag(sd_j^2)) for each row z of Z,
+    from (..., K) weights w and (..., K, d) mu and sd; Z2 = Z * Z."""
     # The quadratic form as three matmuls, the diagonal case of scikit-learn's
     # _estimate_log_gaussian_prob: sum_i (z_i - mu_i)^2 prec_i =
     # prec @ Z2.T - 2 (mu prec) @ Z.T + sum_i mu_i^2 prec_i. Its terms cancel
     # where |z| and |mu| dwarf sd, so callers pass standardized coordinates.
-    # Components run along axis 0: numpy reduces a short inner axis slowly.
+    # Components run along axis -2: numpy reduces a short inner axis slowly.
+    # Weights must be positive, as EM's are (it floors each nk at 1e-10).
     prec = 1.0 / (sd * sd)
     mu_prec = mu * prec
-    quad = prec @ Z2.T - 2.0 * (mu_prec @ Z.T) + np.sum(mu * mu_prec, axis=1)[:, None]
-    with np.errstate(divide="ignore"):  # a zero weight gives -inf
-        return -0.5 * quad + (np.log(w) - np.sum(np.log(sd), axis=1)
-                              - 0.5 * Z.shape[1] * math.log(2 * math.pi))[:, None]
+    quad = prec @ Z2.T - 2.0 * (mu_prec @ Z.T) + (mu * mu_prec).sum(axis=-1, keepdims=True)
+    return -0.5 * quad + (np.log(w) - np.log(sd).sum(axis=-1)
+                          - 0.5 * Z.shape[1] * math.log(2 * math.pi))[..., None]
 
 
 def _log_domain_mass(gmm: GaussianMixture) -> float:
@@ -159,8 +160,7 @@ def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
     """
     lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
     if gmm.x_max is not None:
-        lower = np.maximum(lower, -gmm.x_max)
-        upper = np.minimum(upper, gmm.x_max)
+        lower, upper = np.maximum(lower, -gmm.x_max), np.minimum(upper, gmm.x_max)
     return _log_masses(gmm, lower, upper)[1] - _log_domain_mass(gmm)
 
 
@@ -347,97 +347,101 @@ EM_MAX_ITERS = 200
 EM_LOGLIK_TOL = 1e-7  # stop once an iteration gains at most this, relative
 
 
+def _check_count(name: str, value) -> None:
+    """A component or restart count's one rule: an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EMConfig:
     n_init: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_init < 1:
-            raise ConfigError("n_init must be >= 1")
+        _check_count("n_init", self.n_init)
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_resp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, n) responsibilities of X's rows hard-assigned to the nearest of k
+    k-means++ centers (the first of equals), raised by 1e-6 and normalized."""
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = np.sum((X - X[rng.integers(n)]) ** 2, axis=1)
+    assign = np.zeros(n, dtype=np.intp)
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            centers[j] = X[rng.integers(n)]
-            continue
-        centers[j] = X[_categorical(rng, d2 / total, 1)[0]]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    return centers
-
-
-def _em_run(X: np.ndarray, Z: np.ndarray, k: int, floor: np.ndarray,
-            rng: np.random.Generator, log_scale: float):
-    # Seeded and hard-assigned in raw coordinates X, where k-means++ weighs
-    # each feature by its own spread; iterated in standardized coordinates Z,
-    # with the variance floor in Z units. The history holds log-likelihoods
-    # in the data's units (standardized minus log_scale).
-    n = X.shape[0]
-    centers = _kmeanspp_init(X, k, rng)
-    # Hard-assign to the seeded centers for the initial M step.
-    assign = np.argmin(
-        ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
-    # Components along axis 0, as _log_joint returns them.
+        # With every point on a center, a random point is drawn; it is
+        # nearer to none than the centers before it.
+        i = rng.integers(n) if total <= 0 else _categorical(rng, d2 / total, 1)[0]
+        dj = np.sum((X - X[i]) ** 2, axis=1)
+        assign[dj < d2] = j
+        d2 = np.minimum(d2, dj)
     resp = (np.arange(k)[:, None] == assign) + 1e-6
-    resp /= resp.sum(axis=0)
-
-    Z2 = Z * Z
-    loglik, history = -np.inf, []
-    for _ in range(EM_MAX_ITERS):
-        # M step
-        nk = np.maximum(resp.sum(axis=1), 1e-10)
-        w = nk / n
-        mu = (resp @ Z) / nk[:, None]
-        sd = np.sqrt(np.maximum((resp @ Z2) / nk[:, None] - mu * mu, floor))
-        # E step
-        logp = _log_joint(Z, Z2, w, mu, sd)
-        norm = logsumexp(logp, axis=0)
-        new_loglik = float(norm.sum())
-        resp = np.exp(logp - norm)
-        history.append(new_loglik - log_scale)
-        # The standardized log-likelihood makes the stop rule unit-free.
-        if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)):
-            break
-        loglik = new_loglik
-    return new_loglik, w, mu, sd, history
+    return resp / resp.sum(axis=0)
 
 
 def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
            history_out: Optional[list] = None) -> GaussianMixture:
     """Fit a diagonal-covariance mixture to an (n, d) X by k-means++-seeded EM.
 
-    Runs cfg.n_init restarts and keeps the best final log-likelihood.
-    Deterministic given cfg.seed. Components whose weight collapses below
-    1e-8 are dropped with a warning. history_out, when given, receives the
-    winning restart's log-likelihood sequence (one entry per iteration).
+    Runs cfg.n_init restarts in lockstep, each step one stacked call over a
+    (restart, component, point) array. Each restart stops at its own
+    iteration, and its fit equals the restart run on its own bit for bit.
+    Keeps the best final log-likelihood, the first of equals; deterministic
+    given cfg.seed. Components whose weight collapses below 1e-8 are dropped
+    with a warning. history_out, when given, receives the winner's
+    log-likelihood sequence (one entry per iteration).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or not np.isfinite(X).all():
         raise InputError("expected a 2-d matrix of finite features")
     n = X.shape[0]
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    _check_count("k", k)
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of points n={n}")
     # EM runs on the data standardized per dimension (scale 1 for a constant
     # column), so an offset costs no precision and the fit is affine-equivariant.
+    # Seeding and the hard assignment use the raw X, where k-means++ weighs
+    # each feature by its own spread.
     loc, spread = X.mean(axis=0), np.ptp(X, axis=0)
     scale = np.where(spread > 0, X.std(axis=0), 1.0)
     Z = (X - loc) / scale
+    Z2 = Z * Z
     # Variance floor: 1e-6 of each dimension's squared data range (at least 1e-3).
     floor = 1e-6 * np.maximum(spread, 1e-3) ** 2 / scale ** 2
-    log_scale = n * float(np.log(scale).sum())
-    runs = [_em_run(X, Z, k, floor, np.random.default_rng([cfg.seed, r]), log_scale)
-            for r in range(cfg.n_init)]
-    _, w, mu, sd, hist = max(runs, key=lambda run: run[0])  # the first of equals
+    # (restart, component, point), restart r seeded by its own generator.
+    resp = np.stack([_kmeanspp_resp(X, k, np.random.default_rng([cfg.seed, r]))
+                     for r in range(cfg.n_init)])
+    # The restarts still iterating, in order; each one's standardized
+    # log-likelihoods after a -inf start, and its final (w, mu, sd).
+    live, hists, fits = list(range(cfg.n_init)), [[-np.inf] for _ in range(cfg.n_init)], {}
+    for it in range(EM_MAX_ITERS):
+        # M step
+        nk = np.maximum(resp.sum(axis=2, keepdims=True), 1e-10)
+        w = nk[..., 0] / n
+        mu = (resp @ Z) / nk
+        sd = np.sqrt(np.maximum((resp @ Z2) / nk - mu * mu, floor))
+        # E step
+        logp = _log_joint(Z, Z2, w, mu, sd)
+        norm = logsumexp(logp, axis=1)
+        keep = []
+        for i, (r, loglik) in enumerate(zip(live, norm.sum(axis=1).tolist())):
+            # The standardized log-likelihood makes the stop rule unit-free.
+            if not loglik - hists[r][-1] <= EM_LOGLIK_TOL * (1.0 + abs(loglik)):
+                keep.append(i)
+            hists[r].append(loglik)
+            fits[r] = (w[i], mu[i], sd[i])
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live, logp, norm = [live[i] for i in keep], logp[keep], norm[keep]
+        resp = np.exp(logp - norm[:, None])
+    best = max(range(cfg.n_init), key=lambda r: hists[r][-1])  # the first of equals
+    w, mu, sd = fits[best]
     if history_out is not None:
-        history_out.extend(hist)
+        # In the data's units: the standardized log-likelihood minus n log|scale|.
+        log_scale = n * float(np.log(scale).sum())
+        history_out.extend(loglik - log_scale for loglik in hists[best][1:])
 
     keep = w >= 1e-8
     if not np.all(keep):
@@ -451,12 +455,10 @@ def select_k_bic(X, cfg: EMConfig = EMConfig()) -> GaussianMixture:
     """Pick K by BIC over {1, 2, 5, 10, 20}, capped at n/10 (K = 1 always runs)."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    best = None
+    fits = []  # (BIC, mixture) for each K
     for k in (c for c in (1, 2, 5, 10, 20) if c <= max(1, n // 10)):
         hist: list = []
         gmm = fit_em(X, k, cfg, history_out=hist)
         n_params = (gmm.k - 1) + 2 * gmm.k * d
-        bic = -2.0 * hist[-1] + n_params * math.log(n)
-        if best is None or bic < best[0]:
-            best = (bic, gmm)
-    return best[1]
+        fits.append((-2.0 * hist[-1] + n_params * math.log(n), gmm))
+    return min(fits, key=lambda fit: fit[0])[1]  # the first of equals

@@ -1,13 +1,17 @@
 """Builders and reference implementations that only the tests need."""
+import math
+import warnings
+
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, ndtri_exp
 
 from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture,
                         TabularPolicy, sample)
 from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL
 from treextract.core import leaf_row, split_row
 from treextract.extract import SplitCandidate, gini_term
-from treextract.gmm import TAIL_CUTOFF
+from treextract.gmm import EM_LOGLIK_TOL, TAIL_CUTOFF, _categorical
+from treextract import gmm as gmm_mod
 
 
 def dataset(features, labels=None, m=None) -> Dataset:
@@ -232,6 +236,73 @@ def reference_learn_policy(sys, cfg):
     q = np.mean(rewards + cfg.discount * values[gather], axis=2)
     greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
     return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes)), q, residuals
+
+
+def _reference_em_run(X, Z, k, floor, rng, log_scale):
+    """One EM restart on its own: k-means++ seeds in raw coordinates X, a
+    hard assignment to them, then EM on the standardized Z until an
+    iteration gains at most EM_LOGLIK_TOL (relative) or EM_MAX_ITERS."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = X[rng.integers(n)]
+            continue
+        centers[j] = X[_categorical(rng, d2 / total, 1)[0]]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    assign = np.argmin(((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+    resp = (np.arange(k)[:, None] == assign) + 1e-6
+    resp /= resp.sum(axis=0)
+    Z2 = Z * Z
+    loglik, history = -np.inf, []
+    for _ in range(gmm_mod.EM_MAX_ITERS):
+        nk = np.maximum(resp.sum(axis=1), 1e-10)
+        w = nk / n
+        mu = (resp @ Z) / nk[:, None]
+        sd = np.sqrt(np.maximum((resp @ Z2) / nk[:, None] - mu * mu, floor))
+        prec = 1.0 / (sd * sd)
+        mu_prec = mu * prec
+        quad = prec @ Z2.T - 2.0 * (mu_prec @ Z.T) + np.sum(mu * mu_prec, axis=1)[:, None]
+        with np.errstate(divide="ignore"):
+            logp = -0.5 * quad + (np.log(w) - np.sum(np.log(sd), axis=1)
+                                  - 0.5 * Z.shape[1] * math.log(2 * math.pi))[:, None]
+        norm = logsumexp(logp, axis=0)
+        new_loglik = float(norm.sum())
+        resp = np.exp(logp - norm)
+        history.append(new_loglik - log_scale)
+        if new_loglik - loglik <= EM_LOGLIK_TOL * (1.0 + abs(new_loglik)):
+            break
+        loglik = new_loglik
+    return new_loglik, w, mu, sd, history
+
+
+def reference_fit_em(X, k, cfg):
+    """fit_em with its restarts run one at a time, each to its own stop.
+
+    Byte-for-byte reference for gmm.fit_em, which runs them in lockstep.
+    Returns the fitted mixture, the winner's history and each restart's
+    (standardized final log-likelihood, iteration count, standardized means).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    loc, spread = X.mean(axis=0), np.ptp(X, axis=0)
+    scale = np.where(spread > 0, X.std(axis=0), 1.0)
+    Z = (X - loc) / scale
+    floor = 1e-6 * np.maximum(spread, 1e-3) ** 2 / scale ** 2
+    log_scale = n * float(np.log(scale).sum())
+    runs = [_reference_em_run(X, Z, k, floor, np.random.default_rng([cfg.seed, r]), log_scale)
+            for r in range(cfg.n_init)]
+    _, w, mu, sd, hist = max(runs, key=lambda run: run[0])  # the first of equals
+    keep = w >= 1e-8
+    if not np.all(keep):
+        warnings.warn(f"dropping {int((~keep).sum())} degenerate mixture component(s)")
+        w, mu, sd = w[keep], mu[keep], sd[keep]
+    w = w / w.sum()
+    return (GaussianMixture(w, loc + scale * mu, scale * sd), hist,
+            [(run[0], len(run[4]), run[2]) for run in runs])
 
 
 class ZeroUniforms:

@@ -1,9 +1,10 @@
 import signal
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats
 
@@ -13,7 +14,7 @@ from treextract import (BoxConstraint, ConfigError, EMConfig, EmptyRegionError,
                         sample_truncated_normal, select_k_bic)
 from treextract import gmm as gmm_mod
 
-from helpers import (ZeroUniforms, reference_sample_conditional,
+from helpers import (ZeroUniforms, reference_fit_em, reference_sample_conditional,
                      reference_truncated_normal)
 
 
@@ -358,6 +359,13 @@ class TestFitEM:
         for a, b in zip(hist, hist[1:]):
             assert b - a >= -1e-8 * (1 + abs(b))
 
+    @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2.0), lambda X: fit_em(X, 0),
+                                     lambda X: fit_em(X, 2, EMConfig(n_init=2.5))],
+                             ids=["float_k", "zero_k", "float_n_init"])
+    def test_counts_must_be_integers(self, rng, fit):
+        with pytest.raises(ConfigError, match="must be >= 1 and an integer"):
+            fit(rng.normal(size=(20, 2)))
+
     def test_k_exceeding_n_rejected(self, rng):
         with pytest.raises(ConfigError):
             fit_em(rng.normal(size=(5, 2)), 6)
@@ -379,6 +387,77 @@ class TestFitEM:
                             rng.normal(4, 0.8, size=(300, 1))])
         g = select_k_bic(X, cfg=EMConfig(seed=0, n_init=2))
         assert g.k >= 2
+
+
+def _em_case_data(kind, seed, n, d):
+    """n rows of d features: Gaussian blobs; uniform noise, where EM converges
+    slowly; two distinct rows repeated, where a component collapses; or two
+    tight clusters far apart, where restarts tie with permuted components."""
+    rng = np.random.default_rng(seed)
+    if kind == "blobs":
+        centers = rng.normal(scale=rng.uniform(0.5, 5.0), size=(int(rng.integers(1, 5)), d))
+        return centers[rng.integers(len(centers), size=n)] + rng.normal(size=(n, d))
+    if kind == "uniform":
+        return rng.uniform(size=(n, d))
+    if kind == "collapse":
+        return rng.normal(size=(2, d))[np.arange(n) % 2]
+    return np.where(np.arange(n)[:, None] % 2, 5.0, -5.0) + rng.normal(scale=0.1, size=(n, d))
+
+
+# (kind, seed, n, d, k, n_init) inputs on which the restarts stop at
+# different iterations, some run to EM_MAX_ITERS, a component is dropped,
+# and equal final log-likelihoods come from different fits.
+EM_CASES = {
+    "stops_differ": ("uniform", 0, 300, 1, 6, 4),
+    "max_iters": ("uniform", 3, 300, 1, 6, 4),
+    "collapse": ("collapse", 0, 20, 2, 3, 2),
+    "tie": ("tie", 0, 60, 2, 2, 4),
+}
+
+
+def _fit_both(case):
+    """fit_em and the one-restart-at-a-time reference on one case, each with
+    its warnings and history."""
+    kind, seed, n, d, k, n_init = case
+    X, cfg = _em_case_data(kind, seed, n, d), EMConfig(seed=seed % 1000, n_init=n_init)
+    out = []
+    for fit in (lambda: fit_em(X, min(k, n), cfg, history_out=hist),
+                lambda: reference_fit_em(X, min(k, n), cfg)):
+        hist: list = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit()
+        out.append((result, hist, [str(w.message) for w in caught]))
+    return out
+
+
+class TestLockstepRestarts:
+    """fit_em runs its restarts in lockstep; each must fit exactly as the same
+    restart run on its own (tests/helpers.py::reference_fit_em)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.sampled_from(["blobs", "uniform", "collapse", "tie"]),
+                     st.integers(0, 2 ** 32 - 1), st.integers(5, 300), st.integers(1, 5),
+                     st.integers(1, 6), st.integers(1, 4)))
+    @example(EM_CASES["stops_differ"])
+    @example(EM_CASES["max_iters"])
+    @example(EM_CASES["collapse"])
+    @example(EM_CASES["tie"])
+    def test_matches_one_restart_at_a_time(self, case):
+        (got, hist, caught), ((ref, ref_hist, _), _, ref_caught) = _fit_both(case)
+        for a, b in ((got.weights, ref.weights), (got.means, ref.means),
+                     (got.stddevs, ref.stddevs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert hist == ref_hist and caught == ref_caught
+
+    def test_cases_reach_each_situation(self):
+        runs = {name: _fit_both(case)[1] for name, case in EM_CASES.items()}
+        iters = [it for _, it, _ in runs["stops_differ"][0][2]]
+        assert len(set(iters)) > 1 and min(iters) < gmm_mod.EM_MAX_ITERS
+        assert all(it == gmm_mod.EM_MAX_ITERS for _, it, _ in runs["max_iters"][0][2])
+        assert runs["collapse"][2] == ["dropping 1 degenerate mixture component(s)"]
+        (first, _, mu0), *rest = runs["tie"][0][2]
+        assert any(ll == first and not np.array_equal(mu, mu0) for ll, _, mu in rest)
 
 
 def _offset_data():
@@ -512,6 +591,16 @@ class TestLogsumexp:
             a[r % a.shape[0]] = -np.inf
         self._assert_bitwise(gmm_mod.logsumexp(a, axis=1),
                              scipy.special.logsumexp(a, axis=1))
+
+    def test_matches_scipy_3d_middle_axis(self):
+        """The E step's (restart, component, point) shape reduced over the
+        components, with an all -inf column and a +inf entry (both take the
+        direct log(sum(exp)) fallback) beside finite and tied columns."""
+        a = np.random.default_rng(7).normal(scale=30.0, size=(3, 4, 6))
+        a[0, :, 1] = -np.inf
+        a[1, 2, 3] = np.inf
+        a[2, :2, 4] = a[2, 2:, 4].max() + 1.0
+        self._assert_bitwise(gmm_mod.logsumexp(a, axis=1), scipy.special.logsumexp(a, axis=1))
 
     def test_edge_rows(self):
         a = np.array([[-np.inf, -np.inf, -np.inf], [1.0, 1.0, 1.0],
