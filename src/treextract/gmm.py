@@ -160,7 +160,8 @@ def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
     """
     lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
     if gmm.x_max is not None:
-        lower, upper = np.maximum(lower, -gmm.x_max), np.minimum(upper, gmm.x_max)
+        lower = np.maximum(lower, -gmm.x_max)
+        upper = np.minimum(upper, gmm.x_max)
     return _log_masses(gmm, lower, upper)[1] - _log_domain_mass(gmm)
 
 
@@ -347,19 +348,14 @@ EM_MAX_ITERS = 200
 EM_LOGLIK_TOL = 1e-7  # stop once an iteration gains at most this, relative
 
 
-def _check_count(name: str, value) -> None:
-    """A component or restart count's one rule: an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"{name} must be >= 1 and an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class EMConfig:
     n_init: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("n_init", self.n_init)
+        if not isinstance(self.n_init, (int, np.integer)) or self.n_init < 1:
+            raise ConfigError(f"n_init must be >= 1 and an integer, got {self.n_init!r}")
 
 
 def _kmeanspp_resp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -396,9 +392,9 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
     if X.ndim != 2 or not np.isfinite(X).all():
         raise InputError("expected a 2-d matrix of finite features")
     n = X.shape[0]
-    _check_count("k", k)
-    if k > n:
-        raise ConfigError(f"k={k} exceeds the number of points n={n}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ConfigError(f"k must be an integer from 1 to the number of points n={n}, "
+                          f"got {k!r}")
     # EM runs on the data standardized per dimension (scale 1 for a constant
     # column), so an offset costs no precision and the fit is affine-equivariant.
     # Seeding and the hard assignment use the raw X, where k-means++ weighs
@@ -412,9 +408,10 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
     # (restart, component, point), restart r seeded by its own generator.
     resp = np.stack([_kmeanspp_resp(X, k, np.random.default_rng([cfg.seed, r]))
                      for r in range(cfg.n_init)])
-    # The restarts still iterating, in order; each one's standardized
-    # log-likelihoods after a -inf start, and its final (w, mu, sd).
-    live, hists, fits = list(range(cfg.n_init)), [[-np.inf] for _ in range(cfg.n_init)], {}
+    live = list(range(cfg.n_init))  # the restarts still iterating, in order
+    # Each restart's standardized log-likelihoods after a -inf start, and
+    # its latest (w, mu, sd).
+    hists, fits = [[-np.inf] for _ in live], {}
     for it in range(EM_MAX_ITERS):
         # M step
         nk = np.maximum(resp.sum(axis=2, keepdims=True), 1e-10)

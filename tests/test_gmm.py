@@ -359,11 +359,13 @@ class TestFitEM:
         for a, b in zip(hist, hist[1:]):
             assert b - a >= -1e-8 * (1 + abs(b))
 
-    @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2.0), lambda X: fit_em(X, 0),
-                                     lambda X: fit_em(X, 2, EMConfig(n_init=2.5))],
-                             ids=["float_k", "zero_k", "float_n_init"])
-    def test_counts_must_be_integers(self, rng, fit):
-        with pytest.raises(ConfigError, match="must be >= 1 and an integer"):
+    @pytest.mark.parametrize("fit, message", [
+        (lambda X: fit_em(X, 2.0), "k must be an integer"),
+        (lambda X: fit_em(X, 0), "k must be an integer"),
+        (lambda X: fit_em(X, 2, EMConfig(n_init=2.5)), "n_init must be >= 1 and an integer"),
+    ], ids=["float_k", "zero_k", "float_n_init"])
+    def test_counts_must_be_integers(self, rng, fit, message):
+        with pytest.raises(ConfigError, match=message):
             fit(rng.normal(size=(20, 2)))
 
     def test_k_exceeding_n_rejected(self, rng):
