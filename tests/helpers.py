@@ -10,8 +10,7 @@ from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, Gauss
 from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL
 from treextract.core import leaf_row, split_row
 from treextract.extract import SplitCandidate, gini_term
-from treextract.gmm import EM_LOGLIK_TOL, TAIL_CUTOFF, _categorical
-from treextract import gmm as gmm_mod
+from treextract.gmm import EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical
 
 
 def dataset(features, labels=None, m=None) -> Dataset:
@@ -258,7 +257,7 @@ def _reference_em_run(X, Z, k, floor, rng, log_scale):
     resp /= resp.sum(axis=0)
     Z2 = Z * Z
     loglik, history = -np.inf, []
-    for _ in range(gmm_mod.EM_MAX_ITERS):
+    for _ in range(EM_MAX_ITERS):
         nk = np.maximum(resp.sum(axis=1), 1e-10)
         w = nk / n
         mu = (resp @ Z) / nk[:, None]

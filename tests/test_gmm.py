@@ -407,10 +407,12 @@ def _em_case_data(kind, seed, n, d):
 
 
 # (kind, seed, n, d, k, n_init) inputs on which the restarts stop at
-# different iterations, some run to EM_MAX_ITERS, a component is dropped,
-# and equal final log-likelihoods come from different fits.
+# different iterations, the winner stops before another restart does, all
+# run to EM_MAX_ITERS, a component is dropped, and equal final
+# log-likelihoods come from different fits.
 EM_CASES = {
     "stops_differ": ("uniform", 0, 300, 1, 6, 4),
+    "winner_stops_first": ("uniform", 0, 60, 2, 3, 3),
     "max_iters": ("uniform", 3, 300, 1, 6, 4),
     "collapse": ("collapse", 0, 20, 2, 3, 2),
     "tie": ("tie", 0, 60, 2, 2, 4),
@@ -442,6 +444,7 @@ class TestLockstepRestarts:
                      st.integers(0, 2 ** 32 - 1), st.integers(5, 300), st.integers(1, 5),
                      st.integers(1, 6), st.integers(1, 4)))
     @example(EM_CASES["stops_differ"])
+    @example(EM_CASES["winner_stops_first"])
     @example(EM_CASES["max_iters"])
     @example(EM_CASES["collapse"])
     @example(EM_CASES["tie"])
@@ -453,12 +456,15 @@ class TestLockstepRestarts:
         assert hist == ref_hist and caught == ref_caught
 
     def test_cases_reach_each_situation(self):
-        runs = {name: _fit_both(case)[1] for name, case in EM_CASES.items()}
-        iters = [it for _, it, _ in runs["stops_differ"][0][2]]
+        ref = {name: _fit_both(case)[1] for name, case in EM_CASES.items()}
+        restarts = {name: r[0][2] for name, r in ref.items()}  # (loglik, iterations, means)
+        iters = [it for _, it, _ in restarts["stops_differ"]]
         assert len(set(iters)) > 1 and min(iters) < gmm_mod.EM_MAX_ITERS
-        assert all(it == gmm_mod.EM_MAX_ITERS for _, it, _ in runs["max_iters"][0][2])
-        assert runs["collapse"][2] == ["dropping 1 degenerate mixture component(s)"]
-        (first, _, mu0), *rest = runs["tie"][0][2]
+        runs = restarts["winner_stops_first"]
+        assert max(runs, key=lambda run: run[0])[1] < max(it for _, it, _ in runs)
+        assert all(it == gmm_mod.EM_MAX_ITERS for _, it, _ in restarts["max_iters"])
+        assert ref["collapse"][2] == ["dropping 1 degenerate mixture component(s)"]
+        (first, _, mu0), *rest = restarts["tie"]
         assert any(ll == first and not np.array_equal(mu, mu0) for ll, _, mu in rest)
 
 
