@@ -54,8 +54,9 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> Decisi
     set is drawn from the unconditional mixture and filtered by the node's
     box, so a node of mass Z accepts roughly Z of its draws. The shared
     budget, cfg.total_sample_budget, counts raw draws (the active extractor
-    labels every draw, so its recorded budget equals its draw count); once
-    it is spent, remaining frontier leaves get no data and finalize as
+    labels every draw, so its recorded budget equals its draw count, and
+    both skip the priority draws of the two leaves no commit could follow);
+    once it is spent, remaining frontier leaves get no data and finalize as
     leaves. Only accepted points are ever labeled, so blackbox calls never
     exceed the budget; cfg.prune is refused, as pruning would label more.
     """

@@ -231,8 +231,10 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
     popped and commit(i, region, split) returns None, which keeps it a leaf
     with cached_gain 0, or ((dim, threshold), ((left_leaf, left_region),
     (right_leaf, right_region))), which splits it at x_dim <= threshold into
-    the two new leaves; each child whose region is not None is scored in
-    turn. Returns the tree's rows for DecisionTree.from_rows and each node's
+    the two new leaves. A leaf is scored only if its region is not None and
+    another commit could still follow the one that made it: the root when
+    max_nodes >= 3, a commit's children when two more nodes fit after them.
+    Returns the tree's rows for DecisionTree.from_rows and each node's
     scored gain (0 for nodes never scored).
     """
     rows: list = []
@@ -249,7 +251,7 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
             heapq.heappush(heap, (-gain, next(order), i, region, split))
         return i
 
-    add(root, region)
+    add(root, region if max_nodes >= 3 else None)
     while heap and len(rows) + 2 <= max_nodes:
         _, _, i, region, split = heapq.heappop(heap)
         grown = commit(i, region, split)
@@ -257,7 +259,8 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
             rows[i] = rows[i][:-1] + (0.0,)  # stays a leaf, with cached_gain 0
         else:
             (dim, threshold), children = grown
-            ids = [add(*child) for child in children]
+            room = len(rows) + 4 <= max_nodes  # another commit fits after these two
+            ids = [add(leaf, r if room else None) for leaf, r in children]
             rows[i] = split_row(dim, threshold, *ids, len(root[1]))
     return rows, gains
 
@@ -269,10 +272,12 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     """The active extractor and the rejection-sampling baseline on the
     shared frontier loop; draw supplies each node's sample set.
 
-    A region is the model conditioned on a leaf's path box. Each leaf is
-    scored on one sample set and its split committed from a second,
-    independent one. A model whose dimension differs from the blackbox's
-    is refused before the first draw.
+    A region is the model conditioned on a leaf's path box. Each leaf that
+    a later commit could still split is scored on one sample set, and a
+    split is committed from a second, independent one. The budget counts
+    the root's label sample, one per scored leaf and one per commit. A
+    model whose dimension differs from the blackbox's is refused before the
+    first draw.
     """
     _check_dims(gmm, f)
     d, m = f.d, f.m
@@ -324,8 +329,11 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     the conditional input distribution at that node, so deep nodes receive
     the same sample budget as the root. Deterministic given cfg.seed. The
     total number of blackbox evaluations is recorded on the returned tree's
-    budget field; a raw-draw budget in cfg is refused, as nothing here
-    would spend it.
+    budget field: samples_per_node for the root label, for each commit and
+    for each leaf scored, which is every leaf with mass but the two
+    children of a commit that fills max_nodes (pruning labels 2 *
+    samples_per_node more, unrecorded). A raw-draw budget in cfg is
+    refused, as nothing here would spend it.
     """
     if cfg.total_sample_budget is not None:
         raise ConfigError("extract_tree takes no total_sample_budget (born-again's)")

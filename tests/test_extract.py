@@ -269,8 +269,11 @@ class TestExtractTree:
         estimations = int(np.sum(tree.feature < 0)) + expansions
         assert tree.budget <= 2 * n * (expansions + estimations)
         # Root labeling + one priority estimate per created leaf + one commit
-        # per expansion, n points each.
-        assert tree.budget == n * (1 + (1 + 2 * expansions) + expansions)
+        # per expansion, n points each, less the two children of the commit
+        # that fills the tree: no commit could follow theirs, so they are
+        # never scored.
+        assert tree.size == 7
+        assert tree.budget == n * (1 + (1 + 2 * expansions - 2) + expansions)
 
     def test_deterministic_given_seed(self, gmm_2d):
         f = FunctionBlackbox(lambda X: ((X[:, 0] <= 0) & (X[:, 1] > -0.5)).astype(int), 2, 2)
@@ -289,16 +292,18 @@ class TestExtractTree:
                 X[:, 0] = cm.box.upper[0] + 1.0
             return X
 
+        # At 5 nodes the root's children are scored, so a bounded box is drawn.
         with pytest.raises(SamplerError, match="escaped its node box"):
-            grow_tree(gmm_2d, f, ExtractionConfig(3, 100, seed=0),
+            grow_tree(gmm_2d, f, ExtractionConfig(5, 100, seed=0),
                       np.random.default_rng(0), draw)
 
     def test_zero_mass_child_is_an_unscored_leaf(self, gmm_2d, monkeypatch):
         # A child whose conditioning finds no mass keeps the label and class
         # histogram of its side of the parent's split, with mass 0, and draws
-        # no sample: the 3-node tree costs one node sample less.
+        # no sample: the 3-node tree costs one node sample less. At 5 nodes
+        # the root's children would be scored; min_gain keeps them leaves.
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0.3).astype(int), 2, 2)
-        cfg = ExtractionConfig(3, 200, seed=5)
+        cfg = ExtractionConfig(5, 200, seed=5, min_gain=0.1)
         full = extract_tree(gmm_2d, f, cfg)
         condition = extract.condition
 

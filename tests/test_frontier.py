@@ -89,7 +89,7 @@ class TestGrowBestFirst:
             return (0, float(i)), ((_leaf(0), region), (_leaf(1), None))
 
         cols, gains = _grow(_leaf(), "box", score, commit, 9)
-        assert scored == [0, 1, 3, 5, 7]
+        assert scored == [0, 1, 3, 5]  # 7 is the last commit's child: never scored
         assert len(cols["feature"]) == 9
         assert [gains[i] for i in (2, 4, 6, 8)] == [0.0] * 4
         assert all(cols["cached_gain"][[2, 4, 6, 8]] == 0.0)
