@@ -21,7 +21,10 @@ from helpers import dataset, two_box_benchmark
 # the oracle's gains, recorded before the builders shared one frontier loop;
 # sha256 digests of fixed-seed synthetic-RF, cart-pole and forest documents,
 # recorded before trees were stored as parallel arrays and again when EM
-# moved to standardized coordinates (every tree kept its structure).
+# moved to standardized coordinates (every tree kept its structure). All tree
+# documents were re-recorded when the final commit's two children stopped
+# being scored: ours, CART and the oracle changed only in budget and those
+# leaves' cached_gain; pruned and born-again trees follow the shifted draws.
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
            "cached_gain")
