@@ -1,4 +1,6 @@
 """Builders and reference implementations that only the tests need."""
+import heapq
+import itertools
 import math
 import warnings
 
@@ -121,6 +123,34 @@ def split_fields(cand):
         return None
     return (cand.dim, repr(cand.threshold), repr(cand.gain), cand.left_label,
             cand.right_label, cand.left_hist.tobytes(), cand.right_hist.tobytes())
+
+
+def reference_grow_best_first(root, region, score, commit, max_nodes, min_gain=0.0):
+    """The best-first frontier loop that scores every leaf with a region,
+    including the children of the commit that fills max_nodes, which no
+    commit can follow. Same arguments and returns as grow_best_first."""
+    rows, gains, heap, order = [], [], [], itertools.count()
+
+    def add(leaf, region):
+        i = len(rows)
+        gain, split = (0.0, None) if region is None else score(i, region)
+        rows.append(leaf_row(*leaf, max(gain, 0.0)))
+        gains.append(gain)
+        if split is not None and gain > min_gain:
+            heapq.heappush(heap, (-gain, next(order), i, region, split))
+        return i
+
+    add(root, region)
+    while heap and len(rows) + 2 <= max_nodes:
+        _, _, i, region, split = heapq.heappop(heap)
+        grown = commit(i, region, split)
+        if grown is None:
+            rows[i] = rows[i][:-1] + (0.0,)
+        else:
+            (dim, threshold), children = grown
+            ids = [add(*child) for child in children]
+            rows[i] = split_row(dim, threshold, *ids, len(root[1]))
+    return rows, gains
 
 
 def two_box_benchmark():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treextract import baselines, evaluate, extract
 from treextract import (EMConfig, ExtractionConfig, RandomForestConfig,
                         born_again_extract, cart_extract, collect_states,
                         extract_tree, fit_em, make_imbalanced_classification,
@@ -15,7 +17,7 @@ from treextract.evaluate import (cartpole_task, exact_greedy_oracle, synthetic_r
                                  three_box_benchmark)
 from treextract.extract import grow_best_first
 
-from helpers import dataset, two_box_benchmark
+from helpers import dataset, reference_grow_best_first, two_box_benchmark
 
 # tree_to_doc documents of fixed-seed 7-node trees on three_box_benchmark and
 # the oracle's gains, recorded before the builders shared one frontier loop;
@@ -116,6 +118,54 @@ class TestGrowBestFirst:
         for k in (1, 3, 7, 11):
             oracle = exact_greedy_oracle(gmm, bb, k)
             assert sorted(oracle.gains) == list(range(oracle.tree.size))
+
+
+def _build_recording(loop, builder, problem, size, n, seed):
+    """One builder's tree on a benchmark, grown by loop in place of
+    grow_best_first, and the ids of the leaves its score calls rated."""
+    gmm, bb = problem()
+    scored = []
+
+    def recording(root, region, score, commit, max_nodes, min_gain=0.0):
+        def rated(i, r):
+            scored.append(i)
+            return score(i, r)
+        return loop(root, region, rated, commit, max_nodes, min_gain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (extract, baselines, evaluate):
+            mp.setattr(module, "grow_best_first", recording)
+        if builder == "ours":
+            tree = extract_tree(gmm, bb, ExtractionConfig(size, n, seed=seed))
+        elif builder == "cart":
+            tree = cart_extract(dataset(sample(gmm, np.random.default_rng(seed), n)), bb, size)
+        else:
+            tree = exact_greedy_oracle(gmm, bb, size).tree
+    return tree, scored
+
+
+class TestUnscoredFinalLeaves:
+    @settings(max_examples=40, deadline=None)
+    @given(builder=st.sampled_from(["ours", "cart", "oracle"]),
+           problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
+           size=st.integers(0, 7).map(lambda k: 2 * k + 1), n=st.integers(20, 500),
+           seed=st.integers(0, 2 ** 16))
+    def test_same_tree_as_the_loop_that_scores_every_leaf(self, builder, problem, size, n,
+                                                           seed):
+        ref, ref_scored = _build_recording(reference_grow_best_first, builder, problem,
+                                           size, n, seed)
+        tree, scored = _build_recording(grow_best_first, builder, problem, size, n, seed)
+        for col in COLUMNS[:-1]:
+            assert np.array_equal(getattr(tree, col), getattr(ref, col)), col
+        # The reference scores every leaf with a region. Leaf i's batch (the
+        # root alone, or i and its sibling) ends at id i + i % 2, and another
+        # commit fits after it while i + i % 2 + 3 <= size.
+        assert scored == [i for i in ref_scored if i + i % 2 + 3 <= size]
+        unscored = sorted(set(ref_scored) - set(scored))
+        changed = np.flatnonzero(tree.cached_gain != ref.cached_gain)
+        assert set(changed) <= set(unscored) and not tree.cached_gain[unscored].any()
+        spared = n * len(unscored) if builder == "ours" else 0
+        assert tree.budget == (None if ref.budget is None else ref.budget - spared)
 
 
 def _pinned_builds():
