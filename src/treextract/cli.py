@@ -48,6 +48,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _k_arg(text: str) -> str:
+    """'auto' (the BIC search) or a component count >= 1, checked as text."""
+    if text != "auto" and not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {text!r}")
+    return text
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="treextract",
                      description="Extract decision-tree explanations from blackbox models")
@@ -56,7 +63,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit-gmm", parents=[], help="fit the Gaussian mixture input model")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--schema", default=None, help="column schema JSON")
-    p.add_argument("--k", default="auto", help="component count or 'auto' (BIC)")
+    p.add_argument("--k", type=_k_arg, default="auto", help="component count or 'auto' (BIC)")
     p.add_argument("--n-init", type=int, default=4)
     p.add_argument("--x-max", type=float, default=None,
                    help="truncate the model to the box ||x||_inf <= x_max")

@@ -199,10 +199,20 @@ class TestPipeline:
         assert not (workdir / "gmm.json").exists()
 
     def test_config_error_exits_1(self, workdir, synthetic_spec, capsys):
-        # fit_em raises ConfigError for k < 1; that is bad input, not a crash.
-        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "0",
+        # fit_em raises ConfigError for k above the 200 rows; that is bad
+        # input, not a crash.
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "500",
                             "--out", "gmm.json"], capsys)
         assert code == 1 and "internal error" not in err and "error:" in err
+        assert not (workdir / "gmm.json").exists()
+
+    @pytest.mark.parametrize("k", ["2.5", "abc", "0", "-1"])
+    def test_bad_k_exits_1_before_reading_data(self, workdir, capsys, k):
+        # No CSV exists, so only a parse of --k can give this error.
+        code, _, err = run(["fit-gmm", "--data", "missing.csv", "--k", k,
+                            "--out", "gmm.json"], capsys)
+        assert code == 1 and "internal error" not in err
+        assert f"argument --k: expected 'auto' or an integer >= 1, got {k!r}" in err
         assert not (workdir / "gmm.json").exists()
 
     @pytest.mark.parametrize("flag,message", [
