@@ -380,8 +380,9 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
            history_out: Optional[list] = None) -> GaussianMixture:
     """Fit a diagonal-covariance mixture to an (n, d) X by k-means++-seeded EM.
 
-    Runs cfg.n_init restarts in lockstep, each step one stacked call over a
-    (restart, component, point) array. Each restart stops at its own
+    Runs cfg.n_init restarts (one at k = 1, where all would be the same) in
+    lockstep, each step one stacked call over a (restart, component, point)
+    array. Each restart stops at its own
     iteration, and its fit equals the restart run on its own bit for bit.
     Keeps the best final log-likelihood, the first of equals; deterministic
     given cfg.seed. Components whose weight collapses below 1e-8 are dropped
@@ -405,10 +406,12 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
     Z2 = Z * Z
     # Variance floor: 1e-6 of each dimension's squared data range (at least 1e-3).
     floor = 1e-6 * np.maximum(spread, 1e-3) ** 2 / scale ** 2
-    # (restart, component, point), restart r seeded by its own generator.
+    # (restart, component, point), restart r seeded by its own generator. At
+    # k = 1 every restart starts from the same responsibilities, so one runs.
+    restarts = range(cfg.n_init if k > 1 else 1)
     resp = np.stack([_kmeanspp_resp(X, k, np.random.default_rng([cfg.seed, r]))
-                     for r in range(cfg.n_init)])
-    live = list(range(cfg.n_init))  # the restarts still iterating, in order
+                     for r in restarts])
+    live = list(restarts)  # the restarts still iterating, in order
     # Each restart's standardized log-likelihoods after a -inf start, and
     # its latest (w, mu, sd).
     hists, fits = [[-np.inf] for _ in live], {}
@@ -433,7 +436,7 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
                 break
             live, logp, norm = [live[i] for i in keep], logp[keep], norm[keep]
         resp = np.exp(logp - norm[:, None])
-    best = max(range(cfg.n_init), key=lambda r: hists[r][-1])  # the first of equals
+    best = max(restarts, key=lambda r: hists[r][-1])  # the first of equals
     w, mu, sd = fits[best]
     if history_out is not None:
         # In the data's units: the standardized log-likelihood minus n log|scale|.

@@ -468,6 +468,24 @@ class TestLockstepRestarts:
         assert any(ll == first and not np.array_equal(mu, mu0) for ll, _, mu in rest)
 
 
+    def test_one_restart_at_k_1(self, monkeypatch):
+        """At k = 1 every restart starts from the same responsibilities: four
+        restarts fit byte for byte as one does, history included, and only
+        one is seeded."""
+        X = np.random.default_rng(3).normal(size=(200, 3)) * [1.0, 5.0, 0.1]
+        fits = []
+        for n_init in (1, 4):
+            hist = []
+            g = fit_em(X, 1, EMConfig(seed=7, n_init=n_init), history_out=hist)
+            fits.append((g.weights.tobytes(), g.means.tobytes(), g.stddevs.tobytes(), hist))
+        assert fits[1] == fits[0]
+        seeded, seed_resp = [], gmm_mod._kmeanspp_resp
+        monkeypatch.setattr(gmm_mod, "_kmeanspp_resp",
+                            lambda X, k, rng: seeded.append(k) or seed_resp(X, k, rng))
+        fit_em(X, 1, EMConfig(seed=7, n_init=4))
+        assert seeded == [1]
+
+
 def _offset_data():
     """2,000 points: sd 0.01 at offset 1e6 and sd 1 at offset 1e8, with the
     sample moments set exactly so that the truth is the generating values."""
