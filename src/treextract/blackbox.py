@@ -7,6 +7,7 @@ predict((n, d) array) -> (n,) int labels.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,13 +52,10 @@ class BoxBlackbox:
     def __post_init__(self):
         if len(self.boxes) != len(self.labels):
             raise InputError("boxes and labels must have equal length")
-        for b in self.boxes:
-            if b.d != self.d:
-                raise InputError("box dimension mismatch")
-        for i, a in enumerate(self.boxes):
-            for b in self.boxes[i + 1:]:
-                if a.intersect(b) is not None:
-                    raise InputError("boxes must be pairwise disjoint")
+        if any(b.d != self.d for b in self.boxes):
+            raise InputError("box dimension mismatch")
+        if any(a.intersect(b) is not None for a, b in itertools.combinations(self.boxes, 2)):
+            raise InputError("boxes must be pairwise disjoint")
         labels = tuple(int(v) for v in self.labels)
         if any(not 0 <= v < self.m for v in labels + (self.default_label,)):
             raise InputError("labels out of range")

@@ -68,11 +68,9 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     acc = float(np.trace(confusion) / X.shape[0])
     f1 = None
     if m == 2:
-        tp = confusion[positive_class, positive_class]
-        fp = confusion[1 - positive_class, positive_class]
-        fn = confusion[positive_class, 1 - positive_class]
-        denom = 2 * tp + fp + fn
-        f1 = float(2 * tp / denom) if denom > 0 else 0.0
+        p, q = positive_class, 1 - positive_class
+        tp, denom = confusion[p, p], 2 * confusion[p, p] + confusion[q, p] + confusion[p, q]
+        f1 = float(2 * tp / denom) if denom > 0 else 0.0  # 2 tp / (2 tp + fp + fn)
     return FidelityReport(acc, f1, X.shape[0], confusion, positive_class)
 
 
@@ -166,11 +164,8 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
     """Finite interval inside the box covering all relevant mixture mass."""
     env_lo = float(np.min(gmm.means[:, dim] - 12.0 * gmm.stddevs[:, dim]))
     env_hi = float(np.max(gmm.means[:, dim] + 12.0 * gmm.stddevs[:, dim]))
-    lo = max(box.lower[dim], env_lo)
-    hi = min(box.upper[dim], env_hi)
-    if lo >= hi:
-        lo, hi = env_lo, env_hi
-    return lo, hi
+    lo, hi = max(box.lower[dim], env_lo), min(box.upper[dim], env_hi)
+    return (lo, hi) if lo < hi else (env_lo, env_hi)
 
 
 def _best_exact_split(gmm, bb, box, parent_h: float):

@@ -66,9 +66,8 @@ class GaussianMixture:
         if not np.all((sd > 0) & (sd < np.inf)):
             raise InputError("stddevs must be finite and strictly positive")
         _check_x_max(self.x_max)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "stddevs", sd)
+        for name, a in (("weights", w), ("means", mu), ("stddevs", sd)):
+            object.__setattr__(self, name, a)
 
     @property
     def k(self) -> int:
@@ -135,8 +134,7 @@ def _log_domain_mass(gmm: GaussianMixture) -> float:
     return float(_log_masses(gmm, box.lower[None], box.upper[None])[1][0])
 
 
-def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
-                upper: np.ndarray) -> tuple:
+def _log_masses(gmm: GaussianMixture, lower: np.ndarray, upper: np.ndarray) -> tuple:
     """Log masses of T boxes under the untruncated mixture.
 
     lower and upper are (T, d) bounds. Returns the (T, K) per-component log
@@ -302,8 +300,7 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
     return float(min(max(x, np.nextafter(lo, np.inf)), hi))
 
 
-def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
-                       size: int) -> np.ndarray:
+def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw a (size, d) matrix of points from the conditional mixture.
 
     Every returned point satisfies the box exactly. The generator is read in

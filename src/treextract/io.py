@@ -182,10 +182,6 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
 def tree_to_doc(tree: DecisionTree) -> dict:
     nodes = []
     for i in range(tree.size):
@@ -285,7 +281,7 @@ def blackbox_from_doc(doc: dict):
 
 
 def save_json(path, doc: dict) -> None:
-    write_text_atomic(path, _dump(doc))
+    write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:
@@ -334,10 +330,7 @@ def export_dot(tree: DecisionTree, column_names: Optional[Sequence[str]] = None,
         if tree.feature[i] >= 0:
             label = f"{column_names[tree.feature[i]]} ≤ {tree.threshold[i]:g}"
             lines.append(f'  n{i} [shape=box, label="{label}"];')
-            edges.append(f"  n{i} -> n{tree.left[i]};")
-            edges.append(f"  n{i} -> n{tree.right[i]};")
+            edges += [f"  n{i} -> n{tree.left[i]};", f"  n{i} -> n{tree.right[i]};"]
         else:
             lines.append(f'  n{i} [shape=ellipse, label="{class_names[tree.label[i]]}"];')
-    lines.extend(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + edges + ["}"]) + "\n"
