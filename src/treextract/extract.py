@@ -273,11 +273,9 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     shared frontier loop; draw supplies each node's sample set.
 
     A region is the model conditioned on a leaf's path box. Each leaf that
-    a later commit could still split is scored on one sample set, and a
-    split is committed from a second, independent one. The budget counts
-    the root's label sample, one per scored leaf and one per commit. A
-    model whose dimension differs from the blackbox's is refused before the
-    first draw.
+    a later commit could still split is scored on one sample set, and each
+    split committed from a second, independent one. A model whose
+    dimension differs from the blackbox's is refused before the first draw.
     """
     _check_dims(gmm, f)
     d, m = f.d, f.m
@@ -328,12 +326,10 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     Every node's splits and labels are estimated from fresh i.i.d. samples of
     the conditional input distribution at that node, so deep nodes receive
     the same sample budget as the root. Deterministic given cfg.seed. The
-    total number of blackbox evaluations is recorded on the returned tree's
-    budget field: samples_per_node for the root label, for each commit and
-    for each leaf scored, which is every leaf with mass but the two
-    children of a commit that fills max_nodes (pruning labels 2 *
-    samples_per_node more, unrecorded). A raw-draw budget in cfg is
-    refused, as nothing here would spend it.
+    tree's budget field records its blackbox evaluations: samples_per_node
+    for the root label, each commit and each leaf scored, which is every
+    leaf with mass but the children of a commit that fills max_nodes. A
+    raw-draw budget in cfg is refused, as nothing here would spend it.
     """
     if cfg.total_sample_budget is not None:
         raise ConfigError("extract_tree takes no total_sample_budget (born-again's)")
