@@ -69,8 +69,8 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     f1 = None
     if m == 2:
         p, q = positive_class, 1 - positive_class
-        tp, denom = confusion[p, p], 2 * confusion[p, p] + confusion[q, p] + confusion[p, q]
-        f1 = float(2 * tp / denom) if denom > 0 else 0.0  # 2 tp / (2 tp + fp + fn)
+        tp, fp, fn = confusion[p, p], confusion[q, p], confusion[p, q]
+        f1 = float(2 * tp / (2 * tp + fp + fn)) if tp + fp + fn > 0 else 0.0
     return FidelityReport(acc, f1, X.shape[0], confusion, positive_class)
 
 

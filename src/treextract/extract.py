@@ -231,11 +231,10 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
     popped and commit(i, region, split) returns None, which keeps it a leaf
     with cached_gain 0, or ((dim, threshold), ((left_leaf, left_region),
     (right_leaf, right_region))), which splits it at x_dim <= threshold into
-    the two new leaves. A leaf is scored only if its region is not None and
-    another commit could still follow the one that made it: the root when
-    max_nodes >= 3, a commit's children when two more nodes fit after them.
-    Returns the tree's rows for DecisionTree.from_rows and each node's
-    scored gain (0 for nodes never scored).
+    the two new leaves. A leaf with a region is scored while another commit
+    could still follow: the root when max_nodes >= 3, a commit's children
+    when two more nodes fit after them. Returns the tree's rows for
+    DecisionTree.from_rows and each node's scored gain (0 if never scored).
     """
     rows: list = []
     gains: list = []

@@ -66,8 +66,9 @@ class GaussianMixture:
         if not np.all((sd > 0) & (sd < np.inf)):
             raise InputError("stddevs must be finite and strictly positive")
         _check_x_max(self.x_max)
-        for name, a in (("weights", w), ("means", mu), ("stddevs", sd)):
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", mu)
+        object.__setattr__(self, "stddevs", sd)
 
     @property
     def k(self) -> int:
@@ -134,7 +135,8 @@ def _log_domain_mass(gmm: GaussianMixture) -> float:
     return float(_log_masses(gmm, box.lower[None], box.upper[None])[1][0])
 
 
-def _log_masses(gmm: GaussianMixture, lower: np.ndarray, upper: np.ndarray) -> tuple:
+def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
+                upper: np.ndarray) -> tuple:
     """Log masses of T boxes under the untruncated mixture.
 
     lower and upper are (T, d) bounds. Returns the (T, K) per-component log
@@ -300,7 +302,8 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
     return float(min(max(x, np.nextafter(lo, np.inf)), hi))
 
 
-def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
+                       size: int) -> np.ndarray:
     """Draw a (size, d) matrix of points from the conditional mixture.
 
     Every returned point satisfies the box exactly. The generator is read in
@@ -379,12 +382,12 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
 
     Runs cfg.n_init restarts (one at k = 1, where all would be the same) in
     lockstep, each step one stacked call over a (restart, component, point)
-    array. Each restart stops at its own
-    iteration, and its fit equals the restart run on its own bit for bit.
-    Keeps the best final log-likelihood, the first of equals; deterministic
-    given cfg.seed. Components whose weight collapses below 1e-8 are dropped
-    with a warning. history_out, when given, receives the winner's
-    log-likelihood sequence (one entry per iteration).
+    array. Each restart stops at its own iteration, and its fit equals the
+    restart run on its own bit for bit. Keeps the best final log-likelihood,
+    the first of equals; deterministic given cfg.seed. Components whose
+    weight collapses below 1e-8 are dropped with a warning. history_out,
+    when given, receives the winner's log-likelihood sequence (one entry per
+    iteration).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or not np.isfinite(X).all():
