@@ -292,6 +292,13 @@ class TabularPolicy:
         return self.actions[self.cell_index(X)]
 
 
+def greedy_actions(q: np.ndarray, discount: float) -> np.ndarray:
+    """Action 1 where q[:, 1] exceeds q[:, 0] by more than 1e-9 / (1 - discount), else 0."""
+    # Q-values reach 1 / (1 - discount), so a smaller gap is rounding: a tie,
+    # which goes left (action 0) whatever order the sums were taken in.
+    return (q[:, 1] - q[:, 0] > 1e-9 / (1.0 - discount)).astype(np.int64)
+
+
 def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
                  residuals_out: Optional[list] = None) -> TabularPolicy:
     """Estimate cell-to-cell transitions by sampling and run value iteration.
@@ -301,10 +308,10 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
     transition. Slabs of at most POLICY_SLAB_TRANSITIONS transitions (one
     cell or more) are simulated in cell order, which keeps the one-batch rng
     draws, and counted once per distinct (pair, next cell); each sweep is one
-    weighted bincount over those counts. Greedy action ties resolve to left
-    (action 0). residuals_out, when given, receives the per-sweep sup-norm
-    value changes. If VI_MAX_SWEEPS sweeps end above VI_TOL, a UserWarning
-    names the sweep count and the last residual.
+    weighted bincount over those counts. The actions are greedy_actions of
+    the final Q-values. residuals_out, when given, receives the per-sweep
+    sup-norm value changes. If VI_MAX_SWEEPS sweeps end above VI_TOL, a
+    UserWarning names the sweep count and the last residual.
     """
     shape, ns, n_cells = tuple(cfg.grid_sizes), cfg.n_transition_samples, math.prod(cfg.grid_sizes)
     rng = np.random.default_rng(cfg.seed)
@@ -343,7 +350,7 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
         warnings.warn(f"value iteration stopped after {VI_MAX_SWEEPS} sweeps at residual "
                       f"{residuals[-1]:.3g}, above VI_TOL = {VI_TOL:g}")
     q = q_values(values)
-    return TabularPolicy(stub.edges, (q[:, 1] > q[:, 0]).astype(np.int64), shape)
+    return TabularPolicy(stub.edges, greedy_actions(q, cfg.discount), shape)
 
 
 def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):

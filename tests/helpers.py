@@ -9,7 +9,7 @@ from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, ndtri_exp
 
 from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture,
                         TabularPolicy, sample)
-from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL
+from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions
 from treextract.core import leaf_row, split_row
 from treextract.extract import SplitCandidate, gini_term
 from treextract.gmm import EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical
@@ -263,7 +263,7 @@ def reference_learn_policy(sys, cfg):
         if residuals[-1] < VI_TOL:
             break
     q = np.mean(rewards + cfg.discount * values[gather], axis=2)
-    greedy = np.where(q[:, 0] >= q[:, 1], 0, 1).astype(np.int64)
+    greedy = greedy_actions(q, cfg.discount)  # the production tie rule
     return TabularPolicy(edges, greedy, tuple(cfg.grid_sizes)), q, residuals
 
 

@@ -344,6 +344,14 @@ class TestPolicy:
         clear = np.abs(q[:, 0] - q[:, 1]) > 1e-9
         assert np.array_equal(policy.actions[clear], ref.actions[clear])
 
+    def test_ties_go_left_in_both_sweeps(self):
+        """Saturated cells, whose Q-values agree only up to rounding, take
+        action 0 whatever the summation order: at grid 5^4 with 5 samples,
+        exact float comparisons split 4 cells between the two sweeps."""
+        cfg = PolicyConfig(grid_sizes=(5, 5, 5, 5), n_transition_samples=5)
+        ref, _, _ = reference_learn_policy(CartPoleSystem(), cfg)
+        assert np.array_equal(learn_policy(CartPoleSystem(), cfg).actions, ref.actions)
+
     @settings(max_examples=30, deadline=None)
     @given(grid=st.tuples(*[st.integers(2, 4)] * 4), samples=st.integers(1, 6),
            discount=st.floats(0.5, 0.99), seed=st.integers(0, 2 ** 32 - 1))
