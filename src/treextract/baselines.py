@@ -53,12 +53,13 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> Decisi
     Identical frontier loop to the active extractor, but each node's sample
     set is drawn from the unconditional mixture and filtered by the node's
     box, so a node of mass Z accepts roughly Z of its draws. The shared
-    budget, cfg.total_sample_budget, counts raw draws (the active extractor
-    labels every draw, so its recorded budget equals its draw count, and
-    both skip the priority draws of the two leaves no commit could follow);
-    once it is spent, remaining frontier leaves get no data and finalize as
-    leaves. Only accepted points are ever labeled, so blackbox calls never
-    exceed the budget; cfg.prune is refused, as pruning would label more.
+    budget, cfg.total_sample_budget, counts the raw draws of the priority
+    and commit samples, which the active extractor labels in full; the root
+    sample is drawn outside it. Once it is spent, remaining frontier leaves
+    get no data and finalize as leaves. Only accepted points are labeled,
+    and the root sample (when the root ends a leaf) only up to the budget
+    less the points labeled before, so blackbox calls never exceed the
+    budget; cfg.prune is refused, as pruning would label more.
     """
     if cfg.total_sample_budget is None or cfg.prune:
         raise ConfigError("born_again requires a total_sample_budget and no prune")
@@ -70,9 +71,7 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> Decisi
         # extractor would label there, bounded by the leftover budget.
         # Points outside the node's box are discarded unlabeled, so deep
         # nodes keep only about a Z fraction.
-        allowance = min(n_requested, remaining[0])
-        if allowance <= 0:
-            return np.empty((0, gmm.d))
+        allowance = min(n_requested, remaining[0])  # 0 draws nothing and reads no numbers
         X = sample(gmm, r, allowance)
         remaining[0] -= allowance
         return X[cm.box.contains_batch(X)]

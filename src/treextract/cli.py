@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", default=None)
     p.add_argument("--gmm", default=None, help="input model JSON (born-again)")
     p.add_argument("--samples-per-node", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="raw-draw budget (born-again)")
+    p.add_argument("--budget", type=int, default=None, help="born-again's raw draws, root excluded")
     p.add_argument("--out", required=True)
     _add_common(p)
 
@@ -180,10 +180,6 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
-def _echo_config(args) -> None:
-    print(json.dumps(vars(args), default=str, sort_keys=True), file=sys.stderr)
-
-
 def _load_features(path, schema_path):
     schema = tio.TableSchema.from_json(schema_path) if schema_path else None
     return tio.load_csv(path, schema)
@@ -207,8 +203,7 @@ def _load_blackbox(spec: str):
 def _cmd_fit_gmm(args) -> int:
     _check_x_max(args.x_max)  # before the data is read and every EM restart runs
     dataset, _ = _load_features(args.data, args.schema)
-    seed = _resolve_seed(args)
-    cfg = EMConfig(seed=seed, n_init=args.n_init)
+    cfg = EMConfig(seed=_resolve_seed(args), n_init=args.n_init)
     if args.k == "auto":
         gmm = select_k_bic(dataset.features, cfg=cfg)
     else:
@@ -352,7 +347,7 @@ def main(argv=None) -> int:
             sub = parser._subparsers._group_actions[0].choices[args.command]
             sub.set_defaults(**_read_config(args.config, sub))
             args = parser.parse_args(argv)
-        _echo_config(args)
+        print(json.dumps(vars(args), default=str, sort_keys=True), file=sys.stderr)
         return _COMMANDS[args.command](args)
     except (InputError, ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -362,9 +357,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

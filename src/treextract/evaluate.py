@@ -60,11 +60,9 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     if X.shape[0] == 0:
         raise InputError("test_points must be nonempty")
-    ref = _label_points(f, X, "fidelity")
-    pred = tree.predict_batch(X)
     m = tree.m
-    confusion = np.zeros((m, m), dtype=np.int64)
-    np.add.at(confusion, (ref, pred), 1)
+    ref, pred = _label_points(f, X, "fidelity"), tree.predict_batch(X)
+    confusion = np.bincount(ref * m + pred, minlength=m * m).reshape(m, m)
     acc = float(np.trace(confusion) / X.shape[0])
     f1 = None
     if m == 2:
@@ -182,11 +180,8 @@ def _best_exact_split(gmm, bb, box, parent_h: float):
     pieces = []  # (dim, a, b) for every smooth piece of every dimension
     for dim in range(bb.d):
         lo, hi = _search_interval(gmm, box, dim)
-        edges = set()
-        for b in bb.boxes:
-            for v in (b.lower[dim], b.upper[dim]):
-                if np.isfinite(v) and lo < v < hi:
-                    edges.add(float(v))
+        edges = {float(v) for b in bb.boxes for v in (b.lower[dim], b.upper[dim])
+                 if np.isfinite(v) and lo < v < hi}
         breaks = [lo] + sorted(edges) + [hi]
         pieces += [(dim, a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 0]
     if not pieces:

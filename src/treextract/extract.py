@@ -280,17 +280,19 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     d, m = f.d, f.m
     budget = 0
 
-    def draw_labeled(cm, context):
-        nonlocal budget
-        X = draw(cm, cfg.samples_per_node, rng)
+    def checked(cm, X, context):
         if X.shape[0] and not cm.box.contains_batch(X).all():
             raise SamplerError(f"sample escaped its node box ({context})")
-        y = _label_points(f, X, context)
+        return X
+
+    def labeled(X, context):
+        nonlocal budget
         budget += X.shape[0]
-        return X, y
+        return _label_points(f, X, context)
 
     def scan(cm, context):
-        return best_split_from_samples(*draw_labeled(cm, context), m, cm.Z, cfg.min_gain)
+        X = checked(cm, draw(cm, cfg.samples_per_node, rng), context)
+        return best_split_from_samples(X, labeled(X, context), m, cm.Z, cfg.min_gain)
 
     def score(i, cm):
         cand = scan(cm, f"priority estimate at node {i}")
@@ -312,10 +314,18 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
             children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
         return (cand.dim, cand.threshold), children
 
+    # The root's own sample is drawn first, so that every later draw is the
+    # same whether or not it is labelled, and labelled only if the root ends
+    # a leaf: a split drops the root's label. Until then the root carries a
+    # placeholder. Born-again labels at most its raw-draw budget less the
+    # points labelled so far, so its labels never exceed that budget.
     root = gmm.unconditional
-    root_label, root_hist = _majority(draw_labeled(root, "root")[1], m)
-    rows, _ = grow_best_first((root_label, root_hist, root.Z), root, score, commit,
+    X_root = checked(root, sample_conditional(root, rng, cfg.samples_per_node), "root")
+    rows, _ = grow_best_first((0, np.zeros(m), root.Z), root, score, commit,
                               cfg.max_nodes, cfg.min_gain)
+    if rows[0][0] < 0:
+        cap = None if cfg.total_sample_budget is None else cfg.total_sample_budget - budget
+        rows[0] = leaf_row(*_majority(labeled(X_root[:cap], "root"), m), root.Z, rows[0][-1])
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -326,8 +336,9 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     the conditional input distribution at that node, so deep nodes receive
     the same sample budget as the root. Deterministic given cfg.seed. The
     tree's budget field records its blackbox evaluations: samples_per_node
-    for the root label, each commit and each leaf scored, which is every
-    leaf with mass but the children of a commit that fills max_nodes. A
+    for each commit and each leaf scored, which is every leaf with mass but
+    the children of a commit that fills max_nodes, and for the root's label
+    when the root ends a leaf; cfg.prune adds its two validation sets. A
     raw-draw budget in cfg is refused, as nothing here would spend it.
     """
     if cfg.total_sample_budget is not None:
@@ -390,6 +401,7 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
     (error + alpha * size); alpha's tree collapses its nodes up to the first
     rate not below alpha. A second one selects the alpha whose tree has the
     highest fidelity; ties prefer the smaller tree, then the earlier alpha.
+    A recorded budget grows by the 2 * n_val points labelled here.
     """
     cm = gmm.unconditional
     X_prune = sample_conditional(cm, rng, n_val)
@@ -434,4 +446,5 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
         return my_id
 
     rebuild(0)
-    return DecisionTree.from_rows(rows, tree.d, tree.m, tree.budget)
+    budget = None if tree.budget is None else tree.budget + 2 * n_val
+    return DecisionTree.from_rows(rows, tree.d, tree.m, budget)

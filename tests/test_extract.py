@@ -268,12 +268,12 @@ class TestExtractTree:
         expansions = int(np.sum(tree.feature >= 0))
         estimations = int(np.sum(tree.feature < 0)) + expansions
         assert tree.budget <= 2 * n * (expansions + estimations)
-        # Root labeling + one priority estimate per created leaf + one commit
-        # per expansion, n points each, less the two children of the commit
-        # that fills the tree: no commit could follow theirs, so they are
-        # never scored.
+        # One priority estimate per created leaf + one commit per expansion,
+        # n points each, less the two children of the commit that fills the
+        # tree: no commit could follow theirs, so they are never scored. The
+        # root splits, so its own sample is never labelled.
         assert tree.size == 7
-        assert tree.budget == n * (1 + (1 + 2 * expansions - 2) + expansions)
+        assert tree.budget == n * ((2 * expansions - 1) + expansions)
 
     def test_deterministic_given_seed(self, gmm_2d):
         f = FunctionBlackbox(lambda X: ((X[:, 0] <= 0) & (X[:, 1] > -0.5)).astype(int), 2, 2)
@@ -397,6 +397,13 @@ class TestExtractTree:
         preds = pruned.predict_batch(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         assert preds[0] == 1 and preds[1] == 0
 
+    def test_prune_records_its_validation_labels(self):
+        gmm, bb = three_box_benchmark()
+        f, seen = _counting(bb)
+        tree = extract_tree(gmm, f, ExtractionConfig(7, 200, seed=4, prune=True))
+        unpruned = extract_tree(gmm, bb, ExtractionConfig(7, 200, seed=4))
+        assert tree.budget == sum(seen) == unpruned.budget + 2 * 200
+
     def test_gain_estimates_consistent_across_sample_sizes(self):
         """At the oracle-optimal split, estimates concentrate on the exact
         gain at every sample size, within four empirical standard errors."""
@@ -430,6 +437,54 @@ class TestExtractTree:
                             bb, test_points).accuracy for s in range(7)]
             medians.append(np.median(f1s))
         assert medians[0] <= medians[1] <= medians[2]
+
+
+@st.composite
+def node_and_raw_budgets(draw):
+    """samples_per_node, and a born-again raw-draw budget of 1 to 3 times it."""
+    n = draw(st.integers(10, 200))
+    return n, draw(st.integers(1, 3 * n))
+
+
+class TestBudgetCountsBlackboxPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(builder=st.sampled_from(["ours", "pruned", "born_again"]),
+           problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
+           size=st.integers(0, 3).map(lambda k: 2 * k + 1), budgets=node_and_raw_budgets(),
+           min_gain=st.sampled_from([0.0, 0.05, 0.2]), seed=st.integers(0, 2 ** 16))
+    def test_budget_equals_points_labelled(self, builder, problem, size, budgets, min_gain,
+                                           seed):
+        (n, raw), (gmm, bb) = budgets, problem()
+        f, seen = _counting(bb)
+        if builder == "born_again":
+            tree = born_again_extract(gmm, f, ExtractionConfig(
+                size, n, min_gain, seed, total_sample_budget=raw))
+            assert tree.budget <= raw
+        else:
+            tree = extract_tree(gmm, f, ExtractionConfig(size, n, min_gain, seed,
+                                                         prune=builder == "pruned"))
+        assert tree.budget == sum(seen)
+
+    def test_born_again_root_leaf_labels_only_what_is_left(self):
+        """At 3 nodes this root's commit comes back None (min_gain > 0), so
+        the root ends a leaf after its priority and commit samples have
+        spent the whole raw-draw budget of 2n: its own sample gets no label."""
+        gmm, bb = three_box_benchmark()
+        f, seen = _counting(bb)
+        tree = born_again_extract(gmm, f, ExtractionConfig(
+            3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
+        assert tree.size == 1 and tree.cached_gain[0] == 0.0
+        assert seen == [100, 100] and tree.budget == 200
+
+
+def _counting(f):
+    """f wrapped to record the size of each batch it labels."""
+    seen = []
+
+    def predict(X):
+        seen.append(len(X))
+        return f.predict(X)
+    return FunctionBlackbox(predict, f.d, f.m), seen
 
 
 def _trees_equal(a, b):
