@@ -27,6 +27,10 @@ from helpers import dataset, reference_grow_best_first, two_box_benchmark
 # documents were re-recorded when the final commit's two children stopped
 # being scored: ours, CART and the oracle changed only in budget and those
 # leaves' cached_gain; pruned and born-again trees follow the shifted draws.
+# Trees re-recorded, in budget only, when the root's own sample came to be
+# labelled only for a root that ends a leaf: ours and born-again budgets fall
+# by samples_per_node (their roots split), and pruned ones rise by it, as
+# pruning now records its two validation sets as well.
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
            "cached_gain")
