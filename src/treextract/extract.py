@@ -210,6 +210,8 @@ def _label_points(f, X, context: str) -> np.ndarray:
         raise BlackboxError(f"blackbox evaluation failed at {context}") from e
     if y.shape != (X.shape[0],):
         raise BlackboxError(f"blackbox returned shape {y.shape} at {context}")
+    if np.any((y < 0) | (y >= f.m)):
+        raise BlackboxError(f"blackbox returned a label outside [0, {f.m}) at {context}")
     return y
 
 
@@ -350,87 +352,41 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     return tree
 
 
-def _weakest_links(tree: DecisionTree, counts, on_path, n_val: int):
-    """Weakest-link pruning: collapse, one at a time, the internal node whose
-    per-leaf error increase rate is lowest, until none is left.
-
-    counts holds the class counts of the validation points reaching each
-    node, on_path[j, i] whether node i is on node j's root path. Returns the
-    nodes and rates in collapse order and each node's label, class
-    histogram and mass as a leaf. The subtree sums are reverse sweeps over
-    the node ids, as every child id exceeds its parent's.
-    """
-    n = tree.size
-    splits = np.flatnonzero(tree.feature >= 0)
-    reached = counts.sum(axis=1)
-    leaf_err = reached - counts[np.arange(n), tree.label]
-    mass = tree.mass.copy()
-    hist = tree.histogram * np.maximum(tree.mass, 1e-300)[:, None]
-    for i in splits[::-1]:
-        mass[i] = mass[tree.left[i]] + mass[tree.right[i]]
-        hist[i] = hist[tree.left[i]] + hist[tree.right[i]]
-    label = np.where(reached > 0, np.argmax(counts, axis=1), np.argmax(hist, axis=1))
-    collapse_err = reached - counts[np.arange(n), label]
-
-    collapsed = np.zeros(n, dtype=bool)
-    nodes, rates = [], []
-    while True:
-        # Error and leaf count of each subtree, treating collapsed nodes as leaves.
-        err = np.where(collapsed, collapse_err, leaf_err)
-        leaves = np.ones(n)
-        for i in splits[::-1]:
-            if not collapsed[i]:
-                err[i] = err[tree.left[i]] + err[tree.right[i]]
-                leaves[i] = leaves[tree.left[i]] + leaves[tree.right[i]]
-        live = splits[~(on_path[splits] & collapsed).any(axis=1)]
-        if live.size == 0:
-            return nodes, rates, label, hist, mass
-        # Collapsing trades (size shrink of 2*(leaves-1) nodes) against the
-        # validation error increase; scale per node of size removed.
-        g = (collapse_err[live] - err[live]) / max(n_val, 1) / (2.0 * (leaves[live] - 1))
-        nodes.append(live[np.argmin(g)])  # ties go to the lowest id
-        rates.append(g.min())
-        collapsed[nodes[-1]] = True
-
-
 def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.random.Generator,
           alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS) -> DecisionTree:
     """Cost-complexity pruning against fresh validation samples.
 
-    One fresh labeled sample set drives the weakest-link collapse sequence
-    (error + alpha * size); alpha's tree collapses its nodes up to the first
-    rate not below alpha. A second one selects the alpha whose tree has the
-    highest fidelity; ties prefer the smaller tree, then the earlier alpha.
-    A recorded budget grows by the 2 * n_val points labelled here.
+    One fresh labeled sample set prices each alpha's tree (error + alpha *
+    size) in one pass over the internal nodes, children before parents: a
+    node collapses when its validation error increase per node removed,
+    measured on the subtree already pruned beneath it, is below alpha
+    (Breiman et al. 1984, ch. 10). A second set selects the alpha whose tree
+    has the highest fidelity; ties prefer the smaller tree, then the earlier
+    alpha. A recorded budget grows by the 2 * n_val points labelled here.
     """
+    if n_val < 1 or len(alphas) == 0:
+        raise ConfigError("prune needs n_val >= 1 and at least one alpha")
     cm = gmm.unconditional
     X_prune = sample_conditional(cm, rng, n_val)
     y_prune = _label_points(f, X_prune, "prune")
     X_sel = sample_conditional(cm, rng, n_val)
     y_sel = _label_points(f, X_sel, "prune selection")
-    n = tree.size
-    on_path = np.eye(n, dtype=bool)
-    for i in np.flatnonzero(tree.feature >= 0):  # parents before children
-        on_path[[tree.left[i], tree.right[i]]] |= on_path[i]
-    # Class counts of the points reaching each node (whole numbers, so exact).
-    counts = on_path[tree.apply(X_prune)].T @ np.eye(tree.m)[y_prune]
-    nodes, rates, label, hist, mass = _weakest_links(tree, counts, on_path, n_val)
-    leaf_sel = tree.apply(X_sel)
-    best = None
-    for alpha in alphas:
-        # The nodes before the first rate not below alpha (all when none is).
-        collapsed = np.isin(np.arange(n), nodes[:np.argmax(np.append(rates, np.inf) >= alpha)])
-        cut = on_path & collapsed  # a point stops at its topmost (lowest-id) collapsed node
-        stop_label = np.where(cut.any(axis=1), label[np.argmax(cut, axis=1)], tree.label)
-        key = (-float(np.mean(stop_label[leaf_sel] == y_sel)),
-               n - np.count_nonzero(cut.sum(axis=1) > collapsed))  # fidelity, size
-        if best is None or key < best[0]:
-            best = (key, collapsed)
-    collapsed = best[1]
+    n, m, left, right = tree.size, tree.m, tree.left, tree.right
+    splits = np.flatnonzero(tree.feature >= 0)[::-1]  # children before parents
+    # Class counts of the points reaching each node (whole numbers, so
+    # exact), masses and mass-weighted histograms, summed up from the leaves.
+    counts = np.zeros((n, m))
+    np.add.at(counts, (tree.apply(X_prune), y_prune), 1.0)
+    mass = tree.mass.copy()
+    hist = tree.histogram * np.maximum(tree.mass, 1e-300)[:, None]
+    for i in splits:
+        for a in (counts, mass, hist):
+            a[i] = a[left[i]] + a[right[i]]
+    reached = counts.sum(axis=1)
+    label = np.where(reached > 0, np.argmax(counts, axis=1), np.argmax(hist, axis=1))
+    collapse_err = reached - counts[np.arange(n), label]
 
-    rows: list = []  # the selected tree, rebuilt in preorder
-
-    def rebuild(i):
+    def rebuild(i, collapsed, rows):  # the pruned subtree at node i, in preorder
         my_id = len(rows)
         if tree.feature[i] < 0:
             rows.append(leaf_row(tree.label[i], tree.histogram[i], tree.mass[i],
@@ -438,13 +394,28 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
         elif collapsed[i]:
             total = hist[i].sum()
             rows.append(leaf_row(label[i], hist[i] / total if total > 0 else
-                                 np.full(tree.m, 1.0 / tree.m), mass[i]))
+                                 np.full(m, 1.0 / m), mass[i]))
         else:
             rows.append(None)
-            left, right = rebuild(tree.left[i]), rebuild(tree.right[i])
-            rows[my_id] = split_row(tree.feature[i], tree.threshold[i], left, right, tree.m)
+            kids = rebuild(left[i], collapsed, rows), rebuild(right[i], collapsed, rows)
+            rows[my_id] = split_row(tree.feature[i], tree.threshold[i], *kids, m)
         return my_id
 
-    rebuild(0)
     budget = None if tree.budget is None else tree.budget + 2 * n_val
-    return DecisionTree.from_rows(rows, tree.d, tree.m, budget)
+    best = None
+    for alpha in alphas:
+        # Validation error and leaf count of each subtree as pruned so far.
+        err, leaves = reached - counts[np.arange(n), tree.label], np.ones(n)
+        collapsed = np.zeros(n, dtype=bool)
+        for i in splits:
+            err[i], leaves[i] = err[left[i]] + err[right[i]], leaves[left[i]] + leaves[right[i]]
+            # The error increase per node of the 2 * (leaves - 1) removed.
+            if (collapse_err[i] - err[i]) / n_val / (2.0 * (leaves[i] - 1)) < alpha:
+                collapsed[i], err[i], leaves[i] = True, collapse_err[i], 1.0
+        rows: list = []
+        rebuild(0, collapsed, rows)
+        pruned = DecisionTree.from_rows(rows, tree.d, m, budget)
+        key = (-float(np.mean(pruned.predict_batch(X_sel) == y_sel)), pruned.size)
+        if best is None or key < best[0]:
+            best = (key, pruned)
+    return best[1]

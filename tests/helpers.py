@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, ndtri_exp
@@ -11,8 +12,10 @@ from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, Gauss
                         TabularPolicy, sample)
 from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions
 from treextract.core import leaf_row, split_row
-from treextract.extract import SplitCandidate, gini_term
-from treextract.gmm import EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical
+from treextract.extract import (DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points,
+                                gini_term)
+from treextract.gmm import (EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical,
+                            sample_conditional)
 
 
 def dataset(features, labels=None, m=None) -> Dataset:
@@ -151,6 +154,110 @@ def reference_grow_best_first(root, region, score, commit, max_nodes, min_gain=0
             ids = [add(*child) for child in children]
             rows[i] = split_row(dim, threshold, *ids, len(root[1]))
     return rows, gains
+
+
+def _reference_weakest_links(tree: DecisionTree, counts, on_path, n_val: int):
+    """Weakest-link pruning: collapse, one at a time, the internal node whose
+    per-leaf error increase rate is lowest, until none is left.
+
+    counts holds the class counts of the validation points reaching each
+    node, on_path[j, i] whether node i is on node j's root path. Returns the
+    nodes and rates in collapse order and each node's label, class
+    histogram and mass as a leaf. The subtree sums are reverse sweeps over
+    the node ids, as every child id exceeds its parent's.
+    """
+    n = tree.size
+    splits = np.flatnonzero(tree.feature >= 0)
+    reached = counts.sum(axis=1)
+    leaf_err = reached - counts[np.arange(n), tree.label]
+    mass = tree.mass.copy()
+    hist = tree.histogram * np.maximum(tree.mass, 1e-300)[:, None]
+    for i in splits[::-1]:
+        mass[i] = mass[tree.left[i]] + mass[tree.right[i]]
+        hist[i] = hist[tree.left[i]] + hist[tree.right[i]]
+    label = np.where(reached > 0, np.argmax(counts, axis=1), np.argmax(hist, axis=1))
+    collapse_err = reached - counts[np.arange(n), label]
+
+    collapsed = np.zeros(n, dtype=bool)
+    nodes, rates = [], []
+    while True:
+        # Error and leaf count of each subtree, treating collapsed nodes as leaves.
+        err = np.where(collapsed, collapse_err, leaf_err)
+        leaves = np.ones(n)
+        for i in splits[::-1]:
+            if not collapsed[i]:
+                err[i] = err[tree.left[i]] + err[tree.right[i]]
+                leaves[i] = leaves[tree.left[i]] + leaves[tree.right[i]]
+        live = splits[~(on_path[splits] & collapsed).any(axis=1)]
+        if live.size == 0:
+            return nodes, rates, label, hist, mass
+        # Collapsing trades (size shrink of 2*(leaves-1) nodes) against the
+        # validation error increase; scale per node of size removed.
+        g = (collapse_err[live] - err[live]) / max(n_val, 1) / (2.0 * (leaves[live] - 1))
+        nodes.append(live[np.argmin(g)])  # ties go to the lowest id
+        rates.append(g.min())
+        collapsed[nodes[-1]] = True
+
+
+def reference_prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int,
+                    rng: np.random.Generator,
+                    alphas: Sequence[float] = DEFAULT_PRUNE_ALPHAS) -> DecisionTree:
+    """Cost-complexity pruning against fresh validation samples.
+
+    Reference for extract.prune, which prices each alpha in one bottom-up
+    pass instead of building the collapse sequence and path matrix.
+
+    One fresh labeled sample set drives the weakest-link collapse sequence
+    (error + alpha * size); alpha's tree collapses its nodes up to the first
+    rate not below alpha. A second one selects the alpha whose tree has the
+    highest fidelity; ties prefer the smaller tree, then the earlier alpha.
+    A recorded budget grows by the 2 * n_val points labelled here.
+    """
+    cm = gmm.unconditional
+    X_prune = sample_conditional(cm, rng, n_val)
+    y_prune = _label_points(f, X_prune, "prune")
+    X_sel = sample_conditional(cm, rng, n_val)
+    y_sel = _label_points(f, X_sel, "prune selection")
+    n = tree.size
+    on_path = np.eye(n, dtype=bool)
+    for i in np.flatnonzero(tree.feature >= 0):  # parents before children
+        on_path[[tree.left[i], tree.right[i]]] |= on_path[i]
+    # Class counts of the points reaching each node (whole numbers, so exact).
+    counts = on_path[tree.apply(X_prune)].T @ np.eye(tree.m)[y_prune]
+    nodes, rates, label, hist, mass = _reference_weakest_links(tree, counts, on_path, n_val)
+    leaf_sel = tree.apply(X_sel)
+    best = None
+    for alpha in alphas:
+        # The nodes before the first rate not below alpha (all when none is).
+        collapsed = np.isin(np.arange(n), nodes[:np.argmax(np.append(rates, np.inf) >= alpha)])
+        cut = on_path & collapsed  # a point stops at its topmost (lowest-id) collapsed node
+        stop_label = np.where(cut.any(axis=1), label[np.argmax(cut, axis=1)], tree.label)
+        key = (-float(np.mean(stop_label[leaf_sel] == y_sel)),
+               n - np.count_nonzero(cut.sum(axis=1) > collapsed))  # fidelity, size
+        if best is None or key < best[0]:
+            best = (key, collapsed)
+    collapsed = best[1]
+
+    rows: list = []  # the selected tree, rebuilt in preorder
+
+    def rebuild(i):
+        my_id = len(rows)
+        if tree.feature[i] < 0:
+            rows.append(leaf_row(tree.label[i], tree.histogram[i], tree.mass[i],
+                                 tree.cached_gain[i]))
+        elif collapsed[i]:
+            total = hist[i].sum()
+            rows.append(leaf_row(label[i], hist[i] / total if total > 0 else
+                                 np.full(tree.m, 1.0 / tree.m), mass[i]))
+        else:
+            rows.append(None)
+            left, right = rebuild(tree.left[i]), rebuild(tree.right[i])
+            rows[my_id] = split_row(tree.feature[i], tree.threshold[i], left, right, tree.m)
+        return my_id
+
+    rebuild(0)
+    budget = None if tree.budget is None else tree.budget + 2 * n_val
+    return DecisionTree.from_rows(rows, tree.d, tree.m, budget)
 
 
 def two_box_benchmark():

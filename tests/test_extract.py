@@ -1,19 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BoxBlackbox, BoxConstraint, ConfigError, EmptyRegionError,
-                        ExtractionConfig, FunctionBlackbox, GaussianMixture, SamplerError,
+from treextract import (BlackboxError, BoxBlackbox, BoxConstraint, ConfigError,
+                        EmptyRegionError, ExtractionConfig, FunctionBlackbox, GaussianMixture,
+                        SamplerError,
                         best_split_from_samples, born_again_extract, estimate_split,
                         extract_tree, gini_term, prune, sample, sample_conditional)
 from treextract import baselines, blackbox, extract
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
-from treextract.extract import grow_tree
-from treextract.evaluate import exact_greedy_oracle, three_box_benchmark
+from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_tree
+from treextract.evaluate import exact_greedy_oracle, fidelity, three_box_benchmark
+from treextract.io import tree_to_doc
 
-from helpers import dataset, reference_best_split, split_fields as _fields, two_box_benchmark
+from helpers import (dataset, leaf_tree, random_mixture, reference_best_split, reference_prune,
+                     split_fields as _fields, two_box_benchmark)
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):
@@ -541,3 +546,75 @@ class TestPrune:
         out = prune(tree, gmm, f, 2000, alphas=[1e-9, np.inf],
                     rng=np.random.default_rng(2))
         assert out.size == 3
+
+    @pytest.mark.parametrize("n_val, alphas", [(500, ()), (0, [0.0]), (-5, [0.0])],
+                             ids=["no-alphas", "n_val-0", "n_val-negative"])
+    def test_bad_arguments_rejected_before_drawing(self, n_val, alphas):
+        gmm, f, tree = self._tree_and_model()
+        f, seen = _counting(f)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="n_val >= 1 and at least one alpha"):
+            prune(tree, gmm, f, n_val, rng, alphas)
+        assert rng.bit_generator.state == state and seen == []
+
+
+def _noisy_blackbox(d, m, noise, salt):
+    """Bands of x.sum() labelled cyclically in [0, m), with a share `noise`
+    of points relabelled by a hash of their coordinates, so that the labels
+    are a fixed function of x however often it is evaluated."""
+    def fn(X):
+        base = np.floor(1.3 * X.sum(axis=1)).astype(np.int64) % m
+        h = (np.floor(np.abs(X) * 1e5).astype(np.int64).sum(axis=1) * 2654435761 + salt) % 1000
+        return np.where(h < 1000 * noise, (base + 1 + h % max(m - 1, 1)) % m, base)
+    return FunctionBlackbox(fn, d, m)
+
+
+@st.composite
+def prune_problems(draw):
+    """A model and blackbox: two-box, three-box, or a label-noise multi-class
+    FunctionBlackbox over a random mixture (d 1-3, m 2-3)."""
+    kind = draw(st.sampled_from(["two_box", "three_box", "noisy"]))
+    if kind != "noisy":
+        return (two_box_benchmark if kind == "two_box" else three_box_benchmark)()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    d, m = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    return (random_mixture(rng, d, draw(st.integers(1, 3))),
+            _noisy_blackbox(d, m, draw(st.floats(0.0, 0.4)), draw(st.integers(0, 999))))
+
+
+class TestPruneMatchesReference:
+    """prune prices each alpha in one bottom-up pass; its tree must be the one
+    the weakest-link collapse sequence gives (tests/helpers.py::reference_prune),
+    down to the bytes of the tree document."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(problem=prune_problems(), size=st.integers(0, 15).map(lambda k: 2 * k + 1),
+           samples=st.integers(10, 200), n_val=st.integers(1, 500),
+           alphas=st.sampled_from([(0.0,), (np.inf,), DEFAULT_PRUNE_ALPHAS,
+                                   tuple(np.geomspace(1e-5, 1.0, 41))]),
+           seed=st.integers(0, 2 ** 16))
+    def test_same_tree_document(self, problem, size, samples, n_val, alphas, seed):
+        gmm, f = problem
+        tree = extract_tree(gmm, f, ExtractionConfig(size, samples, seed=seed))
+        docs = [json.dumps(tree_to_doc(run(tree, gmm, f, n_val, np.random.default_rng(seed),
+                                           alphas)))
+                for run in (prune, reference_prune)]
+        assert docs[0] == docs[1]
+
+
+class TestLabelRange:
+    """A blackbox label outside [0, m) is a BlackboxError that names where it
+    was seen, not a numpy error from the class counts built on it."""
+
+    @pytest.mark.parametrize("relabel", [lambda y: 2 * y, lambda y: -y], ids=["2", "-1"])
+    @pytest.mark.parametrize("run, context", [
+        (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "priority estimate"),
+        (lambda gmm, f, X: cart_extract(dataset(X), f, 3), "cart relabeling"),
+        (lambda gmm, f, X: fidelity(leaf_tree(0, 2, 2), f, X), "fidelity"),
+    ], ids=["extract_tree", "cart_extract", "fidelity"])
+    def test_rejected_with_context(self, relabel, run, context):
+        gmm, bb = three_box_benchmark()
+        f = FunctionBlackbox(lambda X: relabel(bb.predict(X)), 2, 2)
+        with pytest.raises(BlackboxError, match=rf"label outside \[0, 2\) at {context}"):
+            run(gmm, f, sample(gmm, np.random.default_rng(0), 100))
