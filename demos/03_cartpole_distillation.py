@@ -2,18 +2,17 @@
 # End-to-end cart-pole pipeline: learn a control policy by value iteration,
 # model its visited states with a mixture, and distill the policy into a
 # small decision tree.
-from treextract import (CartPoleSystem, EMConfig, ExtractionConfig,
-                        PolicyConfig, collect_states, extract_tree,
-                        learn_policy, mean_rollout_reward, select_k_bic)
+from treextract import (EMConfig, ExtractionConfig, PolicyConfig,
+                        collect_states, extract_tree, learn_policy,
+                        mean_rollout_reward, select_k_bic)
 from treextract.evaluate import fidelity
 from treextract.io import export_dot
 
-system = CartPoleSystem()
-policy = learn_policy(system, PolicyConfig(seed=0))
+policy = learn_policy(PolicyConfig(seed=0))
 print("mean rollout reward over 100 episodes:",
-      mean_rollout_reward(policy, system, 100, seed=0))
+      mean_rollout_reward(policy, 100, seed=0))
 
-train, test = collect_states(policy, system, 100, [1, 2])
+train, test = collect_states(policy, 100, [1, 2])
 print("collected 100 train / 100 test states from policy rollouts")
 
 gmm = select_k_bic(train.features, cfg=EMConfig(seed=0, n_init=2))

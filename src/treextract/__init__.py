@@ -13,9 +13,9 @@ from .gmm import (ConditionalMixture, EMConfig, GaussianMixture, box_mass,
                   sample_truncated_normal, select_k_bic)
 from .extract import (ExtractionConfig, SplitCandidate, best_split_from_samples,
                       estimate_split, extract_tree, gini_term, prune)
-from .blackbox import (BoxBlackbox, CartPoleSystem, FunctionBlackbox,
-                       PolicyConfig, RandomForest, RandomForestConfig,
-                       TabularPolicy, collect_states, learn_policy,
+from .blackbox import (BoxBlackbox, FunctionBlackbox, PolicyConfig,
+                       RandomForest, RandomForestConfig, TabularPolicy,
+                       collect_states, learn_policy,
                        make_imbalanced_classification, mean_rollout_reward,
                        train_random_forest)
 from .baselines import born_again_extract, cart_extract

@@ -202,42 +202,34 @@ FORCE_MAG, TIMESTEP = 10.0, 0.02
 X_LIMIT, THETA_LIMIT = 2.4, 12.0 * math.pi / 180.0
 
 
-@dataclass(frozen=True)
-class CartPoleSystem:
-    """Classic cart-pole dynamics, Euler-integrated.
+def step_batch(states: np.ndarray, actions: np.ndarray):
+    """Classic cart-pole dynamics, Euler-integrated: the vectorized
+    transition of a (4, n) block, one column per state; returns the (4, n)
+    next states and the (n,) terminal mask.
 
     State is (cart position, cart velocity, pole angle, pole angular
-    velocity); actions are 0 (push left) and 1 (push right). An episode
-    terminates when |angle| > THETA_LIMIT (12 degrees) or |position| >
-    X_LIMIT (2.4), or after episode_cap steps.
+    velocity); actions are 0 (push left) and 1 (push right). A transition
+    is terminal when |angle| > THETA_LIMIT (12 degrees) or |position| >
+    X_LIMIT (2.4); an episode also ends after EPISODE_CAP steps.
     """
-
-    episode_cap: int = 200
-
-    def __post_init__(self):
-        if self.episode_cap < 1:
-            raise ConfigError("episode_cap must be >= 1")
-
-    def step_batch(self, states: np.ndarray, actions: np.ndarray):
-        """Vectorized transition of a (4, n) block, one column per state;
-        returns the (4, n) next states and the (n,) terminal mask."""
-        x, x_dot, theta, theta_dot = states
-        force = np.where(np.asarray(actions) == 1, FORCE_MAG, -FORCE_MAG)
-        total_mass = CART_MASS + POLE_MASS
-        pml = POLE_MASS * HALF_LENGTH
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        temp = (force + pml * theta_dot ** 2 * sin_t) / total_mass
-        theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-            HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
-        x_acc = temp - pml * theta_acc * cos_t / total_mass
-        nxt = states + TIMESTEP * np.array([x_dot, x_acc, theta_dot, theta_acc])
-        terminal = (np.abs(nxt[0]) > X_LIMIT) | (np.abs(nxt[2]) > THETA_LIMIT)
-        return nxt, terminal
+    x, x_dot, theta, theta_dot = states
+    force = np.where(np.asarray(actions) == 1, FORCE_MAG, -FORCE_MAG)
+    total_mass = CART_MASS + POLE_MASS
+    pml = POLE_MASS * HALF_LENGTH
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    temp = (force + pml * theta_dot ** 2 * sin_t) / total_mass
+    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+        HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
+    x_acc = temp - pml * theta_acc * cos_t / total_mass
+    nxt = states + TIMESTEP * np.array([x_dot, x_acc, theta_dot, theta_acc])
+    terminal = (np.abs(nxt[0]) > X_LIMIT) | (np.abs(nxt[2]) > THETA_LIMIT)
+    return nxt, terminal
 
 
 # The policy grid spans the termination bounds in position and angle.
 STATE_RANGES = ((-X_LIMIT, X_LIMIT), (-3.0, 3.0), (-THETA_LIMIT, THETA_LIMIT), (-3.5, 3.5))
 VI_TOL, VI_MAX_SWEEPS = 1e-8, 5000
+EPISODE_CAP = 200  # steps, the most reward an episode can earn
 # Transitions learn_policy simulates per slab of cells. It bounds the
 # simulation's temporaries: the default 7^4 table in one batch traced an
 # 18.1 MiB peak, and the table grows as grid cells x samples.
@@ -268,7 +260,7 @@ class TabularPolicy:
     actions: np.ndarray            # flat action per cell
     grid_sizes: tuple[int, ...]
     d: int = 4
-    m: int = 2
+    m = 2  # actions: push left, push right
 
     def __post_init__(self):
         if len(self.edges) != self.d or [len(e) + 1 for e in self.edges] != list(self.grid_sizes):
@@ -299,7 +291,7 @@ def greedy_actions(q: np.ndarray, discount: float) -> np.ndarray:
     return (q[:, 1] - q[:, 0] > 1e-9 / (1.0 - discount)).astype(np.int64)
 
 
-def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
+def learn_policy(cfg: PolicyConfig = PolicyConfig(),
                  residuals_out: Optional[list] = None) -> TabularPolicy:
     """Estimate cell-to-cell transitions by sampling and run value iteration.
 
@@ -326,7 +318,7 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
         # Each cell's lower and upper edges, shaped (k, 1, 4).
         lo, hi = (np.stack([g[c + s] for g, c in zip(grids, cells)], axis=1)[:, None] for s in (0, 1))
         states = (lo + rng.random((k, ns, 4)) * (hi - lo)).repeat(2, axis=0)  # action 0, then 1
-        nxt, terminal = sys.step_batch(states.reshape(-1, 4).T, np.tile(np.repeat([0, 1], ns), k))
+        nxt, terminal = step_batch(states.reshape(-1, 4).T, np.tile(np.repeat([0, 1], ns), k))
         # A terminal transition adds reward 0 and value 0, so it drops out; the
         # others are counted per distinct (pair, next cell).
         pair = np.arange(2 * first, 2 * (first + k)).repeat(ns)[~terminal]
@@ -353,17 +345,17 @@ def learn_policy(sys: CartPoleSystem, cfg: PolicyConfig = PolicyConfig(),
     return TabularPolicy(stub.edges, greedy_actions(q, cfg.discount), shape)
 
 
-def _rollouts(policy: TabularPolicy, sys: CartPoleSystem, starts: np.ndarray):
+def _rollouts(policy: TabularPolicy, starts: np.ndarray):
     """Step one episode per row of starts in lockstep, each until it ends
-    or reaches sys.episode_cap steps. Returns the visited states (start
+    or reaches EPISODE_CAP steps. Returns the visited states (start
     included, terminal not) episode by episode in the order of starts, and
     each episode's length, which is its reward."""
     state, lane = starts.T, np.arange(starts.shape[0])  # one column per episode
     seen, owner = [], []
-    for _ in range(sys.episode_cap):
+    for _ in range(EPISODE_CAP):
         seen.append(state)
         owner.append(lane)
-        state, terminal = sys.step_batch(state, policy.predict(state.T))
+        state, terminal = step_batch(state, policy.predict(state.T))
         state, lane = state[:, ~terminal], lane[~terminal]
         if not lane.size:
             break
@@ -377,16 +369,14 @@ def _check_episodes(n_episodes: int) -> None:
         raise InputError("n_episodes must be >= 1")
 
 
-def mean_rollout_reward(policy: TabularPolicy, sys: CartPoleSystem,
-                        n_episodes: int = 100, seed: int = 0) -> float:
+def mean_rollout_reward(policy: TabularPolicy, n_episodes: int = 100, seed: int = 0) -> float:
     """Mean steps survived (capped) over n_episodes near-upright starts."""
     _check_episodes(n_episodes)
     starts = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(n_episodes, 4))
-    return float(np.mean(_rollouts(policy, sys, starts)[1]))
+    return float(np.mean(_rollouts(policy, starts)[1]))
 
 
-def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
-                   seeds) -> list[Dataset]:
+def collect_states(policy: TabularPolicy, n_points: int, seeds) -> list[Dataset]:
     """Roll out the policy and subsample visited states uniformly, one Dataset
     per seed: its pool runs episodes until it holds 5x the points (at least 3
     episodes), then gives n_points states without replacement, labeled by the
@@ -399,8 +389,8 @@ def collect_states(policy: TabularPolicy, sys: CartPoleSystem, n_points: int,
     need, pools = 5 * n_points, [[] for _ in rngs]
     pooled, episodes = [0] * len(rngs), [0] * len(rngs)
     while live := [i for i in range(len(rngs)) if pooled[i] < need or episodes[i] < 3]:
-        ks = [max(3 - episodes[i], -(-(need - pooled[i]) // sys.episode_cap)) for i in live]
-        states, lengths = _rollouts(policy, sys, np.concatenate(
+        ks = [max(3 - episodes[i], -(-(need - pooled[i]) // EPISODE_CAP)) for i in live]
+        states, lengths = _rollouts(policy, np.concatenate(
             [rngs[i].uniform(-0.05, 0.05, size=(k, 4)) for i, k in zip(live, ks)]))
         sizes = np.add.reduceat(lengths, np.cumsum([0] + ks[:-1]))  # states per pool
         for i, k, part in zip(live, ks, np.split(states, np.cumsum(sizes)[:-1])):

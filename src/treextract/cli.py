@@ -16,9 +16,8 @@ import numpy as np
 
 from . import io as tio
 from .baselines import born_again_extract, cart_extract
-from .blackbox import (CartPoleSystem, PolicyConfig, RandomForestConfig, _check_episodes,
-                       collect_states, learn_policy, mean_rollout_reward,
-                       train_random_forest)
+from .blackbox import (PolicyConfig, RandomForestConfig, _check_episodes, collect_states,
+                       learn_policy, mean_rollout_reward, train_random_forest)
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
@@ -230,16 +229,16 @@ def _cmd_train_cartpole(args) -> int:
     if args.collect < 0 or bool(args.collect) != bool(args.train_csv or args.test_csv):
         raise InputError("--collect N >= 1 and --train-csv or --test-csv go together")
     _check_episodes(args.episodes)  # before learning the policy, which a fine grid makes slow
-    sys_, seed = CartPoleSystem(), _resolve_seed(args)
+    seed = _resolve_seed(args)
     cfg = PolicyConfig(grid_sizes=args.grid, n_transition_samples=args.transition_samples,
                        discount=args.discount, seed=seed)
-    policy = learn_policy(sys_, cfg)
-    reward = mean_rollout_reward(policy, sys_, args.episodes, seed=seed)
+    policy = learn_policy(cfg)
+    reward = mean_rollout_reward(policy, args.episodes, seed=seed)
     tio.save_json(args.out, tio.blackbox_to_doc(policy))
     print(f"policy: grid {args.grid}, mean reward {reward:.1f} over {args.episodes} episodes -> {args.out}")
     splits = [(split, path, 2 * seed + offset) for split, path, offset
               in (("training", args.train_csv, 1), ("test", args.test_csv, 2)) if path]
-    pools = collect_states(policy, sys_, args.collect, [s for _, _, s in splits]) if splits else []
+    pools = collect_states(policy, args.collect, [s for _, _, s in splits]) if splits else []
     for (split, path, _), data in zip(splits, pools):
         tio.save_csv(path, data)
         print(f"collected {args.collect} {split} states -> {path}")
@@ -309,7 +308,7 @@ def _cmd_export(args) -> int:
 def _cmd_experiment(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",")]
     task = cartpole_task() if args.task == "cartpole" else synthetic_rf_task()
-    if args.samples_per_node:
+    if args.samples_per_node is not None:
         task.samples_per_node = args.samples_per_node
     result = run_fidelity_curve(task, args.sizes, algorithms, n_seeds=args.seeds,
                                 base_seed=_resolve_seed(args))

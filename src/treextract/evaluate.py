@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baselines import born_again_extract, cart_extract
-from .blackbox import (BoxBlackbox, CartPoleSystem, RandomForestConfig,
-                       collect_states, learn_policy,
+from .blackbox import (BoxBlackbox, RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
 from .core import BoxConstraint, Dataset, DecisionTree
 from .errors import InputError
@@ -53,8 +52,10 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     """Pointwise agreement of the tree with the blackbox on fixed test points.
 
     F1 is reported for binary problems only, with the given positive class,
-    which must then be 0 or 1.
+    which must then be 0 or 1. The tree and the blackbox must share d and m.
     """
+    if (tree.d, tree.m) != (f.d, f.m):
+        raise InputError(f"tree (d={tree.d}, m={tree.m}) and blackbox (d={f.d}, m={f.m}) differ")
     if tree.m == 2 and positive_class not in (0, 1):
         raise InputError(f"positive_class must be 0 or 1, got {positive_class}")
     X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
@@ -311,11 +312,12 @@ def cartpole_task() -> FidelityTask:
     """Control-policy distillation task at 200 samples per node: the policy
     is learned once, and per seed 100 fresh rollout states are collected for
     training, 100 for testing, and the input model refitted by BIC."""
-    sys = CartPoleSystem()
-    policy = cache(lambda: learn_policy(sys))  # learned by the first instance
+    # Learned by the first instance. The lambda looks learn_policy up when
+    # called, so a wrapper patched over this module's binding still sees it.
+    policy = cache(lambda: learn_policy())
 
     def instance(seed: int) -> TaskInstance:
-        train, test = collect_states(policy(), sys, 100, [(7919 + seed) * 2 + 1, (104729 + seed) * 2])
+        train, test = collect_states(policy(), 100, [(7919 + seed) * 2 + 1, (104729 + seed) * 2])
         gmm = select_k_bic(train.features, cfg=EMConfig(seed=seed, n_init=2))
         return TaskInstance(policy(), gmm, train, test.features)
 
@@ -390,11 +392,16 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
     The rejection-sampling baseline is budget-matched to the active
     extractor's recorded blackbox calls per (seed, size). Failed runs are
     skipped with a warning, leave no row and are listed in the result's
-    failures.
+    failures. Bad settings raise before the first task instance is built.
     """
     for a in algorithms:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
+    model_driven = "ours" in algorithms or "born_again" in algorithms
+    for size in sizes:
+        _check_max_nodes(size)
+        if model_driven:
+            ExtractionConfig(size, task.samples_per_node)  # checks samples_per_node
     result = ExperimentResult()
 
     def fail(message):
@@ -424,7 +431,7 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
 
         for size in sizes:
             tree = None
-            if "ours" in algorithms or "born_again" in algorithms:
+            if model_driven:
                 # Run ours even when only born-again was asked for: the
                 # baseline is matched to its recorded budget.
                 cfg = ExtractionConfig(size, task.samples_per_node,

@@ -409,8 +409,9 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
         collapsed = np.zeros(n, dtype=bool)
         for i in splits:
             err[i], leaves[i] = err[left[i]] + err[right[i]], leaves[left[i]] + leaves[right[i]]
-            # The error increase per node of the 2 * (leaves - 1) removed.
-            if (collapse_err[i] - err[i]) / n_val / (2.0 * (leaves[i] - 1)) < alpha:
+            # The error increase per node of the 2 * (leaves - 1) removed, a
+            # ratio of whole numbers rounded once, so equal rates compare equal.
+            if (collapse_err[i] - err[i]) / (2.0 * n_val * (leaves[i] - 1)) < alpha:
                 collapsed[i], err[i], leaves[i] = True, collapse_err[i], 1.0
         rows: list = []
         rebuild(0, collapsed, rows)

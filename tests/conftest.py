@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treextract import CartPoleSystem, GaussianMixture, PolicyConfig, learn_policy
+from treextract import GaussianMixture, PolicyConfig, learn_policy
 
 
 @pytest.fixture
@@ -22,7 +22,5 @@ def gmm_2d():
 
 @pytest.fixture(scope="session")
 def cartpole():
-    """Shared system + trained policy; learning it takes about 0.15 s."""
-    sys_ = CartPoleSystem()
-    policy = learn_policy(sys_, PolicyConfig())
-    return sys_, policy
+    """Shared trained policy; learning it takes about 0.15 s."""
+    return learn_policy(PolicyConfig())

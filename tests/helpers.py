@@ -10,7 +10,8 @@ from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, ndtri_exp
 
 from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, GaussianMixture,
                         TabularPolicy, sample)
-from treextract.blackbox import STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions
+from treextract.blackbox import (STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions,
+                                 step_batch)
 from treextract.core import leaf_row, split_row
 from treextract.extract import (DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points,
                                 gini_term)
@@ -193,7 +194,7 @@ def _reference_weakest_links(tree: DecisionTree, counts, on_path, n_val: int):
             return nodes, rates, label, hist, mass
         # Collapsing trades (size shrink of 2*(leaves-1) nodes) against the
         # validation error increase; scale per node of size removed.
-        g = (collapse_err[live] - err[live]) / max(n_val, 1) / (2.0 * (leaves[live] - 1))
+        g = (collapse_err[live] - err[live]) / (2.0 * n_val * (leaves[live] - 1))
         nodes.append(live[np.argmin(g)])  # ties go to the lowest id
         rates.append(g.min())
         collapsed[nodes[-1]] = True
@@ -335,7 +336,7 @@ def reference_truncated_normal(mu, sigma, lo, hi, rng):
     return float(np.clip(mu + sigma * z, np.nextafter(lo, np.inf), hi))
 
 
-def reference_learn_policy(sys, cfg):
+def reference_learn_policy(cfg):
     """Value iteration that gathers every sampled transition on every sweep:
     q is the mean over a pair's samples of reward + discount * V[next], the
     terminal next state being an extra value slot that stays 0.
@@ -357,7 +358,7 @@ def reference_learn_policy(sys, cfg):
     states = lo_mat[:, None, :] + rng.random((n_cells, ns, d)) * (hi_mat - lo_mat)[:, None, :]
     states = np.repeat(states[:, None, :, :], 2, axis=1)  # (n_cells, 2, ns, d)
     actions = np.broadcast_to(np.array([0, 1])[None, :, None], (n_cells, 2, ns))
-    nxt, terminal = sys.step_batch(states.reshape(-1, d).T, actions.reshape(-1))
+    nxt, terminal = step_batch(states.reshape(-1, d).T, actions.reshape(-1))
     stub = TabularPolicy(edges, np.zeros(n_cells, dtype=np.int64), tuple(cfg.grid_sizes))
     gather = np.where(terminal, n_cells, stub.cell_index(nxt.T)).reshape(n_cells, 2, ns)
     rewards = (~terminal).astype(np.float64).reshape(n_cells, 2, ns)

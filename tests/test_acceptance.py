@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from treextract import (BoxConstraint, CartPoleSystem, EMConfig,
-                        ExtractionConfig, GaussianMixture, PolicyConfig,
-                        agreement, condition, estimate_split, exact_greedy_oracle,
+from treextract import (BoxConstraint, EMConfig, ExtractionConfig, GaussianMixture,
+                        PolicyConfig, agreement, condition, estimate_split, exact_greedy_oracle,
                         extract_tree, fit_em, learn_policy, mean_rollout_reward,
                         sample_conditional, sample_truncated_normal)
 from treextract.evaluate import (cartpole_task, run_fidelity_curve,
@@ -53,12 +52,11 @@ def _assert_full_grid(result, expected_rows):
 
 @pytest.fixture(scope="session")
 def policy_with_timing():
-    sys_ = CartPoleSystem()
     t0 = time.perf_counter()
-    policy = learn_policy(sys_, PolicyConfig())
-    reward = mean_rollout_reward(policy, sys_, n_episodes=100, seed=0)
+    policy = learn_policy(PolicyConfig())
+    reward = mean_rollout_reward(policy, n_episodes=100, seed=0)
     elapsed = time.perf_counter() - t0
-    return sys_, policy, reward, elapsed
+    return policy, reward, elapsed
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +79,7 @@ def synthetic_curve():
 
 
 def test_criterion_1_cartpole_policy_reward(policy_with_timing):
-    _, _, reward, elapsed = policy_with_timing
+    _, reward, elapsed = policy_with_timing
     check("criterion 1 (policy reward)",
           reward >= 195.0 and elapsed < 120.0,
           f"mean reward {reward:.1f} >= 195 over 100 episodes, "

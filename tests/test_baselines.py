@@ -92,8 +92,8 @@ class TestBornAgain:
         """Accepted node sample sets shrink as extraction digs deeper."""
         from treextract import EMConfig, collect_states, fit_em
 
-        sys_, policy = cartpole
-        train, = collect_states(policy, sys_, 100, [21])
+        policy = cartpole
+        train, = collect_states(policy, 100, [21])
         gmm = fit_em(train.features, 5, EMConfig(seed=0))
         ours = extract_tree(gmm, policy, ExtractionConfig(15, 200, seed=2))
 

@@ -2,28 +2,28 @@ import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (CartPoleSystem, ConfigError, DecisionTree, InputError,
-                        PolicyConfig, RandomForest, RandomForestConfig, TabularPolicy,
+from treextract import (ConfigError, DecisionTree, InputError, PolicyConfig,
+                        RandomForest, RandomForestConfig, TabularPolicy,
                         collect_states, learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
 from treextract import blackbox
 from treextract.blackbox import (POSITIVE_RATE, SPLIT_BATCH_CELLS, THETA_LIMIT, X_LIMIT,
-                                 balance_rows)
+                                 balance_rows, step_batch)
 from treextract.core import leaf_row, split_row
 from treextract.io import blackbox_to_doc
 
 from helpers import dataset, predict_one, reference_best_split, reference_learn_policy
 
 
-def cartpole_step(sys_, state, action: int):
+def cartpole_step(state, action: int):
     """One Euler step of one state: the one-column case of step_batch."""
-    nxt, term = sys_.step_batch(np.asarray(state, dtype=np.float64)[:, None],
-                                np.array([action]))
+    nxt, term = step_batch(np.asarray(state, dtype=np.float64)[:, None], np.array([action]))
     return nxt[:, 0], bool(term[0])
 
 
@@ -95,34 +95,34 @@ def _train_quietly(train, data, cfg):
         return train(data, cfg)
 
 
-def reference_rollout(policy, sys_, rng):
+def reference_rollout(policy, rng):
     """One episode stepped one state at a time through predict and
     cartpole_step; returns the visited states (start included, terminal not),
     whose count is the episode's reward."""
     state = rng.uniform(-0.05, 0.05, size=4)
     visited = []
-    for _ in range(sys_.episode_cap):
+    for _ in range(blackbox.EPISODE_CAP):  # read per call, so a patched cap applies
         visited.append(state.copy())
-        state, terminal = cartpole_step(sys_, state, int(policy.predict(state[None, :])[0]))
+        state, terminal = cartpole_step(state, int(policy.predict(state[None, :])[0]))
         if terminal:
             break
     return visited
 
 
-def reference_mean_reward(policy, sys_, n_episodes, seed):
+def reference_mean_reward(policy, n_episodes, seed):
     """Episode-at-a-time reference for mean_rollout_reward."""
     rng = np.random.default_rng(seed)
-    return float(np.mean([len(reference_rollout(policy, sys_, rng))
+    return float(np.mean([len(reference_rollout(policy, rng))
                           for _ in range(n_episodes)]))
 
 
-def reference_collect_states(policy, sys_, n_points, seed):
+def reference_collect_states(policy, n_points, seed):
     """Episode-at-a-time reference for collect_states: episodes until the pool
     holds 5x the points (at least 3 episodes), then a uniform subsample."""
     rng = np.random.default_rng(seed)
     pool, episodes = [], 0
     while len(pool) < max(5 * n_points, 1) or episodes < 3:
-        pool.extend(reference_rollout(policy, sys_, rng))
+        pool.extend(reference_rollout(policy, rng))
         episodes += 1
     pool = np.asarray(pool)
     X = pool[rng.choice(pool.shape[0], size=n_points, replace=False)]
@@ -273,40 +273,35 @@ class TestLockstepForest:
 
 class TestCartPoleDynamics:
     def test_left_force_tips_pole_right(self):
-        sys_ = CartPoleSystem()
-        nxt, _ = cartpole_step(sys_, np.zeros(4), 0)
+        nxt, _ = cartpole_step(np.zeros(4), 0)
         assert nxt[3] > 0  # pole tips opposite to cart acceleration
 
     def test_mirror_symmetry(self, rng):
-        sys_ = CartPoleSystem()
         for _ in range(50):
             s = rng.uniform(-1, 1, size=4) * np.array([2.0, 2.0, 0.15, 2.0])
             a = int(rng.integers(2))
-            n1, _ = cartpole_step(sys_, s, a)
-            n2, _ = cartpole_step(sys_, -s, 1 - a)
+            n1, _ = cartpole_step(s, a)
+            n2, _ = cartpole_step(-s, 1 - a)
             assert np.abs(n1 + n2).max() <= 1e-12
 
     def test_step_deterministic(self):
-        sys_ = CartPoleSystem()
         s = np.array([0.1, -0.2, 0.05, 0.3])
-        a1, _ = cartpole_step(sys_, s, 1)
-        a2, _ = cartpole_step(sys_, s, 1)
+        a1, _ = cartpole_step(s, 1)
+        a2, _ = cartpole_step(s, 1)
         assert np.array_equal(a1, a2)
 
     def test_terminal_detection(self):
-        sys_ = CartPoleSystem()
-        _, term = cartpole_step(sys_, np.array([2.39, 5.0, 0.0, 0.0]), 1)
+        _, term = cartpole_step(np.array([2.39, 5.0, 0.0, 0.0]), 1)
         assert term
 
     def test_block_step_matches_one_state_steps(self, rng):
         """A (4, n) block steps column by column as its states one at a
         time, and actions may come as a list."""
-        sys_ = CartPoleSystem()
         S = rng.uniform(-1, 1, size=(4, 64)) * np.array([[2.0], [2.0], [0.15], [2.0]])
         actions = rng.integers(2, size=64).tolist()
-        nxt, term = sys_.step_batch(S, actions)
+        nxt, term = step_batch(S, actions)
         for i, a in enumerate(actions):
-            one, t = cartpole_step(sys_, S[:, i], a)
+            one, t = cartpole_step(S[:, i], a)
             assert nxt[:, i].tobytes() == one.tobytes() and term[i] == t
 
 
@@ -320,9 +315,8 @@ class TestPolicy:
             PolicyConfig(**kwargs)
 
     def test_vi_residuals_monotone_after_first_sweep(self):
-        sys_ = CartPoleSystem()
         residuals = []
-        learn_policy(sys_, PolicyConfig(grid_sizes=(5, 5, 5, 5), n_transition_samples=5),
+        learn_policy(PolicyConfig(grid_sizes=(5, 5, 5, 5), n_transition_samples=5),
                      residuals_out=residuals)
         tail = residuals[1:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -337,8 +331,8 @@ class TestPolicy:
         cfg = PolicyConfig(grid_sizes=grid, n_transition_samples=samples, discount=discount,
                            seed=seed)
         residuals = []
-        policy = learn_policy(CartPoleSystem(), cfg, residuals_out=residuals)
-        ref, q, ref_residuals = reference_learn_policy(CartPoleSystem(), cfg)
+        policy = learn_policy(cfg, residuals_out=residuals)
+        ref, q, ref_residuals = reference_learn_policy(cfg)
         assert len(residuals) == len(ref_residuals)
         np.testing.assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-9)
         clear = np.abs(q[:, 0] - q[:, 1]) > 1e-9
@@ -349,8 +343,8 @@ class TestPolicy:
         action 0 whatever the summation order: at grid 5^4 with 5 samples,
         exact float comparisons split 4 cells between the two sweeps."""
         cfg = PolicyConfig(grid_sizes=(5, 5, 5, 5), n_transition_samples=5)
-        ref, _, _ = reference_learn_policy(CartPoleSystem(), cfg)
-        assert np.array_equal(learn_policy(CartPoleSystem(), cfg).actions, ref.actions)
+        ref, _, _ = reference_learn_policy(cfg)
+        assert np.array_equal(learn_policy(cfg).actions, ref.actions)
 
     @settings(max_examples=30, deadline=None)
     @given(grid=st.tuples(*[st.integers(2, 4)] * 4), samples=st.integers(1, 6),
@@ -367,7 +361,7 @@ class TestPolicy:
             residuals = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(blackbox, "POLICY_SLAB_TRANSITIONS", slab)
-                results.append((learn_policy(CartPoleSystem(), cfg, residuals_out=residuals),
+                results.append((learn_policy(cfg, residuals_out=residuals),
                                 residuals))
         for policy, residuals in results[1:]:
             assert np.array_equal(policy.actions, results[0][0].actions)
@@ -380,7 +374,7 @@ class TestPolicy:
         batch, the table traced an 18.1 MiB peak at 7^4 and 75.4 MiB at 10^4."""
         tracemalloc.start()
         try:
-            learn_policy(CartPoleSystem(), PolicyConfig(grid_sizes=grid))
+            learn_policy(PolicyConfig(grid_sizes=grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,28 +384,26 @@ class TestPolicy:
         cfg = PolicyConfig(grid_sizes=(3, 3, 3, 3), n_transition_samples=2, discount=0.999)
         residuals = []
         with pytest.warns(UserWarning, match=r"stopped after 5000 sweeps at residual 0\.00\d+"):
-            learn_policy(CartPoleSystem(), cfg, residuals_out=residuals)
+            learn_policy(cfg, residuals_out=residuals)
         assert len(residuals) == blackbox.VI_MAX_SWEEPS and residuals[-1] > blackbox.VI_TOL
 
     def test_default_policy_converges_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            learn_policy(CartPoleSystem())
+            learn_policy()
 
     def test_reward_near_cap(self, cartpole):
-        sys_, policy = cartpole
-        assert mean_rollout_reward(policy, sys_, 100, seed=0) >= 195
+        assert mean_rollout_reward(cartpole, 100, seed=0) >= 195
 
     def test_transition_sample_stability(self, cartpole):
-        sys_, policy = cartpole
-        base = mean_rollout_reward(policy, sys_, 50, seed=1)
-        doubled = learn_policy(sys_, PolicyConfig(n_transition_samples=60))
-        other = mean_rollout_reward(doubled, sys_, 50, seed=1)
+        base = mean_rollout_reward(cartpole, 50, seed=1)
+        doubled = learn_policy(PolicyConfig(n_transition_samples=60))
+        other = mean_rollout_reward(doubled, 50, seed=1)
         assert abs(base - other) < 5
 
     def test_policy_symmetry_violation_documented(self, cartpole):
         """The dynamics are mirror-symmetric but the learned table is not."""
-        sys_, policy = cartpole
+        policy = cartpole
         rng = np.random.default_rng(3)
         S = rng.uniform(-1, 1, size=(2000, 4)) * np.array([2.0, 2.0, 0.15, 2.0])
         a = policy.predict(S)
@@ -422,21 +414,19 @@ class TestPolicy:
 
 class TestCollectStates:
     def test_shapes_and_labels(self, cartpole):
-        sys_, policy = cartpole
-        ds = collect_states(policy, sys_, 100, [5])[0]
+        policy = cartpole
+        ds = collect_states(policy, 100, [5])[0]
         assert ds.features.shape == (100, 4) and ds.m == 2
         assert np.array_equal(ds.labels, policy.predict(ds.features))
 
     def test_states_nonterminal(self, cartpole):
-        sys_, policy = cartpole
-        ds = collect_states(policy, sys_, 150, [6])[0]
+        ds = collect_states(cartpole, 150, [6])[0]
         assert np.all(np.abs(ds.features[:, 0]) <= X_LIMIT)
         assert np.all(np.abs(ds.features[:, 2]) <= THETA_LIMIT)
 
     def test_deterministic(self, cartpole):
-        sys_, policy = cartpole
-        a = collect_states(policy, sys_, 50, [9])[0]
-        b = collect_states(policy, sys_, 50, [9])[0]
+        a = collect_states(cartpole, 50, [9])[0]
+        b = collect_states(cartpole, 50, [9])[0]
         assert np.array_equal(a.features, b.features)
 
 
@@ -460,65 +450,60 @@ class TestLockstepRollouts:
            n_episodes=st.integers(1, 8))
     def test_matches_episode_at_a_time_reference(self, cartpole, seeds, n_points, table,
                                                  table_seed, cap, n_episodes):
-        policy = _action_table(cartpole[1], table, table_seed)
-        sys_ = CartPoleSystem(episode_cap=cap)
-        if n_points == 0:  # a Dataset has at least one row
-            with pytest.raises(InputError):
-                collect_states(policy, sys_, n_points, seeds)
-        else:
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            pools = collect_states(policy, sys_, n_points, rngs)
-            assert len(pools) == len(seeds)
-            for seed, rng, ds in zip(seeds, rngs, pools):
-                ref_rng = np.random.default_rng(seed)
-                X, y = reference_collect_states(policy, sys_, n_points, ref_rng)
-                assert ds.features.tobytes() == X.tobytes()
-                assert ds.labels.tobytes() == y.tobytes()
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert (mean_rollout_reward(policy, sys_, n_episodes, seed=seeds[0])
-                == reference_mean_reward(policy, sys_, n_episodes, seeds[0]))
+        policy = _action_table(cartpole, table, table_seed)
+        # Patched per example: a function-scoped monkeypatch would outlive it.
+        with mock.patch.object(blackbox, "EPISODE_CAP", cap):
+            if n_points == 0:  # a Dataset has at least one row
+                with pytest.raises(InputError):
+                    collect_states(policy, n_points, seeds)
+            else:
+                rngs = [np.random.default_rng(seed) for seed in seeds]
+                pools = collect_states(policy, n_points, rngs)
+                assert len(pools) == len(seeds)
+                for seed, rng, ds in zip(seeds, rngs, pools):
+                    ref_rng = np.random.default_rng(seed)
+                    X, y = reference_collect_states(policy, n_points, ref_rng)
+                    assert ds.features.tobytes() == X.tobytes()
+                    assert ds.labels.tobytes() == y.tobytes()
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (mean_rollout_reward(policy, n_episodes, seed=seeds[0])
+                    == reference_mean_reward(policy, n_episodes, seeds[0]))
 
     def test_collect_states_matches_reference_on_task_seeds(self, cartpole):
-        sys_, policy = cartpole
         seeds = ((7919 + 0) * 2 + 1, (104729 + 3) * 2)
-        for seed, ds in zip(seeds, collect_states(policy, sys_, 100, seeds)):
-            X, _ = reference_collect_states(policy, sys_, 100, seed)
+        for seed, ds in zip(seeds, collect_states(cartpole, 100, seeds)):
+            X, _ = reference_collect_states(cartpole, 100, seed)
             assert ds.features.tobytes() == X.tobytes()
 
     def test_pools_share_each_round(self, cartpole, monkeypatch):
         """One rollout batch per round steps the episodes of every pool
         still short of states; finished pools drop out of later rounds."""
-        sys_, policy = cartpole
+        policy = cartpole
         left = _action_table(policy, "left", 0)  # about 9 steps per episode
         calls = []
         rollouts = blackbox._rollouts
         monkeypatch.setattr(blackbox, "_rollouts",
-                            lambda p, s, starts: calls.append(len(starts)) or rollouts(p, s, starts))
-        collect_states(policy, sys_, 100, [1, 2, 3])
+                            lambda p, starts: calls.append(len(starts)) or rollouts(p, starts))
+        collect_states(policy, 100, [1, 2, 3])
         assert calls == [9]  # three learned episodes per pool fill its 500 states
         calls.clear()
         # 30 states each: pools 8 and 11 fill them in three episodes, 0 and 1
         # need a fourth.
-        collect_states(left, sys_, 6, [8, 0, 11, 1])
+        collect_states(left, 6, [8, 0, 11, 1])
         assert calls == [12, 2]
-        assert collect_states(left, sys_, 6, []) == []
+        assert collect_states(left, 6, []) == []
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_no_points_rejected_before_any_episode(self, cartpole, monkeypatch, n_points):
         import treextract.blackbox as blackbox_mod
         monkeypatch.setattr(blackbox_mod, "_rollouts", lambda *a: pytest.fail("rolled out"))
         with pytest.raises(InputError, match="n_points must be >= 1"):
-            collect_states(cartpole[1], cartpole[0], n_points, [0])
+            collect_states(cartpole, n_points, [0])
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_no_episodes_rejected(self, cartpole, n_episodes):
         with pytest.raises(InputError):
-            mean_rollout_reward(cartpole[1], cartpole[0], n_episodes)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_episode_cap_below_one_rejected(self, cap):
-        with pytest.raises(ConfigError):
-            CartPoleSystem(episode_cap=cap)
+            mean_rollout_reward(cartpole, n_episodes)
 
 
 @st.composite

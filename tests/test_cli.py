@@ -360,6 +360,14 @@ class TestBlackboxDocumentSizes:
         code, out, err = self._evaluate(workdir, capsys, "cartpole:policy.json", 4)
         assert code == 1 and out == "" and "grid_sizes[i] - 1 edges" in err
 
+    def test_tree_and_blackbox_classes_differ(self, workdir, capsys):
+        """A 2-class tree against a 3-class blackbox used to exit 2 from a
+        numpy reshape of the confusion counts."""
+        bb = BoxBlackbox([BoxConstraint([-np.inf, -np.inf], [0.0, np.inf])], [2], d=2, m=3)
+        save_json(workdir / "bb3.json", blackbox_to_doc(bb))
+        code, out, err = self._evaluate(workdir, capsys, "synthetic:bb3.json", 2)
+        assert code == 1 and out == "" and "blackbox (d=2, m=3) differ" in err
+
 
 class TestCartpoleSettings:
     FAST = ["--transition-samples", "2", "--episodes", "1", "--out", "policy.json"]
@@ -391,13 +399,13 @@ class TestCartpoleSettings:
         assert not any(workdir.iterdir())
 
     def test_collect_writes_each_named_split(self, workdir, capsys):
-        from treextract import CartPoleSystem, collect_states
+        from treextract import collect_states
         from treextract.io import blackbox_from_doc, load_csv, load_json
         code, _, _ = run(["train-cartpole", "--grid", "3,3,3,3", *self.FAST, "--seed", "3",
                           "--collect", "20", "--test-csv", "test.csv"], capsys)
         assert code == 0 and not (workdir / "train.csv").exists()
         policy = blackbox_from_doc(load_json(workdir / "policy.json"))
-        want, = collect_states(policy, CartPoleSystem(), 20, [2 * 3 + 2])
+        want, = collect_states(policy, 20, [2 * 3 + 2])
         got, _ = load_csv(workdir / "test.csv")
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
@@ -508,6 +516,17 @@ class TestExperimentCommand:
                             "--out", "rows.csv"], capsys)
         assert code == 1
         assert "error: unknown algorithm 'bogus'" in err
+        assert not (workdir / "rows.csv").exists()
+
+    def test_zero_samples_per_node_exits_1_without_csv(self, workdir, capsys, monkeypatch):
+        """--samples-per-node 0 used to be replaced by the task's default."""
+        from treextract.evaluate import FidelityTask
+        monkeypatch.setattr(cli, "synthetic_rf_task", lambda: FidelityTask(
+            "toy", 100, lambda seed: pytest.fail("built an instance")))
+        code, _, err = run(["experiment", "fidelity-curve", "--task", "synthetic-rf",
+                            "--sizes", "3", "--seeds", "1", "--algorithms", "ours",
+                            "--samples-per-node", "0", "--out", "rows.csv"], capsys)
+        assert code == 1 and "samples_per_node must be >= 2" in err
         assert not (workdir / "rows.csv").exists()
 
     def test_failed_seed_exits_nonzero(self, workdir, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BoxBlackbox, BoxConstraint, ExtractionConfig,
+from treextract import (BoxBlackbox, BoxConstraint, ConfigError, ExtractionConfig,
                         FunctionBlackbox, GaussianMixture, InputError,
                         agreement, exact_greedy_oracle, extract_tree, fidelity,
                         sample)
@@ -73,6 +73,17 @@ class TestFidelity:
         with pytest.raises(InputError, match="positive_class"):
             fidelity(tree, f, np.zeros((3, 1)), positive_class=positive_class)
         assert fidelity(tree, f, np.zeros((3, 1)), positive_class=0).f1 == 1.0
+
+    @pytest.mark.parametrize("d, m", [(1, 3), (2, 2)])
+    def test_tree_blackbox_size_mismatch_rejected(self, d, m):
+        """A 2-class tree against a 3-class blackbox that returns label 2
+        used to fail reshaping the confusion counts; a tree of the wrong
+        width is refused too, before any label is asked for."""
+        calls = []
+        f = FunctionBlackbox(lambda X: calls.append(X) or np.full(len(X), m - 1), d, m)
+        with pytest.raises(InputError, match=rf"tree \(d=1, m=2\) and blackbox \(d={d}, m={m}\)"):
+            fidelity(leaf_tree(0, d=1, m=2), f, np.zeros((2, 1)))
+        assert not calls
 
 
 class TestAgreement:
@@ -312,8 +323,8 @@ class TestExactOracle:
 
     def test_three_box_oracle_call_count(self, monkeypatch):
         """Refinement makes one batched call per golden-section step for all
-        brackets of a node: 287 log_box_masses calls for this tree, against
-        2,414 when each bracket was refined on its own."""
+        brackets of a node: 207 log_box_masses calls for this tree, against
+        2,414 when each bracket was refined on its own and every leaf scored."""
         import treextract.evaluate as evaluate_mod
         calls = []
         real = evaluate_mod.log_box_masses
@@ -470,6 +481,19 @@ class TestRunFidelityCurve:
         task = FidelityTask("toy", 10, lambda seed: None)
         with pytest.raises(InputError):
             run_fidelity_curve(task, [3], ["magic"], n_seeds=1)
+
+    @pytest.mark.parametrize("samples, sizes, algorithms", [
+        (10, (4,), ("cart",)), (10, (3, 0), ("ours",)), (1, (3,), ("born_again",)),
+        (0, (3,), ("ours", "cart"))],
+        ids=["cart-even-size", "ours-size-0", "born-again-1-sample", "ours-0-samples"])
+    def test_bad_grid_rejected_before_any_instance(self, samples, sizes, algorithms):
+        """A size that is no odd node total, or a node sample count below 2
+        when ours or born-again runs, used to fail only once an instance
+        (a policy, or a forest plus EM) was built, and with cart alone only
+        after every seed's."""
+        task = FidelityTask("toy", samples, lambda seed: pytest.fail("built an instance"))
+        with pytest.raises(ConfigError):
+            run_fidelity_curve(task, sizes, algorithms, n_seeds=2)
 
     def test_failed_seed_leaves_missing_rows_and_continues(self):
         gmm, bb = three_box_benchmark()

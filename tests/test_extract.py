@@ -547,6 +547,32 @@ class TestPrune:
                     rng=np.random.default_rng(2))
         assert out.size == 3
 
+    def test_equal_rates_collapse_together(self, monkeypatch):
+        """Two nodes whose collapse rates are both 1/78 at n_val = 39: node 1
+        (2 leaves, 1 more error) and node 4 (4 leaves, 3 more errors). Taken
+        as 1/39/2 and 3/39/6, the rates came out one ulp apart, and at the
+        alpha one ulp above 1/78 node 1 collapsed while node 4 stayed split."""
+        from treextract.core import DecisionTree, leaf_row, split_row
+
+        # Routed by x0; the blackbox's label is x1. Nodes 6 and 8 do not
+        # collapse (rates 3/156 and 2/78), and neither does the root.
+        rows = (split_row(0, 0.0, 1, 4, m=2),
+                split_row(0, -1.0, 2, 3, m=2), leaf_row(0, [1.0, 0.0]), leaf_row(1, [0.0, 1.0]),
+                split_row(0, 1.0, 5, 6, m=2), leaf_row(1, [0.0, 1.0]),
+                split_row(0, 2.0, 7, 8, m=2), leaf_row(0, [1.0, 0.0]),
+                split_row(0, 3.0, 9, 10, m=2), leaf_row(0, [1.0, 0.0]), leaf_row(1, [0.0, 1.0]))
+        tree = DecisionTree.from_rows(rows, d=2, m=2)
+        # (x0, label, points) per leaf: nodes 2, 3, 5, 7, 9 and 10.
+        cells = [(-2.0, 0, 20), (-0.5, 1, 1), (0.5, 1, 10), (1.5, 0, 1), (2.5, 0, 2), (3.5, 1, 5)]
+        X = np.array([[x0, y] for x0, y, k in cells for _ in range(k)])
+        assert len(X) == 39
+        monkeypatch.setattr(extract, "sample_conditional", lambda cm, rng, n: X.copy())
+        f = FunctionBlackbox(lambda Q: Q[:, 1].astype(np.int64), 2, 2)
+        gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+        out = prune(tree, gmm, f, 39, np.random.default_rng(0),
+                    alphas=[np.nextafter(1 / 78, 1.0)])
+        assert out.size == 3 and list(out.label) == [0, 0, 1]
+
     @pytest.mark.parametrize("n_val, alphas", [(500, ()), (0, [0.0]), (-5, [0.0])],
                              ids=["no-alphas", "n_val-0", "n_val-negative"])
     def test_bad_arguments_rejected_before_drawing(self, n_val, alphas):

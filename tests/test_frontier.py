@@ -235,8 +235,8 @@ def test_pinned_digests(cartpole):
                                                           balance=True, seed=5))
     gmm = fit_em(data.features, 3, EMConfig(seed=5, n_init=1))
     ours = extract_tree(gmm, forest, ExtractionConfig(7, 300, seed=5))
-    sys_, policy = cartpole
-    states, = collect_states(policy, sys_, 100, [5])
+    policy = cartpole
+    states, = collect_states(policy, 100, [5])
     cp_gmm = fit_em(states.features, 2, EMConfig(seed=5, n_init=1))
     trees = {
         "rf_ours": ours,

@@ -209,7 +209,7 @@ class TestBlackboxJson:
         assert np.array_equal(bb.predict(X), back.predict(X))
 
     def test_policy_round_trip(self, cartpole, rng):
-        _, policy = cartpole
+        policy = cartpole
         back = blackbox_from_doc(json.loads(json.dumps(blackbox_to_doc(policy))))
         X = rng.uniform(-1, 1, size=(500, 4))
         assert np.array_equal(policy.predict(X), back.predict(X))
