@@ -36,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     if seed:
-        p.add_argument("--seed", type=int, default=None,
+        # argparse converts a string default with type=int, at parse time.
+        p.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV) or "0",
                        help=f"random seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults; flags win")
@@ -172,13 +173,6 @@ def _read_config(path, sub: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
-
-
 def _load_features(path, schema_path):
     schema = tio.TableSchema.from_json(schema_path) if schema_path else None
     return tio.load_csv(path, schema)
@@ -202,7 +196,7 @@ def _load_blackbox(spec: str):
 def _cmd_fit_gmm(args) -> int:
     _check_x_max(args.x_max)  # before the data is read and every EM restart runs
     dataset, _ = _load_features(args.data, args.schema)
-    cfg = EMConfig(seed=_resolve_seed(args), n_init=args.n_init)
+    cfg = EMConfig(seed=args.seed, n_init=args.n_init)
     if args.k == "auto":
         gmm = select_k_bic(dataset.features, cfg=cfg)
     else:
@@ -217,7 +211,7 @@ def _cmd_fit_gmm(args) -> int:
 def _cmd_train_rf(args) -> int:
     dataset, _ = _load_features(args.data, args.schema)
     cfg = RandomForestConfig(n_trees=args.n_trees, max_depth=args.max_depth,
-                             balance=args.balance, seed=_resolve_seed(args))
+                             balance=args.balance, seed=args.seed)
     forest = train_random_forest(dataset, cfg)
     tio.save_json(args.out, tio.blackbox_to_doc(forest))
     acc = float(np.mean(forest.predict(dataset.features) == dataset.labels))
@@ -229,14 +223,13 @@ def _cmd_train_cartpole(args) -> int:
     if args.collect < 0 or bool(args.collect) != bool(args.train_csv or args.test_csv):
         raise InputError("--collect N >= 1 and --train-csv or --test-csv go together")
     _check_episodes(args.episodes)  # before learning the policy, which a fine grid makes slow
-    seed = _resolve_seed(args)
     cfg = PolicyConfig(grid_sizes=args.grid, n_transition_samples=args.transition_samples,
-                       discount=args.discount, seed=seed)
+                       discount=args.discount, seed=args.seed)
     policy = learn_policy(cfg)
-    reward = mean_rollout_reward(policy, args.episodes, seed=seed)
+    reward = mean_rollout_reward(policy, args.episodes, seed=args.seed)
     tio.save_json(args.out, tio.blackbox_to_doc(policy))
     print(f"policy: grid {args.grid}, mean reward {reward:.1f} over {args.episodes} episodes -> {args.out}")
-    splits = [(split, path, 2 * seed + offset) for split, path, offset
+    splits = [(split, path, 2 * args.seed + offset) for split, path, offset
               in (("training", args.train_csv, 1), ("test", args.test_csv, 2)) if path]
     pools = collect_states(policy, args.collect, [s for _, _, s in splits]) if splits else []
     for (split, path, _), data in zip(splits, pools):
@@ -249,7 +242,7 @@ def _cmd_extract(args) -> int:
     gmm = tio.load_gmm(args.gmm)
     f = _load_blackbox(args.blackbox)
     cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, min_gain=args.min_gain,
-                           seed=_resolve_seed(args), prune=args.prune)
+                           seed=args.seed, prune=args.prune)
     tree = extract_tree(gmm, f, cfg)
     tio.save_tree(args.out, tree)
     print(f"extracted tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
@@ -264,10 +257,10 @@ def _cmd_baseline(args) -> int:
         dataset, _ = _load_features(args.data, args.schema)
         tree = cart_extract(dataset, f, args.max_nodes)
     else:
-        if not (args.gmm and args.budget and args.samples_per_node):
+        if None in (args.gmm, args.budget, args.samples_per_node):
             raise InputError("born-again requires --gmm, --budget and --samples-per-node")
         gmm = tio.load_gmm(args.gmm)
-        cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, seed=_resolve_seed(args),
+        cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, seed=args.seed,
                                total_sample_budget=args.budget)
         tree = born_again_extract(gmm, f, cfg)
     tio.save_tree(args.out, tree)
@@ -284,7 +277,7 @@ def _cmd_evaluate(args) -> int:
         if args.n < 1:
             raise InputError("--n must be >= 1")
         gmm = tio.load_gmm(args.sample_from)
-        points = sample(gmm, np.random.default_rng(_resolve_seed(args)), args.n)
+        points = sample(gmm, np.random.default_rng(args.seed), args.n)
     else:
         raise InputError("evaluate requires --data or --sample-from")
     rep = fidelity(tree, f, points, positive_class=args.positive_class)
@@ -311,7 +304,7 @@ def _cmd_experiment(args) -> int:
     if args.samples_per_node is not None:
         task.samples_per_node = args.samples_per_node
     result = run_fidelity_curve(task, args.sizes, algorithms, n_seeds=args.seeds,
-                                base_seed=_resolve_seed(args))
+                                base_seed=args.seed)
     tio.write_text_atomic(args.out, result.to_csv_text())
     if result.failures:
         for message in result.failures:

@@ -169,7 +169,7 @@ def _search_interval(gmm: GaussianMixture, box: BoxConstraint, dim: int) -> tupl
 
 def _best_exact_split(gmm, bb, box, parent_h: float):
     """Exact gain maximizer over all dimensions for one region whose
-    impurity term is parent_h, as (gain, dim, threshold), or None.
+    impurity term is parent_h, as (gain, dim, threshold).
 
     Candidate breakpoints are the blackbox box edges. The coarse grids of
     every smooth piece of every dimension are scanned by one _exact_gain
@@ -178,15 +178,15 @@ def _best_exact_split(gmm, bb, box, parent_h: float):
     of every bracket still wider than GOLDEN_TOL. Ties break toward the
     lowest dimension, then the smallest threshold.
     """
-    pieces = []  # (dim, a, b) for every smooth piece of every dimension
+    # (dim, a, b) for every smooth piece of every dimension: lo < hi and the
+    # edges lie strictly between them, so every dimension has a piece and b > a.
+    pieces = []
     for dim in range(bb.d):
         lo, hi = _search_interval(gmm, box, dim)
         edges = {float(v) for b in bb.boxes for v in (b.lower[dim], b.upper[dim])
                  if np.isfinite(v) and lo < v < hi}
         breaks = [lo] + sorted(edges) + [hi]
-        pieces += [(dim, a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 0]
-    if not pieces:
-        return None
+        pieces += [(dim, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
     dims = np.array([p[0] for p in pieces])
     gain = lambda dim, t: _exact_gain(gmm, bb, box, parent_h, dim, t)  # noqa: E731
     grid = np.array([np.linspace(a, b, COARSE_GRID) for _, a, b in pieces])
@@ -234,36 +234,23 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
     _check_dims(gmm, bb)
 
     def leaf_for(box):
-        """((label, histogram, z), z, impurity term) for a region."""
+        """((label, histogram, z), (box, impurity term)) for a region of mass z > 0."""
         p, z = _class_masses(gmm, bb, box.lower[None], box.upper[None])
         h, p, z = float(_impurity_term(p, z)[0]), p[0], float(z[0])
-        if z > 0:
-            hist = p / z
-            hist = hist / hist.sum()
-        else:
-            hist = np.full(bb.m, 1.0 / bb.m)
-        return (int(np.argmax(p)), hist, z), z, h
+        hist = p / z
+        return (int(np.argmax(p)), hist / hist.sum(), z), (box, h)
 
     def score(i, region):
-        best = _best_exact_split(gmm, bb, region[0], region[1])
-        return (best[0] if best else 0.0), best
+        best = _best_exact_split(gmm, bb, *region)
+        return best[0], best
 
     def commit(i, region, best):
-        box, _, parent = region
+        # A gain above GAIN_FLOOR leaves both children a box and mass.
         _, dim, t = best
-        children = []
-        for child_box in box.split(dim, t):
-            if child_box is None:
-                children.append(((parent[0], parent[1], 0.0), None))
-                continue
-            leaf, z, h = leaf_for(child_box)
-            children.append((leaf, (child_box, h, leaf) if z > 0 else None))
-        return (dim, t), children
+        return (dim, t), [leaf_for(child) for child in region[0].split(dim, t)]
 
-    root_box = BoxConstraint.unbounded(bb.d)
-    root_leaf, _, root_h = leaf_for(root_box)
-    rows, gains = grow_best_first(root_leaf, (root_box, root_h, root_leaf), score,
-                                  commit, k, GAIN_FLOOR)
+    rows, gains = grow_best_first(*leaf_for(BoxConstraint.unbounded(bb.d)), score, commit,
+                                  k, GAIN_FLOOR)
     return OracleResult(DecisionTree.from_rows(rows, bb.d, bb.m), dict(enumerate(gains)))
 
 

@@ -45,7 +45,7 @@ def _check_x_max(x_max: Optional[float]) -> None:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Diagonal-covariance Gaussian mixture over R^d.
+    """Diagonal-covariance Gaussian mixture over R^d, d >= 1.
 
     stddevs stores per-dimension standard deviations (not variances).
     x_max, when set, truncates the model to the box ||x||_inf <= x_max;
@@ -59,8 +59,9 @@ class GaussianMixture:
 
     def __post_init__(self):
         w, mu, sd = (_frozen_array(a) for a in (self.weights, self.means, self.stddevs))
-        if mu.ndim != 2 or sd.shape != mu.shape or w.shape != mu.shape[:1] or not np.isfinite(mu).all():
-            raise InputError("means must be finite and parameter shapes consistent")
+        if mu.ndim != 2 or mu.shape[1] < 1 or sd.shape != mu.shape or w.shape != mu.shape[:1] \
+                or not np.isfinite(mu).all():
+            raise InputError("means must be finite, (K, d >= 1), and parameter shapes consistent")
         if not np.all(w >= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise InputError("weights must be finite, nonnegative and sum to 1")
         if not np.all((sd > 0) & (sd < np.inf)):

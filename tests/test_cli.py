@@ -325,9 +325,14 @@ class TestCommandPaths:
         ("born-again", ["--budget", "1000", "--samples-per-node", "100"], "born-again requires"),
         ("born-again", ["--gmm", "gmm.json", "--samples-per-node", "100"], "born-again requires"),
         ("born-again", ["--gmm", "gmm.json", "--budget", "1000"], "born-again requires"),
-    ], ids=["cart-data", "born-again-gmm", "born-again-budget", "born-again-samples"])
+        ("born-again", ["--gmm", "gmm.json", "--budget", "0", "--samples-per-node", "100"],
+         "total_sample_budget must be >= 1"),
+    ], ids=["cart-data", "born-again-gmm", "born-again-budget", "born-again-samples",
+            "born-again-zero-budget"])
     def test_baseline_missing_inputs_exit_1(self, workdir, synthetic_spec, capsys,
                                             kind, flags, message):
+        """Each missing input is named; a zero --budget is given, so the config's
+        own check names it."""
         save_gmm(workdir / "gmm.json", GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]))
         code, _, err = run(["baseline", "--kind", kind, "--blackbox", "synthetic:bb.json",
                             "--max-nodes", "3", *flags, "--out", "b.json"], capsys)
@@ -446,6 +451,26 @@ class TestDeterminism:
              "--max-nodes", "5", "--samples-per-node", "200",
              "--out", "envseed.json"], capsys)
         assert (workdir / "flagged.json").read_bytes() == (workdir / "envseed.json").read_bytes()
+
+    @pytest.mark.parametrize("env, flags, seed", [
+        (None, [], 0), ("", [], 0), ("4", [], 4), ("abc", ["--seed", "2"], 2)])
+    def test_echo_shows_the_seed_that_runs(self, workdir, synthetic_spec, capsys, monkeypatch,
+                                           env, flags, seed):
+        """--seed wins, then $EXTRACT_SEED, then 0; an unused bad value is never read."""
+        if env is None:
+            monkeypatch.delenv("EXTRACT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("EXTRACT_SEED", env)
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "1", *flags,
+                            "--out", "g.json"], capsys)
+        assert code == 0 and json.loads(err.splitlines()[0])["seed"] == seed
+
+    def test_non_integer_env_seed_exits_1(self, workdir, synthetic_spec, capsys, monkeypatch):
+        monkeypatch.setenv("EXTRACT_SEED", "abc")
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--k", "1",
+                            "--out", "g.json"], capsys)
+        assert code == 1 and "invalid int value: 'abc'" in err
+        assert not (workdir / "g.json").exists()
 
 
 class TestConfigFile:

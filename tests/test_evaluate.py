@@ -321,6 +321,17 @@ class TestExactOracle:
         bits = lambda r: None if r is None else (r[0].hex(), r[1], r[2].hex())  # noqa: E731
         assert bits(got) == bits(want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(oracle_cases(), st.integers(1, 7).map(lambda k: 2 * k + 1))
+    def test_every_oracle_leaf_has_mass(self, case, size):
+        """A committed gain above GAIN_FLOOR is at most twice the smaller
+        child's mass, so no split the oracle commits leaves a leaf empty."""
+        gmm, bb, _ = case
+        tree = exact_greedy_oracle(gmm, bb, size).tree
+        leaves = tree.feature < 0
+        assert np.all(tree.mass[leaves] > 0)
+        assert tree.mass[leaves].sum() == pytest.approx(1.0, abs=1e-9)
+
     def test_three_box_oracle_call_count(self, monkeypatch):
         """Refinement makes one batched call per golden-section step for all
         brackets of a node: 207 log_box_masses calls for this tree, against

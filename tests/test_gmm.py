@@ -577,6 +577,11 @@ class TestValidation:
         with pytest.raises(InputError, match=message):
             GaussianMixture(**dict(params, **{field: value}))
 
+    def test_zero_dimensions_rejected(self):
+        """As Dataset does: with no dimension the exact oracle has no split to scan."""
+        with pytest.raises(InputError, match=r"d >= 1"):
+            GaussianMixture([1.0], np.zeros((1, 0)), np.ones((1, 0)))
+
     @pytest.mark.parametrize("x_max", [0.0, -3.0, np.nan])
     def test_x_max_must_be_positive(self, x_max):
         with pytest.raises(InputError, match="x_max must be > 0"):

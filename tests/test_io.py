@@ -18,6 +18,9 @@ from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
 from helpers import dataset, predict_one
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+# A mixture document with d = 0: loader and schema both refuse it.
+ZERO_D_GMM_DOC = {"format_version": 1, "kind": "gaussian_mixture", "weights": [1.0],
+                  "means": [[]], "stddevs": [[]]}
 
 
 @pytest.fixture
@@ -196,6 +199,10 @@ class TestGmmJson:
         assert doc["kind"] == "gaussian_mixture" and doc["format_version"] == 1
         assert gmm_from_doc(doc).k == 2
 
+    def test_zero_dimension_doc_rejected(self):
+        with pytest.raises(InputError, match=r"d >= 1"):
+            gmm_from_doc(ZERO_D_GMM_DOC)
+
 
 class TestBlackboxJson:
     def test_box_blackbox_with_infinite_bounds(self, rng):
@@ -227,6 +234,11 @@ class TestDocumentSchemas:
     def test_gmm_doc_validates(self, gmm_2d):
         schema = json.loads((REPO / "gmm.schema.json").read_text())
         self.jsonschema.validate(gmm_to_doc(gmm_2d), schema)
+
+    def test_gmm_schema_rejects_zero_dimensions(self):
+        schema = json.loads((REPO / "gmm.schema.json").read_text())
+        with pytest.raises(self.jsonschema.ValidationError):
+            self.jsonschema.validate(ZERO_D_GMM_DOC, schema)
 
 
 class TestDot:
