@@ -56,10 +56,10 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> Decisi
     budget, cfg.total_sample_budget, counts the raw draws of the priority
     and commit samples, which the active extractor labels in full; the root
     sample is drawn outside it. Once it is spent, remaining frontier leaves
-    get no data and finalize as leaves. Only accepted points are labeled,
-    and the root sample (when the root ends a leaf) only up to the budget
-    less the points labeled before, so blackbox calls never exceed the
-    budget; cfg.prune is refused, as pruning would label more.
+    get no data and finalize as leaves. Only accepted points are labeled;
+    a root that ends a leaf takes its label from its priority sample if it
+    was scored, else from at most the budget of its own sample. So blackbox
+    calls never exceed the budget, and cfg.prune, which labels more, is refused.
     """
     if cfg.total_sample_budget is None or cfg.prune:
         raise ConfigError("born_again requires a total_sample_budget and no prune")

@@ -216,9 +216,7 @@ def _label_points(f, X, context: str) -> np.ndarray:
 
 
 def _majority(y: np.ndarray, m: int):
-    counts = np.bincount(y, minlength=m).astype(np.float64)
-    if counts.sum() == 0:
-        return 0, np.full(m, 1.0 / m)
+    counts = np.bincount(y, minlength=m).astype(np.float64)  # every caller's y is nonempty
     return int(np.argmax(counts)), counts / counts.sum()
 
 
@@ -294,14 +292,17 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
 
     def scan(cm, context):
         X = checked(cm, draw(cm, cfg.samples_per_node, rng), context)
-        return best_split_from_samples(X, labeled(X, context), m, cm.Z, cfg.min_gain)
+        y = labeled(X, context)
+        return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
     def score(i, cm):
-        cand = scan(cm, f"priority estimate at node {i}")
+        cand, y = scan(cm, f"priority estimate at node {i}")
+        if i == 0 and cfg.total_sample_budget is not None:
+            root_y.append(y)
         return (0.0 if cand is None else cand.gain), cand
 
     def commit(i, cm, _):
-        cand = scan(cm, f"commit at node {i}")
+        cand = scan(cm, f"commit at node {i}")[0]
         if cand is None:
             return None
         children = []
@@ -319,15 +320,16 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     # The root's own sample is drawn first, so that every later draw is the
     # same whether or not it is labelled, and labelled only if the root ends
     # a leaf: a split drops the root's label. Until then the root carries a
-    # placeholder. Born-again labels at most its raw-draw budget less the
-    # points labelled so far, so its labels never exceed that budget.
-    root = gmm.unconditional
+    # placeholder. Born-again labels within its raw-draw budget: a root it
+    # scored takes the labels of its priority sample, which holds at least
+    # one point, and an unscored root labels at most the budget.
+    root, root_y = gmm.unconditional, []
     X_root = checked(root, sample_conditional(root, rng, cfg.samples_per_node), "root")
     rows, _ = grow_best_first((0, np.zeros(m), root.Z), root, score, commit,
                               cfg.max_nodes, cfg.min_gain)
     if rows[0][0] < 0:
-        cap = None if cfg.total_sample_budget is None else cfg.total_sample_budget - budget
-        rows[0] = leaf_row(*_majority(labeled(X_root[:cap], "root"), m), root.Z, rows[0][-1])
+        y = root_y[0] if root_y else labeled(X_root[:cfg.total_sample_budget], "root")
+        rows[0] = leaf_row(*_majority(y, m), root.Z, rows[0][-1])
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -360,31 +362,33 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
     size) in one pass over the internal nodes, children before parents: a
     node collapses when its validation error increase per node removed,
     measured on the subtree already pruned beneath it, is below alpha
-    (Breiman et al. 1984, ch. 10). A second set selects the alpha whose tree
-    has the highest fidelity; ties prefer the smaller tree, then the earlier
-    alpha. A recorded budget grows by the 2 * n_val points labelled here.
+    (Breiman et al. 1984, ch. 10). The same pass scores the tree on a second
+    set from the class counts at its leaves; the highest fidelity wins, then
+    the smaller tree, then the earlier alpha, and only the winner is built.
+    Its recorded budget grows by the 2 * n_val points labelled here.
     """
     if n_val < 1 or len(alphas) == 0:
         raise ConfigError("prune needs n_val >= 1 and at least one alpha")
-    cm = gmm.unconditional
-    X_prune = sample_conditional(cm, rng, n_val)
-    y_prune = _label_points(f, X_prune, "prune")
-    X_sel = sample_conditional(cm, rng, n_val)
-    y_sel = _label_points(f, X_sel, "prune selection")
-    n, m, left, right = tree.size, tree.m, tree.left, tree.right
+    n, m, left, right, nodes = tree.size, tree.m, tree.left, tree.right, np.arange(tree.size)
     splits = np.flatnonzero(tree.feature >= 0)[::-1]  # children before parents
-    # Class counts of the points reaching each node (whole numbers, so
-    # exact), masses and mass-weighted histograms, summed up from the leaves.
-    counts = np.zeros((n, m))
-    np.add.at(counts, (tree.apply(X_prune), y_prune), 1.0)
+    # Class counts of the pruning and selection points reaching each node
+    # (whole numbers, so exact), masses and mass-weighted histograms, summed
+    # up from the leaves.
+    counts, sel = np.zeros((2, n, m))
+    for c, context in ((counts, "prune"), (sel, "prune selection")):
+        X = sample_conditional(gmm.unconditional, rng, n_val)
+        np.add.at(c, (tree.apply(X), _label_points(f, X, context)), 1.0)
     mass = tree.mass.copy()
     hist = tree.histogram * np.maximum(tree.mass, 1e-300)[:, None]
     for i in splits:
-        for a in (counts, mass, hist):
+        for a in (counts, sel, mass, hist):
             a[i] = a[left[i]] + a[right[i]]
     reached = counts.sum(axis=1)
     label = np.where(reached > 0, np.argmax(counts, axis=1), np.argmax(hist, axis=1))
-    collapse_err = reached - counts[np.arange(n), label]
+    # Per node: validation error, leaf count and selection points labelled
+    # correctly, as a leaf of the input tree and as a collapsed subtree.
+    kept = np.stack([reached - counts[nodes, tree.label], np.ones(n), sel[nodes, tree.label]])
+    cut = np.stack([reached - counts[nodes, label], np.ones(n), sel[nodes, label]])
 
     def rebuild(i, collapsed, rows):  # the pruned subtree at node i, in preorder
         my_id = len(rows)
@@ -404,19 +408,17 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
     budget = None if tree.budget is None else tree.budget + 2 * n_val
     best = None
     for alpha in alphas:
-        # Validation error and leaf count of each subtree as pruned so far.
-        err, leaves = reached - counts[np.arange(n), tree.label], np.ones(n)
+        err, leaves, hit = sub = kept.copy()  # each subtree as pruned so far
         collapsed = np.zeros(n, dtype=bool)
         for i in splits:
-            err[i], leaves[i] = err[left[i]] + err[right[i]], leaves[left[i]] + leaves[right[i]]
+            sub[:, i] = sub[:, left[i]] + sub[:, right[i]]
             # The error increase per node of the 2 * (leaves - 1) removed, a
             # ratio of whole numbers rounded once, so equal rates compare equal.
-            if (collapse_err[i] - err[i]) / (2.0 * n_val * (leaves[i] - 1)) < alpha:
-                collapsed[i], err[i], leaves[i] = True, collapse_err[i], 1.0
-        rows: list = []
-        rebuild(0, collapsed, rows)
-        pruned = DecisionTree.from_rows(rows, tree.d, m, budget)
-        key = (-float(np.mean(pruned.predict_batch(X_sel) == y_sel)), pruned.size)
+            if (cut[0, i] - err[i]) / (2.0 * n_val * (leaves[i] - 1)) < alpha:
+                collapsed[i], sub[:, i] = True, cut[:, i]
+        key = (-hit[0], leaves[0])  # fidelity is hit / n_val, size 2 * leaves - 1
         if best is None or key < best[0]:
-            best = (key, pruned)
-    return best[1]
+            best = (key, collapsed)
+    rows: list = []
+    rebuild(0, best[1], rows)
+    return DecisionTree.from_rows(rows, tree.d, m, budget)

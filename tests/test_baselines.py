@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treextract import (BoxConstraint, ConfigError, ExtractionConfig,
-                        FunctionBlackbox, born_again_extract,
+                        FunctionBlackbox, InputError, born_again_extract,
                         cart_extract, condition, extract_tree, sample)
 from treextract.evaluate import three_box_benchmark
 
@@ -33,6 +33,11 @@ class TestCartExtract:
         ds = dataset(rng.normal(size=(77, 2)))
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
         assert cart_extract(ds, f, 7).budget == 77
+
+    def test_training_dimension_must_match_blackbox(self, rng):
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), 3, 2)
+        with pytest.raises(InputError, match="training data dimension does not match"):
+            cart_extract(dataset(rng.normal(size=(10, 2))), f, 3)
 
     def test_root_split_agrees_with_extractor_in_data_limit(self):
         """CART on abundant root samples finds the same first split."""

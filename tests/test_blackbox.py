@@ -208,6 +208,10 @@ class TestRandomForest:
         with pytest.raises(ConfigError):
             RandomForestConfig(**kwargs)
 
+    def test_unlabelled_training_data_rejected(self, rng):
+        with pytest.raises(InputError, match="training data must be labeled"):
+            train_random_forest(dataset(rng.normal(size=(20, 2))))
+
 
 class TestDocumentSizes:
     """A forest or policy whose stated sizes contradict its contents is
@@ -563,6 +567,16 @@ class TestBoxBlackbox:
         b = BoxConstraint([1.0, 1.0], [3.0, 3.0])
         with pytest.raises(InputError):
             BoxBlackbox([a, b], [1, 1], d=2, m=2)
+
+    @pytest.mark.parametrize("boxes, labels, message", [
+        ([([0.0, 0.0], [1.0, 1.0])], [1, 0], "boxes and labels must have equal length"),
+        ([([0.0], [1.0])], [1], "box dimension mismatch"),
+        ([([0.0, 0.0], [1.0, 1.0])], [2], "labels out of range"),
+    ], ids=["counts", "box-d", "label"])
+    def test_bad_boxes_or_labels_rejected(self, boxes, labels, message):
+        from treextract import BoxBlackbox, BoxConstraint
+        with pytest.raises(InputError, match=message):
+            BoxBlackbox([BoxConstraint(lo, hi) for lo, hi in boxes], labels, d=2, m=2)
 
     def test_default_label_outside(self):
         from treextract import BoxBlackbox, BoxConstraint

@@ -170,6 +170,21 @@ class TestPipeline:
         assert code == 1
         assert f"error: malformed {kind} document: KeyError" in err
 
+    @pytest.mark.parametrize("node, key, value, message", [
+        (0, "dim", 2, "split dim out of range"),
+        (1, "cached_gain", -0.5, "cached_gain must be nonnegative"),
+    ], ids=["dim-at-d", "negative-gain"])
+    def test_invalid_tree_document_exits_1(self, workdir, synthetic_spec, capsys,
+                                           node, key, value, message):
+        rows = (split_row(0, 0.0, 1, 2, m=2), leaf_row(1, [0.0, 1.0], mass=0.5),
+                leaf_row(0, [1.0, 0.0], mass=0.5))
+        doc = tree_to_doc(DecisionTree.from_rows(rows, d=2, m=2))
+        doc["nodes"][node][key] = value
+        save_json(workdir / "tree.json", doc)
+        code, out, err = run(["evaluate", "--tree", "tree.json", "--blackbox", "synthetic:bb.json",
+                              "--data", "train.csv"], capsys)
+        assert code == 1 and out == "" and message in err
+
     def test_nonfinite_gmm_mean_exits_1(self, workdir, synthetic_spec, capsys):
         (workdir / "nan.json").write_text(
             '{"kind": "gaussian_mixture", "weights": [1.0], "means": [[NaN, 0.0]], '
@@ -509,6 +524,19 @@ class TestConfigFile:
             assert f"prune={value!r}" in err
         else:
             assert json.loads(err.splitlines()[0])["prune"] is prune
+
+    def test_comments_and_blank_lines_skipped(self, workdir, synthetic_spec, capsys):
+        (workdir / "cfg.txt").write_text("# fit settings\n\nseed = 5\n", encoding="utf-8")
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--config", "cfg.txt",
+                            "--k", "1", "--out", "g.json"], capsys)
+        assert code == 0 and json.loads(err.splitlines()[0])["seed"] == 5
+
+    def test_line_without_equals_exits_1(self, workdir, synthetic_spec, capsys):
+        (workdir / "cfg.txt").write_text("# fit settings\n\nseed 5\n", encoding="utf-8")
+        code, _, err = run(["fit-gmm", "--data", "train.csv", "--config", "cfg.txt",
+                            "--k", "1", "--out", "g.json"], capsys)
+        assert code == 1 and "cfg.txt:3: expected key=value" in err
+        assert not (workdir / "g.json").exists()
 
     def test_unknown_config_key_rejected(self, workdir, synthetic_spec, capsys):
         (workdir / "cfg.txt").write_text("bogus=1\n", encoding="utf-8")

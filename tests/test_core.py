@@ -43,6 +43,12 @@ class TestSplit:
             with pytest.raises(InputError):
                 box(2).split(dim, 0.0)
 
+    @pytest.mark.parametrize("lower, upper", [([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])],
+                             ids=["lengths", "2-d"])
+    def test_bound_shapes_checked(self, lower, upper):
+        with pytest.raises(InputError, match="lower and upper must be 1-d arrays of equal length"):
+            BoxConstraint(lower, upper)
+
     def test_nan_threshold_rejected(self):
         with pytest.raises(InputError):
             box(2).split(0, np.nan)
@@ -268,6 +274,18 @@ class TestTreeValidation:
             array_tree([0, 0, -1, -1, -1], [1.0, 1.0, 0.0, 0.0, 0.0],
                        [1, 3, -1, -1, -1], [2, 4, -1, -1, -1], [0] * 5, d=1, m=1)
 
+    def test_array_lengths_must_agree(self):
+        with pytest.raises(InputError, match="node arrays must share one length"):
+            array_tree([-1], [0.0], [-1], [-1], [0, 0], d=1, m=1, histogram=[[1.0]])
+
+    def test_split_dim_must_be_below_d(self):
+        with pytest.raises(InputError, match="split dim out of range"):
+            array_tree([1, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1], [0] * 3, d=1, m=1)
+
+    def test_negative_cached_gain_rejected(self):
+        with pytest.raises(InputError, match="cached_gain must be nonnegative"):
+            array_tree([-1], [0.0], [-1], [-1], [0], d=1, m=1, cached_gain=[-0.1])
+
     def test_arrays_are_read_only(self):
         tree = depth2_tree()
         assert not tree.threshold.flags.writeable and not tree.histogram.flags.writeable
@@ -281,6 +299,15 @@ class TestDataset:
     def test_rejects_bad_labels(self):
         with pytest.raises(InputError):
             Dataset(np.ones((2, 1)), np.array([0, 5]), ("a",), 2)
+
+    @pytest.mark.parametrize("features, labels, names, message", [
+        (np.ones(3), None, ("a",), r"features must be a \(n>=1, d>=1\) matrix, got shape \(3,\)"),
+        (np.ones((2, 1)), np.array([0, 1, 0]), ("a",), r"labels shape \(3,\) does not match n=2"),
+        (np.ones((2, 2)), None, ("a",), "column_names length does not match d"),
+    ], ids=["features", "labels", "column-names"])
+    def test_shapes_checked(self, features, labels, names, message):
+        with pytest.raises(InputError, match=message):
+            Dataset(features, labels, names, 2)
 
     def test_from_arrays_defaults(self):
         ds = dataset(np.ones((3, 2)), np.array([0, 1, 1]))

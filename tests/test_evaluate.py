@@ -249,6 +249,11 @@ class TestExactOracle:
         assert res.gains[0] == pytest.approx(0.5, abs=1e-9)
         assert {tree.label[tree.left[0]], tree.label[tree.right[0]]} == {0, 1}
 
+    def test_non_box_blackbox_rejected(self, gmm_2d):
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), 2, 2)
+        with pytest.raises(InputError, match="the exact oracle requires a box-piecewise blackbox"):
+            exact_greedy_oracle(gmm_2d, f, 3)
+
     def test_constant_function_single_leaf(self, gmm_2d):
         bb = BoxBlackbox([], [], d=2, m=2, default_label=1)
         res = exact_greedy_oracle(gmm_2d, bb, 7)

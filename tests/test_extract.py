@@ -481,6 +481,20 @@ class TestBudgetCountsBlackboxPoints:
         assert tree.size == 1 and tree.cached_gain[0] == 0.0
         assert seen == [100, 100] and tree.budget == 200
 
+    def test_born_again_scored_root_leaf_takes_its_priority_labels(self):
+        """The same root ends a leaf with no budget left for its own sample;
+        its priority sample, labelled within the budget, gives its label and
+        histogram (it read label 0 and [0.5, 0.5] from no points)."""
+        gmm, bb = three_box_benchmark()
+        labels = []
+        f = FunctionBlackbox(lambda X: labels.append(bb.predict(X)) or labels[-1], bb.d, bb.m)
+        tree = born_again_extract(gmm, f, ExtractionConfig(
+            3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
+        priority = np.bincount(labels[0], minlength=2) / len(labels[0])
+        assert [len(y) for y in labels] == [100, 100] and tree.budget == 200
+        assert np.array_equal(priority, [0.44, 0.56])
+        assert tree.label[0] == 1 and np.array_equal(tree.histogram[0], priority)
+
 
 def _counting(f):
     """f wrapped to record the size of each batch it labels."""
@@ -572,6 +586,24 @@ class TestPrune:
         out = prune(tree, gmm, f, 39, np.random.default_rng(0),
                     alphas=[np.nextafter(1 / 78, 1.0)])
         assert out.size == 3 and list(out.label) == [0, 0, 1]
+
+    def test_builds_only_the_chosen_tree(self, monkeypatch):
+        """Each alpha is scored from the class counts at the input tree's
+        nodes, so one prune call constructs one DecisionTree, the one it
+        returns, however many alphas it tries."""
+        gmm, bb = three_box_benchmark()
+        tree = extract_tree(gmm, bb, ExtractionConfig(15, 200, seed=3))
+        built = []
+
+        class Counted(extract.DecisionTree):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(extract, "DecisionTree", Counted)
+        out = prune(tree, gmm, bb, 300, np.random.default_rng(0))
+        assert len(DEFAULT_PRUNE_ALPHAS) == 8
+        assert len(built) == 1 and built[0] is out
 
     @pytest.mark.parametrize("n_val, alphas", [(500, ()), (0, [0.0]), (-5, [0.0])],
                              ids=["no-alphas", "n_val-0", "n_val-negative"])

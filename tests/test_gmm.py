@@ -83,6 +83,15 @@ class TestCondition:
         with pytest.raises(EmptyRegionError):
             condition(gmm_2d, far)
 
+    def test_box_dimension_checked(self, gmm_2d):
+        with pytest.raises(InputError, match="box dimension 1 does not match d=2"):
+            condition(gmm_2d, BoxConstraint([0.0], [1.0]))
+
+    def test_box_outside_the_truncated_domain_raises(self):
+        gmm = GaussianMixture([1.0], [[0.0]], [[1.0]], x_max=2.5)
+        with pytest.raises(EmptyRegionError, match="box lies outside the truncated domain"):
+            condition(gmm, BoxConstraint([3.0], [4.0]))
+
     def test_unsatisfiable_box_raises(self, gmm_2d):
         bad = BoxConstraint([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(EmptyRegionError):

@@ -13,7 +13,7 @@ from treextract.core import leaf_row, split_row
 from treextract.io import (TableSchema, blackbox_from_doc, blackbox_to_doc,
                            encode_features, gmm_from_doc, gmm_to_doc, load_csv,
                            load_gmm, load_json, load_tree, save_csv, save_gmm, save_tree,
-                           tree_from_doc, tree_to_doc)
+                           tree_from_doc, tree_to_doc, write_text_atomic)
 
 from helpers import dataset, predict_one
 
@@ -68,6 +68,25 @@ class TestCsv:
         with pytest.raises(InputError, match="row 2"):
             load_csv(path)
 
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("a,y\n", encoding="utf-8")
+        with pytest.raises(InputError, match="no data rows"):
+            load_csv(path)
+
+    def test_ragged_row_rejected_by_encode(self, csv_file):
+        _, schema = load_csv(csv_file, categorical_schema())
+        with pytest.raises(InputError, match="row 1 has 2 fields"):
+            encode_features(schema, [["33", "red"]])
+
+    @pytest.mark.parametrize("columns, message", [
+        ([("a", "numeric"), ("b", "ordinal")], "unknown column kind"),
+        ([("a", "label"), ("b", "label")], "at most one label column allowed"),
+    ], ids=["kind", "two-labels"])
+    def test_bad_schema_rejected(self, columns, message):
+        with pytest.raises(InputError, match=message):
+            TableSchema(columns)
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\nfoo,0\n", encoding="utf-8")
@@ -93,6 +112,13 @@ class TestCsv:
         path.write_text("a,y\n1,cat\n2,dog\n3,cat\n", encoding="utf-8")
         ds, schema = load_csv(path)
         assert schema.label_classes == ["cat", "dog"]
+        assert np.array_equal(ds.labels, [0, 1, 0])
+
+    def test_negative_integer_labels_mapped_in_order(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("a,y\n1,3\n2,-1\n3,3\n", encoding="utf-8")
+        ds, schema = load_csv(path)
+        assert schema.label_classes == ["3", "-1"]
         assert np.array_equal(ds.labels, [0, 1, 0])
 
     def test_label_column_need_not_be_last(self, tmp_path):
@@ -166,6 +192,16 @@ class TestTreeJson:
         with pytest.raises(InputError, match=match):
             tree_from_doc(tree_doc(nodes, root))
 
+    @pytest.mark.parametrize("node, key, value, match", [
+        (0, "dim", 1, "split dim out of range"),
+        (1, "cached_gain", -0.5, "cached_gain must be nonnegative"),
+    ], ids=["dim-at-d", "negative-gain"])
+    def test_node_values_checked(self, node, key, value, match):
+        doc = tree_doc([(1, 2), 0, 0])
+        doc["nodes"][node][key] = value
+        with pytest.raises(InputError, match=match):
+            tree_from_doc(doc)
+
     def test_negative_split_dim_rejected(self):
         # An internal node with dim -1 and no children would read as a leaf.
         doc = tree_doc([0])
@@ -173,6 +209,15 @@ class TestTreeJson:
                            "left": -1, "right": -1}
         with pytest.raises(InputError, match="dim"):
             tree_from_doc(doc)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            write_text_atomic(tmp_path / "out", "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestLoadJson:
@@ -199,6 +244,10 @@ class TestGmmJson:
         assert doc["kind"] == "gaussian_mixture" and doc["format_version"] == 1
         assert gmm_from_doc(doc).k == 2
 
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(InputError, match="not a gaussian mixture document"):
+            gmm_from_doc({"kind": "decision_tree"})
+
     def test_zero_dimension_doc_rejected(self):
         with pytest.raises(InputError, match=r"d >= 1"):
             gmm_from_doc(ZERO_D_GMM_DOC)
@@ -214,6 +263,15 @@ class TestBlackboxJson:
         back = blackbox_from_doc(json.loads(json.dumps(doc)))
         X = rng.normal(size=(200, 2)) * 2
         assert np.array_equal(bb.predict(X), back.predict(X))
+
+    def test_function_blackbox_not_serializable(self):
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), 2, 2)
+        with pytest.raises(InputError, match="cannot serialize blackbox of type FunctionBlackbox"):
+            blackbox_to_doc(f)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError, match="unknown blackbox kind 'mystery'"):
+            blackbox_from_doc({"kind": "mystery"})
 
     def test_policy_round_trip(self, cartpole, rng):
         policy = cartpole
