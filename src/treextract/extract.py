@@ -175,7 +175,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
         lcs.append((lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32))
         if S > 1:
             lcs[-1] -= np.where(starts > 0, lcs[-1][:, starts - 1], 0)[:, node]
-    lcs.append(nl_int - sum(lcs))
+    lcs.append(np.broadcast_to(nl_int - sum(lcs), cand.shape))  # 2-d also when m == 1
     sq_left, sq_right, t = np.zeros(cand.shape), np.zeros(cand.shape), np.empty(cand.shape)
     for k, lc in enumerate(lcs):  # classes in order, as a per-row sum adds them
         sq_left += np.square(np.divide(lc, nl, out=t), out=t)
@@ -271,38 +271,36 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     """The active extractor and the rejection-sampling baseline on the
     shared frontier loop; draw supplies each node's sample set.
 
-    A region is the model conditioned on a leaf's path box. Each leaf that
-    a later commit could still split is scored on one sample set, and each
-    split committed from a second, independent one. A model whose
-    dimension differs from the blackbox's is refused before the first draw.
+    A region is the model conditioned on a leaf's path box. Each leaf but
+    the root that a later commit could still split is scored on one sample
+    set, and each split committed from a second, independent one. A model
+    of another dimension than the blackbox's is refused before the first draw.
     """
     _check_dims(gmm, f)
     d, m = f.d, f.m
     budget = 0
 
-    def checked(cm, X, context):
+    def labeled(cm, X, context):
+        nonlocal budget
         if X.shape[0] and not cm.box.contains_batch(X).all():
             raise SamplerError(f"sample escaped its node box ({context})")
-        return X
-
-    def labeled(X, context):
-        nonlocal budget
         budget += X.shape[0]
         return _label_points(f, X, context)
 
     def scan(cm, context):
-        X = checked(cm, draw(cm, cfg.samples_per_node, rng), context)
-        y = labeled(X, context)
+        X = draw(cm, cfg.samples_per_node, rng)
+        y = labeled(cm, X, context)
         return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
     def score(i, cm):
-        cand, y = scan(cm, f"priority estimate at node {i}")
-        if i == 0 and cfg.total_sample_budget is not None:
-            root_y.append(y)
+        if i == 0:  # alone on the frontier, the root is popped at once: nothing to rank
+            sample_conditional(cm, rng, cfg.samples_per_node)  # drawn only to keep the stream
+            return np.inf, "root"  # placeholders: the commit sets the root's row
+        cand = scan(cm, f"priority estimate at node {i}")[0]
         return (0.0 if cand is None else cand.gain), cand
 
     def commit(i, cm, _):
-        cand = scan(cm, f"commit at node {i}")[0]
+        cand, last_y[0] = scan(cm, f"commit at node {i}")
         if cand is None:
             return None
         children = []
@@ -317,19 +315,21 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
             children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
         return (cand.dim, cand.threshold), children
 
-    # The root's own sample is drawn first, so that every later draw is the
-    # same whether or not it is labelled, and labelled only if the root ends
-    # a leaf: a split drops the root's label. Until then the root carries a
-    # placeholder. Born-again labels within its raw-draw budget: a root it
-    # scored takes the labels of its priority sample, which holds at least
-    # one point, and an unscored root labels at most the budget.
-    root, root_y = gmm.unconditional, []
-    X_root = checked(root, sample_conditional(root, rng, cfg.samples_per_node), "root")
+    # The root's own sample and its priority sample are drawn from the
+    # unconditional model, outside born-again's raw-draw budget, and kept
+    # only so that every later draw stays the same. A root with
+    # max_nodes >= 3 goes straight to its commit and, if that finds no
+    # split, takes its label from the commit sample, which is never empty;
+    # so the root's own sample is labelled only for a root with no commit,
+    # as when max_nodes == 1 (by born-again, at most its budget of it).
+    # Until then the root carries a placeholder label.
+    root, last_y = gmm.unconditional, [None]  # the last commit sample's labels
+    X_root = sample_conditional(root, rng, cfg.samples_per_node)
     rows, _ = grow_best_first((0, np.zeros(m), root.Z), root, score, commit,
                               cfg.max_nodes, cfg.min_gain)
-    if rows[0][0] < 0:
-        y = root_y[0] if root_y else labeled(X_root[:cfg.total_sample_budget], "root")
-        rows[0] = leaf_row(*_majority(y, m), root.Z, rows[0][-1])
+    if rows[0][0] < 0:  # so the root's commit, if it had one, was the only one
+        y = labeled(root, X_root[:cfg.total_sample_budget], "root") if last_y[0] is None else last_y[0]
+        rows[0] = leaf_row(*_majority(y, m), root.Z)
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -341,9 +341,9 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     the same sample budget as the root. Deterministic given cfg.seed. The
     tree's budget field records its blackbox evaluations: samples_per_node
     for each commit and each leaf scored, which is every leaf with mass but
-    the children of a commit that fills max_nodes, and for the root's label
-    when the root ends a leaf; cfg.prune adds its two validation sets. A
-    raw-draw budget in cfg is refused, as nothing here would spend it.
+    the root and the children of a commit that fills max_nodes, and for the
+    root's label when max_nodes == 1; cfg.prune adds its two validation sets.
+    A raw-draw budget in cfg is refused, as nothing here would spend it.
     """
     if cfg.total_sample_budget is not None:
         raise ConfigError("extract_tree takes no total_sample_budget (born-again's)")

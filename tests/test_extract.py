@@ -17,8 +17,9 @@ from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_tree
 from treextract.evaluate import exact_greedy_oracle, fidelity, three_box_benchmark
 from treextract.io import tree_to_doc
 
-from helpers import (dataset, leaf_tree, random_mixture, reference_best_split, reference_prune,
-                     split_fields as _fields, two_box_benchmark)
+from helpers import (dataset, leaf_tree, random_mixture, reference_best_split,
+                     reference_grow_tree, reference_prune, split_fields as _fields,
+                     two_box_benchmark)
 
 
 def brute_force_gain(X, y, m, mass, dim, threshold):
@@ -47,11 +48,11 @@ def brute_force_gain(X, y, m, mass, dim, threshold):
 @st.composite
 def scan_cases(draw):
     """A labeled sample set with ties, constant columns and large offsets,
-    plus the scan settings."""
+    plus the scan settings. A negative min_gain admits every cut."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     n = draw(st.integers(2, 300))
     d = draw(st.integers(1, 8))
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 5))
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     decimals = draw(st.sampled_from([None, 0, 1]))
@@ -67,7 +68,7 @@ def scan_cases(draw):
         noisy = rng.random(n) < 0.2
         y[noisy] = rng.integers(m, size=int(noisy.sum()))
     mass = draw(st.floats(1e-3, 1.0))
-    min_gain = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02]))
+    min_gain = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02, -1.0]))
     return X, y, m, mass, min_gain
 
 
@@ -130,6 +131,15 @@ class TestBestSplitFromSamples:
         cand = best_split_from_samples(X, y, 2, 1.0)
         assert cand.dim == 0 and cand.threshold == pytest.approx(1.5)
 
+    def test_one_class_with_negative_min_gain(self):
+        # The last class's running counts are what the others leave; with no
+        # other class they must still be indexed per dimension.
+        X, y = np.arange(10.0).reshape(5, 2), np.zeros(5, int)
+        want = (0, "1.0", "0.0", 0, 0, np.ones(1).tobytes(), np.ones(1).tobytes())
+        assert _fields(reference_best_split(X, y, 1, 1.0, -1.0)) == want
+        assert _fields(best_split_from_samples(X, y, 1, 1.0, -1.0)) == want
+        assert [_fields(c) for c in batch_scan(X, y, 1, 1.0, -1.0, np.zeros(5, int))] == [want]
+
 
 class TestVectorisedScan:
     @settings(max_examples=300, deadline=None)
@@ -185,7 +195,7 @@ def ragged_batches(draw):
     columns; node 0's rows are all one point. A negative min_gain admits
     every cut, so only the node masks hold back a node without one."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     sizes = draw(st.lists(st.sampled_from([1, 2, 2, 3, 7, 40]), min_size=1, max_size=8))
     n = sum(sizes)
     X = np.round(rng.normal(size=(n, d)) * 2, draw(st.sampled_from([0, 1, 4])))
@@ -273,12 +283,13 @@ class TestExtractTree:
         expansions = int(np.sum(tree.feature >= 0))
         estimations = int(np.sum(tree.feature < 0)) + expansions
         assert tree.budget <= 2 * n * (expansions + estimations)
-        # One priority estimate per created leaf + one commit per expansion,
-        # n points each, less the two children of the commit that fills the
-        # tree: no commit could follow theirs, so they are never scored. The
-        # root splits, so its own sample is never labelled.
+        # One priority estimate per created leaf other than the root, which
+        # goes straight to its commit, + one commit per expansion, n points
+        # each, less the two children of the commit that fills the tree: no
+        # commit could follow theirs, so they are never scored. The root
+        # splits, so its own sample is never labelled.
         assert tree.size == 7
-        assert tree.budget == n * ((2 * expansions - 1) + expansions)
+        assert tree.budget == n * ((2 * expansions - 2) + expansions)
 
     def test_deterministic_given_seed(self, gmm_2d):
         f = FunctionBlackbox(lambda X: ((X[:, 0] <= 0) & (X[:, 1] > -0.5)).astype(int), 2, 2)
@@ -472,28 +483,79 @@ class TestBudgetCountsBlackboxPoints:
 
     def test_born_again_root_leaf_labels_only_what_is_left(self):
         """At 3 nodes this root's commit comes back None (min_gain > 0), so
-        the root ends a leaf after its priority and commit samples have
-        spent the whole raw-draw budget of 2n: its own sample gets no label."""
+        the root ends a leaf after its commit sample has spent n of the
+        raw-draw budget of 2n: its own and its priority samples, drawn
+        outside the budget, get no label."""
         gmm, bb = three_box_benchmark()
         f, seen = _counting(bb)
         tree = born_again_extract(gmm, f, ExtractionConfig(
             3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
         assert tree.size == 1 and tree.cached_gain[0] == 0.0
-        assert seen == [100, 100] and tree.budget == 200
+        assert seen == [100] and tree.budget == 100
 
-    def test_born_again_scored_root_leaf_takes_its_priority_labels(self):
-        """The same root ends a leaf with no budget left for its own sample;
-        its priority sample, labelled within the budget, gives its label and
-        histogram (it read label 0 and [0.5, 0.5] from no points)."""
+    def test_born_again_root_leaf_takes_its_commit_labels(self):
+        """The same root ends a leaf; its commit sample, labelled within the
+        budget, gives its label and histogram (its priority sample, which
+        gave them before, read [0.44, 0.56] and is no longer labelled)."""
         gmm, bb = three_box_benchmark()
         labels = []
         f = FunctionBlackbox(lambda X: labels.append(bb.predict(X)) or labels[-1], bb.d, bb.m)
         tree = born_again_extract(gmm, f, ExtractionConfig(
             3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
-        priority = np.bincount(labels[0], minlength=2) / len(labels[0])
-        assert [len(y) for y in labels] == [100, 100] and tree.budget == 200
-        assert np.array_equal(priority, [0.44, 0.56])
-        assert tree.label[0] == 1 and np.array_equal(tree.histogram[0], priority)
+        commit = np.bincount(labels[0], minlength=2) / len(labels[0])
+        assert [len(y) for y in labels] == [100] and tree.budget == 100
+        assert np.array_equal(commit, [0.39, 0.61])
+        assert tree.label[0] == 1 and np.array_equal(tree.histogram[0], commit)
+
+
+class TestRootGoesStraightToItsCommit:
+    """Alone on the frontier, the root is popped at once, so its priority
+    sample is drawn, to keep every later draw, but neither labelled nor
+    scanned."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder=st.sampled_from(["ours", "pruned", "born_again"]),
+           problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
+           size=st.integers(0, 7).map(lambda k: 2 * k + 1),
+           n=st.integers(20, 300), raw_per_n=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16))
+    def test_same_tree_as_the_loop_that_scores_the_root(self, builder, problem, size, n,
+                                                         raw_per_n, seed):
+        """At min_gain = 0 the trees agree wherever the root splits under
+        both loops. Each problem's two classes hold about half the mass, so
+        a root sample of 20 or more points is all but never of one class
+        and the root always splits here. The reference's born-again budget
+        also pays for the root's priority sample when it draws one."""
+        (gmm, bb), raw = problem(), int(raw_per_n * n)
+        scored = size >= 3
+
+        def build(raw):
+            if builder == "born_again":
+                return born_again_extract(gmm, bb, ExtractionConfig(
+                    size, n, seed=seed, total_sample_budget=raw))
+            return extract_tree(gmm, bb, ExtractionConfig(size, n, seed=seed,
+                                                          prune=builder == "pruned"))
+
+        tree = build(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines if builder == "born_again" else extract, "grow_tree",
+                       reference_grow_tree)
+            ref = build(raw + n * scored)
+        assert {**tree_to_doc(tree), "budget": None} == {**tree_to_doc(ref), "budget": None}
+        assert tree.budget == ref.budget - n * scored
+
+    @pytest.mark.parametrize("builder", ["ours", "born_again"])
+    def test_first_labelled_batch_is_the_root_commit_sample(self, builder):
+        gmm, bb = three_box_benchmark()
+        batches = []
+        f = FunctionBlackbox(lambda X: batches.append(X.copy()) or bb.predict(X), bb.d, bb.m)
+        if builder == "ours":
+            extract_tree(gmm, f, ExtractionConfig(7, 100, seed=3))
+        else:
+            born_again_extract(gmm, f, ExtractionConfig(7, 100, seed=3,
+                                                        total_sample_budget=500))
+        rng = np.random.default_rng(3)
+        own, priority, commit = (sample(gmm, rng, 100) for _ in range(3))
+        assert np.array_equal(batches[0], commit)
 
 
 def _counting(f):
@@ -667,7 +729,7 @@ class TestLabelRange:
 
     @pytest.mark.parametrize("relabel", [lambda y: 2 * y, lambda y: -y], ids=["2", "-1"])
     @pytest.mark.parametrize("run, context", [
-        (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "priority estimate"),
+        (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "commit at node 0"),
         (lambda gmm, f, X: cart_extract(dataset(X), f, 3), "cart relabeling"),
         (lambda gmm, f, X: fidelity(leaf_tree(0, 2, 2), f, X), "fidelity"),
     ], ids=["extract_tree", "cart_extract", "fidelity"])
