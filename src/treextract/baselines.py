@@ -53,13 +53,11 @@ def born_again_extract(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> Decisi
     Identical frontier loop to the active extractor, but each node's sample
     set is drawn from the unconditional mixture and filtered by the node's
     box, so a node of mass Z accepts roughly Z of its draws. The shared
-    budget, cfg.total_sample_budget, counts the raw draws of the priority
-    and commit samples, which the active extractor labels in full; the
-    root's own and priority samples are drawn outside it and unlabelled.
-    Once it is spent, remaining frontier leaves get no data and finalize as
-    leaves. Only accepted points are labeled, a root leaf's from its commit
-    sample (max_nodes >= 3) or at most the budget of its own. So blackbox
-    calls never exceed the budget, and cfg.prune, which labels more, is refused.
+    budget, cfg.total_sample_budget, counts every raw draw, the root's
+    included, which the active extractor labels in full. Once it is spent,
+    remaining frontier leaves get no data and finalize as leaves. Only
+    accepted points are labeled, so blackbox calls never exceed the budget,
+    and cfg.prune, which labels more, is refused.
     """
     if cfg.total_sample_budget is None or cfg.prune:
         raise ConfigError("born_again requires a total_sample_budget and no prune")

@@ -112,8 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", default=None)
     p.add_argument("--gmm", default=None, help="input model JSON (born-again)")
     p.add_argument("--samples-per-node", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="born-again's raw draws, the root's own and priority samples excluded")
+    p.add_argument("--budget", type=int, default=None, help="born-again's raw draws")
     p.add_argument("--out", required=True)
     _add_common(p)
 

@@ -271,10 +271,12 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     """The active extractor and the rejection-sampling baseline on the
     shared frontier loop; draw supplies each node's sample set.
 
-    A region is the model conditioned on a leaf's path box. Each leaf but
-    the root that a later commit could still split is scored on one sample
-    set, and each split committed from a second, independent one. A model
-    of another dimension than the blackbox's is refused before the first draw.
+    A region is the model conditioned on a leaf's path box. The root, alone
+    on the frontier and so ranked against nothing, takes its label and its
+    split from one sample set. Every other leaf that a later commit could
+    still split is scored on one sample set, and its split committed from a
+    second, independent one. A model of another dimension than the
+    blackbox's is refused before the first draw.
     """
     _check_dims(gmm, f)
     d, m = f.d, f.m
@@ -293,14 +295,11 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
         return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
     def score(i, cm):
-        if i == 0:  # alone on the frontier, the root is popped at once: nothing to rank
-            sample_conditional(cm, rng, cfg.samples_per_node)  # drawn only to keep the stream
-            return np.inf, "root"  # placeholders: the commit sets the root's row
-        cand = scan(cm, f"priority estimate at node {i}")[0]
+        cand = first if i == 0 else scan(cm, f"priority estimate at node {i}")[0]
         return (0.0 if cand is None else cand.gain), cand
 
-    def commit(i, cm, _):
-        cand, last_y[0] = scan(cm, f"commit at node {i}")
+    def commit(i, cm, split):
+        cand = split if i == 0 else scan(cm, f"commit at node {i}")[0]
         if cand is None:
             return None
         children = []
@@ -315,21 +314,10 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
             children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
         return (cand.dim, cand.threshold), children
 
-    # The root's own sample and its priority sample are drawn from the
-    # unconditional model, outside born-again's raw-draw budget, and kept
-    # only so that every later draw stays the same. A root with
-    # max_nodes >= 3 goes straight to its commit and, if that finds no
-    # split, takes its label from the commit sample, which is never empty;
-    # so the root's own sample is labelled only for a root with no commit,
-    # as when max_nodes == 1 (by born-again, at most its budget of it).
-    # Until then the root carries a placeholder label.
-    root, last_y = gmm.unconditional, [None]  # the last commit sample's labels
-    X_root = sample_conditional(root, rng, cfg.samples_per_node)
-    rows, _ = grow_best_first((0, np.zeros(m), root.Z), root, score, commit,
+    root = gmm.unconditional
+    first, y = scan(root, "root")
+    rows, _ = grow_best_first((*_majority(y, m), root.Z), root, score, commit,
                               cfg.max_nodes, cfg.min_gain)
-    if rows[0][0] < 0:  # so the root's commit, if it had one, was the only one
-        y = labeled(root, X_root[:cfg.total_sample_budget], "root") if last_y[0] is None else last_y[0]
-        rows[0] = leaf_row(*_majority(y, m), root.Z)
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -340,9 +328,9 @@ def extract_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig) -> DecisionTree
     the conditional input distribution at that node, so deep nodes receive
     the same sample budget as the root. Deterministic given cfg.seed. The
     tree's budget field records its blackbox evaluations: samples_per_node
-    for each commit and each leaf scored, which is every leaf with mass but
-    the root and the children of a commit that fills max_nodes, and for the
-    root's label when max_nodes == 1; cfg.prune adds its two validation sets.
+    for the root, for each later commit and for each leaf scored, which is
+    every leaf with mass but the root and the children of a commit that
+    fills max_nodes; cfg.prune adds its two validation sets.
     A raw-draw budget in cfg is refused, as nothing here would spend it.
     """
     if cfg.total_sample_budget is not None:

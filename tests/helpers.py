@@ -13,11 +13,8 @@ from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, Gauss
 from treextract.blackbox import (STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions,
                                  step_batch)
 from treextract.core import leaf_row, split_row
-from treextract.errors import EmptyRegionError
-from treextract.extract import (DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points,
-                                _majority, best_split_from_samples, gini_term,
-                                grow_best_first)
-from treextract.gmm import (EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical, condition,
+from treextract.extract import DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points, gini_term
+from treextract.gmm import (EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical,
                             sample_conditional)
 
 
@@ -157,62 +154,6 @@ def reference_grow_best_first(root, region, score, commit, max_nodes, min_gain=0
             ids = [add(*child) for child in children]
             rows[i] = split_row(dim, threshold, *ids, len(root[1]))
     return rows, gains
-
-
-def reference_grow_tree(gmm, f, cfg, rng, draw) -> DecisionTree:
-    """grow_tree with the root scored like every other leaf: when
-    max_nodes >= 3, draw gives the root a priority sample (within
-    born-again's raw-draw budget), which is labelled and scanned before
-    the root's commit. A root that ends a leaf takes its label from that
-    priority sample under born-again (cfg.total_sample_budget set) if it
-    was scored, else from at most the budget of its own sample.
-
-    Reference for extract.grow_tree, which draws the root's priority sample
-    outside any budget and labels none of it. Where both roots split, the
-    two give the same tree for the same cfg (born-again's budget here
-    larger by samples_per_node, which the root's priority sample spends),
-    and this one labels samples_per_node points more.
-    """
-    m, budget, root_y = f.m, [0], []
-
-    def scan(cm, context):
-        X = draw(cm, cfg.samples_per_node, rng)
-        budget[0] += X.shape[0]
-        y = _label_points(f, X, context)
-        return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
-
-    def score(i, cm):
-        cand, y = scan(cm, f"priority estimate at node {i}")
-        if i == 0 and cfg.total_sample_budget is not None:
-            root_y.append(y)
-        return (0.0 if cand is None else cand.gain), cand
-
-    def commit(i, cm, _):
-        cand = scan(cm, f"commit at node {i}")[0]
-        if cand is None:
-            return None
-        children = []
-        for child_box, label, hist in zip(cm.box.split(cand.dim, cand.threshold),
-                                          (cand.left_label, cand.right_label),
-                                          (cand.left_hist, cand.right_hist)):
-            try:
-                child_cm = None if child_box is None else condition(gmm, child_box)
-            except EmptyRegionError:
-                child_cm = None
-            children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
-        return (cand.dim, cand.threshold), children
-
-    root = gmm.unconditional
-    X_root = sample_conditional(root, rng, cfg.samples_per_node)
-    rows, _ = grow_best_first((0, np.zeros(m), root.Z), root, score, commit,
-                              cfg.max_nodes, cfg.min_gain)
-    if rows[0][0] < 0:
-        if not root_y:
-            X_root = X_root[:cfg.total_sample_budget]
-            budget[0] += X_root.shape[0]
-            root_y.append(_label_points(f, X_root, "root"))
-        rows[0] = leaf_row(*_majority(root_y[0], m), root.Z, rows[0][-1])
-    return DecisionTree.from_rows(rows, f.d, m, budget[0])
 
 
 def _reference_weakest_links(tree: DecisionTree, counts, on_path, n_val: int):

@@ -13,12 +13,12 @@ from treextract import baselines, blackbox, extract
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
-from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_tree
+from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_best_first, grow_tree
 from treextract.evaluate import exact_greedy_oracle, fidelity, three_box_benchmark
 from treextract.io import tree_to_doc
 
 from helpers import (dataset, leaf_tree, random_mixture, reference_best_split,
-                     reference_grow_tree, reference_prune, split_fields as _fields,
+                     reference_prune, split_fields as _fields,
                      two_box_benchmark)
 
 
@@ -276,20 +276,24 @@ class TestExtractTree:
         assert tree.size == 1
         assert tree.label[0] == 1
 
-    def test_budget_recorded_and_bounded(self, gmm_2d):
+    def test_budget_recorded_and_bounded(self, gmm_2d, monkeypatch):
+        """Whatever shape grows: n points for the root's one sample, and n
+        for each score and each commit of a leaf other than the root."""
         f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
-        n = 200
-        tree = extract_tree(gmm_2d, f, ExtractionConfig(7, n, seed=0))
-        expansions = int(np.sum(tree.feature >= 0))
-        estimations = int(np.sum(tree.feature < 0)) + expansions
-        assert tree.budget <= 2 * n * (expansions + estimations)
-        # One priority estimate per created leaf other than the root, which
-        # goes straight to its commit, + one commit per expansion, n points
-        # each, less the two children of the commit that fills the tree: no
-        # commit could follow theirs, so they are never scored. The root
-        # splits, so its own sample is never labelled.
-        assert tree.size == 7
-        assert tree.budget == n * ((2 * expansions - 2) + expansions)
+        n, calls = 200, []
+
+        def recording(root, region, score, commit, max_nodes, min_gain=0.0):
+            return grow_best_first(root, region, lambda i, r: calls.append(i) or score(i, r),
+                                   lambda i, r, s: calls.append(i) or commit(i, r, s),
+                                   max_nodes, min_gain)
+
+        monkeypatch.setattr(extract, "grow_best_first", recording)
+        for seed in range(6):
+            calls.clear()
+            tree = extract_tree(gmm_2d, f, ExtractionConfig(7, n, seed=seed))
+            expansions = int(np.sum(tree.feature >= 0))
+            assert tree.budget <= n * (1 + 3 * expansions)
+            assert tree.budget == n * (1 + sum(i > 0 for i in calls))
 
     def test_deterministic_given_seed(self, gmm_2d):
         f = FunctionBlackbox(lambda X: ((X[:, 0] <= 0) & (X[:, 1] > -0.5)).astype(int), 2, 2)
@@ -481,81 +485,90 @@ class TestBudgetCountsBlackboxPoints:
                                                          prune=builder == "pruned"))
         assert tree.budget == sum(seen)
 
-    def test_born_again_root_leaf_labels_only_what_is_left(self):
-        """At 3 nodes this root's commit comes back None (min_gain > 0), so
-        the root ends a leaf after its commit sample has spent n of the
-        raw-draw budget of 2n: its own and its priority samples, drawn
-        outside the budget, get no label."""
+    @pytest.mark.parametrize("seed", [0, 34])
+    @pytest.mark.parametrize("raw", [60, 200])
+    def test_born_again_root_leaf_labels_only_what_is_left(self, seed, raw):
+        """A min_gain of 0.5, beyond any two-class gain, ends the root a
+        leaf. Its one sample is the first draw from the raw-draw budget, so
+        it labels n points, or the whole budget when that is smaller."""
         gmm, bb = three_box_benchmark()
         f, seen = _counting(bb)
         tree = born_again_extract(gmm, f, ExtractionConfig(
-            3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
+            3, 100, min_gain=0.5, seed=seed, total_sample_budget=raw))
         assert tree.size == 1 and tree.cached_gain[0] == 0.0
-        assert seen == [100] and tree.budget == 100
+        assert seen == [min(100, raw)] and tree.budget == min(100, raw)
 
     def test_born_again_root_leaf_takes_its_commit_labels(self):
-        """The same root ends a leaf; its commit sample, labelled within the
-        budget, gives its label and histogram (its priority sample, which
-        gave them before, read [0.44, 0.56] and is no longer labelled)."""
+        """The same root leaf takes its label and histogram from its one
+        sample, the first and only batch labelled."""
         gmm, bb = three_box_benchmark()
         labels = []
         f = FunctionBlackbox(lambda X: labels.append(bb.predict(X)) or labels[-1], bb.d, bb.m)
         tree = born_again_extract(gmm, f, ExtractionConfig(
-            3, 100, min_gain=0.05, seed=34, total_sample_budget=200))
-        commit = np.bincount(labels[0], minlength=2) / len(labels[0])
+            3, 100, min_gain=0.5, seed=34, total_sample_budget=200))
+        first = np.bincount(labels[0], minlength=2) / len(labels[0])
         assert [len(y) for y in labels] == [100] and tree.budget == 100
-        assert np.array_equal(commit, [0.39, 0.61])
-        assert tree.label[0] == 1 and np.array_equal(tree.histogram[0], commit)
+        assert 0 < first[0] < 1  # both classes, so the histogram says which won
+        assert tree.label[0] == first.argmax() and np.array_equal(tree.histogram[0], first)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
+           size=st.integers(0, 7).map(lambda k: 2 * k + 1), budgets=node_and_raw_budgets(),
+           min_gain=st.sampled_from([0.0, 0.05, 0.2]), seed=st.integers(0, 2 ** 16))
+    def test_born_again_raw_draws_stay_within_budget(self, problem, size, budgets, min_gain,
+                                                     seed):
+        """Every raw draw, the root's first, comes out of total_sample_budget."""
+        (n, raw), (gmm, bb) = budgets, problem()
+        drawn = []
+
+        def counted(draw):
+            def wrapped(*args):
+                X = draw(*args)
+                drawn.append(X.shape[0])
+                return X
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "sample", counted(sample))
+            mp.setattr(extract, "sample_conditional", counted(sample_conditional))
+            tree = born_again_extract(gmm, bb, ExtractionConfig(
+                size, n, min_gain, seed, total_sample_budget=raw))
+        assert drawn[0] == min(n, raw) and sum(drawn) <= raw
+        assert tree.budget <= sum(drawn)
 
 
 class TestRootGoesStraightToItsCommit:
-    """Alone on the frontier, the root is popped at once, so its priority
-    sample is drawn, to keep every later draw, but neither labelled nor
-    scanned."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(builder=st.sampled_from(["ours", "pruned", "born_again"]),
-           problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
-           size=st.integers(0, 7).map(lambda k: 2 * k + 1),
-           n=st.integers(20, 300), raw_per_n=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16))
-    def test_same_tree_as_the_loop_that_scores_the_root(self, builder, problem, size, n,
-                                                         raw_per_n, seed):
-        """At min_gain = 0 the trees agree wherever the root splits under
-        both loops. Each problem's two classes hold about half the mass, so
-        a root sample of 20 or more points is all but never of one class
-        and the root always splits here. The reference's born-again budget
-        also pays for the root's priority sample when it draws one."""
-        (gmm, bb), raw = problem(), int(raw_per_n * n)
-        scored = size >= 3
-
-        def build(raw):
-            if builder == "born_again":
-                return born_again_extract(gmm, bb, ExtractionConfig(
-                    size, n, seed=seed, total_sample_budget=raw))
-            return extract_tree(gmm, bb, ExtractionConfig(size, n, seed=seed,
-                                                          prune=builder == "pruned"))
-
-        tree = build(raw)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baselines if builder == "born_again" else extract, "grow_tree",
-                       reference_grow_tree)
-            ref = build(raw + n * scored)
-        assert {**tree_to_doc(tree), "budget": None} == {**tree_to_doc(ref), "budget": None}
-        assert tree.budget == ref.budget - n * scored
+    """Alone on the frontier, the root ranks against nothing, so its one
+    sample gives both its label and the split it commits."""
 
     @pytest.mark.parametrize("builder", ["ours", "born_again"])
-    def test_first_labelled_batch_is_the_root_commit_sample(self, builder):
-        gmm, bb = three_box_benchmark()
+    @settings(max_examples=30, deadline=None)
+    @given(problem=st.sampled_from([two_box_benchmark, three_box_benchmark]),
+           size=st.integers(0, 3).map(lambda k: 2 * k + 1), budgets=node_and_raw_budgets(),
+           min_gain=st.sampled_from([0.0, 0.05, 0.2]), seed=st.integers(0, 2 ** 16))
+    def test_first_labelled_batch_is_the_root_commit_sample(self, builder, problem, size,
+                                                             budgets, min_gain, seed):
+        (n, raw), (gmm, bb) = budgets, problem()
         batches = []
-        f = FunctionBlackbox(lambda X: batches.append(X.copy()) or bb.predict(X), bb.d, bb.m)
+        f = FunctionBlackbox(lambda X: batches.append((X.copy(), bb.predict(X))) or
+                             batches[-1][1], bb.d, bb.m)
+        rng = np.random.default_rng(seed)
         if builder == "ours":
-            extract_tree(gmm, f, ExtractionConfig(7, 100, seed=3))
+            tree = extract_tree(gmm, f, ExtractionConfig(size, n, min_gain, seed))
+            root_sample = sample_conditional(gmm.unconditional, rng, n)
         else:
-            born_again_extract(gmm, f, ExtractionConfig(7, 100, seed=3,
-                                                        total_sample_budget=500))
-        rng = np.random.default_rng(3)
-        own, priority, commit = (sample(gmm, rng, 100) for _ in range(3))
-        assert np.array_equal(batches[0], commit)
+            tree = born_again_extract(gmm, f, ExtractionConfig(
+                size, n, min_gain, seed, total_sample_budget=raw))
+            root_sample = sample(gmm, rng, min(n, raw))
+        X, y = batches[0]
+        assert np.array_equal(X, root_sample)
+        cand = best_split_from_samples(X, y, bb.m, gmm.unconditional.Z, min_gain)
+        if size == 1 or cand is None:
+            hist = np.bincount(y, minlength=bb.m) / len(y)
+            assert tree.feature[0] < 0 and np.array_equal(tree.histogram[0], hist)
+            assert tree.label[0] == hist.argmax()
+        else:
+            assert (tree.feature[0], tree.threshold[0]) == (cand.dim, cand.threshold)
 
 
 def _counting(f):
@@ -729,7 +742,7 @@ class TestLabelRange:
 
     @pytest.mark.parametrize("relabel", [lambda y: 2 * y, lambda y: -y], ids=["2", "-1"])
     @pytest.mark.parametrize("run, context", [
-        (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "commit at node 0"),
+        (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "root"),
         (lambda gmm, f, X: cart_extract(dataset(X), f, 3), "cart relabeling"),
         (lambda gmm, f, X: fidelity(leaf_tree(0, 2, 2), f, X), "fidelity"),
     ], ids=["extract_tree", "cart_extract", "fidelity"])

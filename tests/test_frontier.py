@@ -174,8 +174,8 @@ class TestUnscoredFinalLeaves:
         unscored = sorted(set(ref_scored) - set(scored))
         changed = np.flatnonzero(tree.cached_gain != ref.cached_gain)
         assert set(changed) <= set(unscored) and not tree.cached_gain[unscored].any()
-        # Ours scores its root without a label, so leaving the root unscored
-        # (size 1) spares no point.
+        # Ours labels its root's one sample whether or not the root is
+        # scored, so leaving the root unscored (size 1) spares no point.
         spared = n * len(set(unscored) - {0}) if builder == "ours" else 0
         assert tree.budget == (None if ref.budget is None else ref.budget - spared)
 
