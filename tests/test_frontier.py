@@ -37,6 +37,11 @@ from helpers import dataset, reference_grow_best_first, two_box_benchmark
 # (ours 1,600 -> 1,400, pruned 2,000 -> 1,800; rf and cart-pole likewise),
 # and each born-again tree, matched to the lower ours budget, draws and
 # splits as before and labels samples_per_node fewer (929 -> 729).
+# Re-recorded when the root came to take its label and split from one
+# sample, the first drawn, with no draws kept only for the generator stream:
+# every ours, pruned and born-again tree follows the shifted draws, with ours
+# and pruned budgets unchanged and born-again's root sample now inside its
+# raw-draw budget (three_box 729 -> 677 labelled).
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
            "cached_gain")
