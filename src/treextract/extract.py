@@ -272,26 +272,22 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     shared frontier loop; draw supplies each node's sample set.
 
     A region is the model conditioned on a leaf's path box. The root, alone
-    on the frontier and so ranked against nothing, takes its label and its
-    split from one sample set. Every other leaf that a later commit could
-    still split is scored on one sample set, and its split committed from a
-    second, independent one. A model of another dimension than the
-    blackbox's is refused before the first draw.
+    on the frontier, takes its label and split from one sample set; each
+    other leaf that a later commit could still split is scored on one and
+    split on a second, independent one. A model of another dimension than
+    the blackbox's is refused before the first draw.
     """
     _check_dims(gmm, f)
     d, m = f.d, f.m
     budget = 0
 
-    def labeled(cm, X, context):
+    def scan(cm, context):
         nonlocal budget
+        X = draw(cm, cfg.samples_per_node, rng)
         if X.shape[0] and not cm.box.contains_batch(X).all():
             raise SamplerError(f"sample escaped its node box ({context})")
         budget += X.shape[0]
-        return _label_points(f, X, context)
-
-    def scan(cm, context):
-        X = draw(cm, cfg.samples_per_node, rng)
-        y = labeled(cm, X, context)
+        y = _label_points(f, X, context)
         return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
     def score(i, cm):
