@@ -324,13 +324,19 @@ def export_dot(tree: DecisionTree, column_names: Optional[Sequence[str]] = None,
         raise InputError("column_names length does not match tree dimension")
     if class_names is None:
         class_names = [f"class_{i}" for i in range(tree.m)]
+    if len(class_names) != tree.m:
+        raise InputError("class_names length does not match the tree's class count")
+
+    def quoted(text):  # a DOT string, its backslashes and quotes escaped
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph tree {"]
     edges = []
     for i in range(tree.size):
         if tree.feature[i] >= 0:
-            label = f"{column_names[tree.feature[i]]} ≤ {tree.threshold[i]:g}"
-            lines.append(f'  n{i} [shape=box, label="{label}"];')
+            label = quoted(f"{column_names[tree.feature[i]]} ≤ {tree.threshold[i]:g}")
+            lines.append(f"  n{i} [shape=box, label={label}];")
             edges += [f"  n{i} -> n{tree.left[i]};", f"  n{i} -> n{tree.right[i]};"]
         else:
-            lines.append(f'  n{i} [shape=ellipse, label="{class_names[tree.label[i]]}"];')
+            lines.append(f"  n{i} [shape=ellipse, label={quoted(class_names[tree.label[i]])}];")
     return "\n".join(lines + edges + ["}"]) + "\n"

@@ -437,6 +437,12 @@ class TestExportFlags:
         code, _, err = run(["export", "--tree", "tree.json", "--seed", "3"], capsys)
         assert code == 1 and "--seed" in err
 
+    def test_too_few_class_names_rejected(self, workdir, capsys):
+        save_tree(workdir / "tree.json", leaf_tree(1, 2, 2))
+        code, _, err = run(["export", "--tree", "tree.json", "--format", "dot",
+                            "--classes", "only_one"], capsys)
+        assert code == 1 and "class_names" in err
+
     def test_config_accepted(self, workdir, capsys):
         save_tree(workdir / "tree.json", leaf_tree(1, 2, 2))
         (workdir / "cfg.txt").write_text("format=json\n", encoding="utf-8")

@@ -314,3 +314,15 @@ class TestDot:
     def test_column_count_checked(self):
         with pytest.raises(InputError):
             export_dot(sample_tree(), ["only_one"])
+
+    def test_class_count_checked(self):
+        with pytest.raises(InputError, match="class_names"):
+            export_dot(sample_tree(), ["age", "bmi"], ["only_one"])
+
+    def test_quotes_and_backslashes_escaped(self):
+        dot = export_dot(sample_tree(), ['a"b', "bmi"], ["c\\d", 'say "hi"'])
+        assert 'label="a\\"b ≤ 0.125"' in dot
+        assert 'label="c\\\\d"' in dot and 'label="say \\"hi\\""' in dot
+        # Every label is one DOT string: no bare quote ends it early.
+        labels = re.findall(r'label=("(?:[^"\\]|\\.)*")\];$', dot, flags=re.M)
+        assert len(labels) == 3
