@@ -22,7 +22,7 @@ from .baselines import born_again_extract, cart_extract
 from .blackbox import (BoxBlackbox, RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
 from .core import BoxConstraint, Dataset, DecisionTree
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _check_dims, _check_max_nodes, _label_points,
                       extract_tree, grow_best_first)
 from .gmm import EMConfig, GaussianMixture, fit_em, log_box_masses, select_k_bic
@@ -384,6 +384,8 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
     for a in algorithms:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
+    if n_seeds < 1:
+        raise ConfigError("n_seeds must be >= 1")
     model_driven = "ours" in algorithms or "born_again" in algorithms
     for size in sizes:
         _check_max_nodes(size)

@@ -511,6 +511,14 @@ class TestRunFidelityCurve:
         with pytest.raises(ConfigError):
             run_fidelity_curve(task, sizes, algorithms, n_seeds=2)
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_seeds_rejected_before_any_instance(self, n_seeds):
+        """No seeds used to give an empty result, which the CLI wrote as an
+        empty CSV before failing on its missing rows."""
+        task = FidelityTask("toy", 10, lambda seed: pytest.fail("built an instance"))
+        with pytest.raises(ConfigError, match="n_seeds"):
+            run_fidelity_curve(task, [3], ["ours"], n_seeds=n_seeds)
+
     def test_failed_seed_leaves_missing_rows_and_continues(self):
         gmm, bb = three_box_benchmark()
 
