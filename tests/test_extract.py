@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -291,8 +292,9 @@ class TestExtractTree:
         for seed in range(6):
             calls.clear()
             tree = extract_tree(gmm_2d, f, ExtractionConfig(7, n, seed=seed))
-            expansions = int(np.sum(tree.feature >= 0))
-            assert tree.budget <= n * (1 + 3 * expansions)
+            # Each of the at most 2E leaves below the root is scored and
+            # committed at most once.
+            assert tree.budget <= n * (1 + 4 * int(np.sum(tree.feature >= 0)))
             assert tree.budget == n * (1 + sum(i > 0 for i in calls))
 
     def test_deterministic_given_seed(self, gmm_2d):
@@ -485,18 +487,17 @@ class TestBudgetCountsBlackboxPoints:
                                                          prune=builder == "pruned"))
         assert tree.budget == sum(seen)
 
-    @pytest.mark.parametrize("seed", [0, 34])
-    @pytest.mark.parametrize("raw", [60, 200])
-    def test_born_again_root_leaf_labels_only_what_is_left(self, seed, raw):
+    def test_born_again_root_leaf_labels_only_what_is_left(self):
         """A min_gain of 0.5, beyond any two-class gain, ends the root a
         leaf. Its one sample is the first draw from the raw-draw budget, so
         it labels n points, or the whole budget when that is smaller."""
         gmm, bb = three_box_benchmark()
-        f, seen = _counting(bb)
-        tree = born_again_extract(gmm, f, ExtractionConfig(
-            3, 100, min_gain=0.5, seed=seed, total_sample_budget=raw))
-        assert tree.size == 1 and tree.cached_gain[0] == 0.0
-        assert seen == [min(100, raw)] and tree.budget == min(100, raw)
+        for seed, raw in itertools.product((0, 34), (60, 200)):
+            f, seen = _counting(bb)
+            tree = born_again_extract(gmm, f, ExtractionConfig(
+                3, 100, min_gain=0.5, seed=seed, total_sample_budget=raw))
+            assert tree.size == 1 and tree.cached_gain[0] == 0.0
+            assert seen == [min(100, raw)] and tree.budget == min(100, raw)
 
     def test_born_again_root_leaf_takes_its_commit_labels(self):
         """The same root leaf takes its label and histogram from its one
