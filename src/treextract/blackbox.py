@@ -30,8 +30,7 @@ class FunctionBlackbox:
     m: int
 
     def predict(self, X) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(X, dtype=np.float64))),
-                          dtype=np.int64)
+        return np.asarray(self.fn(np.atleast_2d(np.asarray(X, dtype=np.float64))))
 
 
 @dataclass(frozen=True)

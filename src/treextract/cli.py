@@ -241,9 +241,9 @@ def _cmd_train_cartpole(args) -> int:
 def _cmd_extract(args) -> int:
     gmm = tio.load_gmm(args.gmm)
     f = _load_blackbox(args.blackbox)
-    cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, min_gain=args.min_gain,
-                           seed=args.seed, prune=args.prune)
-    tree = extract_tree(gmm, f, cfg)
+    tree = extract_tree(gmm, f, ExtractionConfig(args.max_nodes, args.samples_per_node,
+                                                 min_gain=args.min_gain, seed=args.seed,
+                                                 prune=args.prune))
     tio.save_tree(args.out, tree)
     print(f"extracted tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
     return 0
@@ -260,9 +260,8 @@ def _cmd_baseline(args) -> int:
         if None in (args.gmm, args.budget, args.samples_per_node):
             raise InputError("born-again requires --gmm, --budget and --samples-per-node")
         gmm = tio.load_gmm(args.gmm)
-        cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, seed=args.seed,
-                               total_sample_budget=args.budget)
-        tree = born_again_extract(gmm, f, cfg)
+        tree = born_again_extract(gmm, f, ExtractionConfig(
+            args.max_nodes, args.samples_per_node, seed=args.seed, total_sample_budget=args.budget))
     tio.save_tree(args.out, tree)
     print(f"{args.kind} tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
     return 0

@@ -35,9 +35,14 @@ if sys.platform.startswith("linux"):
     _mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
 
 
+def _is_int(value) -> bool:
+    """Whether a count setting is an integer: Python's or numpy's, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_max_nodes(max_nodes: int) -> None:
     """Every tree builder's node-total rule: a binary tree's is odd and >= 1."""
-    if max_nodes < 1 or max_nodes % 2 == 0:
+    if not _is_int(max_nodes) or max_nodes < 1 or max_nodes % 2 == 0:
         raise ConfigError("max_nodes must be a positive odd node total")
 
 
@@ -67,12 +72,13 @@ class ExtractionConfig:
 
     def __post_init__(self):
         _check_max_nodes(self.max_nodes)
-        if self.samples_per_node < 2:
-            raise ConfigError("samples_per_node must be >= 2")
+        if not _is_int(self.samples_per_node) or self.samples_per_node < 2:
+            raise ConfigError("samples_per_node must be >= 2 and an integer")
         if not self.min_gain >= 0:
             raise ConfigError("min_gain must be >= 0")
-        if self.total_sample_budget is not None and self.total_sample_budget < 1:
-            raise ConfigError("total_sample_budget must be >= 1")
+        budget = self.total_sample_budget
+        if budget is not None and (not _is_int(budget) or budget < 1):
+            raise ConfigError(f"total_sample_budget must be >= 1 and an integer, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -95,36 +101,36 @@ def gini_term(hist, mass: float) -> float:
 def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: float) -> float:
     """Empirical gain of splitting the region's sample set at (dim, threshold).
 
-    Child masses are mass * (fraction of samples on the side); an empty side
-    yields gain 0 by construction.
+    Child masses are mass * (fraction of samples on the side); the gain is
+    best_split_from_samples' count form, bit for bit, and 0 for an empty side.
     """
     X = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    n = y.shape[0]
     left = X[:, dim] <= threshold
-    nl = int(left.sum())
-    nr = n - nl
-    if nl == 0 or nr == 0:  # also when there are no samples
+    n, nl = y.shape[0], int(left.sum())
+    if nl == 0 or nl == n:  # also when there are no samples
         return 0.0
-    parent = np.bincount(y, minlength=m) / n
-    lh = np.bincount(y[left], minlength=m) / nl
-    rh = np.bincount(y[~left], minlength=m) / nr
-    gain = gini_term(parent, mass) - gini_term(lh, mass * (nl / n)) - gini_term(rh, mass * (nr / n))
-    return max(float(gain), 0.0)
+    D = np.bincount(y[left], minlength=m) * float(n) - np.bincount(y, minlength=m) * float(nl)
+    return float(D @ D / (nl * (n - nl)) * mass / n ** 2)
 
 
 def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
                             segments=None, values=None):
     """Exhaustive empirical gain maximization over a labeled sample set.
 
-    Every dimension is scored in one pass over a (d, n - 1) gain matrix:
-    each row sorted, then left class counts as running sums along the sorted
+    Every dimension is scored in one pass over a (d, n - 1) matrix: each row
+    sorted, then left class counts lc_k as running sums along the sorted
     labels. A cut at column p sends nl = p + 1 samples left of the threshold
     midway between the p-th and (p+1)-th sorted values; only gaps between
     distinct values qualify, so both sides are nonempty and the counts do not
-    depend on how tied rows are ordered. Ties are broken toward the lowest
-    dimension index, then the smallest threshold. Returns None when the best
-    gain does not exceed min_gain.
+    depend on how tied rows are ordered. With class totals t_k, the cut's
+    weighted Gini gain is mass * sum_k D_k^2 / (n^2 nl nr), D_k = lc_k n -
+    t_k nl. As |D_k| <= nl nr, sum_k D_k^2 and nl nr are exact in float64
+    for n < 16,384, and cuts rank by their one correctly rounded ratio: equal
+    gains compare equal and go to the lowest dimension index, then the
+    smallest threshold, and a cut that keeps the class proportions scores
+    exactly 0. Returns None when the best gain, that ratio times mass / n^2,
+    does not exceed min_gain.
 
     With segments (row i's node in [0, S)), the rows are a ragged batch and
     the result lists each node's candidate as its rows alone give it. A
@@ -155,48 +161,45 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
     ends = counts.cumsum()
     starts = ends - counts
     cand = sv[:, :-1] < sv[:, 1:]  # a gap between distinct values of one node
-    # Left class counts; int32 holds them, as n < 2**31 for any X that fits
-    # in memory. The last class is what the others leave of nl.
-    nl_int = np.arange(1, n, dtype=np.int32)
+    # Left class counts of the first m - 1 classes; int32 holds them, as
+    # n < 2**31 for any X that fits in memory.
+    nl = np.arange(1.0, n)
     if S > 1:  # restart the counts at each node's first row
         node = np.repeat(np.arange(S), counts)[:-1]  # of the gap after each sorted row
         cand[:, ends[:-1][ends[:-1] > 0] - 1] = False
-        nl_int -= starts[node].astype(np.int32)
+        nl -= starts[node]
 
     def per_gap(v):  # v's entry for the node of each gap; for one node, a scalar
         return np.asarray(v)[node] if S > 1 else v[0]
 
     totals = np.bincount(y if S == 1 else seg * m + y, minlength=S * m).reshape(S, m)
-    h_parent = [gini_term(totals[s] / max(counts[s], 1), mass) for s in range(S)]
-    nl, n_node = nl_int.astype(np.float64), per_gap(counts)
-    nr = np.maximum(n_node - nl, 1.0)  # 0 at a gap between nodes, which is no cut
-    lcs = []
+    n_node = per_gap(counts).astype(np.float64)
+    nlnr = nl * np.maximum(n_node - nl, 1.0)  # nr is 0 at a gap between nodes, no cut
+    # The last class's D_k is minus the others' sum.
+    ss, dsum = np.zeros(cand.shape), np.zeros(cand.shape)
     for k in range(m - 1):
-        lcs.append((lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32))
+        lc = (lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32)
         if S > 1:
-            lcs[-1] -= np.where(starts > 0, lcs[-1][:, starts - 1], 0)[:, node]
-    lcs.append(np.broadcast_to(nl_int - sum(lcs), cand.shape))  # 2-d also when m == 1
-    sq_left, sq_right, t = np.zeros(cand.shape), np.zeros(cand.shape), np.empty(cand.shape)
-    for k, lc in enumerate(lcs):  # classes in order, as a per-row sum adds them
-        sq_left += np.square(np.divide(lc, nl, out=t), out=t)
-        sq_right += np.square(np.divide(per_gap(totals[:, k].astype(np.int32)) - lc, nr, out=t),
-                              out=t)
-    gains = per_gap(h_parent) - (1.0 - sq_left) * (mass * nl / n_node)
-    gains -= (1.0 - sq_right) * (mass * nr / n_node)
-    np.maximum(gains, 0.0, out=gains)
-    gains[~cand] = -np.inf
+            lc -= np.where(starts > 0, lc[:, starts - 1], 0)[:, node]
+        dk = lc * n_node - per_gap(totals[:, k]) * nl
+        dsum += dk
+        ss += np.square(dk, out=dk)
+    ss += np.square(dsum, out=dsum)
+    ratio = np.divide(ss, nlnr, out=ss)  # the one rounding: gain * n^2 / mass
+    ratio[~cand] = -np.inf
 
-    # Each node's best gain per dimension; its first max is the lowest dimension.
-    best = np.maximum.reduceat(gains, np.minimum(starts, n - 2), axis=1)
+    # Each node's best ratio per dimension; its first max is the lowest dimension.
+    best = np.maximum.reduceat(ratio, np.minimum(starts, n - 2), axis=1)
     picks = zip(best.argmax(axis=0).tolist(), best.max(axis=0).tolist(),
                 starts.tolist(), ends.tolist())
-    for s, (d, gain, a, b) in enumerate(picks):
-        if gain <= min_gain or b - a < 2:  # a node of 0 or 1 rows reads another's gaps
+    for s, (d, r, a, b) in enumerate(picks):
+        # A node of 0 or 1 rows reads another's gaps; a NaN gain (mass 0) is no cut.
+        if b - a < 2 or not (gain := r * mass / (b - a) ** 2) > min_gain:
             continue
-        p = a + int(gains[d, a:b - 1].argmax())  # then the smallest threshold
-        lc = np.array([c[d, p] for c in lcs])
+        p = a + int(ratio[d, a:b - 1].argmax())  # then the smallest threshold
+        lc = np.bincount(lab[d, a:p + 1], minlength=m)
         lh, rh = lc / (p - a + 1), (totals[s] - lc) / (b - p - 1)
-        out[s] = SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), gain,
+        out[s] = SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), float(gain),
                                 int(lh.argmax()), int(rh.argmax()), lh, rh)
     return out if segments is not None else out[0]
 
@@ -205,13 +208,16 @@ def _label_points(f, X, context: str) -> np.ndarray:
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     try:
-        y = np.asarray(f.predict(X), dtype=np.int64)
+        raw = np.asarray(f.predict(X))
+        with np.errstate(invalid="ignore"):  # a NaN or inf fails the check below
+            y = raw.astype(np.int64)
     except Exception as e:  # noqa: BLE001 - context is the point here
         raise BlackboxError(f"blackbox evaluation failed at {context}") from e
     if y.shape != (X.shape[0],):
         raise BlackboxError(f"blackbox returned shape {y.shape} at {context}")
-    if np.any((y < 0) | (y >= f.m)):
-        raise BlackboxError(f"blackbox returned a label outside [0, {f.m}) at {context}")
+    if np.any((y != raw) | (y < 0) | (y >= f.m)):
+        raise BlackboxError(f"blackbox returned a non-integral label or a label outside "
+                            f"[0, {f.m}) at {context}")
     return y
 
 

@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -13,7 +14,7 @@ from treextract import (BoxBlackbox, BoxConstraint, Dataset, DecisionTree, Gauss
 from treextract.blackbox import (STATE_RANGES, VI_MAX_SWEEPS, VI_TOL, greedy_actions,
                                  step_batch)
 from treextract.core import leaf_row, split_row
-from treextract.extract import DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points, gini_term
+from treextract.extract import DEFAULT_PRUNE_ALPHAS, SplitCandidate, _label_points
 from treextract.gmm import (EM_LOGLIK_TOL, EM_MAX_ITERS, TAIL_CUTOFF, _categorical,
                             sample_conditional)
 
@@ -81,7 +82,9 @@ def reference_best_split(X, y, m, mass, min_gain=0.0):
     """Per-dimension scan: a stable sort and a one-hot cumsum per column.
 
     Field-for-field reference for best_split_from_samples, which scores all
-    dimensions in one pass.
+    dimensions in one pass. Each cut is ranked by sum_k D_k^2 / (nl nr), with
+    D_k = lc_k n - t_k nl over all m classes, and its gain is that ratio at
+    the node's best cut times mass / n^2.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -89,8 +92,7 @@ def reference_best_split(X, y, m, mass, min_gain=0.0):
     if n < 2:
         return None
     total = np.bincount(y, minlength=m).astype(np.float64)
-    h_parent = gini_term(total / n, mass)
-    best = None  # (gain, dim, threshold, pos, order)
+    best = None  # (ratio, dim, threshold, pos, order)
     for dim in range(X.shape[1]):
         order = np.argsort(X[:, dim], kind="stable")
         sv = X[order, dim]
@@ -101,23 +103,48 @@ def reference_best_split(X, y, m, mass, min_gain=0.0):
         onehot = np.zeros((n, m))
         onehot[np.arange(n), y[order]] = 1.0
         lc = np.cumsum(onehot, axis=0)[positions]
-        rc = total[None, :] - lc
         nl = (positions + 1).astype(np.float64)
-        nr = n - nl
-        h_left = (1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)) * (mass * nl / n)
-        h_right = (1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)) * (mass * nr / n)
-        gains = np.maximum(h_parent - h_left - h_right, 0.0)
-        j = int(np.argmax(gains))
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), dim, float(thresholds[j]), int(positions[j]), order)
-    if best is None or best[0] <= min_gain:
+        D = lc * n - total[None, :] * nl[:, None]
+        ratios = np.sum(D * D, axis=1) / (nl * (n - nl))
+        j = int(np.argmax(ratios))
+        if best is None or ratios[j] > best[0]:
+            best = (float(ratios[j]), dim, float(thresholds[j]), int(positions[j]), order)
+    if best is None or not best[0] * mass / n ** 2 > min_gain:
         return None
-    gain, dim, threshold, pos, order = best
+    ratio, dim, threshold, pos, order = best
     left, right = y[order[: pos + 1]], y[order[pos + 1:]]
     lcount, rcount = np.bincount(left, minlength=m), np.bincount(right, minlength=m)
-    return SplitCandidate(dim, threshold, gain, int(np.argmax(lcount)),
+    return SplitCandidate(dim, threshold, ratio * mass / n ** 2, int(np.argmax(lcount)),
                           int(np.argmax(rcount)), lcount / left.size,
                           rcount / right.size)
+
+
+def fraction_best_split(X, y, m, mass):
+    """Exact oracle for best_split_from_samples: (gain, dim, threshold) of
+    the best cut, or None when no cut has a positive gain.
+
+    Every cut between distinct values is scored by the weighted Gini gain
+    mass * (G(all) - nl/n G(left) - nr/n G(right)) in Fractions, and only a
+    strictly larger gain displaces the best so far, so equal gains go to the
+    lowest dimension, then the smallest threshold.
+    """
+    X, y, n = np.asarray(X, dtype=np.float64), [int(v) for v in y], len(y)
+
+    def weighted_gini(labels):  # len(labels)/n * G(labels)
+        k = len(labels)
+        return Fraction(k, n) * (1 - sum(Fraction(labels.count(c), k) ** 2 for c in range(m)))
+
+    best = None
+    for dim in range(X.shape[1]):
+        values = np.unique(X[:, dim])
+        for lo, hi in zip(values[:-1], values[1:]):
+            left = [c for x, c in zip(X[:, dim], y) if x <= lo]
+            right = [c for x, c in zip(X[:, dim], y) if x > lo]
+            gain = Fraction(mass) * (weighted_gini(y) - weighted_gini(left)
+                                     - weighted_gini(right))
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, dim, float(0.5 * (lo + hi)))
+    return best
 
 
 def split_fields(cand):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_best_first, grow_tree
 from treextract.evaluate import exact_greedy_oracle, fidelity, three_box_benchmark
 from treextract.io import tree_to_doc
 
-from helpers import (dataset, leaf_tree, random_mixture, reference_best_split,
-                     reference_prune, split_fields as _fields,
+from helpers import (dataset, fraction_best_split, leaf_tree, random_mixture,
+                     reference_best_split, reference_prune, split_fields as _fields,
                      two_box_benchmark)
 
 
@@ -190,6 +191,41 @@ class TestVectorisedScan:
 
 
 @st.composite
+def tied_columns(draw):
+    """4-29 points of 2-3 classes whose columns tie cut for cut: copies of
+    one coarse column x, mirrored ones (-x) and fresh ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(4, 29)), draw(st.integers(2, 3))
+    x = np.round(rng.normal(size=n) * 2, draw(st.sampled_from([0, 1, 3])))
+    kinds = draw(st.lists(st.sampled_from(["x", "-x", "fresh"]), min_size=1, max_size=4))
+    X = np.column_stack([x if k == "x" else -x if k == "-x" else
+                         np.round(rng.normal(size=n), 1) for k in kinds])
+    return X, rng.integers(m, size=n), m, draw(st.floats(1e-3, 1.0))
+
+
+class TestExactScores:
+    """Counts give each cut its gain up to rounding alone, so the scan finds
+    the exact best cut, equal gains follow the tie rule, and a cut that
+    leaves the class proportions as they were is no split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_columns())
+    def test_matches_fraction_oracle(self, case):
+        cand, want = best_split_from_samples(*case), fraction_best_split(*case)
+        if want is None:
+            assert cand is None
+        else:
+            assert (cand.dim, cand.threshold) == want[1:]
+            assert cand.gain == pytest.approx(float(want[0]), rel=1e-15, abs=0)
+            assert estimate_split(*case, cand.dim, cand.threshold) == cand.gain
+
+    def test_mirrored_column_ties_to_dim_0(self):
+        x, y = np.arange(7.0), np.array([0, 1, 1, 0, 0, 1, 0])
+        for X in (np.column_stack([-x, x]), np.column_stack([x, -x])):
+            assert best_split_from_samples(X, y, 2, 1.0).dim == 0
+
+
+@st.composite
 def ragged_batches(draw):
     """Nodes of 1-40 rows (size 2 among them) stacked in a shuffled row
     order, drawn from one table with ties, constant columns and repeated
@@ -270,6 +306,14 @@ class TestBestSplit:
         assert wins >= 19
 
 
+NODE_TOTAL_BUILDS = [
+    lambda k: ExtractionConfig(k, 100),
+    lambda k: cart_extract(dataset(np.zeros((10, 2))), BoxBlackbox([], [], d=2, m=2), k),
+    lambda k: exact_greedy_oracle(GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]),
+                                  BoxBlackbox([], [], d=2, m=2), k),
+]
+
+
 class TestExtractTree:
     def test_constant_blackbox_single_leaf(self, gmm_2d):
         f = FunctionBlackbox(lambda X: np.full(len(X), 1, dtype=int), 2, 3)
@@ -344,16 +388,32 @@ class TestExtractTree:
         assert tree.mass[1] == full.mass[1] > 0
         assert tree.budget == full.budget - cfg.samples_per_node
 
-    @pytest.mark.parametrize("build", [
-        lambda k: ExtractionConfig(k, 100),
-        lambda k: cart_extract(dataset(np.zeros((10, 2))), BoxBlackbox([], [], d=2, m=2), k),
-        lambda k: exact_greedy_oracle(GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]),
-                                      BoxBlackbox([], [], d=2, m=2), k),
-    ], ids=["config", "cart", "oracle"])
+    @pytest.mark.parametrize("build", NODE_TOTAL_BUILDS, ids=["config", "cart", "oracle"])
     @pytest.mark.parametrize("k", [0, 4])
     def test_node_total_rule(self, build, k):
         with pytest.raises(ConfigError, match="^max_nodes must be a positive odd node total$"):
             build(k)
+
+    @pytest.mark.parametrize("build", NODE_TOTAL_BUILDS, ids=["config", "cart", "oracle"])
+    @pytest.mark.parametrize("k", [7.0, 3.5, True], ids=["7.0", "3.5", "True"])
+    def test_node_total_must_be_an_integer(self, build, k):
+        with pytest.raises(ConfigError, match="^max_nodes must be a positive odd node total$"):
+            build(k)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(samples_per_node=100.5), dict(samples_per_node=True),
+        dict(samples_per_node=100, total_sample_budget=650.5),
+        dict(samples_per_node=100, total_sample_budget=True),
+    ], ids=["samples-float", "samples-bool", "budget-float", "budget-bool"])
+    def test_sizes_must_be_integers(self, kwargs):
+        name = "total_sample_budget" if "total_sample_budget" in kwargs else "samples_per_node"
+        with pytest.raises(ConfigError, match=f"^{name} must be >= .* and an integer"):
+            ExtractionConfig(7, **kwargs)
+
+    def test_numpy_integer_sizes_accepted(self, gmm_2d):
+        cfg = ExtractionConfig(np.int64(3), np.int32(50), total_sample_budget=np.int64(500))
+        f = FunctionBlackbox(lambda X: (X[:, 0] <= 0).astype(int), 2, 2)
+        assert born_again_extract(gmm_2d, f, cfg).size == 3
 
     def test_min_samples_enforced(self):
         with pytest.raises(ConfigError):
@@ -738,17 +798,36 @@ class TestPruneMatchesReference:
 
 
 class TestLabelRange:
-    """A blackbox label outside [0, m) is a BlackboxError that names where it
-    was seen, not a numpy error from the class counts built on it."""
+    """A blackbox label that is not an integer in [0, m) is a BlackboxError
+    that names where it was seen, not a numpy error from the class counts
+    built on it or a silent truncation."""
 
-    @pytest.mark.parametrize("relabel", [lambda y: 2 * y, lambda y: -y], ids=["2", "-1"])
-    @pytest.mark.parametrize("run, context", [
+    RUNS = [
         (lambda gmm, f, X: extract_tree(gmm, f, ExtractionConfig(3, 100)), "root"),
         (lambda gmm, f, X: cart_extract(dataset(X), f, 3), "cart relabeling"),
         (lambda gmm, f, X: fidelity(leaf_tree(0, 2, 2), f, X), "fidelity"),
-    ], ids=["extract_tree", "cart_extract", "fidelity"])
+    ]
+
+    @pytest.mark.parametrize("relabel", [lambda y: 2 * y, lambda y: -y], ids=["2", "-1"])
+    @pytest.mark.parametrize("run, context", RUNS,
+                             ids=["extract_tree", "cart_extract", "fidelity"])
     def test_rejected_with_context(self, relabel, run, context):
         gmm, bb = three_box_benchmark()
         f = FunctionBlackbox(lambda X: relabel(bb.predict(X)), 2, 2)
         with pytest.raises(BlackboxError, match=rf"label outside \[0, 2\) at {context}"):
             run(gmm, f, sample(gmm, np.random.default_rng(0), 100))
+
+    @pytest.mark.parametrize("relabel", [lambda y: y + 0.2, lambda y: 0.7 * y,
+                                         lambda y: np.where(y == 1, np.nan, 0.0)],
+                             ids=["+0.2", "0.7", "nan"])
+    @pytest.mark.parametrize("run, context", RUNS,
+                             ids=["extract_tree", "cart_extract", "fidelity"])
+    def test_non_integral_rejected_with_context(self, relabel, run, context):
+        """Neither the labelling nor FunctionBlackbox truncates 0.7 to 0, and
+        a NaN is refused without a cast warning."""
+        gmm, bb = three_box_benchmark()
+        f = FunctionBlackbox(lambda X: relabel(bb.predict(X)), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlackboxError, match=rf"non-integral label .* at {context}"):
+                run(gmm, f, sample(gmm, np.random.default_rng(0), 100))
