@@ -42,6 +42,12 @@ from helpers import dataset, reference_grow_best_first, two_box_benchmark
 # every ours, pruned and born-again tree follows the shifted draws, with ours
 # and pruned budgets unchanged and born-again's root sample now inside its
 # raw-draw budget (three_box 729 -> 677 labelled).
+# Re-recorded, in cached_gain only, when the split scan came to score cuts
+# from exact integer class counts: every scan of every pinned build commits
+# the parent's split, and the gains move by at most 165 ulps toward the
+# exact value (ours, pruned, CART, rf_ours, rf_born_again, rf_cart,
+# cartpole_ours, cartpole_born_again); born-again, rf_pruned, the forest and
+# the oracle keep their documents.
 PINNED = json.loads(Path(__file__).with_name("pinned_trees.json").read_text())
 COLUMNS = ("feature", "threshold", "left", "right", "label", "histogram", "mass",
            "cached_gain")
