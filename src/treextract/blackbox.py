@@ -23,7 +23,7 @@ from .extract import _majority, best_split_from_samples
 
 @dataclass(frozen=True)
 class FunctionBlackbox:
-    """Wrap a plain vectorized function as a blackbox."""
+    """Wrap a plain vectorized function as a blackbox; its labels pass uncast."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     d: int

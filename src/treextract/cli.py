@@ -241,9 +241,9 @@ def _cmd_train_cartpole(args) -> int:
 def _cmd_extract(args) -> int:
     gmm = tio.load_gmm(args.gmm)
     f = _load_blackbox(args.blackbox)
-    tree = extract_tree(gmm, f, ExtractionConfig(args.max_nodes, args.samples_per_node,
-                                                 min_gain=args.min_gain, seed=args.seed,
-                                                 prune=args.prune))
+    cfg = ExtractionConfig(args.max_nodes, args.samples_per_node, min_gain=args.min_gain,
+                           seed=args.seed, prune=args.prune)
+    tree = extract_tree(gmm, f, cfg)
     tio.save_tree(args.out, tree)
     print(f"extracted tree: {tree.size} nodes, budget {tree.budget} -> {args.out}")
     return 0
