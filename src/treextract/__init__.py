@@ -12,7 +12,7 @@ from .gmm import (ConditionalMixture, EMConfig, GaussianMixture, box_mass,
                   condition, fit_em, sample, sample_conditional,
                   sample_truncated_normal, select_k_bic)
 from .extract import (ExtractionConfig, SplitCandidate, best_split_from_samples,
-                      estimate_split, extract_tree, gini_term, prune)
+                      estimate_split, extract_tree, prune)
 from .blackbox import (BoxBlackbox, FunctionBlackbox, PolicyConfig,
                        RandomForest, RandomForestConfig, TabularPolicy,
                        collect_states, learn_policy,

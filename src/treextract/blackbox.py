@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (BoxConstraint, Dataset, DecisionTree, _route, _routing_table,
-                   leaf_row, split_row)
+                   class_labels, is_count, leaf_row, split_row)
 from .errors import ConfigError, InputError
 from .extract import _majority, best_split_from_samples
 
@@ -55,11 +55,12 @@ class BoxBlackbox:
             raise InputError("box dimension mismatch")
         if any(a.intersect(b) is not None for a, b in itertools.combinations(self.boxes, 2)):
             raise InputError("boxes must be pairwise disjoint")
-        labels = tuple(int(v) for v in self.labels)
-        if any(not 0 <= v < self.m for v in labels + (self.default_label,)):
+        labels = class_labels((*self.labels, self.default_label), self.m)
+        if labels is None:
             raise InputError("labels out of range")
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(labels[:-1].tolist()))
+        object.__setattr__(self, "default_label", int(labels[-1]))
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -81,7 +82,7 @@ class RandomForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 0:
+        if not is_count(self.n_trees) or not is_count(self.max_depth, 0):
             raise ConfigError("a forest needs n_trees >= 1 and max_depth >= 0")
 
 
@@ -245,7 +246,7 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.grid_sizes) != 4 or min(self.grid_sizes) < 1 or self.n_transition_samples < 1:
+        if len(self.grid_sizes) != 4 or not all(map(is_count, (*self.grid_sizes, self.n_transition_samples))):
             raise ConfigError("a policy needs four grid sizes >= 1 and n_transition_samples >= 1")
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError("discount must be in [0, 1)")
@@ -262,13 +263,15 @@ class TabularPolicy:
     m = 2  # actions: push left, push right
 
     def __post_init__(self):
-        if len(self.edges) != self.d or [len(e) + 1 for e in self.edges] != list(self.grid_sizes):
+        if len(self.edges) != self.d or [len(e) + 1 for e in self.edges] != list(self.grid_sizes) \
+                or not all(map(is_count, self.grid_sizes)):
             raise InputError(f"a policy needs {self.d} edge arrays of grid_sizes[i] - 1 edges each")
         if not all(np.all(np.diff(e) >= 0) for e in self.edges):
             raise InputError("policy cell edges must be sorted in increasing order")
-        actions = np.asarray(self.actions)
-        if actions.shape != (math.prod(self.grid_sizes),) or actions.min() < 0 or actions.max() >= self.m:
+        actions = class_labels(self.actions, self.m)
+        if np.shape(self.actions) != (math.prod(self.grid_sizes),) or actions is None:
             raise InputError(f"a policy needs one action in [0, {self.m}) per grid cell")
+        object.__setattr__(self, "actions", actions)
 
     def cell_index(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -363,14 +366,10 @@ def _rollouts(policy: TabularPolicy, starts: np.ndarray):
             np.bincount(owner, minlength=starts.shape[0]))
 
 
-def _check_episodes(n_episodes: int) -> None:
-    if n_episodes < 1:
-        raise InputError("n_episodes must be >= 1")
-
-
 def mean_rollout_reward(policy: TabularPolicy, n_episodes: int = 100, seed: int = 0) -> float:
     """Mean steps survived (capped) over n_episodes near-upright starts."""
-    _check_episodes(n_episodes)
+    if not is_count(n_episodes):
+        raise InputError("n_episodes must be >= 1")
     starts = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(n_episodes, 4))
     return float(np.mean(_rollouts(policy, starts)[1]))
 
@@ -382,7 +381,7 @@ def collect_states(policy: TabularPolicy, n_points: int, seeds) -> list[Dataset]
     policy. Each round steps every unfinished pool's next episodes in one
     lockstep batch; pool i draws its starts and subsample from
     default_rng(seeds[i]) as if it stepped one episode at a time."""
-    if n_points < 1:
+    if not is_count(n_points):
         raise InputError("n_points must be >= 1")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     need, pools = 5 * n_points, [[] for _ in rngs]

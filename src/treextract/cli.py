@@ -16,8 +16,9 @@ import numpy as np
 
 from . import io as tio
 from .baselines import born_again_extract, cart_extract
-from .blackbox import (PolicyConfig, RandomForestConfig, _check_episodes, collect_states,
-                       learn_policy, mean_rollout_reward, train_random_forest)
+from .blackbox import (PolicyConfig, RandomForestConfig, collect_states, learn_policy,
+                       mean_rollout_reward, train_random_forest)
+from .core import is_count
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
@@ -222,7 +223,8 @@ def _cmd_train_rf(args) -> int:
 def _cmd_train_cartpole(args) -> int:
     if args.collect < 0 or bool(args.collect) != bool(args.train_csv or args.test_csv):
         raise InputError("--collect N >= 1 and --train-csv or --test-csv go together")
-    _check_episodes(args.episodes)  # before learning the policy, which a fine grid makes slow
+    if not is_count(args.episodes):  # before learning the policy, which a fine grid makes slow
+        raise InputError("n_episodes must be >= 1")
     cfg = PolicyConfig(grid_sizes=args.grid, n_transition_samples=args.transition_samples,
                        discount=args.discount, seed=args.seed)
     policy = learn_policy(cfg)

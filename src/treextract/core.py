@@ -13,6 +13,19 @@ import numpy as np
 from .errors import InputError
 
 
+def is_count(value, low: int = 1) -> bool:
+    """Every count setting's rule: an integer >= low, Python's or numpy's, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and bool(value >= low)
+
+
+def class_labels(values, m: int) -> Optional[np.ndarray]:
+    """Every class label's rule: values as int64 labels, or None unless each is in range(m)."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN or inf fails the check below
+        y = raw.astype(np.int64)
+    return None if np.any((y != raw) | (y < 0) | (y >= m)) else y
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -40,10 +53,10 @@ class Dataset:
             raise InputError("features contain NaN or Inf")
         object.__setattr__(self, "features", _frozen_array(X))
         if self.labels is not None:
-            y = np.asarray(self.labels, dtype=np.int64)
-            if y.shape != (X.shape[0],):
-                raise InputError(f"labels shape {y.shape} does not match n={X.shape[0]}")
-            if self.m < 1 or y.min() < 0 or y.max() >= self.m:
+            y = class_labels(self.labels, self.m) if is_count(self.m) else None
+            if np.shape(self.labels) != (X.shape[0],):
+                raise InputError(f"labels shape {np.shape(self.labels)} does not match n={X.shape[0]}")
+            if y is None:
                 raise InputError(f"labels must lie in [0, {self.m})")
             object.__setattr__(self, "labels", _frozen_array(y, np.int64))
         if len(self.column_names) != X.shape[1]:
@@ -166,6 +179,8 @@ class DecisionTree:
     budget: Optional[int] = None
 
     def __post_init__(self):
+        if class_labels(self.label, self.m) is None:  # before the cast below would truncate 0.7
+            raise InputError(f"leaf label out of range for m={self.m}")
         for name, dtype in _NODE_DTYPES.items():
             object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
         self.validate()
@@ -199,8 +214,6 @@ class DecisionTree:
                 or np.any(self.cached_gain[~leaf]):
             raise InputError("leaves need left/right -1 and threshold 0; "
                              "internal nodes need zero leaf statistics")
-        if np.any((self.label < 0) | (self.label >= self.m)):
-            raise InputError(f"leaf label out of range for m={self.m}")
         live = self.histogram[leaf & (self.mass > 0)]
         if np.any(np.abs(live.sum(axis=1) - 1.0) > 1e-9):
             raise InputError("class histogram must sum to 1 when mass > 0")

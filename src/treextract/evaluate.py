@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import born_again_extract, cart_extract
 from .blackbox import (BoxBlackbox, RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
-from .core import BoxConstraint, Dataset, DecisionTree
+from .core import BoxConstraint, Dataset, DecisionTree, is_count
 from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _check_dims, _check_max_nodes, _label_points,
                       extract_tree, grow_best_first)
@@ -45,7 +45,6 @@ class FidelityReport:
     f1: Optional[float]
     n_test: int
     confusion: np.ndarray  # confusion[blackbox_label, tree_label]
-    positive_class: int = 1
 
 
 def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> FidelityReport:
@@ -70,7 +69,7 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
         p, q = positive_class, 1 - positive_class
         tp, fp, fn = confusion[p, p], confusion[q, p], confusion[p, q]
         f1 = float(2 * tp / (2 * tp + fp + fn)) if tp + fp + fn > 0 else 0.0
-    return FidelityReport(acc, f1, X.shape[0], confusion, positive_class)
+    return FidelityReport(acc, f1, X.shape[0], confusion)
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,7 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
     for a in algorithms:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
-    if n_seeds < 1:
+    if not is_count(n_seeds):
         raise ConfigError("n_seeds must be >= 1")
     model_driven = "ours" in algorithms or "born_again" in algorithms
     for size in sizes:

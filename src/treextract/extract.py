@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DecisionTree, leaf_row, split_row
+from .core import DecisionTree, class_labels, is_count, leaf_row, split_row
 from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
@@ -35,14 +35,9 @@ if sys.platform.startswith("linux"):
     _mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
 
 
-def _is_int(value) -> bool:
-    """Whether a count setting is an integer: Python's or numpy's, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_max_nodes(max_nodes: int) -> None:
     """Every tree builder's node-total rule: a binary tree's is odd and >= 1."""
-    if not _is_int(max_nodes) or max_nodes < 1 or max_nodes % 2 == 0:
+    if not is_count(max_nodes) or max_nodes % 2 == 0:
         raise ConfigError("max_nodes must be a positive odd node total")
 
 
@@ -72,12 +67,12 @@ class ExtractionConfig:
 
     def __post_init__(self):
         _check_max_nodes(self.max_nodes)
-        if not _is_int(self.samples_per_node) or self.samples_per_node < 2:
+        if not is_count(self.samples_per_node, 2):
             raise ConfigError("samples_per_node must be >= 2 and an integer")
         if not self.min_gain >= 0:
             raise ConfigError("min_gain must be >= 0")
         budget = self.total_sample_budget
-        if budget is not None and (not _is_int(budget) or budget < 1):
+        if budget is not None and not is_count(budget):
             raise ConfigError(f"total_sample_budget must be >= 1 and an integer, got {budget!r}")
 
 
@@ -92,12 +87,6 @@ class SplitCandidate:
     right_hist: np.ndarray
 
 
-def gini_term(hist, mass: float) -> float:
-    """Weighted Gini impurity (1 - sum hist^2) * mass of one region."""
-    hist = np.asarray(hist, dtype=np.float64)
-    return float((1.0 - float(np.dot(hist, hist))) * mass)
-
-
 def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: float) -> float:
     """Empirical gain of splitting the region's sample set at (dim, threshold).
 
@@ -105,7 +94,7 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     best_split_from_samples' count form, bit for bit, and 0 for an empty side.
     """
     X = np.asarray(points, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     left = X[:, dim] <= threshold
     n, nl = y.shape[0], int(left.sum())
     if nl == 0 or nl == n:  # also when there are no samples
@@ -140,7 +129,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
     the single-node calls of extraction and the baselines that is 1.3-1.5x
     faster than coding them with np.unique for the key.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     n = y.shape[0]
     seg = np.zeros(n, np.int64) if segments is None else np.asarray(segments, np.int64)
     S = 1 if segments is None else int(seg.max()) + 1 if n else 0
@@ -208,14 +197,12 @@ def _label_points(f, X, context: str) -> np.ndarray:
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     try:
-        raw = np.asarray(f.predict(X))
-        with np.errstate(invalid="ignore"):  # a NaN or inf fails the check below
-            y = raw.astype(np.int64)
+        y = class_labels(raw := np.asarray(f.predict(X)), f.m)
     except Exception as e:  # noqa: BLE001 - context is the point here
         raise BlackboxError(f"blackbox evaluation failed at {context}") from e
-    if y.shape != (X.shape[0],):
-        raise BlackboxError(f"blackbox returned shape {y.shape} at {context}")
-    if np.any((y != raw) | (y < 0) | (y >= f.m)):
+    if raw.shape != (X.shape[0],):
+        raise BlackboxError(f"blackbox returned shape {raw.shape} at {context}")
+    if y is None:
         raise BlackboxError(f"blackbox returned a non-integral label or a label outside "
                             f"[0, {f.m}) at {context}")
     return y
@@ -357,7 +344,7 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
     the smaller tree, then the earlier alpha, and only the winner is built.
     Its recorded budget grows by the 2 * n_val points labelled here.
     """
-    if n_val < 1 or len(alphas) == 0:
+    if not is_count(n_val) or len(alphas) == 0:
         raise ConfigError("prune needs n_val >= 1 and at least one alpha")
     n, m, left, right, nodes = tree.size, tree.m, tree.left, tree.right, np.arange(tree.size)
     splits = np.flatnonzero(tree.feature >= 0)[::-1]  # children before parents

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .core import BoxConstraint, _frozen_array
+from .core import BoxConstraint, _frozen_array, is_count
 from .errors import ConfigError, EmptyRegionError, InputError
 
 Z_FLOOR = 1e-300
@@ -355,7 +355,7 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_init, (int, np.integer)) or self.n_init < 1:
+        if not is_count(self.n_init):
             raise ConfigError(f"n_init must be >= 1 and an integer, got {self.n_init!r}")
 
 
@@ -394,7 +394,7 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
     if X.ndim != 2 or not np.isfinite(X).all():
         raise InputError("expected a 2-d matrix of finite features")
     n = X.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+    if not is_count(k) or k > n:
         raise ConfigError(f"k must be an integer from 1 to the number of points n={n}, "
                           f"got {k!r}")
     # EM runs on the data standardized per dimension (scale 1 for a constant

@@ -112,14 +112,13 @@ def load_csv(path, schema: Optional[TableSchema] = None) -> tuple[Dataset, Table
     raw_labels = next((values for (_, kind), values in columns if kind == LABEL), None)
     if raw_labels is not None:
         try:
-            codes = [int(v) for v in raw_labels]
-            if min(codes) < 0:
+            labels = [int(v) for v in raw_labels]
+            if min(labels) < 0:
                 raise ValueError
-            schema.label_classes = [str(i) for i in range(max(codes) + 1)]
+            schema.label_classes = [str(i) for i in range(max(labels) + 1)]
         except ValueError:
             schema.label_classes = list(dict.fromkeys(raw_labels))
-            codes = [schema.label_classes.index(v) for v in raw_labels]
-        labels = np.array(codes, dtype=np.int64)
+            labels = [schema.label_classes.index(v) for v in raw_labels]
         m = len(schema.label_classes)
     return Dataset(encode_features(schema, rows), labels, tuple(schema.feature_names()), m), schema
 
@@ -268,8 +267,7 @@ def blackbox_from_doc(doc: dict):
             return RandomForest(tuple(tree_from_doc(t) for t in doc["trees"]),
                                 doc["d"], doc["m"])
         if kind == "tabular_policy":
-            return TabularPolicy(tuple(np.array(e) for e in doc["edges"]),
-                                 np.array(doc["actions"], dtype=np.int64),
+            return TabularPolicy(tuple(np.array(e) for e in doc["edges"]), doc["actions"],
                                  tuple(doc["grid_sizes"]), d=len(doc["grid_sizes"]))
         if kind == "box_blackbox":
             boxes = tuple(BoxConstraint([_bound_from_json(v, -1) for v in b["lower"]],

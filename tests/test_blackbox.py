@@ -203,7 +203,9 @@ class TestRandomForest:
         X = rng.normal(size=(50, 2))
         assert np.array_equal(a.predict(X), b.predict(X))
 
-    @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -3}, {"max_depth": -1}])
+    @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -3}, {"max_depth": -1},
+                                        {"n_trees": True}, {"n_trees": 2.5},
+                                        {"max_depth": True}, {"max_depth": 1.5}])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RandomForestConfig(**kwargs)
@@ -230,14 +232,16 @@ class TestDocumentSizes:
         ([[0.0]] * 3, (2, 2, 2, 2), 16),
         ([[0.0]] * 4, (3, 3, 3, 3), 81),
         ([[0.0]] * 4, (2, 2, 2, 2), 15),
-    ], ids=["edge-count", "edges-per-dim", "action-count"])
+        ([[0.0]] * 4, (2.0, 2, 2, 2), 16),
+        ([[]] + [[0.0]] * 3, (True, 2, 2, 2), 8),
+    ], ids=["edge-count", "edges-per-dim", "action-count", "grid-float", "grid-bool"])
     def test_policy_grid_must_match_edges_and_actions(self, edges, grid, actions):
         with pytest.raises(InputError):
             TabularPolicy(tuple(np.array(e) for e in edges), np.zeros(actions, np.int64), grid)
 
-    @pytest.mark.parametrize("action", [-1, 2])
+    @pytest.mark.parametrize("action", [-1, 2, 0.5, np.nan])
     def test_policy_actions_must_be_classes(self, action):
-        actions = np.zeros(16, np.int64)
+        actions = np.zeros(16)
         actions[5] = action
         with pytest.raises(InputError, match="one action in"):
             TabularPolicy((np.array([0.0]),) * 4, actions, (2, 2, 2, 2))
@@ -313,7 +317,9 @@ class TestPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"grid_sizes": (7, 7, 7)}, {"grid_sizes": (7, 7, 7, 7, 7)},
         {"grid_sizes": (7, 7, 7, 0)}, {"n_transition_samples": 0},
-        {"discount": 1.0}, {"discount": -0.01}])
+        {"discount": 1.0}, {"discount": -0.01},
+        {"grid_sizes": (7, 7, 7, True)}, {"grid_sizes": (7, 7, 7, 2.5)},
+        {"n_transition_samples": True}, {"n_transition_samples": 2.5}])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PolicyConfig(**kwargs)
@@ -497,16 +503,16 @@ class TestLockstepRollouts:
         assert calls == [12, 2]
         assert collect_states(left, 6, []) == []
 
-    @pytest.mark.parametrize("n_points", [0, -1])
+    @pytest.mark.parametrize("n_points", [0, -1, True, 2.5])
     def test_no_points_rejected_before_any_episode(self, cartpole, monkeypatch, n_points):
         import treextract.blackbox as blackbox_mod
         monkeypatch.setattr(blackbox_mod, "_rollouts", lambda *a: pytest.fail("rolled out"))
         with pytest.raises(InputError, match="n_points must be >= 1"):
             collect_states(cartpole, n_points, [0])
 
-    @pytest.mark.parametrize("n_episodes", [0, -1])
+    @pytest.mark.parametrize("n_episodes", [0, -1, True, 2.5])
     def test_no_episodes_rejected(self, cartpole, n_episodes):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="n_episodes must be >= 1"):
             mean_rollout_reward(cartpole, n_episodes)
 
 

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treextract import BoxConstraint, Dataset, DecisionTree, InputError
-from treextract.core import leaf_row, split_row
+from treextract.core import class_labels, is_count, leaf_row, split_row
 
 from helpers import dataset, leaf_tree, predict_one
 
@@ -289,6 +291,34 @@ class TestTreeValidation:
     def test_arrays_are_read_only(self):
         tree = depth2_tree()
         assert not tree.threshold.flags.writeable and not tree.histogram.flags.writeable
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value, low, ok", [
+        (3, 1, True), (np.int64(3), 1, True), (np.int32(0), 0, True), (np.uint8(2), 2, True),
+        (0, 1, False), (-1, 0, False), (True, 0, False), (np.bool_(True), 0, False),
+        (3.0, 1, False), (2.5, 1, False), (np.float64(3), 1, False), ("3", 1, False),
+        (None, 1, False),
+    ], ids=["int", "int64", "int32-at-low", "uint8-at-low", "below-low", "negative", "bool",
+            "numpy-bool", "integral-float", "float", "float64", "str", "none"])
+    def test_is_count(self, value, low, ok):
+        assert is_count(value, low) is ok
+
+    @pytest.mark.parametrize("values, want", [
+        ([0, 1, 1], [0, 1, 1]), (np.array([True, False]), [1, 0]),
+        (np.array([2, 0], np.uint8), [2, 0]), ([1.0, 2.0], [1, 2]), ((), []),
+        ([0, 0.7], None), ([np.nan], None), ([np.inf], None), ([-1], None), ([3], None),
+        ([1e30], None),
+    ], ids=["ints", "bools", "uint8", "integral-floats", "empty", "0.7", "nan", "inf", "-1", "m",
+            "huge"])
+    def test_class_labels(self, values, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = class_labels(values, 3)
+        if want is None:
+            assert y is None
+        else:
+            assert y.dtype == np.int64 and y.tolist() == want
 
 
 class TestDataset:

@@ -511,7 +511,7 @@ class TestRunFidelityCurve:
         with pytest.raises(ConfigError):
             run_fidelity_curve(task, sizes, algorithms, n_seeds=2)
 
-    @pytest.mark.parametrize("n_seeds", [0, -1])
+    @pytest.mark.parametrize("n_seeds", [0, -1, True, 2.5])
     def test_no_seeds_rejected_before_any_instance(self, n_seeds):
         """No seeds used to give an empty result, which the CLI wrote as an
         empty CSV before failing on its missing rows."""

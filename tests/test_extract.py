@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treextract import (BlackboxError, BoxBlackbox, BoxConstraint, ConfigError,
+from treextract import (BlackboxError, BoxBlackbox, BoxConstraint, ConfigError, Dataset,
                         EmptyRegionError, ExtractionConfig, FunctionBlackbox, GaussianMixture,
-                        SamplerError,
+                        InputError, SamplerError, TabularPolicy,
                         best_split_from_samples, born_again_extract, estimate_split,
-                        extract_tree, gini_term, prune, sample, sample_conditional)
+                        extract_tree, prune, sample, sample_conditional)
 from treextract import baselines, blackbox, extract
 from treextract.baselines import cart_extract
 from treextract.blackbox import (RandomForestConfig, make_imbalanced_classification,
                                  train_random_forest)
 from treextract.extract import DEFAULT_PRUNE_ALPHAS, grow_best_first, grow_tree
 from treextract.evaluate import exact_greedy_oracle, fidelity, three_box_benchmark
-from treextract.io import tree_to_doc
+from treextract.io import blackbox_from_doc, blackbox_to_doc, tree_from_doc, tree_to_doc
 
 from helpers import (dataset, fraction_best_split, leaf_tree, random_mixture,
                      reference_best_split, reference_prune, split_fields as _fields,
@@ -72,17 +72,6 @@ def scan_cases(draw):
     mass = draw(st.floats(1e-3, 1.0))
     min_gain = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02, -1.0]))
     return X, y, m, mass, min_gain
-
-
-class TestGiniTerm:
-    def test_pure_node_zero(self):
-        assert gini_term([1.0, 0.0], 0.7) == 0.0
-
-    def test_balanced_binary(self):
-        assert gini_term([0.5, 0.5], 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_weighted_formula(self):
-        assert gini_term([0.3, 0.7], 0.4) == pytest.approx(0.168, abs=1e-15)
 
 
 class TestEstimateSplit:
@@ -732,8 +721,10 @@ class TestPrune:
         assert len(DEFAULT_PRUNE_ALPHAS) == 8
         assert len(built) == 1 and built[0] is out
 
-    @pytest.mark.parametrize("n_val, alphas", [(500, ()), (0, [0.0]), (-5, [0.0])],
-                             ids=["no-alphas", "n_val-0", "n_val-negative"])
+    @pytest.mark.parametrize("n_val, alphas", [(500, ()), (0, [0.0]), (-5, [0.0]),
+                                               (True, [0.0]), (2.5, [0.0])],
+                             ids=["no-alphas", "n_val-0", "n_val-negative", "n_val-bool",
+                                  "n_val-float"])
     def test_bad_arguments_rejected_before_drawing(self, n_val, alphas):
         gmm, f, tree = self._tree_and_model()
         f, seen = _counting(f)
@@ -811,3 +802,61 @@ class TestLabelRange:
             warnings.simplefilter("error")
             with pytest.raises(BlackboxError, match=rf"label outside \[0, 2\) at {context}"):
                 run(gmm, f, sample(gmm, np.random.default_rng(0), 100))
+
+    @pytest.mark.parametrize("relabel", [
+        lambda y: y == 1, lambda y: y.astype(np.int32), lambda y: y.astype(np.float64),
+    ], ids=["bool", "int32", "float"])
+    @pytest.mark.parametrize("run", [
+        lambda gmm, f, X: tree_to_doc(extract_tree(gmm, f, ExtractionConfig(3, 100))),
+        lambda gmm, f, X: tree_to_doc(cart_extract(dataset(X), f, 3)),
+        lambda gmm, f, X: fidelity(leaf_tree(0, 2, 2), f, X).confusion.tolist(),
+    ], ids=["extract_tree", "cart_extract", "fidelity"])
+    def test_integral_outputs_accepted(self, relabel, run):
+        """Bool, other integer and integral float labels give the int64 labels' results."""
+        gmm, bb = three_box_benchmark()
+        X = sample(gmm, np.random.default_rng(0), 100)
+        f = FunctionBlackbox(lambda X: relabel(bb.predict(X)), 2, 2)
+        assert run(gmm, f, X) == run(gmm, bb, X)
+
+    @pytest.mark.parametrize("build, value, message", [
+        (lambda v: Dataset(np.zeros((2, 1)), [1, v], ("x0",), 2), 0.7, r"must lie in \[0, 2\)"),
+        (lambda v: Dataset(np.zeros((2, 1)), [1, v], ("x0",), 2), np.nan, r"must lie in \[0, 2\)"),
+        (lambda v: Dataset(np.zeros((2, 1)), [0, 0], ("x0",), v), True, r"must lie in \[0, True\)"),
+        (lambda v: Dataset(np.zeros((2, 1)), [0, 2], ("x0",), v), 2.5, r"must lie in \[0, 2.5\)"),
+        (lambda v: BoxBlackbox([BoxConstraint([0.0], [1.0])], [v], 1, 2), 0.7, "labels out of range"),
+        (lambda v: BoxBlackbox([BoxConstraint([0.0], [1.0])], [v], 1, 2), np.nan, "labels out of range"),
+        (lambda v: BoxBlackbox([], [], 1, 2, default_label=v), 0.7, "labels out of range"),
+        (lambda v: blackbox_from_doc(_policy_doc(v)), 0.7, r"one action in \[0, 2\)"),
+        (lambda v: blackbox_from_doc(_policy_doc(v)), np.nan, r"one action in \[0, 2\)"),
+        (lambda v: blackbox_from_doc(_box_doc(v)), 0.7, "labels out of range"),
+        (lambda v: blackbox_from_doc(_box_doc(v)), np.nan, "labels out of range"),
+        (lambda v: tree_from_doc(_leaf_doc(v)), 0.7, "leaf label out of range for m=2"),
+        (lambda v: tree_from_doc(_leaf_doc(v)), np.nan, "leaf label out of range for m=2"),
+    ], ids=["dataset-0.7", "dataset-nan", "dataset-m-bool", "dataset-m-float", "box-0.7",
+            "box-nan", "box-default-0.7", "policy-doc-0.7", "policy-doc-nan", "box-doc-0.7",
+            "box-doc-nan", "tree-doc-0.7", "tree-doc-nan"])
+    def test_entry_points_refuse(self, build, value, message):
+        """Labels given by a caller or read from a document, and a dataset's
+        label count, follow the blackbox labels' rule: refused with the site's
+        own InputError, never truncated and never with a cast warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=message):
+                build(value)
+
+
+def _policy_doc(action):
+    doc = blackbox_to_doc(TabularPolicy((np.array([0.0]),) * 4, np.zeros(16, np.int64), (2,) * 4))
+    doc["actions"][5] = action
+    return doc
+
+
+def _box_doc(label):
+    return {**blackbox_to_doc(BoxBlackbox([BoxConstraint([0.0], [1.0])], [1], 1, 2)),
+            "labels": [label]}
+
+
+def _leaf_doc(label):
+    doc = tree_to_doc(leaf_tree(0, 2, 2))
+    doc["nodes"][0]["label"] = label
+    return doc

@@ -372,7 +372,9 @@ class TestFitEM:
         (lambda X: fit_em(X, 2.0), "k must be an integer"),
         (lambda X: fit_em(X, 0), "k must be an integer"),
         (lambda X: fit_em(X, 2, EMConfig(n_init=2.5)), "n_init must be >= 1 and an integer"),
-    ], ids=["float_k", "zero_k", "float_n_init"])
+        (lambda X: fit_em(X, True), "k must be an integer"),
+        (lambda X: fit_em(X, 2, EMConfig(n_init=True)), "n_init must be >= 1 and an integer"),
+    ], ids=["float_k", "zero_k", "float_n_init", "bool_k", "bool_n_init"])
     def test_counts_must_be_integers(self, rng, fit, message):
         with pytest.raises(ConfigError, match=message):
             fit(rng.normal(size=(20, 2)))
