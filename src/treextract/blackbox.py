@@ -49,6 +49,8 @@ class BoxBlackbox:
     default_label: int = 0
 
     def __post_init__(self):
+        if not (is_count(self.d) and is_count(self.m)):
+            raise InputError(f"d and m must be integers >= 1, got d={self.d!r}, m={self.m!r}")
         if len(self.boxes) != len(self.labels):
             raise InputError("boxes and labels must have equal length")
         if any(b.d != self.d for b in self.boxes):

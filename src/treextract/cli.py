@@ -22,7 +22,7 @@ from .core import is_count
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
-from .gmm import EMConfig, GaussianMixture, _check_x_max, fit_em, sample, select_k_bic
+from .gmm import EMConfig, fit_em, sample, select_k_bic
 
 SEED_ENV = "EXTRACT_SEED"
 
@@ -66,8 +66,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", default=None, help="column schema JSON")
     p.add_argument("--k", type=_k_arg, default="auto", help="component count or 'auto' (BIC)")
     p.add_argument("--n-init", type=int, default=4)
-    p.add_argument("--x-max", type=float, default=None,
-                   help="truncate the model to the box ||x||_inf <= x_max")
     p.add_argument("--out", required=True)
     _add_common(p)
 
@@ -195,15 +193,12 @@ def _load_blackbox(spec: str):
 
 
 def _cmd_fit_gmm(args) -> int:
-    _check_x_max(args.x_max)  # before the data is read and every EM restart runs
     dataset, _ = _load_features(args.data, args.schema)
     cfg = EMConfig(seed=args.seed, n_init=args.n_init)
     if args.k == "auto":
         gmm = select_k_bic(dataset.features, cfg=cfg)
     else:
         gmm = fit_em(dataset.features, int(args.k), cfg)
-    if args.x_max is not None:
-        gmm = GaussianMixture(gmm.weights, gmm.means, gmm.stddevs, x_max=args.x_max)
     tio.save_gmm(args.out, gmm)
     print(f"fitted mixture: K={gmm.k} d={gmm.d} -> {args.out}")
     return 0

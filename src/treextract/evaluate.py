@@ -55,7 +55,7 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     """
     if (tree.d, tree.m) != (f.d, f.m):
         raise InputError(f"tree (d={tree.d}, m={tree.m}) and blackbox (d={f.d}, m={f.m}) differ")
-    if tree.m == 2 and positive_class not in (0, 1):
+    if tree.m == 2 and not (is_count(positive_class, 0) and positive_class < 2):
         raise InputError(f"positive_class must be 0 or 1, got {positive_class}")
     X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     if X.shape[0] == 0:
@@ -174,8 +174,8 @@ def _best_exact_split(gmm, bb, box, parent_h: float):
     every smooth piece of every dimension are scanned by one _exact_gain
     call, and each piece's best bracket is refined by golden section. The
     brackets step in lockstep: one _exact_gain call evaluates the next point
-    of every bracket still wider than GOLDEN_TOL. Ties break toward the
-    lowest dimension, then the smallest threshold.
+    of every bracket still wider than GOLDEN_TOL (or 4 ulps of its ends).
+    Ties break toward the lowest dimension, then the smallest threshold.
     """
     # (dim, a, b) for every smooth piece of every dimension: lo < hi and the
     # edges lie strictly between them, so every dimension has a piece and b > a.
@@ -196,7 +196,10 @@ def _best_exact_split(gmm, bb, box, parent_h: float):
     b = grid[rows, np.minimum(j + 1, COARSE_GRID - 1)]
     c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
     fc, fd = np.split(gain(np.tile(dims, 2), np.concatenate([c, d])), 2)
-    while (live := np.flatnonzero(b - a > GOLDEN_TOL)).size:
+    # Each bracket's width tolerance is floored at 4 ulps of its ends: from
+    # |x| = 2^26 on, GOLDEN_TOL is below the float spacing and never reached.
+    tol = np.maximum(GOLDEN_TOL, 4 * np.spacing(np.maximum(abs(a), abs(b))))
+    while (live := np.flatnonzero(b - a > tol)).size:
         keep_left = fc[live] >= fd[live]
         lt, rt = live[keep_left], live[~keep_left]
         b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]

@@ -42,7 +42,9 @@ def _check_max_nodes(max_nodes: int) -> None:
 
 
 def _check_dims(gmm: GaussianMixture, f) -> None:
-    """Every model-driven builder's rule: the model and the blackbox share d."""
+    """Every model-driven builder's rule: the blackbox's d and m are counts; d is the model's."""
+    if not (is_count(f.d) and is_count(f.m)):
+        raise ConfigError(f"blackbox d and m must be integers >= 1, got d={f.d!r}, m={f.m!r}")
     if gmm.d != f.d:
         raise ConfigError(f"model dimension {gmm.d} does not match blackbox d={f.d}")
 

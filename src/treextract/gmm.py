@@ -37,25 +37,14 @@ TAIL_CUTOFF = 6.0
 NARROW_WIDTH = 1e-5
 
 
-def _check_x_max(x_max: Optional[float]) -> None:
-    """The truncation bound's one rule: unset, or a number > 0 (NaN is not)."""
-    if x_max is not None and not x_max > 0:
-        raise InputError(f"x_max must be > 0, got {x_max}")
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Diagonal-covariance Gaussian mixture over R^d, d >= 1.
-
-    stddevs stores per-dimension standard deviations (not variances).
-    x_max, when set, truncates the model to the box ||x||_inf <= x_max;
-    every conditional is intersected with that outer box.
-    """
+    """Diagonal-covariance Gaussian mixture over R^d, d >= 1. stddevs
+    stores per-dimension standard deviations (not variances)."""
 
     weights: np.ndarray
     means: np.ndarray
     stddevs: np.ndarray
-    x_max: Optional[float] = None
 
     def __post_init__(self):
         w, mu, sd = (_frozen_array(a) for a in (self.weights, self.means, self.stddevs))
@@ -66,7 +55,6 @@ class GaussianMixture:
             raise InputError("weights must be finite, nonnegative and sum to 1")
         if not np.all((sd > 0) & (sd < np.inf)):
             raise InputError("stddevs must be finite and strictly positive")
-        _check_x_max(self.x_max)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stddevs", sd)
@@ -79,14 +67,9 @@ class GaussianMixture:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def domain_box(self) -> BoxConstraint:
-        if self.x_max is None:
-            return BoxConstraint.unbounded(self.d)
-        return BoxConstraint(np.full(self.d, -self.x_max), np.full(self.d, self.x_max))
-
     @cached_property
     def unconditional(self) -> ConditionalMixture:
-        """The conditional on the unbounded box (the domain box with x_max set), built once."""
+        """The conditional on the unbounded box, built once."""
         return condition(self, BoxConstraint.unbounded(self.d))
 
 
@@ -129,16 +112,9 @@ def _log_joint(Z, Z2, w, mu, sd) -> np.ndarray:
                           - 0.5 * Z.shape[1] * math.log(2 * math.pi))[..., None]
 
 
-def _log_domain_mass(gmm: GaussianMixture) -> float:
-    if gmm.x_max is None:
-        return 0.0
-    box = gmm.domain_box()
-    return float(_log_masses(gmm, box.lower[None], box.upper[None])[1][0])
-
-
 def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
                 upper: np.ndarray) -> tuple:
-    """Log masses of T boxes under the untruncated mixture.
+    """Log masses of T boxes under the mixture.
 
     lower and upper are (T, d) bounds. Returns the (T, K) per-component log
     masses log w_j + sum_i log( Phi(beta_ji) - Phi(alpha_ji) ), their (T,)
@@ -155,15 +131,9 @@ def _log_masses(gmm: GaussianMixture, lower: np.ndarray,
 
 def log_box_masses(gmm: GaussianMixture, lower, upper) -> np.ndarray:
     """(T,) log probabilities of T boxes given as (T, d) lower/upper bounds.
-
-    With x_max set the boxes are first intersected with the domain box and
-    the masses renormalized by its mass. Empty boxes get -inf.
-    """
+    Empty boxes get -inf."""
     lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
-    if gmm.x_max is not None:
-        lower = np.maximum(lower, -gmm.x_max)
-        upper = np.minimum(upper, gmm.x_max)
-    return _log_masses(gmm, lower, upper)[1] - _log_domain_mass(gmm)
+    return _log_masses(gmm, lower, upper)[1]
 
 
 def _phi_interval(alpha, beta, width) -> np.ndarray:
@@ -214,11 +184,6 @@ def condition(gmm: GaussianMixture, box: BoxConstraint) -> ConditionalMixture:
     """
     if box.d != gmm.d:
         raise InputError(f"box dimension {box.d} does not match d={gmm.d}")
-    if gmm.x_max is not None:
-        clipped = box.intersect(gmm.domain_box())
-        if clipped is None:
-            raise EmptyRegionError("box lies outside the truncated domain")
-        box = clipped
     if not box.is_satisfiable():
         raise EmptyRegionError("box is unsatisfiable")
     logw, log_z, alpha, beta = _log_masses(gmm, box.lower[None], box.upper[None])
@@ -227,8 +192,7 @@ def condition(gmm: GaussianMixture, box: BoxConstraint) -> ConditionalMixture:
         raise EmptyRegionError(f"box mass below floor (log mass {log_z:.1f})")
     tilde = np.exp(logw - log_z)
     tilde = tilde / tilde.sum()
-    z = math.exp(log_z - _log_domain_mass(gmm))
-    return ConditionalMixture(gmm, box, tilde, z, alpha=alpha[0], beta=beta[0])
+    return ConditionalMixture(gmm, box, tilde, math.exp(log_z), alpha=alpha[0], beta=beta[0])
 
 
 def box_mass(gmm: GaussianMixture, box: Optional[BoxConstraint]) -> float:
@@ -314,8 +278,9 @@ def sample_conditional(cm: ConditionalMixture, rng: np.random.Generator,
     uniform per point with any redraws. So conditioning on the unbounded box
     reproduces the unconditional sampler draw for draw.
     """
-    n = int(size)
-    gmm = cm.base
+    if not is_count(size, 0):
+        raise InputError(f"size must be an integer >= 0, got {size!r}")
+    n, gmm = size, cm.base
     comps = _categorical(rng, cm.tilde_phi, n)
     lower, upper = cm.box.lower, cm.box.upper
     bounded = np.flatnonzero((lower > -np.inf) | (upper < np.inf))

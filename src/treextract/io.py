@@ -220,16 +220,17 @@ def gmm_to_doc(gmm: GaussianMixture) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "gaussian_mixture",
             "weights": [float(v) for v in gmm.weights],
             "means": [[float(v) for v in row] for row in gmm.means],
-            "stddevs": [[float(v) for v in row] for row in gmm.stddevs],
-            "x_max": gmm.x_max}
+            "stddevs": [[float(v) for v in row] for row in gmm.stddevs]}
 
 
 def gmm_from_doc(doc: dict) -> GaussianMixture:
     with _reading("gaussian_mixture"):
         if doc.get("kind") != "gaussian_mixture":
             raise InputError("not a gaussian mixture document")
+        if doc.get("x_max") is not None:  # refused, not read as an untruncated model
+            raise InputError("x_max (a domain truncation of the mixture) is not supported")
         return GaussianMixture(np.array(doc["weights"]), np.array(doc["means"]),
-                               np.array(doc["stddevs"]), x_max=doc.get("x_max"))
+                               np.array(doc["stddevs"]))
 
 
 def _bound_to_json(v: float):

@@ -55,11 +55,10 @@ def random_tree(rng: np.random.Generator, d: int, m: int, n_internal: int) -> De
     return DecisionTree.from_rows(rows, d, m)
 
 
-def random_mixture(rng: np.random.Generator, d: int, k: int, x_max=None) -> GaussianMixture:
-    """k-component mixture over R^d with means in [-2.5, 2.5] and sds in
-    [0.2, 1.5], truncated to ||x||_inf <= x_max when x_max is given."""
+def random_mixture(rng: np.random.Generator, d: int, k: int) -> GaussianMixture:
+    """k-component mixture over R^d with means in [-2.5, 2.5] and sds in [0.2, 1.5]."""
     return GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(-2.5, 2.5, (k, d)),
-                           rng.uniform(0.2, 1.5, (k, d)), x_max=x_max)
+                           rng.uniform(0.2, 1.5, (k, d)))
 
 
 def reference_agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,

@@ -584,6 +584,12 @@ class TestBoxBlackbox:
         with pytest.raises(InputError, match=message):
             BoxBlackbox([BoxConstraint(lo, hi) for lo, hi in boxes], labels, d=2, m=2)
 
+    @pytest.mark.parametrize("d, m", [(2, 2.5), (2.0, 2), (2, True), (0, 2), (2, 0)])
+    def test_sizes_must_be_counts(self, d, m):
+        from treextract import BoxBlackbox
+        with pytest.raises(InputError, match="d and m must be integers >= 1"):
+            BoxBlackbox([], [], d=d, m=m)
+
     def test_default_label_outside(self):
         from treextract import BoxBlackbox, BoxConstraint
         bb = BoxBlackbox([BoxConstraint([0.0], [1.0])], [1], d=1, m=3, default_label=2)

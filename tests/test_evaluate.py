@@ -66,7 +66,7 @@ class TestFidelity:
         with pytest.raises(BlackboxError, match=r"shape \(100, 1\)"):
             fidelity(tree, f, X)
 
-    @pytest.mark.parametrize("positive_class", [-1, 2])
+    @pytest.mark.parametrize("positive_class", [-1, 2, True])
     def test_binary_positive_class_outside_0_1_rejected(self, positive_class):
         tree = leaf_tree(0, d=1, m=2)
         f = FunctionBlackbox(lambda X: np.zeros(len(X), int), 1, 2)
@@ -106,13 +106,13 @@ class TestAgreement:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3),
-           st.sampled_from([None, 1.5, 3.0]), st.integers(0, 2 ** 32 - 1))
-    def test_exact_matches_monte_carlo_reference(self, d, k, m, x_max, seed):
+           st.integers(0, 2 ** 32 - 1))
+    def test_exact_matches_monte_carlo_reference(self, d, k, m, seed):
         """The agreeing count of 2e4 draws routed through both trees lies
         inside the two-sided 5-sigma band of Binomial(2e4, exact): 5 SE in
         the bulk, and exact binomial tails where the count is near 0 or n."""
         rng = np.random.default_rng(seed)
-        gmm = random_mixture(rng, d, k, x_max)
+        gmm = random_mixture(rng, d, k)
         a, b = (random_tree(rng, d, m, int(rng.integers(0, 8))) for _ in range(2))
         exact = agreement(a, b, gmm).exact
         n = 2 * 10 ** 4
@@ -121,20 +121,18 @@ class TestAgreement:
         assert scipy.stats.binom.cdf(count, n, exact) > five_sigma
         assert scipy.stats.binom.sf(count - 1, n, exact) > five_sigma
 
-    @pytest.mark.parametrize("x_max", [None, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_self_agreement_is_one(self, seed, x_max):
-        """The leaf boxes of a tree partition the (truncated) domain."""
+    def test_self_agreement_is_one(self, seed):
+        """The leaf boxes of a tree partition R^d."""
         rng = np.random.default_rng(seed)
         d = 1 + seed % 3
         tree = random_tree(rng, d, 3, 12)
-        gmm = random_mixture(rng, d, 3, x_max)
+        gmm = random_mixture(rng, d, 3)
         assert agreement(tree, tree, gmm).exact == pytest.approx(1.0, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("x_max", [None, 2.0])
-    def test_exact_is_symmetric(self, x_max):
+    def test_exact_is_symmetric(self):
         rng = np.random.default_rng(3)
-        gmm = random_mixture(rng, 2, 3, x_max)
+        gmm = random_mixture(rng, 2, 3)
         for _ in range(10):
             a, b = random_tree(rng, 2, 2, 6), random_tree(rng, 2, 2, 9)
             assert agreement(a, b, gmm).exact == agreement(b, a, gmm).exact
@@ -219,16 +217,15 @@ def reference_best_exact_split(gmm, bb, box, parent_h, coarse=33):
 
 @st.composite
 def oracle_cases(draw):
-    """A 1-3 component 2-d mixture, with or without x_max, one of the two
-    benchmark blackboxes, and a node box whose sides are finite or not."""
+    """A 1-3 component 2-d mixture, one of the two benchmark blackboxes,
+    and a node box whose sides are finite or not."""
     k = draw(st.integers(1, 3))
     coord = st.floats(-2.5, 2.5)
     means = draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=k, max_size=k))
     sds = draw(st.lists(st.lists(st.floats(0.2, 1.5), min_size=2, max_size=2),
                         min_size=k, max_size=k))
     weights = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
-    x_max = draw(st.sampled_from([None, 2.5, 4.0]))
-    gmm = GaussianMixture(np.array(weights) / sum(weights), means, sds, x_max=x_max)
+    gmm = GaussianMixture(np.array(weights) / sum(weights), means, sds)
     bb = draw(st.sampled_from([three_box_benchmark, two_box_benchmark]))()[1]
     lower, upper = [], []
     for _ in range(2):
@@ -348,6 +345,31 @@ class TestExactOracle:
                             lambda *a: calls.append(1) or real(*a))
         exact_greedy_oracle(*three_box_benchmark(), 7)
         assert len(calls) <= 300
+
+    def test_oracle_returns_far_from_the_origin(self, monkeypatch):
+        """From |x| = 2^26 on the float spacing exceeds GOLDEN_TOL, and a
+        bracket refined to that absolute width never closed. With the width
+        floored at 4 ulps of a bracket's ends, the 3-node tree of the shifted
+        benchmark takes about as many gain calls as at the origin (about 40)."""
+        import treextract.evaluate as evaluate_mod
+        calls = []
+        real = evaluate_mod._exact_gain
+
+        def counted(*args):
+            calls.append(1)
+            if len(calls) > 200:
+                raise AssertionError("golden-section refinement did not close its brackets")
+            return real(*args)
+
+        monkeypatch.setattr(evaluate_mod, "_exact_gain", counted)
+        gmm, bb = three_box_benchmark()
+        shift = 1e8
+        far_gmm = GaussianMixture(gmm.weights, gmm.means + shift, gmm.stddevs)
+        far_bb = BoxBlackbox(tuple(BoxConstraint(b.lower + shift, b.upper + shift)
+                                   for b in bb.boxes), bb.labels, d=2, m=2)
+        tree = exact_greedy_oracle(far_gmm, far_bb, 3).tree
+        assert tree.size == 3 and tree.feature[0] == 0
+        assert abs(tree.threshold[0] - (shift - 0.8)) <= 4 * np.spacing(shift)
 
     def test_gain_batches_are_bounded_on_a_wide_oracle(self, monkeypatch):
         """A d = 6 node with 8 blackbox boxes and 4 components scans about

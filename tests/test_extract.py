@@ -427,6 +427,18 @@ class TestExtractTree:
             extractor(gmm, Probe(), cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("extractor,budget", [(extract_tree, None),
+                                                  (born_again_extract, 1000)],
+                             ids=["ours", "born_again"])
+    @pytest.mark.parametrize("d, m", [(2, 2.5), (2.0, 2), (2, True), (2, 0)])
+    def test_blackbox_sizes_must_be_counts(self, extractor, budget, d, m):
+        """Refused before any draw, not as a TypeError deep in the scan."""
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), d, m)
+        gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+        cfg = ExtractionConfig(3, 100, total_sample_budget=budget)
+        with pytest.raises(ConfigError, match="blackbox d and m must be integers >= 1"):
+            extractor(gmm, f, cfg)
+
     def test_oracle_dimension_mismatch_rejected(self):
         """The exact oracle applies the extractors' dimension rule instead of
         failing on a numpy broadcast deep in its box masses."""

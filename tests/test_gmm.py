@@ -20,18 +20,14 @@ from helpers import (ZeroUniforms, reference_fit_em, reference_sample_conditiona
 
 def log_pdf(gmm, X):
     """Log density of the mixture at each row of X, evaluated in coordinates
-    standardized by the mixture's mean and sd; -inf outside its domain."""
+    standardized by the mixture's mean and sd."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     w, mu, sd = gmm.weights, gmm.means, gmm.stddevs
     loc = w @ mu
     scale = np.sqrt(w @ (sd * sd + (mu - loc) ** 2))
     Z = (X - loc) / scale
-    out = gmm_mod.logsumexp(gmm_mod._log_joint(Z, Z * Z, w, (mu - loc) / scale, sd / scale),
-                            axis=0) - np.sum(np.log(scale))
-    if gmm.x_max is not None:
-        outside = ~gmm.domain_box().contains_batch(X)
-        out = np.where(outside, -np.inf, out - gmm_mod._log_domain_mass(gmm))
-    return out
+    return gmm_mod.logsumexp(gmm_mod._log_joint(Z, Z * Z, w, (mu - loc) / scale, sd / scale),
+                             axis=0) - np.sum(np.log(scale))
 
 
 def pdf(gmm, X):
@@ -86,11 +82,6 @@ class TestCondition:
     def test_box_dimension_checked(self, gmm_2d):
         with pytest.raises(InputError, match="box dimension 1 does not match d=2"):
             condition(gmm_2d, BoxConstraint([0.0], [1.0]))
-
-    def test_box_outside_the_truncated_domain_raises(self):
-        gmm = GaussianMixture([1.0], [[0.0]], [[1.0]], x_max=2.5)
-        with pytest.raises(EmptyRegionError, match="box lies outside the truncated domain"):
-            condition(gmm, BoxConstraint([3.0], [4.0]))
 
     def test_unsatisfiable_box_raises(self, gmm_2d):
         bad = BoxConstraint([1.0, 0.0], [0.0, 1.0])
@@ -160,15 +151,14 @@ class TestSampling:
         x = sample_conditional(condition(gmm_2d, BoxConstraint.unbounded(2)), rng, 1)
         assert x.shape == (1, 2)
 
-    @pytest.mark.parametrize("x_max", [None, 1.5])
-    def test_sample_matches_conditioning_on_unbounded_box(self, gmm_2d, x_max):
-        gmm = GaussianMixture(gmm_2d.weights, gmm_2d.means, gmm_2d.stddevs, x_max)
+    def test_sample_matches_conditioning_on_unbounded_box(self, gmm_2d):
+        gmm = GaussianMixture(gmm_2d.weights, gmm_2d.means, gmm_2d.stddevs)
         cm = condition(gmm, BoxConstraint.unbounded(2))
         for n in (1, 7, 1000, 7):  # later calls draw from the cached conditional
             a, b = np.random.default_rng(n), np.random.default_rng(n)
             assert sample(gmm, a, n).tobytes() == sample_conditional(cm, b, n).tobytes()
             assert a.bit_generator.state == b.bit_generator.state
-        assert np.array_equal(gmm.unconditional.box.upper, gmm.domain_box().upper)
+        assert np.array_equal(gmm.unconditional.box.upper, BoxConstraint.unbounded(2).upper)
 
     def test_unbounded_box_conditioned_once_per_mixture(self, gmm_2d, monkeypatch):
         from treextract import ExtractionConfig, extract_tree
@@ -293,10 +283,9 @@ class TestReferenceSampler:
 
     @settings(max_examples=200, deadline=None)
     @given(tail_mixtures(max_d=6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([None, 60.0]), st.booleans())
-    def test_draws_match_reference(self, model, n, seed, x_max, zeros):
+           st.booleans())
+    def test_draws_match_reference(self, model, n, seed, zeros):
         gmm, box = model
-        gmm = GaussianMixture(gmm.weights, gmm.means, gmm.stddevs, x_max)
         # With zeros about one uniform in 20 is 0.0, so redraws run.
         make = (lambda: ZeroUniforms(seed, 0.05)) if zeros else (lambda: np.random.default_rng(seed))
         self._assert_matches_reference(condition(gmm, box), make, n)
@@ -368,16 +357,30 @@ class TestFitEM:
         for a, b in zip(hist, hist[1:]):
             assert b - a >= -1e-8 * (1 + abs(b))
 
-    @pytest.mark.parametrize("fit, message", [
-        (lambda X: fit_em(X, 2.0), "k must be an integer"),
-        (lambda X: fit_em(X, 0), "k must be an integer"),
-        (lambda X: fit_em(X, 2, EMConfig(n_init=2.5)), "n_init must be >= 1 and an integer"),
-        (lambda X: fit_em(X, True), "k must be an integer"),
-        (lambda X: fit_em(X, 2, EMConfig(n_init=True)), "n_init must be >= 1 and an integer"),
-    ], ids=["float_k", "zero_k", "float_n_init", "bool_k", "bool_n_init"])
-    def test_counts_must_be_integers(self, rng, fit, message):
-        with pytest.raises(ConfigError, match=message):
-            fit(rng.normal(size=(20, 2)))
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda X, r: fit_em(X, 2.0), ConfigError, "k must be an integer"),
+        (lambda X, r: fit_em(X, 0), ConfigError, "k must be an integer"),
+        (lambda X, r: fit_em(X, 2, EMConfig(n_init=2.5)), ConfigError,
+         "n_init must be >= 1 and an integer"),
+        (lambda X, r: fit_em(X, True), ConfigError, "k must be an integer"),
+        (lambda X, r: fit_em(X, 2, EMConfig(n_init=True)), ConfigError,
+         "n_init must be >= 1 and an integer"),
+        (lambda X, r: sample(fit_em(X, 1), r, 2.5), InputError, "size must be an integer >= 0"),
+        (lambda X, r: sample(fit_em(X, 1), r, True), InputError, "size must be an integer >= 0"),
+        (lambda X, r: sample(fit_em(X, 1), r, -1), InputError, "size must be an integer >= 0"),
+        (lambda X, r: sample_conditional(fit_em(X, 1).unconditional, r, 2.5), InputError,
+         "size must be an integer >= 0"),
+    ], ids=["float_k", "zero_k", "float_n_init", "bool_k", "bool_n_init",
+            "float_size", "bool_size", "negative_size", "float_conditional_size"])
+    def test_counts_must_be_integers(self, rng, call, error, message):
+        with pytest.raises(error, match=message):
+            call(rng.normal(size=(20, 2)), rng)
+
+    @pytest.mark.parametrize("size", [0, np.int64(0)])
+    def test_zero_size_draws_an_empty_matrix(self, rng, size):
+        gmm = fit_em(rng.normal(size=(20, 3)), 2)
+        assert sample(gmm, rng, size).shape == (0, 3)
+        assert sample_conditional(gmm.unconditional, rng, size).shape == (0, 3)
 
     def test_k_exceeding_n_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -546,26 +549,6 @@ class TestLargeOffsets:
                                    atol=1e-9 * abs(a) * np.abs(X).max())
 
 
-class TestDomainTruncation:
-    def test_samples_respect_x_max(self, rng):
-        gmm = GaussianMixture([1.0], [[0.0, 0.0]], [[3.0, 3.0]], x_max=1.0)
-        X = sample(gmm, rng, 5000)
-        assert np.abs(X).max() <= 1.0
-
-    def test_truncated_mass_renormalized(self):
-        gmm = GaussianMixture([1.0], [[0.0]], [[1.0]], x_max=1.0)
-        cm = condition(gmm, BoxConstraint.unbounded(1))
-        assert abs(cm.Z - 1.0) < 1e-12
-        half = box_mass(gmm, BoxConstraint([0.0], [np.inf]))
-        assert abs(half - 0.5) < 1e-12  # symmetric truncation keeps symmetry
-
-    def test_pdf_integrates_to_one_on_domain(self):
-        gmm = GaussianMixture([1.0], [[0.0]], [[2.0]], x_max=1.5)
-        grid = np.linspace(-1.5, 1.5, 4001).reshape(-1, 1)
-        total = np.trapezoid(pdf(gmm, grid), grid[:, 0])
-        assert abs(total - 1.0) < 1e-3
-
-
 class TestValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InputError):
@@ -592,11 +575,6 @@ class TestValidation:
         """As Dataset does: with no dimension the exact oracle has no split to scan."""
         with pytest.raises(InputError, match=r"d >= 1"):
             GaussianMixture([1.0], np.zeros((1, 0)), np.ones((1, 0)))
-
-    @pytest.mark.parametrize("x_max", [0.0, -3.0, np.nan])
-    def test_x_max_must_be_positive(self, x_max):
-        with pytest.raises(InputError, match="x_max must be > 0"):
-            GaussianMixture([1.0], [[0.0]], [[1.0]], x_max=x_max)
 
     @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2), select_k_bic], ids=["fit_em", "bic"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -242,7 +242,11 @@ class TestGmmJson:
     def test_doc_fields(self, gmm_2d):
         doc = gmm_to_doc(gmm_2d)
         assert doc["kind"] == "gaussian_mixture" and doc["format_version"] == 1
-        assert gmm_from_doc(doc).k == 2
+        assert "x_max" not in doc
+        for loaded in (doc, dict(doc, x_max=None)):  # a null x_max loads as no key
+            assert np.array_equal(gmm_from_doc(loaded).means, gmm_2d.means)
+        with pytest.raises(InputError, match="x_max"):
+            gmm_from_doc(dict(doc, x_max=4.5))
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError, match="not a gaussian mixture document"):
@@ -297,6 +301,11 @@ class TestDocumentSchemas:
         schema = json.loads((REPO / "gmm.schema.json").read_text())
         with pytest.raises(self.jsonschema.ValidationError):
             self.jsonschema.validate(ZERO_D_GMM_DOC, schema)
+
+    def test_gmm_schema_rejects_x_max(self, gmm_2d):
+        schema = json.loads((REPO / "gmm.schema.json").read_text())
+        with pytest.raises(self.jsonschema.ValidationError, match="x_max"):
+            self.jsonschema.validate(dict(gmm_to_doc(gmm_2d), x_max=4.5), schema)
 
 
 class TestDot:
