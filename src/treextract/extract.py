@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import DecisionTree, class_labels, is_count, leaf_row, split_row
-from .errors import BlackboxError, ConfigError, EmptyRegionError, SamplerError
+from .errors import BlackboxError, ConfigError, EmptyRegionError, InputError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
 DEFAULT_PRUNE_ALPHAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
@@ -105,94 +105,91 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     return float(D @ D / (nl * (n - nl)) * mass / n ** 2)
 
 
+def _gap_ratios(sv, lab, m: int, tot, n_node, nl, restart=None):
+    """sum_k D_k^2 / (nl nr) at each gap between sorted values sv, -inf at a
+    tied one; tot[k] (class k's node total) and n_node are scalars or per
+    gap, and restart(lc) is the running counts of a batch's earlier nodes."""
+    for k in range(max(m - 1, 1)):  # m = 1 has D_0 = 0
+        lc = (lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32)  # n < 2**31 fits any X
+        if restart is not None:
+            lc -= restart(lc)
+        dk = lc * n_node  # D_k, in place in one float64 buffer
+        dk -= tot[k] * nl
+        if k:
+            dsum += dk
+            ss += np.square(dk, out=dk)
+        else:  # the last class's D_k is minus the others' sum: 2 D_0^2 for m = 2
+            dsum, ss = (dk, np.square(dk)) if m > 2 else (None, np.square(dk, out=dk))
+    ss += ss if dsum is None else np.square(dsum, out=dsum)
+    ss[~(sv[:, :-1] < sv[:, 1:])] = -np.inf  # a tied gap is no cut
+    return np.divide(ss, nl * np.maximum(n_node - nl, 1.0), out=ss)  # nr is 0 between nodes
+
+
+def _candidate(sv, lab, d: int, p: int, a: int, b: int, totals, gain: float):
+    lc = np.bincount(lab[d, a:p + 1], minlength=len(totals))  # rows a:b, cut after row p
+    lh, rh = lc / (p - a + 1), (totals - lc) / (b - p - 1)
+    return SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), float(gain),
+                          int(lh.argmax()), int(rh.argmax()), lh, rh)
+
+
 def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
                             segments=None, values=None):
     """Exhaustive empirical gain maximization over a labeled sample set.
 
-    Every dimension is scored in one pass over a (d, n - 1) matrix: each row
-    sorted, then left class counts lc_k as running sums along the sorted
-    labels. A cut at column p sends nl = p + 1 samples left of the threshold
-    midway between the p-th and (p+1)-th sorted values; only gaps between
-    distinct values qualify, so both sides are nonempty and the counts do not
-    depend on how tied rows are ordered. With class totals t_k, the cut's
-    weighted Gini gain is mass * sum_k D_k^2 / (n^2 nl nr), D_k = lc_k n -
-    t_k nl. As |D_k| <= nl nr, sum_k D_k^2 and nl nr are exact in float64
-    for n < 16,384, and cuts rank by their one correctly rounded ratio: equal
-    gains compare equal and go to the lowest dimension index, then the
-    smallest threshold, and a cut that keeps the class proportions scores
-    exactly 0. Returns None when the best gain, that ratio times mass / n^2,
-    does not exceed min_gain.
-
-    With segments (row i's node in [0, S)), the rows are a ragged batch and
-    the result lists each node's candidate as its rows alone give it. A
-    batch gives values, the sorted distinct values, with X holding each
-    sample's index into them, and sorts one integer key per column, (node,
-    value index, label). A single node sorts its float columns instead: on
-    the single-node calls of extraction and the baselines that is 1.3-1.5x
-    faster than coding them with np.unique for the key.
+    Each gap between distinct sorted values of a dimension is a cut; with
+    left class counts lc_k (running sums of the sorted labels) and class
+    totals t_k, its weighted Gini gain is mass * sum_k D_k^2 / (n^2 nl nr),
+    D_k = lc_k n - t_k nl. Both sums are exact in float64 for n < 16,384
+    (|D_k| <= nl nr), so equal gains compare equal, going to the lowest
+    dimension, then the smallest threshold, and a cut keeping the class
+    proportions scores 0. Returns None unless the best gain exceeds
+    min_gain; a label outside [0, m) is an InputError. With segments (row
+    i's node in [0, S)), X indexes values, the sorted distinct values, and
+    each node gets the candidate its rows alone give.
     """
     y = np.asarray(y)
     n = y.shape[0]
-    seg = np.zeros(n, np.int64) if segments is None else np.asarray(segments, np.int64)
-    S = 1 if segments is None else int(seg.max()) + 1 if n else 0
-    out = [None] * S
-    if n < 2 or np.shape(X)[1] == 0:
-        return out if segments is not None else None
-    if segments is None:  # one node: sort each column
+    try:  # bincount refuses a negative label, and one >= m lengthens its counts
+        totals = np.bincount(y, minlength=m).reshape(m)
+    except ValueError:
+        raise InputError(f"split labels must be integers in [0, {m})") from None
+    if segments is None:
+        if n < 2 or np.shape(X)[1] == 0:
+            return None
         Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
         sv, lab = np.sort(Xt, axis=1), y.astype(np.min_scalar_type(m))[Xt.argsort(axis=1)]
-    else:
-        vb, mb = (len(values) - 1).bit_length(), (m - 1).bit_length()
-        key = (seg << vb | np.reshape(X, (n, -1)).T.astype(np.int64, order="C")) << mb | y
-        key.sort(axis=1)
-        sv = np.asarray(values, dtype=np.float64)[key >> mb & ((1 << vb) - 1)]
-        lab = key & ((1 << mb) - 1)
+        ratio = _gap_ratios(sv, lab, m, totals, float(n), np.arange(1.0, n))
+        d, p = divmod(int(ratio.argmax()), n - 1)  # the first max is the tie rule
+        gain = ratio[d, p] * mass / n ** 2  # a NaN gain (mass 0) is no cut
+        return _candidate(sv, lab, d, p, 0, n, totals, gain) if gain > min_gain else None
 
-    counts = np.bincount(seg, minlength=S)
-    ends = counts.cumsum()
+    seg = np.asarray(segments, np.int64)
+    out = [None] * (S := int(seg.max()) + 1 if n else 0)
+    if n < 2 or np.shape(X)[1] == 0:
+        return out
+    # Sort one integer key per column: (node, value index, label).
+    vb, mb = (len(values) - 1).bit_length(), (m - 1).bit_length()
+    key = (seg << vb | np.reshape(X, (n, -1)).T.astype(np.int64, order="C")) << mb | y
+    key.sort(axis=1)
+    sv = np.asarray(values, dtype=np.float64)[key >> mb & ((1 << vb) - 1)]
+    lab = key & ((1 << mb) - 1)
+    ends = (counts := np.bincount(seg, minlength=S)).cumsum()
     starts = ends - counts
-    cand = sv[:, :-1] < sv[:, 1:]  # a gap between distinct values of one node
-    # Left class counts of the first m - 1 classes; int32 holds them, as
-    # n < 2**31 for any X that fits in memory.
-    nl = np.arange(1.0, n)
-    if S > 1:  # restart the counts at each node's first row
-        node = np.repeat(np.arange(S), counts)[:-1]  # of the gap after each sorted row
-        cand[:, ends[:-1][ends[:-1] > 0] - 1] = False
-        nl -= starts[node]
-
-    def per_gap(v):  # v's entry for the node of each gap; for one node, a scalar
-        return np.asarray(v)[node] if S > 1 else v[0]
-
-    totals = np.bincount(y if S == 1 else seg * m + y, minlength=S * m).reshape(S, m)
-    n_node = per_gap(counts).astype(np.float64)
-    nlnr = nl * np.maximum(n_node - nl, 1.0)  # nr is 0 at a gap between nodes, no cut
-    # The last class's D_k is minus the others' sum.
-    ss, dsum = np.zeros(cand.shape), np.zeros(cand.shape)
-    for k in range(m - 1):
-        lc = (lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32)
-        if S > 1:
-            lc -= np.where(starts > 0, lc[:, starts - 1], 0)[:, node]
-        dk = lc * n_node - per_gap(totals[:, k]) * nl
-        dsum += dk
-        ss += np.square(dk, out=dk)
-    ss += np.square(dsum, out=dsum)
-    ratio = np.divide(ss, nlnr, out=ss)  # the one rounding: gain * n^2 / mass
-    ratio[~cand] = -np.inf
-
+    node = np.repeat(np.arange(S), counts)[:-1]  # of the gap after each sorted row
+    totals = np.bincount(seg * m + y, minlength=S * m).reshape(S, m)
+    ratio = _gap_ratios(sv, lab, m, totals.T[:, node], counts[node].astype(np.float64),
+                        np.arange(1.0, n) - starts[node],
+                        lambda lc: np.where(starts > 0, lc[:, starts - 1], 0)[:, node])
+    ratio[:, ends[:-1][ends[:-1] > 0] - 1] = -np.inf  # the gap between two nodes
     # Each node's best ratio per dimension; its first max is the lowest dimension.
     best = np.maximum.reduceat(ratio, np.minimum(starts, n - 2), axis=1)
-    picks = zip(best.argmax(axis=0).tolist(), best.max(axis=0).tolist(),
-                starts.tolist(), ends.tolist())
-    for s, (d, r, a, b) in enumerate(picks):
+    for s, (d, r, a, b) in enumerate(zip(best.argmax(axis=0).tolist(), best.max(axis=0).tolist(),
+                                         starts.tolist(), ends.tolist())):
         # A node of 0 or 1 rows reads another's gaps; a NaN gain (mass 0) is no cut.
-        if b - a < 2 or not (gain := r * mass / (b - a) ** 2) > min_gain:
-            continue
-        p = a + int(ratio[d, a:b - 1].argmax())  # then the smallest threshold
-        lc = np.bincount(lab[d, a:p + 1], minlength=m)
-        lh, rh = lc / (p - a + 1), (totals[s] - lc) / (b - p - 1)
-        out[s] = SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), float(gain),
-                                int(lh.argmax()), int(rh.argmax()), lh, rh)
-    return out if segments is not None else out[0]
+        if b - a >= 2 and (gain := r * mass / (b - a) ** 2) > min_gain:
+            p = a + int(ratio[d, a:b - 1].argmax())  # then the smallest threshold
+            out[s] = _candidate(sv, lab, d, p, a, b, totals[s], gain)
+    return out
 
 
 def _label_points(f, X, context: str) -> np.ndarray:

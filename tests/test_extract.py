@@ -131,6 +131,21 @@ class TestBestSplitFromSamples:
         assert _fields(best_split_from_samples(X, y, 1, 1.0, -1.0)) == want
         assert [_fields(c) for c in batch_scan(X, y, 1, 1.0, -1.0, np.zeros(5, int))] == [want]
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("batched", [False, True], ids=["one-node", "batched"])
+    def test_label_outside_range_refused(self, bad, batched):
+        """A label outside [0, m) would land in another class's or node's
+        counts, or break the single-node call with a numpy error."""
+        rng = np.random.default_rng(0)
+        X = np.round(rng.normal(size=(40, 2)), 1)
+        y = (X[:, 0] > 0).astype(int)
+        y[5] = bad
+        with pytest.raises(InputError, match=r"labels must be integers in \[0, 2\)"):
+            if batched:
+                batch_scan(X, y, 2, 1.0, 0.0, np.repeat([0, 1], 20))
+            else:
+                best_split_from_samples(X, y, 2, 1.0)
+
 
 class TestVectorisedScan:
     @settings(max_examples=300, deadline=None)
@@ -212,6 +227,21 @@ class TestExactScores:
         x, y = np.arange(7.0), np.array([0, 1, 1, 0, 0, 1, 0])
         for X in (np.column_stack([-x, x]), np.column_stack([x, -x])):
             assert best_split_from_samples(X, y, 2, 1.0).dim == 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_top_of_exact_range(self, m):
+        """At n = 16,383, the largest n whose sums are exact, the single-node
+        scan, a one-node batch and the reference agree bit for bit, and the
+        mirrored pair's exactly equal best cuts go to the lower dimension."""
+        rng, n = np.random.default_rng(7), 2 ** 14 - 1
+        x = np.round(rng.normal(size=n), 2)
+        y = np.digitize(x + 0.5 * rng.normal(size=n), [0.0, 0.8][:m - 1])
+        X = np.column_stack([np.round(rng.normal(size=n), 1), -x, x])
+        want = _fields(reference_best_split(X, y, m, 0.5))
+        assert _fields(best_split_from_samples(X, y, m, 0.5)) == want
+        assert [_fields(c) for c in batch_scan(X, y, m, 0.5, 0.0, np.zeros(n, int))] == [want]
+        swapped = best_split_from_samples(X[:, [0, 2, 1]], y, m, 0.5)
+        assert want[0] == swapped.dim == 1 and repr(swapped.gain) == want[2]
 
 
 @st.composite
