@@ -6,7 +6,6 @@ obtains per-node samples by rejection: draws from the unconditional input
 model are kept only when they satisfy the node's path box, so deep nodes
 starve once the region gets thin.
 """
-from __future__ import annotations
 
 import numpy as np
 

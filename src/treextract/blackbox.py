@@ -1,11 +1,10 @@
 """Blackbox models to be explained: a from-scratch random forest, a tabular
-cart-pole control policy learned by value iteration, and synthetic
-piecewise-constant functions over axis-aligned boxes.
+cart-pole policy learned by value iteration, and box-wise constant labels.
 
 A blackbox is anything with integer attributes d and m and a pure
-predict((n, d) array) -> (n,) int labels.
+predict((n, d) array) -> (n,) int labels, which may be called from a second
+thread while another call runs. The ones here refuse points of another width.
 """
-from __future__ import annotations
 
 import itertools
 import math
@@ -15,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BoxConstraint, Dataset, DecisionTree, _route, _routing_table,
+from .core import (BoxConstraint, Dataset, DecisionTree, _points, _route, _routing_table,
                    class_labels, is_count, leaf_row, split_row)
 from .errors import ConfigError, InputError
 from .extract import _majority, best_split_from_samples
@@ -30,7 +29,7 @@ class FunctionBlackbox:
     m: int
 
     def predict(self, X) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(X, dtype=np.float64))))
+        return np.asarray(self.fn(_points(np.atleast_2d(X), self.d)))
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class BoxBlackbox:
         object.__setattr__(self, "default_label", int(labels[-1]))
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = _points(np.atleast_2d(X), self.d)
         out = np.full(X.shape[0], self.default_label, dtype=np.int64)
         for box, label in zip(self.boxes, self.labels):
             out[box.contains_batch(X)] = label
@@ -276,13 +275,10 @@ class TabularPolicy:
         object.__setattr__(self, "actions", actions)
 
     def cell_index(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        for i in range(self.d):
-            # Same cells as np.digitize for increasing edges, without its checks.
-            cells = self.edges[i].searchsorted(X[:, i], side="right")
-            idx = idx * self.grid_sizes[i] + cells
-        return idx
+        X = _points(np.atleast_2d(X), self.d)
+        # Same cells as np.digitize for increasing edges, without its checks.
+        cells = [e.searchsorted(x, side="right") for e, x in zip(self.edges, X.T)]
+        return np.ravel_multi_index(cells, self.grid_sizes)
 
     def predict(self, X) -> np.ndarray:
         return self.actions[self.cell_index(X)]

@@ -5,7 +5,6 @@ export, experiment. Outputs are written atomically; the effective config is
 echoed to stderr as one JSON line. Exit codes: 0 success, 1 input error
 (also: an experiment run failed and left no row), 2 internal error.
 """
-from __future__ import annotations
 
 import argparse
 import json

@@ -3,7 +3,6 @@
 All types here are immutable after construction and safe to share across
 threads for read-only use. Feature arrays are marked non-writeable.
 """
-from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
@@ -24,6 +23,14 @@ def class_labels(values, m: int) -> Optional[np.ndarray]:
     with np.errstate(invalid="ignore"):  # a NaN or inf fails the check below
         y = raw.astype(np.int64)
     return None if np.any((y != raw) | (y < 0) | (y >= m)) else y
+
+
+# X as float64 (n, d) points; any other shape is an InputError.
+def _points(X, d: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InputError(f"expected points of dimension {d}, got shape {X.shape}")
+    return X
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -107,8 +114,8 @@ class BoxConstraint:
         # so only the bounds other than a -inf lower or +inf upper one are
         # compared, on the columns of X, and reduced across the bounds. That
         # needs X free of NaN and -inf, which fail those skipped bounds.
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d or X.size == 0 or not X.min() > -np.inf:
+        X = _points(X, self.d)
+        if X.size == 0 or not X.min() > -np.inf:
             return np.all((X > self.lower) & (X <= self.upper), axis=1)
         above, lo, below, hi = self._bounded
         inside = np.logical_and.reduce(X.T[above] > lo, axis=0)
@@ -272,9 +279,7 @@ def _route(table, X, d: int) -> np.ndarray:
     """(trees, n) stacked leaf ids the rows of an (n, d) matrix of finite
     points reach from every root of a routing table: depth level-synchronous
     steps, each to child 2 * node + (x > t)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != d:
-        raise InputError(f"expected points of dimension {d}, got shape {X.shape}")
+    X = _points(X, d)
     if not np.all(np.isfinite(X)):
         raise InputError("points contain NaN or Inf")
     feature, threshold, children, depth, roots = table

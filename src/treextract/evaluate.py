@@ -7,7 +7,6 @@ every joint probability Pr[f(x)=y and x in box] is a finite sum of products
 of normal CDF differences, so population Gini gains can be computed exactly
 and the greedy tree built without sampling.
 """
-from __future__ import annotations
 
 import math
 import time
@@ -93,9 +92,9 @@ def agreement(tree_a: DecisionTree, tree_b: DecisionTree, gmm: GaussianMixture,
         [v[t.feature < 0] for v in (*t._path_bounds(), t.label)] for t in (tree_a, tree_b))
     a, b = np.nonzero(y_a[:, None] == y_b)
     lower, upper = np.maximum(lo_a[a], lo_b[b]), np.minimum(hi_a[a], hi_b[b])
-    keep = np.all(lower < upper, axis=1)
-    # fsum rounds the sum once, so exact does not depend on the pair order.
-    exact = min(math.fsum(np.exp(log_box_masses(gmm, lower[keep], upper[keep]))), 1.0)
+    # An empty intersection has mass exactly 0. fsum rounds the sum once, so
+    # exact does not depend on the pair order.
+    exact = min(math.fsum(np.exp(log_box_masses(gmm, lower, upper))), 1.0)
     rate = (np.random.default_rng(0) if rng is None else rng).binomial(n, exact) / n
     se = math.sqrt(max(rate * (1 - rate), 1e-12) / n)
     return AgreementResult(rate, se, n, exact)
@@ -120,11 +119,9 @@ def _class_masses(gmm: GaussianMixture, bb: BoxBlackbox, lower, upper) -> tuple:
     mass = np.exp(log_box_masses(gmm, np.concatenate(lo), np.concatenate(hi))).reshape(-1, t)
     z = mass[0]
     p = np.zeros((t, bb.m))
-    covered = np.zeros(t)
     for pb, label in zip(mass[1:], bb.labels):
         p[:, label] += pb
-        covered += pb
-    p[:, bb.default_label] += np.maximum(z - covered, 0.0)
+    p[:, bb.default_label] += np.maximum(z - mass[1:].sum(axis=0), 0.0)  # summed row by row
     return p, z
 
 

@@ -5,12 +5,13 @@ sample set drawn from the input model conditioned on the leaf's path box;
 the highest-priority leaf is expanded using a second, independent sample
 set so the committed split parameters stay unbiased.
 """
-from __future__ import annotations
 
 import ctypes
 import heapq
-import itertools
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +22,16 @@ from .errors import BlackboxError, ConfigError, EmptyRegionError, InputError, Sa
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
 DEFAULT_PRUNE_ALPHAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
+
+# Cells (points x d) from which a scored left child is labelled and scanned
+# on a second thread while the calling thread does its right sibling: numpy
+# releases the GIL in both, and on smaller samples the hand-off cost more
+# than it saved (a threshold of 2^14 took exact-convergence's 2 x 10^4-cell
+# samples onto two threads and made its op_ms.p50 4.8 % slower).
+PARALLEL_CELLS = 1 << 15
+# CPUs this process may run on, read at import. On one CPU the two threads
+# only take turns, which made rf-distill's trees 2.5 % slower.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 if sys.platform.startswith("linux"):
     # glibc moves its heap-trim and mmap thresholds up to the largest block
@@ -216,22 +227,21 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
                     min_gain: float = 0.0) -> tuple[list, list]:
     """Best-first frontier loop shared by every greedy tree builder.
 
-    A leaf is given as its (label, histogram, mass). score(i, region) ->
-    (gain, split) rates leaf i over its region; a leaf whose split is not
-    None and whose gain exceeds min_gain joins a heap ordered by gain, ties
-    in push order. While two more nodes fit in max_nodes, the top leaf is
-    popped and commit(i, region, split) returns None, which keeps it a leaf
-    with cached_gain 0, or ((dim, threshold), ((left_leaf, left_region),
-    (right_leaf, right_region))), which splits it at x_dim <= threshold into
-    the two new leaves. A leaf with a region is scored while another commit
-    could still follow: the root when max_nodes >= 3, a commit's children
-    when two more nodes fit after them. Returns the tree's rows for
+    A leaf is given as its (label, histogram, mass). score(i, region) -> (gain,
+    split) rates leaf i over its region; a leaf whose split is not None and
+    whose gain exceeds min_gain joins a heap ordered by gain, ties by node id.
+    While two more nodes fit in max_nodes, the top leaf is popped and commit(i,
+    region, split) returns None, which keeps it a leaf with cached_gain 0, or
+    ((dim, threshold), ((left_leaf, left_region), (right_leaf, right_region))),
+    which splits it at x_dim <= threshold into the two new leaves. A leaf with a
+    region is scored while another commit could still follow: the root when
+    max_nodes >= 3, a commit's children, one after the other, left then right,
+    when two more nodes fit after them. Returns the rows for
     DecisionTree.from_rows and each node's scored gain (0 if never scored).
     """
     rows: list = []
     gains: list = []
-    heap: list = []
-    order = itertools.count()
+    heap: list = []  # ties pop in push order, which is node id order
 
     def add(leaf, region):
         i = len(rows)
@@ -239,12 +249,12 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
         rows.append(leaf_row(*leaf, max(gain, 0.0)))
         gains.append(gain)
         if split is not None and gain > min_gain:
-            heapq.heappush(heap, (-gain, next(order), i, region, split))
+            heapq.heappush(heap, (-gain, i, region, split))
         return i
 
     add(root, region if max_nodes >= 3 else None)
     while heap and len(rows) + 2 <= max_nodes:
-        _, _, i, region, split = heapq.heappop(heap)
+        _, i, region, split = heapq.heappop(heap)
         grown = commit(i, region, split)
         if grown is None:
             rows[i] = rows[i][:-1] + (0.0,)  # stays a leaf, with cached_gain 0
@@ -273,39 +283,57 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     d, m = f.d, f.m
     budget = 0
 
-    def scan(cm, context):
+    def sample(cm, context):
         nonlocal budget
         X = draw(cm, cfg.samples_per_node, rng)
         if X.shape[0] and not cm.box.contains_batch(X).all():
             raise SamplerError(f"sample escaped its node box ({context})")
         budget += X.shape[0]
+        return X
+
+    def scan(cm, context, X=None):
+        X = sample(cm, context) if X is None else X
         y = _label_points(f, X, context)
         return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
     def score(i, cm):
-        cand = first if i == 0 else scan(cm, f"priority estimate at node {i}")[0]
+        if cm is ahead[0]:  # the root, or a right child scanned with its left sibling
+            cand = ahead[1]
+        else:
+            X = sample(cm, context := f"priority estimate at node {i}")
+            if pool and cm is kids[0] and kids[1] is not None and X.size >= PARALLEL_CELLS:
+                # The loop scores the right sibling, node i + 1, next. Its draw
+                # follows this one on this thread, in the generator's order.
+                left = pool.submit(scan, cm, context, X)
+                try:
+                    ahead[:] = kids[1], scan(kids[1], f"priority estimate at node {i + 1}")[0]
+                finally:  # the left child's error, if any, is raised first
+                    cand = left.result()[0]
+            else:
+                cand = scan(cm, context, X)[0]
         return (0.0 if cand is None else cand.gain), cand
 
     def commit(i, cm, split):
         cand = split if i == 0 else scan(cm, f"commit at node {i}")[0]
         if cand is None:
             return None
-        children = []
-        for child_box, label, hist in zip(cm.box.split(cand.dim, cand.threshold),
-                                          (cand.left_label, cand.right_label),
-                                          (cand.left_hist, cand.right_hist)):
+        for side, box in enumerate(cm.box.split(cand.dim, cand.threshold)):
             try:
-                child_cm = None if child_box is None else condition(gmm, child_box)
+                kids[side] = None if box is None else condition(gmm, box)
             except EmptyRegionError:
-                child_cm = None
-            # A zero-mass child is a permanent leaf with the parent-side label.
-            children.append(((label, hist, 0.0 if child_cm is None else child_cm.Z), child_cm))
-        return (cand.dim, cand.threshold), children
+                kids[side] = None
+        # A zero-mass child is a permanent leaf with the parent-side label.
+        return (cand.dim, cand.threshold), [
+            ((label, hist, 0.0 if r is None else r.Z), r) for r, label, hist in
+            zip(kids, (cand.left_label, cand.right_label), (cand.left_hist, cand.right_hist))]
 
-    root = gmm.unconditional
+    root, kids = gmm.unconditional, [None, None]  # the last commit's child regions
     first, y = scan(root, "root")
-    rows, _ = grow_best_first((*_majority(y, m), root.Z), root, score, commit,
-                              cfg.max_nodes, cfg.min_gain)
+    ahead = [root, first]  # a region already scanned, and its split
+    two_threads = CPUS > 1 and y.size * d >= PARALLEL_CELLS  # no node sample is larger
+    with ThreadPoolExecutor(1) if two_threads else nullcontext() as pool:
+        rows, _ = grow_best_first((*_majority(y, m), root.Z), root, score, commit,
+                                  cfg.max_nodes, cfg.min_gain)
     return DecisionTree.from_rows(rows, d, m, budget)
 
 
@@ -382,8 +410,8 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
         return my_id
 
     budget = None if tree.budget is None else tree.budget + 2 * n_val
-    best = None
-    for alpha in alphas:
+
+    def priced(alpha):  # alpha's tree as (fidelity and size key, collapsed nodes)
         err, leaves, hit = sub = kept.copy()  # each subtree as pruned so far
         collapsed = np.zeros(n, dtype=bool)
         for i in splits:
@@ -392,9 +420,8 @@ def prune(tree: DecisionTree, gmm: GaussianMixture, f, n_val: int, rng: np.rando
             # ratio of whole numbers rounded once, so equal rates compare equal.
             if (cut[0, i] - err[i]) / (2.0 * n_val * (leaves[i] - 1)) < alpha:
                 collapsed[i], sub[:, i] = True, cut[:, i]
-        key = (-hit[0], leaves[0])  # fidelity is hit / n_val, size 2 * leaves - 1
-        if best is None or key < best[0]:
-            best = (key, collapsed)
-    rows: list = []
-    rebuild(0, best[1], rows)
+        return (-hit[0], leaves[0]), collapsed  # fidelity is hit / n_val, size 2 * leaves - 1
+
+    rows: list = []  # min keeps the first of equal keys: the earlier alpha
+    rebuild(0, min(map(priced, alphas), key=lambda priced_tree: priced_tree[0])[1], rows)
     return DecisionTree.from_rows(rows, tree.d, m, budget)

@@ -79,8 +79,8 @@ def logsumexp(a, axis=None):
 
     The max is split out and the tied maxima counted as m, so the result is
     log1p(s/m) + log(m) + max with s the sum of the remaining shifted terms
-    (Blanchard, Higham & Higham 2021). Where that is not finite (all -inf,
-    +inf or NaN entries) the direct log(sum(exp(a))) is returned instead.
+    (Blanchard, Higham & Higham 2021); with all -inf, any +inf or a NaN it is
+    -inf, +inf or NaN, as the direct log(sum(exp(a))) is.
     """
     a = np.asarray(a, dtype=np.float64)
     a_max = a.max(axis, keepdims=True)
@@ -89,9 +89,6 @@ def logsumexp(a, axis=None):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.where(tied, 0.0, np.exp(a - a_max)).sum(axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.exp(a).sum(axis, keepdims=True)), out)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
@@ -179,13 +176,11 @@ class ConditionalMixture:
 def condition(gmm: GaussianMixture, box: BoxConstraint) -> ConditionalMixture:
     """Exact conditional of the mixture on a box constraint.
 
-    Raises EmptyRegionError when the box mass falls below Z_FLOOR, which
-    callers treat as an unsatisfiable (zero-gain) region.
+    Raises EmptyRegionError when the box mass (0 for an unsatisfiable box)
+    falls below Z_FLOOR; callers treat such a region as zero-gain.
     """
     if box.d != gmm.d:
         raise InputError(f"box dimension {box.d} does not match d={gmm.d}")
-    if not box.is_satisfiable():
-        raise EmptyRegionError("box is unsatisfiable")
     logw, log_z, alpha, beta = _log_masses(gmm, box.lower[None], box.upper[None])
     logw, log_z = logw[0], float(log_z[0])
     if not np.isfinite(log_z) or log_z < LOG_Z_FLOOR:

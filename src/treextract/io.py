@@ -4,7 +4,6 @@ trees / mixtures / blackboxes, and Graphviz DOT export.
 JSON round-trips are bit-exact for doubles because Python's json module
 emits shortest round-tripping decimal representations.
 """
-from __future__ import annotations
 
 import csv
 import json

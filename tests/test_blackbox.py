@@ -543,6 +543,12 @@ class TestCellIndex:
         expected = np.digitize(X[:, 0], e0) * (e1.size + 1) + np.digitize(X[:, 1], e1)
         assert np.array_equal(policy.cell_index(X), expected)
 
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_points_of_another_width_refused(self, cartpole, width):
+        """Six columns used to be read as the first four; three raised an IndexError."""
+        with pytest.raises(InputError, match="expected points of dimension 4"):
+            cartpole.predict(np.zeros((5, width)))
+
     def test_unsorted_edges_rejected(self):
         for edges in ([0.5, -0.5], [0.0, np.nan]):
             with pytest.raises(InputError):
@@ -589,6 +595,24 @@ class TestBoxBlackbox:
         from treextract import BoxBlackbox
         with pytest.raises(InputError, match="d and m must be integers >= 1"):
             BoxBlackbox([], [], d=d, m=m)
+
+    @pytest.mark.parametrize("n_boxes", [1, 0])
+    def test_points_of_another_width_refused(self, n_boxes):
+        """An (n, 1) matrix used to broadcast against a d = 2 box and get labels."""
+        from treextract import BoxBlackbox, BoxConstraint
+        box = BoxConstraint([0.0, 0.0], [1.0, 1.0])
+        bb = BoxBlackbox([box][:n_boxes], [1][:n_boxes], d=2, m=2)
+        assert bb.predict([0.5, 0.5]).tolist() == [n_boxes]  # one point, as a row
+        with pytest.raises(InputError, match="expected points of dimension 2"):
+            bb.predict(np.full((3, 1), 0.5))
+
+    def test_function_blackbox_refuses_points_of_another_width(self):
+        """A wrapped function used to be handed an (n, 3) matrix for d = 2."""
+        from treextract import FunctionBlackbox
+        f = FunctionBlackbox(lambda X: np.zeros(len(X), dtype=int), d=2, m=2)
+        assert f.predict([0.5, 0.5]).tolist() == [0]
+        with pytest.raises(InputError, match="expected points of dimension 2"):
+            f.predict(np.zeros((3, 3)))
 
     def test_default_label_outside(self):
         from treextract import BoxBlackbox, BoxConstraint

@@ -408,6 +408,12 @@ class TestMembership:
         X = [[0.0, 0.0], [0.5, np.inf], [-5.0, 3.0]]
         assert not BoxConstraint(lower, upper).contains_batch(X).any()
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (1, 2, 2)])
+    def test_points_of_another_width_refused(self, shape):
+        """An (n, 1) matrix used to broadcast against a d = 2 box."""
+        with pytest.raises(InputError, match="expected points of dimension 2"):
+            BoxConstraint([0.0, 0.0], [1.0, 1.0]).contains_batch(np.zeros(shape))
+
     def test_no_points(self):
         out = BoxConstraint([0.0, 0.0], [1.0, 1.0]).contains_batch(np.empty((0, 2)))
         assert out.shape == (0,) and out.dtype == bool

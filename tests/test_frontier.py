@@ -143,15 +143,23 @@ class TestGrowBestFirst:
 
 def _build_recording(loop, builder, problem, size, n, seed):
     """One builder's tree on a benchmark, grown by loop in place of
-    grow_best_first, and the ids of the leaves its score calls rated."""
+    grow_best_first, the ids of the leaves its score calls rated, and its
+    score and commit calls in order, as ("score", id) and ("commit", split)
+    with split True unless the commit kept its leaf."""
     gmm, bb = problem()
-    scored = []
+    scored, calls = [], []
 
     def recording(root, region, score, commit, max_nodes, min_gain=0.0):
         def rated(i, r):
             scored.append(i)
+            calls.append(("score", i))
             return score(i, r)
-        return loop(root, region, rated, commit, max_nodes, min_gain)
+
+        def committed(i, r, split):
+            grown = commit(i, r, split)
+            calls.append(("commit", grown is not None))
+            return grown
+        return loop(root, region, rated, committed, max_nodes, min_gain)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (extract, baselines, evaluate):
@@ -162,7 +170,21 @@ def _build_recording(loop, builder, problem, size, n, seed):
             tree = cart_extract(dataset(sample(gmm, np.random.default_rng(seed), n)), bb, size)
         else:
             tree = exact_greedy_oracle(gmm, bb, size).tree
-    return tree, scored
+    return tree, scored, calls
+
+
+def _scored_after_each_step(calls):
+    """Per step of the loop (the root, then each commit), the ids it made
+    and the ids scored before the next step; the k-th split makes nodes
+    2k + 1 and 2k + 2."""
+    steps, splits = [((0,), [])], 0
+    for kind, value in calls:
+        if kind == "score":
+            steps[-1][1].append(value)
+        else:
+            steps.append(((2 * splits + 1, 2 * splits + 2) if value else (), []))
+            splits += value
+    return steps
 
 
 class TestUnscoredFinalLeaves:
@@ -173,9 +195,15 @@ class TestUnscoredFinalLeaves:
            seed=st.integers(0, 2 ** 16))
     def test_same_tree_as_the_loop_that_scores_every_leaf(self, builder, problem, size, n,
                                                            seed):
-        ref, ref_scored = _build_recording(reference_grow_best_first, builder, problem,
-                                           size, n, seed)
-        tree, scored = _build_recording(grow_best_first, builder, problem, size, n, seed)
+        ref, ref_scored, _ = _build_recording(reference_grow_best_first, builder, problem,
+                                              size, n, seed)
+        tree, scored, calls = _build_recording(grow_best_first, builder, problem, size, n,
+                                               seed)
+        # The contract extract.grow_tree's two-thread path relies on: a
+        # commit's scored children are scored right after it, one after the
+        # other, left then right.
+        for made, rated in _scored_after_each_step(calls):
+            assert rated == [i for i in made if i in rated], calls
         for col in COLUMNS[:-1]:
             assert np.array_equal(getattr(tree, col), getattr(ref, col)), col
         # The reference scores every leaf with a region. Leaf i's batch (the
