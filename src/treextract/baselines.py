@@ -31,9 +31,9 @@ def cart_extract(train: Dataset, f, max_nodes: int) -> DecisionTree:
     y = _label_points(f, X, "cart relabeling")
     n, m = X.shape[0], f.m
 
-    def score(i, rows):
-        cand = best_split_from_samples(X[rows], y[rows], m, rows.size / n)
-        return (0.0 if cand is None else cand.gain), cand
+    def score(nodes):
+        cands = [best_split_from_samples(X[rows], y[rows], m, rows.size / n) for _, rows in nodes]
+        return [((0.0 if cand is None else cand.gain), cand) for cand in cands]
 
     def commit(i, rows, cand):
         mask = X[rows, cand.dim] <= cand.threshold

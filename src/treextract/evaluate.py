@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import born_again_extract, cart_extract
 from .blackbox import (BoxBlackbox, RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
-from .core import BoxConstraint, Dataset, DecisionTree, is_count
+from .core import BoxConstraint, Dataset, DecisionTree, _points, is_count
 from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _check_dims, _check_max_nodes, _label_points,
                       extract_tree, grow_best_first)
@@ -50,13 +50,14 @@ def fidelity(tree: DecisionTree, f, test_points, positive_class: int = 1) -> Fid
     """Pointwise agreement of the tree with the blackbox on fixed test points.
 
     F1 is reported for binary problems only, with the given positive class,
-    which must then be 0 or 1. The tree and the blackbox must share d and m.
+    which must then be 0 or 1. The tree and the blackbox must share d and m,
+    and each test point have d coordinates.
     """
     if (tree.d, tree.m) != (f.d, f.m):
         raise InputError(f"tree (d={tree.d}, m={tree.m}) and blackbox (d={f.d}, m={f.m}) differ")
     if tree.m == 2 and not (is_count(positive_class, 0) and positive_class < 2):
         raise InputError(f"positive_class must be 0 or 1, got {positive_class}")
-    X = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
+    X = _points(np.atleast_2d(test_points), tree.d)  # a wrong width is the caller's
     if X.shape[0] == 0:
         raise InputError("test_points must be nonempty")
     m = tree.m
@@ -239,9 +240,8 @@ def exact_greedy_oracle(gmm: GaussianMixture, bb: BoxBlackbox, k: int) -> Oracle
         hist = p / z
         return (int(np.argmax(p)), hist / hist.sum(), z), (box, h)
 
-    def score(i, region):
-        best = _best_exact_split(gmm, bb, *region)
-        return best[0], best
+    def score(nodes):
+        return [(best[0], best) for best in (_best_exact_split(gmm, bb, *r) for _, r in nodes)]
 
     def commit(i, region, best):
         # A gain above GAIN_FLOOR leaves both children a box and mass.

@@ -227,32 +227,35 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
                     min_gain: float = 0.0) -> tuple[list, list]:
     """Best-first frontier loop shared by every greedy tree builder.
 
-    A leaf is given as its (label, histogram, mass). score(i, region) -> (gain,
-    split) rates leaf i over its region; a leaf whose split is not None and
-    whose gain exceeds min_gain joins a heap ordered by gain, ties by node id.
-    While two more nodes fit in max_nodes, the top leaf is popped and commit(i,
-    region, split) returns None, which keeps it a leaf with cached_gain 0, or
-    ((dim, threshold), ((left_leaf, left_region), (right_leaf, right_region))),
-    which splits it at x_dim <= threshold into the two new leaves. A leaf with a
-    region is scored while another commit could still follow: the root when
-    max_nodes >= 3, a commit's children, one after the other, left then right,
-    when two more nodes fit after them. Returns the rows for
-    DecisionTree.from_rows and each node's scored gain (0 if never scored).
+    A leaf is given as its (label, histogram, mass). A step adds the root
+    alone or a commit's two children; if two more nodes fit in max_nodes after
+    them, score([(id, region), ...]) rates its leaves that have a region, in id
+    order, as a list of (gain, split). A leaf whose split is not None and whose
+    gain exceeds min_gain joins a heap ordered by gain, ties by node id. While
+    two more nodes fit, the top leaf is popped and commit(i, region, split)
+    returns None, which keeps it a leaf with cached_gain 0, or ((dim,
+    threshold), ((left_leaf, left_region), (right_leaf, right_region))), which
+    splits it at x_dim <= threshold into the two new leaves. Returns the rows
+    for DecisionTree.from_rows and each node's scored gain (0 if never scored).
     """
     rows: list = []
     gains: list = []
     heap: list = []  # ties pop in push order, which is node id order
 
-    def add(leaf, region):
-        i = len(rows)
-        gain, split = (0.0, None) if region is None else score(i, region)
-        rows.append(leaf_row(*leaf, max(gain, 0.0)))
-        gains.append(gain)
-        if split is not None and gain > min_gain:
-            heapq.heappush(heap, (-gain, i, region, split))
-        return i
+    def add(leaves):  # a step's new leaves, in id order
+        ids = range(len(rows), len(rows) + len(leaves))
+        nodes = [(i, r) for i, (_, r) in zip(ids, leaves) if r is not None]
+        room = ids.stop + 2 <= max_nodes  # another commit fits after them
+        rated = dict(zip([i for i, _ in nodes], score(nodes))) if nodes and room else {}
+        for i, (leaf, r) in zip(ids, leaves):
+            gain, split = rated.get(i, (0.0, None))
+            rows.append(leaf_row(*leaf, max(gain, 0.0)))
+            gains.append(gain)
+            if split is not None and gain > min_gain:
+                heapq.heappush(heap, (-gain, i, r, split))
+        return ids
 
-    add(root, region if max_nodes >= 3 else None)
+    add([(root, region)])
     while heap and len(rows) + 2 <= max_nodes:
         _, i, region, split = heapq.heappop(heap)
         grown = commit(i, region, split)
@@ -260,9 +263,7 @@ def grow_best_first(root: tuple, region, score, commit, max_nodes: int,
             rows[i] = rows[i][:-1] + (0.0,)  # stays a leaf, with cached_gain 0
         else:
             (dim, threshold), children = grown
-            room = len(rows) + 4 <= max_nodes  # another commit fits after these two
-            ids = [add(leaf, r if room else None) for leaf, r in children]
-            rows[i] = split_row(dim, threshold, *ids, len(root[1]))
+            rows[i] = split_row(dim, threshold, *add(children), len(root[1]))
     return rows, gains
 
 
@@ -283,53 +284,49 @@ def grow_tree(gmm: GaussianMixture, f, cfg: ExtractionConfig,
     d, m = f.d, f.m
     budget = 0
 
-    def sample(cm, context):
+    def sample(cm, context):  # scan's arguments: the region, its sample set, the context
         nonlocal budget
         X = draw(cm, cfg.samples_per_node, rng)
         if X.shape[0] and not cm.box.contains_batch(X).all():
             raise SamplerError(f"sample escaped its node box ({context})")
         budget += X.shape[0]
-        return X
+        return cm, X, context
 
-    def scan(cm, context, X=None):
-        X = sample(cm, context) if X is None else X
+    def scan(cm, X, context):
         y = _label_points(f, X, context)
         return best_split_from_samples(X, y, m, cm.Z, cfg.min_gain), y
 
-    def score(i, cm):
-        if cm is ahead[0]:  # the root, or a right child scanned with its left sibling
-            cand = ahead[1]
-        else:
-            X = sample(cm, context := f"priority estimate at node {i}")
-            if pool and cm is kids[0] and kids[1] is not None and X.size >= PARALLEL_CELLS:
-                # The loop scores the right sibling, node i + 1, next. Its draw
-                # follows this one on this thread, in the generator's order.
-                left = pool.submit(scan, cm, context, X)
-                try:
-                    ahead[:] = kids[1], scan(kids[1], f"priority estimate at node {i + 1}")[0]
-                finally:  # the left child's error, if any, is raised first
-                    cand = left.result()[0]
-            else:
-                cand = scan(cm, context, X)[0]
-        return (0.0 if cand is None else cand.gain), cand
+    def score(nodes):
+        if nodes[0][0] == 0:  # the root, scanned before the loop
+            cands = [first]
+        else:  # a step's draws all run on this thread, in node order
+            jobs = [sample(cm, f"priority estimate at node {i}") for i, cm in nodes]
+            two = pool is not None and len(jobs) == 2 and jobs[0][1].size >= PARALLEL_CELLS
+            left = pool.submit(scan, *jobs[0]) if two else None
+            try:
+                cands = [scan(*job)[0] for job in jobs[two:]]
+            finally:  # the left child's error, if any, is raised first
+                left = left.result()[0] if two else None
+            cands = [left] * two + cands
+        return [((0.0 if cand is None else cand.gain), cand) for cand in cands]
 
     def commit(i, cm, split):
-        cand = split if i == 0 else scan(cm, f"commit at node {i}")[0]
+        cand = split if i == 0 else scan(*sample(cm, f"commit at node {i}"))[0]
         if cand is None:
             return None
-        for side, box in enumerate(cm.box.split(cand.dim, cand.threshold)):
+        kids = []
+        for box in cm.box.split(cand.dim, cand.threshold):
             try:
-                kids[side] = None if box is None else condition(gmm, box)
+                kids.append(None if box is None else condition(gmm, box))
             except EmptyRegionError:
-                kids[side] = None
+                kids.append(None)
         # A zero-mass child is a permanent leaf with the parent-side label.
         return (cand.dim, cand.threshold), [
             ((label, hist, 0.0 if r is None else r.Z), r) for r, label, hist in
             zip(kids, (cand.left_label, cand.right_label), (cand.left_hist, cand.right_hist))]
 
-    root, kids = gmm.unconditional, [None, None]  # the last commit's child regions
-    first, y = scan(root, "root")
-    ahead = [root, first]  # a region already scanned, and its split
+    root = gmm.unconditional
+    first, y = scan(*sample(root, "root"))
     two_threads = CPUS > 1 and y.size * d >= PARALLEL_CELLS  # no node sample is larger
     with ThreadPoolExecutor(1) if two_threads else nullcontext() as pool:
         rows, _ = grow_best_first((*_majority(y, m), root.Z), root, score, commit,

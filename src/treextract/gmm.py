@@ -249,13 +249,13 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
                             rng: np.random.Generator) -> float:
     """One draw from N(mu, sigma^2) restricted to (lo, hi], by the inverse
     CDF of one uniform (in log space past TAIL_CUTOFF)."""
-    if not (lo < hi):
-        raise InputError(f"empty interval ({lo}, {hi}]")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    if not (np.isfinite(mu) and 0 < sigma < np.inf):
+        raise InputError(f"mu must be finite and sigma in (0, inf), got {mu}, {sigma}")
+    if not ((a := (lo - mu) / sigma) < (b := (hi - mu) / sigma)):  # also if either overflows
+        raise InputError(f"empty interval ({lo}, {hi}], standardized ({a}, {b}]")
     if lo == -np.inf and hi == np.inf:
         return float(mu + sigma * rng.standard_normal())
-    tables = _cdf_tables(np.array([(lo - mu) / sigma]), np.array([(hi - mu) / sigma]))
+    tables = _cdf_tables(np.array([a]), np.array([b]))
     z = float(_inverse_cdf(tables, np.zeros(1, dtype=np.intp), rng)[0])
     x = mu + sigma * (-z if tables[0][0] else z)
     # Enforce the half-open interval exactly despite rounding.
@@ -415,7 +415,7 @@ def fit_em(X, k: int, cfg: EMConfig = EMConfig(),
 def select_k_bic(X, cfg: EMConfig = EMConfig()) -> GaussianMixture:
     """Pick K by BIC over {1, 2, 5, 10, 20}, capped at n/10 (K = 1 always runs)."""
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    n, d = X.shape if X.ndim == 2 else (0, 0)  # K = 1's fit_em refuses any other X
     fits = []  # (BIC, mixture) for each K
     for k in (c for c in (1, 2, 5, 10, 20) if c <= max(1, n // 10)):
         hist: list = []

@@ -157,19 +157,23 @@ def split_fields(cand):
 def reference_grow_best_first(root, region, score, commit, max_nodes, min_gain=0.0):
     """The best-first frontier loop that scores every leaf with a region,
     including the children of the commit that fills max_nodes, which no
-    commit can follow. Same arguments and returns as grow_best_first."""
+    commit can follow. Same arguments and returns as grow_best_first, and
+    the same score calls: one per step that makes a leaf with a region."""
     rows, gains, heap, order = [], [], [], itertools.count()
 
-    def add(leaf, region):
-        i = len(rows)
-        gain, split = (0.0, None) if region is None else score(i, region)
-        rows.append(leaf_row(*leaf, max(gain, 0.0)))
-        gains.append(gain)
-        if split is not None and gain > min_gain:
-            heapq.heappush(heap, (-gain, next(order), i, region, split))
-        return i
+    def add(leaves):
+        ids = range(len(rows), len(rows) + len(leaves))
+        nodes = [(i, r) for i, (_, r) in zip(ids, leaves) if r is not None]
+        rated = dict(zip([i for i, _ in nodes], score(nodes) if nodes else []))
+        for i, (leaf, region) in zip(ids, leaves):
+            gain, split = rated.get(i, (0.0, None))
+            rows.append(leaf_row(*leaf, max(gain, 0.0)))
+            gains.append(gain)
+            if split is not None and gain > min_gain:
+                heapq.heappush(heap, (-gain, next(order), i, region, split))
+        return ids
 
-    add(root, region)
+    add([(root, region)])
     while heap and len(rows) + 2 <= max_nodes:
         _, _, i, region, split = heapq.heappop(heap)
         grown = commit(i, region, split)
@@ -177,8 +181,7 @@ def reference_grow_best_first(root, region, score, commit, max_nodes, min_gain=0
             rows[i] = rows[i][:-1] + (0.0,)
         else:
             (dim, threshold), children = grown
-            ids = [add(*child) for child in children]
-            rows[i] = split_row(dim, threshold, *ids, len(root[1]))
+            rows[i] = split_row(dim, threshold, *add(children), len(root[1]))
     return rows, gains
 
 

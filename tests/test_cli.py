@@ -307,6 +307,20 @@ class TestCommandPaths:
                               "--sample-from", "gmm.json", "--n", n], capsys)
         assert code == 1 and out == "" and "--n must be >= 1" in err
 
+    @pytest.mark.parametrize("source", ["data", "sample-from"])
+    def test_evaluate_points_of_another_width_exit_1(self, workdir, synthetic_spec, capsys,
+                                                     source):
+        """A 3-wide file or mixture against a d = 2 tree used to exit 2, the
+        blackbox's refusal reported as an internal error."""
+        rng = np.random.default_rng(0)
+        save_csv(workdir / "wide.csv", dataset(rng.normal(size=(20, 3)), np.zeros(20, int), 2))
+        save_gmm(workdir / "gmm.json", GaussianMixture([1.0], [[0.0] * 3], [[1.0] * 3]))
+        save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
+        points = ["--data", "wide.csv"] if source == "data" else ["--sample-from", "gmm.json"]
+        code, out, err = run(["evaluate", "--tree", "tree.json",
+                              "--blackbox", "synthetic:bb.json", *points], capsys)
+        assert code == 1 and out == "" and "expected points of dimension 2" in err
+
     def test_evaluate_needs_test_points(self, workdir, synthetic_spec, capsys):
         save_tree(workdir / "tree.json", leaf_tree(0, d=2, m=2))
         code, out, err = run(["evaluate", "--tree", "tree.json",

@@ -86,6 +86,17 @@ class TestFidelity:
         assert not calls
 
 
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 3)], ids=["narrower", "wider"])
+    def test_points_of_another_width_rejected(self, shape):
+        """They used to reach the blackbox, whose refusal was reported as a
+        BlackboxError (exit 2 from the command line)."""
+        calls = []
+        f = FunctionBlackbox(lambda X: calls.append(X) or np.zeros(len(X), int), 2, 2)
+        with pytest.raises(InputError, match=r"expected points of dimension 2"):
+            fidelity(leaf_tree(0, d=2, m=2), f, np.zeros(shape))
+        assert not calls
+
+
 class TestAgreement:
     def test_identical_trees(self, gmm_2d):
         tree = leaf_tree(1, d=2, m=2)

@@ -339,7 +339,8 @@ class TestExtractTree:
         n, calls = 200, []
 
         def recording(root, region, score, commit, max_nodes, min_gain=0.0):
-            return grow_best_first(root, region, lambda i, r: calls.append(i) or score(i, r),
+            return grow_best_first(root, region,
+                                   lambda nodes: calls.extend(i for i, _ in nodes) or score(nodes),
                                    lambda i, r, s: calls.append(i) or commit(i, r, s),
                                    max_nodes, min_gain)
 

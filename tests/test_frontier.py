@@ -65,6 +65,11 @@ def _grow(*args, **kwargs):
     return dict(zip(COLUMNS, map(np.array, zip(*rows)))), gains
 
 
+def _scores(gain):
+    """A score that rates every leaf of a step at gain."""
+    return lambda nodes: [(gain, "s")] * len(nodes)
+
+
 def _split(i, depth, split=None):
     """A commit that splits leaf i into two children one level deeper."""
     return (0, float(i)), ((_leaf(0), depth + 1), (_leaf(1), depth + 1))
@@ -78,11 +83,22 @@ class TestGrowBestFirst:
             committed.append(i)
             return _split(i, depth)
 
-        cols, _ = _grow(_leaf(), 0, lambda i, depth: (1.0, "s"), commit, 11)
+        cols, _ = _grow(_leaf(), 0, _scores(1.0), commit, 11)
         assert committed == [0, 1, 2, 3, 4]
         assert len(cols["feature"]) == 11
         # Node 0 splits into 1 and 2, node 1 into 3 and 4, and so on.
         assert list(cols["left"][:5]) == [1, 3, 5, 7, 9]
+
+    def test_each_step_scored_in_one_call(self):
+        calls = []
+
+        def score(nodes):
+            calls.append([i for i, _ in nodes])
+            return [(1.0, "s")] * len(nodes)
+
+        _grow(_leaf(), 0, score, _split, 7)
+        # The root, then each commit's two children while another commit fits.
+        assert calls == [[0], [1, 2], [3, 4]]
 
     def test_higher_gain_pops_first(self):
         committed = []
@@ -93,13 +109,12 @@ class TestGrowBestFirst:
 
         # Deeper leaves outscore shallower ones; right children (even ids)
         # outscore their left siblings.
-        score = lambda i, depth: (1 + depth + (i > 0 and i % 2 == 0), "s")  # noqa: E731
-        grow_best_first(_leaf(), 0, score, commit, 9)
+        grow_best_first(_leaf(), 0, lambda nodes: [(1 + depth + (i > 0 and i % 2 == 0), "s")
+                                                   for i, depth in nodes], commit, 9)
         assert committed == [0, 2, 4, 6]
 
     def test_rejected_commit_keeps_leaf_with_zero_gain(self):
-        cols, gains = _grow(_leaf(1), 0, lambda i, r: (0.5, "s"),
-                            lambda i, r, s: None, 15)
+        cols, gains = _grow(_leaf(1), 0, _scores(0.5), lambda i, r, s: None, 15)
         assert list(cols["feature"]) == [-1]
         assert cols["label"][0] == 1 and cols["cached_gain"][0] == 0.0
         assert gains == [0.5]
@@ -107,29 +122,29 @@ class TestGrowBestFirst:
     def test_none_region_is_never_scored(self):
         scored = []
 
-        def score(i, region):
-            scored.append(i)
-            return 1.0, "s"
+        def score(nodes):
+            scored.append([i for i, _ in nodes])
+            return [(1.0, "s")] * len(nodes)
 
         def commit(i, region, split):
             return (0, float(i)), ((_leaf(0), region), (_leaf(1), None))
 
         cols, gains = _grow(_leaf(), "box", score, commit, 9)
-        assert scored == [0, 1, 3, 5]  # 7 is the last commit's child: never scored
+        # 2, 4, 6 and 8 have no region; 7 is the last commit's child: never scored.
+        assert scored == [[0], [1], [3], [5]]
         assert len(cols["feature"]) == 9
         assert [gains[i] for i in (2, 4, 6, 8)] == [0.0] * 4
         assert all(cols["cached_gain"][[2, 4, 6, 8]] == 0.0)
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 3, 4, 7, 8])
     def test_never_exceeds_max_nodes(self, max_nodes):
-        cols, gains = _grow(_leaf(), 0, lambda i, depth: (1.0, "s"), _split, max_nodes)
+        cols, gains = _grow(_leaf(), 0, _scores(1.0), _split, max_nodes)
         size = len(cols["feature"])
         assert size == len(gains) == max_nodes - (max_nodes % 2 == 0)
         assert np.sum(cols["feature"] >= 0) == size // 2
 
     def test_gain_at_min_gain_is_not_expanded(self):
-        cols, gains = _grow(_leaf(), 0, lambda i, depth: (0.25, "s"), _split, 7,
-                            min_gain=0.25)
+        cols, gains = _grow(_leaf(), 0, _scores(0.25), _split, 7, min_gain=0.25)
         assert len(cols["feature"]) == 1 and gains == [0.25]
         assert cols["cached_gain"][0] == 0.25
 
@@ -144,20 +159,21 @@ class TestGrowBestFirst:
 def _build_recording(loop, builder, problem, size, n, seed):
     """One builder's tree on a benchmark, grown by loop in place of
     grow_best_first, the ids of the leaves its score calls rated, and its
-    score and commit calls in order, as ("score", id) and ("commit", split)
-    with split True unless the commit kept its leaf."""
+    score and commit calls in order, as ("score", ids) and ("commit", has)
+    with has None if the commit kept its leaf, else whether each new child
+    has a region."""
     gmm, bb = problem()
     scored, calls = [], []
 
     def recording(root, region, score, commit, max_nodes, min_gain=0.0):
-        def rated(i, r):
-            scored.append(i)
-            calls.append(("score", i))
-            return score(i, r)
+        def rated(nodes):
+            scored.extend(i for i, _ in nodes)
+            calls.append(("score", [i for i, _ in nodes]))
+            return score(nodes)
 
         def committed(i, r, split):
             grown = commit(i, r, split)
-            calls.append(("commit", grown is not None))
+            calls.append(("commit", grown and [c is not None for _, c in grown[1]]))
             return grown
         return loop(root, region, rated, committed, max_nodes, min_gain)
 
@@ -173,17 +189,17 @@ def _build_recording(loop, builder, problem, size, n, seed):
     return tree, scored, calls
 
 
-def _scored_after_each_step(calls):
-    """Per step of the loop (the root, then each commit), the ids it made
-    and the ids scored before the next step; the k-th split makes nodes
-    2k + 1 and 2k + 2."""
-    steps, splits = [((0,), [])], 0
+def _score_calls_per_step(calls):
+    """Per step of the loop (the root, then each commit that splits), the
+    ids it made that have a region and the id lists of the score calls
+    before the next step; the k-th split makes nodes 2k + 1 and 2k + 2."""
+    steps, splits = [([0], [])], 0  # every builder's root has a region
     for kind, value in calls:
         if kind == "score":
             steps[-1][1].append(value)
-        else:
-            steps.append(((2 * splits + 1, 2 * splits + 2) if value else (), []))
-            splits += value
+        elif value is not None:
+            steps.append(([2 * splits + 1 + k for k in (0, 1) if value[k]], []))
+            splits += 1
     return steps
 
 
@@ -199,14 +215,13 @@ class TestUnscoredFinalLeaves:
                                               size, n, seed)
         tree, scored, calls = _build_recording(grow_best_first, builder, problem, size, n,
                                                seed)
-        # The contract extract.grow_tree's two-thread path relies on: a
-        # commit's scored children are scored right after it, one after the
-        # other, left then right.
-        for made, rated in _scored_after_each_step(calls):
-            assert rated == [i for i in made if i in rated], calls
+        # Each score call rates exactly one step's new ids that have a region,
+        # never an empty list, and each step is rated at most once.
+        for made, rated in _score_calls_per_step(calls):
+            assert rated in ([], [made]) and [] not in rated, calls
         for col in COLUMNS[:-1]:
             assert np.array_equal(getattr(tree, col), getattr(ref, col)), col
-        # The reference scores every leaf with a region. Leaf i's batch (the
+        # The reference scores every leaf with a region. Leaf i's step (the
         # root alone, or i and its sibling) ends at id i + i % 2, and another
         # commit fits after it while i + i % 2 + 3 <= size.
         assert scored == [i for i in ref_scored if i + i % 2 + 3 <= size]

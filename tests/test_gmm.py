@@ -577,10 +577,13 @@ class TestValidation:
             GaussianMixture([1.0], np.zeros((1, 0)), np.ones((1, 0)))
 
     @pytest.mark.parametrize("fit", [lambda X: fit_em(X, 2), select_k_bic], ids=["fit_em", "bic"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, None], ids=["nan", "inf", "1-d"])
     def test_nonfinite_features_rejected_before_em(self, rng, fit, bad):
         X = rng.normal(size=(50, 2))
-        X[17, 1] = bad
+        if bad is None:  # a vector, not a matrix: select_k_bic used to raise ValueError
+            X = X[:, 0]
+        else:
+            X[17, 1] = bad
         with pytest.raises(InputError, match="finite features"):
             fit(X)
 

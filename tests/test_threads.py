@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from treextract import (BlackboxError, EMConfig, ExtractionConfig, FunctionBlackbox,
-                        RandomForestConfig, born_again_extract, collect_states, extract_tree,
-                        fit_em, make_imbalanced_classification, sample_conditional,
-                        train_random_forest)
+                        RandomForestConfig, SamplerError, born_again_extract, collect_states,
+                        extract_tree, fit_em, make_imbalanced_classification,
+                        sample_conditional, train_random_forest)
 from treextract import extract
 from treextract import io as tio
 from treextract.evaluate import three_box_benchmark
@@ -169,6 +169,23 @@ class TestErrors:
         dim, t = _root_split()
         f = _failing(lambda X: bool(np.all(X[:, dim] > t)))
         with pytest.raises(BlackboxError, match=r"at priority estimate at node 2$"):
+            self._extract(monkeypatch, cells, f)
+
+    def test_right_childs_escaped_sample_comes_before_left_labels(self, monkeypatch, cells):
+        """A step's samples are all drawn before any is labelled, so the right
+        root child's escaped sample is named though the left child's labels
+        would fail."""
+        dim, t = _root_split()
+        f = _failing(lambda X: bool(np.all(X[:, dim] <= t)))
+
+        def escaping(cm, rng, n):
+            X = sample_conditional(cm, rng, n)
+            if cm.box.lower[dim] == t:  # the right child's box, (t, hi], leaves out t
+                X[:, dim] = t
+            return X
+
+        monkeypatch.setattr(extract, "sample_conditional", escaping)
+        with pytest.raises(SamplerError, match=r"\(priority estimate at node 2\)$"):
             self._extract(monkeypatch, cells, f)
 
     def test_threads_joined_after_a_tree(self, monkeypatch, cells):

@@ -72,6 +72,23 @@ def test_bad_sigma_rejected(rng):
         sample_truncated_normal(0.0, -1.0, 0.0, 1.0, rng)
 
 
+@pytest.mark.parametrize("mu, sigma, lo, hi", [
+    # Standardized, both bounds overflow to -inf: this used to recurse
+    # through the redraws until RecursionError.
+    (1e308, 1e-308, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0)], ids=["overflowing", "nan-bound"])
+def test_empty_standardized_interval_rejected(rng, mu, sigma, lo, hi):
+    with pytest.raises(InputError, match="empty interval"):
+        sample_truncated_normal(mu, sigma, lo, hi, rng)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),  # these used to end in RecursionError
+    (0.0, np.inf), (0.0, np.nan)])  # and these to return NaN without a word
+def test_nonfinite_mu_or_sigma_rejected(rng, mu, sigma):
+    with pytest.raises(InputError, match=r"mu must be finite and sigma in \(0, inf\)"):
+        sample_truncated_normal(mu, sigma, 0.0, 1.0, rng)
+
+
 def test_half_open_interval_boundary(rng):
     # Repeated draws in a narrow interval never land on the open lower end.
     for _ in range(2000):
