@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BoxConstraint, Dataset, DecisionTree, _points, _route, _routing_table,
-                   class_labels, is_count, leaf_row, split_row)
+from .core import (BoxConstraint, Dataset, DecisionTree, _check_seed, _points, _route,
+                   _routing_table, class_labels, is_count, leaf_row, split_row)
 from .errors import ConfigError, InputError
 from .extract import _majority, best_split_from_samples
 
@@ -85,6 +85,7 @@ class RandomForestConfig:
     def __post_init__(self):
         if not is_count(self.n_trees) or not is_count(self.max_depth, 0):
             raise ConfigError("a forest needs n_trees >= 1 and max_depth >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -127,20 +128,13 @@ def balance_rows(X, y, m: int):
     return X[idx], y[idx]
 
 
-# Row x feature cells a forest scores per split-scan call. It bounds the
-# scan's temporaries: scoring every node of a step in one call raised the
-# peak RSS of a synthetic-RF pass by about 30 %.
-SPLIT_BATCH_CELLS = 1 << 15
-
-
 def train_random_forest(data: Dataset, cfg: RandomForestConfig = RandomForestConfig()) -> RandomForest:
     """Train a forest of Gini trees on bootstrap resamples.
 
     balance=True duplicates minority-class rows to parity before bagging.
     Deterministic given cfg.seed: tree t draws its rows, then a feature
     subset for each splittable node in preorder, from default_rng([seed, t]).
-    The trees grow in lockstep, each step scoring every tree's next
-    splittable node in ragged split-scan batches.
+    Each tree grows depth first, one split scan per splittable node.
     """
     if data.labels is None:
         raise InputError("training data must be labeled")
@@ -150,47 +144,31 @@ def train_random_forest(data: Dataset, cfg: RandomForestConfig = RandomForestCon
     if cfg.balance:
         X, y = balance_rows(X, y, m)
     (n, d), k = X.shape, math.isqrt(X.shape[1])
-    values, codes = np.unique(X, return_inverse=True)
-    codes = codes.reshape(X.shape)
-    rngs = [np.random.default_rng([cfg.seed, t]) for t in range(cfg.n_trees)]
-    nodes: list = [[] for _ in rngs]
-    # Per tree, a stack of (rows, depth, label, histogram, parent): parent is
-    # the id whose right child the node is, else -1; a left child's id is its
-    # parent's + 1.
-    stacks = [[(rows, 0, *_majority(y[rows], m), -1)]
-              for rows in (rng.integers(n, size=n) for rng in rngs)]
-    while any(stacks):
-        # Each tree's next splittable node as (tree, id, rows, dims, depth),
-        # in batches of at most SPLIT_BATCH_CELLS cells (or one larger node).
-        batches, cells = [], 0
-        for t, stack in enumerate(stacks):
-            while stack:
-                rows, depth, label, hist, parent = stack.pop()
-                if parent >= 0:
-                    nodes[t][parent][3] = len(nodes[t])
-                nodes[t].append(leaf_row(label, hist))
-                if depth < cfg.max_depth and rows.size >= 2 and hist[label] < 1.0:
-                    dims = np.sort(rngs[t].choice(d, size=k, replace=False))
-                    if not batches or cells + k * rows.size > SPLIT_BATCH_CELLS:
-                        batches.append([])
-                        cells = 0
-                    batches[-1].append((t, len(nodes[t]) - 1, rows, dims, depth))
-                    cells += k * rows.size
-                    break
-        for batch in batches:
-            sizes = [b[2].size for b in batch]
-            rows = np.concatenate([b[2] for b in batch])
-            dims = np.repeat([b[3] for b in batch], sizes, axis=0)
-            cands = best_split_from_samples(codes[rows[:, None], dims], y[rows], m, 1.0,
-                                            segments=np.repeat(np.arange(len(batch)), sizes),
-                                            values=values)
-            for (t, i, rows, dims, depth), c in zip(batch, cands):
+
+    def grow(rng):
+        nodes: list = []
+        # A stack of (rows, depth, label, histogram, parent): parent is the
+        # id whose right child the node is, else -1; a left child's id is its
+        # parent's + 1.
+        rows = rng.integers(n, size=n)
+        stack = [(rows, 0, *_majority(y[rows], m), -1)]
+        while stack:
+            rows, depth, label, hist, parent = stack.pop()
+            if parent >= 0:
+                nodes[parent][3] = len(nodes)
+            nodes.append(leaf_row(label, hist))
+            if depth < cfg.max_depth and rows.size >= 2 and hist[label] < 1.0:
+                dims = np.sort(rng.choice(d, size=k, replace=False))
+                c = best_split_from_samples(X[rows[:, None], dims], y[rows], m, 1.0)
                 if c is not None:
-                    left = X[rows, dims[c.dim]] <= c.threshold
-                    nodes[t][i] = list(split_row(int(dims[c.dim]), c.threshold, i + 1, -1, m))
-                    stacks[t] += [(rows[~left], depth + 1, c.right_label, c.right_hist, i),
-                                  (rows[left], depth + 1, c.left_label, c.left_hist, -1)]
-    return RandomForest(tuple(DecisionTree.from_rows(rows, d, m) for rows in nodes), d, m)
+                    i, left = len(nodes) - 1, X[rows, dims[c.dim]] <= c.threshold
+                    nodes[i] = list(split_row(int(dims[c.dim]), c.threshold, i + 1, -1, m))
+                    stack += [(rows[~left], depth + 1, c.right_label, c.right_hist, i),
+                              (rows[left], depth + 1, c.left_label, c.left_hist, -1)]
+        return DecisionTree.from_rows(nodes, d, m)
+
+    return RandomForest(tuple(grow(np.random.default_rng([cfg.seed, t]))
+                              for t in range(cfg.n_trees)), d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +229,7 @@ class PolicyConfig:
             raise ConfigError("a policy needs four grid sizes >= 1 and n_transition_samples >= 1")
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError("discount must be in [0, 1)")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

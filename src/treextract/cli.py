@@ -17,7 +17,7 @@ from . import io as tio
 from .baselines import born_again_extract, cart_extract
 from .blackbox import (PolicyConfig, RandomForestConfig, collect_states, learn_policy,
                        mean_rollout_reward, train_random_forest)
-from .core import is_count
+from .core import _check_seed, is_count
 from .errors import ConfigError, InputError
 from .extract import ExtractionConfig, extract_tree
 from .evaluate import cartpole_task, fidelity, run_fidelity_curve, synthetic_rf_task
@@ -334,6 +334,7 @@ def main(argv=None) -> int:
             sub = parser._subparsers._group_actions[0].choices[args.command]
             sub.set_defaults(**_read_config(args.config, sub))
             args = parser.parse_args(argv)
+        _check_seed(getattr(args, "seed", 0))  # before any command reads it
         print(json.dumps(vars(args), default=str, sort_keys=True), file=sys.stderr)
         return _COMMANDS[args.command](args)
     except (InputError, ConfigError, OSError) as e:

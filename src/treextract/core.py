@@ -9,12 +9,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 def is_count(value, low: int = 1) -> bool:
     """Every count setting's rule: an integer >= low, Python's or numpy's, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and bool(value >= low)
+
+
+def _check_seed(seed) -> None:
+    """Every seed setting's rule: an integer >= 0, as numpy's generators take it."""
+    if not is_count(seed, 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def class_labels(values, m: int) -> Optional[np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import born_again_extract, cart_extract
 from .blackbox import (BoxBlackbox, RandomForestConfig, collect_states, learn_policy,
                        make_imbalanced_classification, train_random_forest)
-from .core import BoxConstraint, Dataset, DecisionTree, _points, is_count
+from .core import BoxConstraint, Dataset, DecisionTree, _check_seed, _points, is_count
 from .errors import ConfigError, InputError
 from .extract import (ExtractionConfig, _check_dims, _check_max_nodes, _label_points,
                       extract_tree, grow_best_first)
@@ -385,6 +385,7 @@ def run_fidelity_curve(task: FidelityTask, sizes: Sequence[int],
             raise InputError(f"unknown algorithm {a!r}")
     if not is_count(n_seeds):
         raise ConfigError("n_seeds must be >= 1")
+    _check_seed(base_seed)
     model_driven = "ours" in algorithms or "born_again" in algorithms
     for size in sizes:
         _check_max_nodes(size)

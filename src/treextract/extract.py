@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DecisionTree, class_labels, is_count, leaf_row, split_row
+from .core import DecisionTree, _check_seed, class_labels, is_count, leaf_row, split_row
 from .errors import BlackboxError, ConfigError, EmptyRegionError, InputError, SamplerError
 from .gmm import ConditionalMixture, GaussianMixture, condition, sample_conditional
 
@@ -87,6 +87,7 @@ class ExtractionConfig:
         budget = self.total_sample_budget
         if budget is not None and not is_count(budget):
             raise ConfigError(f"total_sample_budget must be >= 1 and an integer, got {budget!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -116,35 +117,7 @@ def estimate_split(points, labels, m: int, mass: float, dim: int, threshold: flo
     return float(D @ D / (nl * (n - nl)) * mass / n ** 2)
 
 
-def _gap_ratios(sv, lab, m: int, tot, n_node, nl, restart=None):
-    """sum_k D_k^2 / (nl nr) at each gap between sorted values sv, -inf at a
-    tied one; tot[k] (class k's node total) and n_node are scalars or per
-    gap, and restart(lc) is the running counts of a batch's earlier nodes."""
-    for k in range(max(m - 1, 1)):  # m = 1 has D_0 = 0
-        lc = (lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32)  # n < 2**31 fits any X
-        if restart is not None:
-            lc -= restart(lc)
-        dk = lc * n_node  # D_k, in place in one float64 buffer
-        dk -= tot[k] * nl
-        if k:
-            dsum += dk
-            ss += np.square(dk, out=dk)
-        else:  # the last class's D_k is minus the others' sum: 2 D_0^2 for m = 2
-            dsum, ss = (dk, np.square(dk)) if m > 2 else (None, np.square(dk, out=dk))
-    ss += ss if dsum is None else np.square(dsum, out=dsum)
-    ss[~(sv[:, :-1] < sv[:, 1:])] = -np.inf  # a tied gap is no cut
-    return np.divide(ss, nl * np.maximum(n_node - nl, 1.0), out=ss)  # nr is 0 between nodes
-
-
-def _candidate(sv, lab, d: int, p: int, a: int, b: int, totals, gain: float):
-    lc = np.bincount(lab[d, a:p + 1], minlength=len(totals))  # rows a:b, cut after row p
-    lh, rh = lc / (p - a + 1), (totals - lc) / (b - p - 1)
-    return SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), float(gain),
-                          int(lh.argmax()), int(rh.argmax()), lh, rh)
-
-
-def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
-                            segments=None, values=None):
+def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0):
     """Exhaustive empirical gain maximization over a labeled sample set.
 
     Each gap between distinct sorted values of a dimension is a cut; with
@@ -154,9 +127,7 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
     (|D_k| <= nl nr), so equal gains compare equal, going to the lowest
     dimension, then the smallest threshold, and a cut keeping the class
     proportions scores 0. Returns None unless the best gain exceeds
-    min_gain; a label outside [0, m) is an InputError. With segments (row
-    i's node in [0, S)), X indexes values, the sorted distinct values, and
-    each node gets the candidate its rows alone give.
+    min_gain; a label outside [0, m) is an InputError.
     """
     y = np.asarray(y)
     n = y.shape[0]
@@ -164,43 +135,31 @@ def best_split_from_samples(X, y, m: int, mass, min_gain: float = 0.0,
         totals = np.bincount(y, minlength=m).reshape(m)
     except ValueError:
         raise InputError(f"split labels must be integers in [0, {m})") from None
-    if segments is None:
-        if n < 2 or np.shape(X)[1] == 0:
-            return None
-        Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-        sv, lab = np.sort(Xt, axis=1), y.astype(np.min_scalar_type(m))[Xt.argsort(axis=1)]
-        ratio = _gap_ratios(sv, lab, m, totals, float(n), np.arange(1.0, n))
-        d, p = divmod(int(ratio.argmax()), n - 1)  # the first max is the tie rule
-        gain = ratio[d, p] * mass / n ** 2  # a NaN gain (mass 0) is no cut
-        return _candidate(sv, lab, d, p, 0, n, totals, gain) if gain > min_gain else None
-
-    seg = np.asarray(segments, np.int64)
-    out = [None] * (S := int(seg.max()) + 1 if n else 0)
     if n < 2 or np.shape(X)[1] == 0:
-        return out
-    # Sort one integer key per column: (node, value index, label).
-    vb, mb = (len(values) - 1).bit_length(), (m - 1).bit_length()
-    key = (seg << vb | np.reshape(X, (n, -1)).T.astype(np.int64, order="C")) << mb | y
-    key.sort(axis=1)
-    sv = np.asarray(values, dtype=np.float64)[key >> mb & ((1 << vb) - 1)]
-    lab = key & ((1 << mb) - 1)
-    ends = (counts := np.bincount(seg, minlength=S)).cumsum()
-    starts = ends - counts
-    node = np.repeat(np.arange(S), counts)[:-1]  # of the gap after each sorted row
-    totals = np.bincount(seg * m + y, minlength=S * m).reshape(S, m)
-    ratio = _gap_ratios(sv, lab, m, totals.T[:, node], counts[node].astype(np.float64),
-                        np.arange(1.0, n) - starts[node],
-                        lambda lc: np.where(starts > 0, lc[:, starts - 1], 0)[:, node])
-    ratio[:, ends[:-1][ends[:-1] > 0] - 1] = -np.inf  # the gap between two nodes
-    # Each node's best ratio per dimension; its first max is the lowest dimension.
-    best = np.maximum.reduceat(ratio, np.minimum(starts, n - 2), axis=1)
-    for s, (d, r, a, b) in enumerate(zip(best.argmax(axis=0).tolist(), best.max(axis=0).tolist(),
-                                         starts.tolist(), ends.tolist())):
-        # A node of 0 or 1 rows reads another's gaps; a NaN gain (mass 0) is no cut.
-        if b - a >= 2 and (gain := r * mass / (b - a) ** 2) > min_gain:
-            p = a + int(ratio[d, a:b - 1].argmax())  # then the smallest threshold
-            out[s] = _candidate(sv, lab, d, p, a, b, totals[s], gain)
-    return out
+        return None
+    Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    sv, lab = np.sort(Xt, axis=1), y.astype(np.min_scalar_type(m))[Xt.argsort(axis=1)]
+    nl = np.arange(1.0, n)
+    for k in range(max(m - 1, 1)):  # m = 1 has D_0 = 0
+        lc = (lab[:, :-1] == k).cumsum(axis=1, dtype=np.int32)  # n < 2**31 fits any X
+        dk = lc * float(n)  # D_k at each gap, in place in one float64 buffer
+        dk -= totals[k] * nl
+        if k:
+            dsum += dk
+            ss += np.square(dk, out=dk)
+        else:  # the last class's D_k is minus the others' sum: 2 D_0^2 for m = 2
+            dsum, ss = (dk, np.square(dk)) if m > 2 else (None, np.square(dk, out=dk))
+    ss += ss if dsum is None else np.square(dsum, out=dsum)
+    ss[~(sv[:, :-1] < sv[:, 1:])] = -np.inf  # a tied gap is no cut
+    ratio = np.divide(ss, nl * (n - nl), out=ss)  # sum_k D_k^2 / (nl nr)
+    d, p = divmod(int(ratio.argmax()), n - 1)  # the first max is the tie rule
+    gain = ratio[d, p] * mass / n ** 2  # a NaN gain (mass 0) is no cut
+    if not gain > min_gain:
+        return None
+    lc = np.bincount(lab[d, :p + 1], minlength=m)  # the cut is after sorted row p
+    lh, rh = lc / (p + 1), (totals - lc) / (n - p - 1)
+    return SplitCandidate(d, float(0.5 * (sv[d, p] + sv[d, p + 1])), float(gain),
+                          int(lh.argmax()), int(rh.argmax()), lh, rh)
 
 
 def _label_points(f, X, context: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .core import BoxConstraint, _frozen_array, is_count
+from .core import BoxConstraint, _check_seed, _frozen_array, is_count
 from .errors import ConfigError, EmptyRegionError, InputError
 
 Z_FLOOR = 1e-300
@@ -251,7 +251,9 @@ def sample_truncated_normal(mu: float, sigma: float, lo: float, hi: float,
     CDF of one uniform (in log space past TAIL_CUTOFF)."""
     if not (np.isfinite(mu) and 0 < sigma < np.inf):
         raise InputError(f"mu must be finite and sigma in (0, inf), got {mu}, {sigma}")
-    if not ((a := (lo - mu) / sigma) < (b := (hi - mu) / sigma)):  # also if either overflows
+    with np.errstate(over="ignore"):  # numpy floats overflow to inf quietly, as Python's do
+        a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    if not a < b:  # also if either overflows
         raise InputError(f"empty interval ({lo}, {hi}], standardized ({a}, {b}]")
     if lo == -np.inf and hi == np.inf:
         return float(mu + sigma * rng.standard_normal())
@@ -317,6 +319,7 @@ class EMConfig:
     def __post_init__(self):
         if not is_count(self.n_init):
             raise ConfigError(f"n_init must be >= 1 and an integer, got {self.n_init!r}")
+        _check_seed(self.seed)
 
 
 def _kmeanspp_resp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,8 +13,7 @@ from treextract import (ConfigError, DecisionTree, InputError, PolicyConfig,
                         collect_states, learn_policy, make_imbalanced_classification,
                         mean_rollout_reward, train_random_forest)
 from treextract import blackbox
-from treextract.blackbox import (POSITIVE_RATE, SPLIT_BATCH_CELLS, THETA_LIMIT, X_LIMIT,
-                                 balance_rows, step_batch)
+from treextract.blackbox import POSITIVE_RATE, THETA_LIMIT, X_LIMIT, balance_rows, step_batch
 from treextract.core import leaf_row, split_row
 from treextract.io import blackbox_to_doc
 
@@ -205,7 +204,8 @@ class TestRandomForest:
 
     @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -3}, {"max_depth": -1},
                                         {"n_trees": True}, {"n_trees": 2.5},
-                                        {"max_depth": True}, {"max_depth": 1.5}])
+                                        {"max_depth": True}, {"max_depth": 1.5},
+                                        {"seed": -1}, {"seed": 1.5}, {"seed": "a"}])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RandomForestConfig(**kwargs)
@@ -256,26 +256,14 @@ class TestLockstepForest:
         want = _train_quietly(reference_train_random_forest, data, cfg)
         assert _forest_bytes(got) == _forest_bytes(want)
 
-    def test_batches_stay_under_the_cell_cap(self, monkeypatch):
-        # The synthetic-RF training split: 25 balanced roots of 1,236 rows
-        # and 7 features each fill a step about 6.5 times over.
+    def test_synthetic_rf_training_split_matches_reference(self):
+        # The synthetic-RF training split: 25 balanced trees on 1,236 rows
+        # of 50 features, 7 drawn per node.
         data = make_imbalanced_classification(1000, seed=1000)
         rows = np.random.default_rng([17, 0]).permutation(1000)[:700]
         data = dataset(data.features[rows], data.labels[rows], 2)
         cfg = RandomForestConfig(balance=True, seed=0)
-        cells, scan = [], blackbox.best_split_from_samples
-
-        def record(X, *args, **kwargs):
-            cells.append(np.size(X))
-            return scan(X, *args, **kwargs)
-
-        monkeypatch.setattr(blackbox, "best_split_from_samples", record)
-        forest = train_random_forest(data, cfg)
-        internal = sum(int(np.sum(t.feature >= 0)) for t in forest.trees)
-        assert max(cells) <= SPLIT_BATCH_CELLS
-        assert len(cells) <= 100 < internal
-        monkeypatch.setattr(blackbox, "best_split_from_samples", scan)
-        assert _forest_bytes(forest) == _forest_bytes(
+        assert _forest_bytes(train_random_forest(data, cfg)) == _forest_bytes(
             reference_train_random_forest(data, cfg))
 
 
@@ -319,7 +307,8 @@ class TestPolicy:
         {"grid_sizes": (7, 7, 7, 0)}, {"n_transition_samples": 0},
         {"discount": 1.0}, {"discount": -0.01},
         {"grid_sizes": (7, 7, 7, True)}, {"grid_sizes": (7, 7, 7, 2.5)},
-        {"n_transition_samples": True}, {"n_transition_samples": 2.5}])
+        {"n_transition_samples": True}, {"n_transition_samples": 2.5},
+        {"seed": -1}, {"seed": 1.5}, {"seed": "a"}])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PolicyConfig(**kwargs)

@@ -497,6 +497,19 @@ class TestDeterminism:
         assert code == 1 and "invalid int value: 'abc'" in err
         assert not (workdir / "g.json").exists()
 
+    @pytest.mark.parametrize("env, flags", [(None, ["--seed", "-1"]), ("-1", [])],
+                             ids=["flag", "env"])
+    def test_negative_seed_exits_1(self, workdir, capsys, monkeypatch, env, flags):
+        """A negative seed used to reach numpy and exit 2, an internal error."""
+        if env is None:
+            monkeypatch.delenv("EXTRACT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("EXTRACT_SEED", env)
+        code, _, err = run(["train-cartpole", "--grid", "3,3,3,3", "--transition-samples", "2",
+                            *flags, "--out", "policy.json"], capsys)
+        assert code == 1 and "seed must be an integer >= 0, got -1" in err
+        assert not (workdir / "policy.json").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, workdir, synthetic_spec, capsys):

@@ -552,6 +552,14 @@ class TestRunFidelityCurve:
         with pytest.raises(ConfigError, match="n_seeds"):
             run_fidelity_curve(task, [3], ["ours"], n_seeds=n_seeds)
 
+    @pytest.mark.parametrize("base_seed", [-1, 1.5, "a"])
+    def test_bad_base_seed_rejected_before_any_instance(self, base_seed):
+        """A negative base seed used to raise numpy's ValueError once the
+        first instance was built."""
+        task = FidelityTask("toy", 10, lambda seed: pytest.fail("built an instance"))
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            run_fidelity_curve(task, [3], ["ours"], n_seeds=1, base_seed=base_seed)
+
     def test_failed_seed_leaves_missing_rows_and_continues(self):
         gmm, bb = three_box_benchmark()
 

@@ -129,22 +129,17 @@ class TestBestSplitFromSamples:
         want = (0, "1.0", "0.0", 0, 0, np.ones(1).tobytes(), np.ones(1).tobytes())
         assert _fields(reference_best_split(X, y, 1, 1.0, -1.0)) == want
         assert _fields(best_split_from_samples(X, y, 1, 1.0, -1.0)) == want
-        assert [_fields(c) for c in batch_scan(X, y, 1, 1.0, -1.0, np.zeros(5, int))] == [want]
 
-    @pytest.mark.parametrize("bad", [2, -1])
-    @pytest.mark.parametrize("batched", [False, True], ids=["one-node", "batched"])
-    def test_label_outside_range_refused(self, bad, batched):
-        """A label outside [0, m) would land in another class's or node's
-        counts, or break the single-node call with a numpy error."""
+    @pytest.mark.parametrize("bad", [2, -1], ids=lambda bad: f"one-node-{bad}")
+    def test_label_outside_range_refused(self, bad):
+        """A label outside [0, m) would lengthen the class counts, or break
+        the scan with a numpy error."""
         rng = np.random.default_rng(0)
         X = np.round(rng.normal(size=(40, 2)), 1)
         y = (X[:, 0] > 0).astype(int)
         y[5] = bad
         with pytest.raises(InputError, match=r"labels must be integers in \[0, 2\)"):
-            if batched:
-                batch_scan(X, y, 2, 1.0, 0.0, np.repeat([0, 1], 20))
-            else:
-                best_split_from_samples(X, y, 2, 1.0)
+            best_split_from_samples(X, y, 2, 1.0)
 
 
 class TestVectorisedScan:
@@ -164,9 +159,8 @@ class TestVectorisedScan:
 
     @staticmethod
     def _root_scan(module, build):
-        """Run build with module's scan recorded; return the root candidate:
-        the first call's, or the first segment's when that call scores a
-        ragged batch (the forest's first batch starts with tree 0's root)."""
+        """Run build with module's scan recorded; return the root candidate,
+        the first call's (a forest's first call scores tree 0's root)."""
         calls = []
         scan = module.best_split_from_samples
 
@@ -179,7 +173,7 @@ class TestVectorisedScan:
             out = build()
         finally:
             module.best_split_from_samples = scan
-        return out, calls[0][0] if isinstance(calls[0], list) else calls[0]
+        return out, calls[0]
 
     def test_pinned_root_splits(self):
         # Values recorded with the per-dimension scan (reference_best_split).
@@ -230,74 +224,17 @@ class TestExactScores:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_top_of_exact_range(self, m):
-        """At n = 16,383, the largest n whose sums are exact, the single-node
-        scan, a one-node batch and the reference agree bit for bit, and the
-        mirrored pair's exactly equal best cuts go to the lower dimension."""
+        """At n = 16,383, the largest n whose sums are exact, the scan and
+        the reference agree bit for bit, and the mirrored pair's exactly
+        equal best cuts go to the lower dimension."""
         rng, n = np.random.default_rng(7), 2 ** 14 - 1
         x = np.round(rng.normal(size=n), 2)
         y = np.digitize(x + 0.5 * rng.normal(size=n), [0.0, 0.8][:m - 1])
         X = np.column_stack([np.round(rng.normal(size=n), 1), -x, x])
         want = _fields(reference_best_split(X, y, m, 0.5))
         assert _fields(best_split_from_samples(X, y, m, 0.5)) == want
-        assert [_fields(c) for c in batch_scan(X, y, m, 0.5, 0.0, np.zeros(n, int))] == [want]
         swapped = best_split_from_samples(X[:, [0, 2, 1]], y, m, 0.5)
         assert want[0] == swapped.dim == 1 and repr(swapped.gain) == want[2]
-
-
-@st.composite
-def ragged_batches(draw):
-    """Nodes of 1-40 rows (size 2 among them) stacked in a shuffled row
-    order, drawn from one table with ties, constant columns and repeated
-    columns; node 0's rows are all one point. A negative min_gain admits
-    every cut, so only the node masks hold back a node without one."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.sampled_from([1, 2, 2, 3, 7, 40]), min_size=1, max_size=8))
-    n = sum(sizes)
-    X = np.round(rng.normal(size=(n, d)) * 2, draw(st.sampled_from([0, 1, 4])))
-    X[:, rng.integers(d, size=draw(st.integers(0, d)))] = X[:, [0]]
-    X[:, rng.integers(d, size=draw(st.integers(0, 1)))] = -1.5
-    y = rng.integers(m, size=n)
-    if draw(st.booleans()):  # labels that the first column separates
-        y = (X[:, 0] > 0).astype(int) * (m - 1)
-    seg = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-    X[seg == 0] = X[np.argmax(seg == 0)]  # a node whose rows offer no cut
-    mass = draw(st.floats(1e-3, 1.0))
-    return X, y, m, mass, seg, draw(st.sampled_from([0.0, 0.0, 1e-3, -1.0]))
-
-
-def batch_scan(X, y, m, mass, min_gain, seg):
-    """The scan of a ragged batch, with X coded as the forest codes it."""
-    values, codes = np.unique(X, return_inverse=True)
-    return best_split_from_samples(codes.reshape(X.shape), y, m, mass, min_gain,
-                                   segments=seg, values=values)
-
-
-class TestRaggedBatch:
-    @settings(max_examples=300, deadline=None)
-    @given(ragged_batches())
-    def test_matches_per_node_calls_bitwise(self, case):
-        X, y, m, mass, seg, min_gain = case
-        S = seg.max() + 1
-        want = [_fields(best_split_from_samples(X[seg == s], y[seg == s], m, mass, min_gain))
-                for s in range(S)]
-        assert want == [_fields(reference_best_split(X[seg == s], y[seg == s], m, mass,
-                                                     min_gain)) for s in range(S)]
-        assert [_fields(c) for c in batch_scan(X, y, m, mass, min_gain, seg)] == want
-
-    def test_one_segment_matches_single_node(self, rng):
-        X, y = np.round(rng.normal(size=(60, 4)), 1), rng.integers(3, size=60)
-        single = _fields(best_split_from_samples(X, y, 3, 0.4))
-        (batched,) = batch_scan(X, y, 3, 0.4, 0.0, np.zeros(60, int))
-        assert _fields(batched) == single
-
-    def test_empty_and_single_row_nodes_get_none(self, rng):
-        X, y = rng.normal(size=(9, 2)), np.array([0, 1] * 4 + [1])
-        seg = np.array([0, 0, 0, 0, 2, 2, 2, 2, 3])  # node 1 has no rows
-        cands = batch_scan(X, y, 2, 1.0, 0.0, seg)
-        assert len(cands) == 4 and cands[1] is None and cands[3] is None
-        assert _fields(cands[2]) == _fields(best_split_from_samples(X[4:8], y[4:8], 2, 1.0))
-        assert batch_scan(X[:0], y[:0], 2, 1.0, 0.0, seg[:0]) == []
 
 
 class TestBestSplit:
@@ -420,6 +357,12 @@ class TestExtractTree:
         name = "total_sample_budget" if "total_sample_budget" in kwargs else "samples_per_node"
         with pytest.raises(ConfigError, match=f"^{name} must be >= .* and an integer"):
             ExtractionConfig(7, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_seed_must_be_a_count(self, seed):
+        """A bad seed used to fail only at the first draw, inside numpy."""
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+            ExtractionConfig(7, 100, seed=seed)
 
     def test_numpy_integer_sizes_accepted(self, gmm_2d):
         cfg = ExtractionConfig(np.int64(3), np.int32(50), total_sample_budget=np.int64(500))

@@ -370,8 +370,12 @@ class TestFitEM:
         (lambda X, r: sample(fit_em(X, 1), r, -1), InputError, "size must be an integer >= 0"),
         (lambda X, r: sample_conditional(fit_em(X, 1).unconditional, r, 2.5), InputError,
          "size must be an integer >= 0"),
+        (lambda X, r: fit_em(X, 2, EMConfig(seed=-1)), ConfigError, "seed must be an integer >= 0"),
+        (lambda X, r: fit_em(X, 2, EMConfig(seed=1.5)), ConfigError, "seed must be an integer >= 0"),
+        (lambda X, r: fit_em(X, 2, EMConfig(seed="a")), ConfigError, "seed must be an integer >= 0"),
     ], ids=["float_k", "zero_k", "float_n_init", "bool_k", "bool_n_init",
-            "float_size", "bool_size", "negative_size", "float_conditional_size"])
+            "float_size", "bool_size", "negative_size", "float_conditional_size",
+            "negative_seed", "float_seed", "str_seed"])
     def test_counts_must_be_integers(self, rng, call, error, message):
         with pytest.raises(error, match=message):
             call(rng.normal(size=(20, 2)), rng)

@@ -74,8 +74,12 @@ def test_bad_sigma_rejected(rng):
 
 @pytest.mark.parametrize("mu, sigma, lo, hi", [
     # Standardized, both bounds overflow to -inf: this used to recurse
-    # through the redraws until RecursionError.
-    (1e308, 1e-308, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0)], ids=["overflowing", "nan-bound"])
+    # through the redraws until RecursionError. With numpy floats the
+    # overflow used to warn first.
+    (1e308, 1e-308, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0),
+    (np.float64(1e308), np.float64(1e-308), 0.0, 1.0)],
+    ids=["overflowing", "nan-bound", "overflowing-float64"])
+@pytest.mark.filterwarnings("error")
 def test_empty_standardized_interval_rejected(rng, mu, sigma, lo, hi):
     with pytest.raises(InputError, match="empty interval"):
         sample_truncated_normal(mu, sigma, lo, hi, rng)
